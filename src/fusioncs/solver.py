@@ -5,27 +5,23 @@ Two constrained programs over coefficient vectors c (blocks c_j):
     equality:  min sum_j ||c_j||_2   s.t.  B c = y
     ball:      min sum_j ||c_j||_2   s.t.  ||B c - y||_2 <= eta
 
-Every solve starts from a matrix-free least-squares probe of B c = y, which
-settles feasibility and warm-starts the iteration. In the equality case the
-probe point is first tested for direct optimality: a dual vector nu with
-B^T nu equal to the block-norm subgradient at the probe certifies it, which
-resolves every instance whose constraint set is a single point (for example
-injective B) without iterating, at any conditioning.
+Each solve forms the dense B once and one eigendecomposition of B^T B, which
+gives the least-squares probe (feasibility and a starting point), the null
+space basis Z of B, and every least-squares solve after. An injective B has
+a single feasible point, certified without iterating. Otherwise both
+programs run as second-order cone programs,
 
-Otherwise a two-block ADMM runs on the consensus form
+    min sum_j t_j   s.t.  ||c_j||_2 <= t_j  (and ||B c - y||_2 <= eta),
 
-    min ||z||_{2,1} + I_C(w)   s.t.   c - z = 0,  B c - w = 0,
-
-where C is {y} or the eta-ball around y. The c-step is a conjugate-gradient
-solve of (rho_z I + rho_w B^T B) c = rho_z (z - u_z) + rho_w B^T (w - u_w),
-warm-started from the previous iterate; the z-step is blockwise soft
-thresholding; the w-step is a point or ball projection; consensus inputs are
-over-relaxed, and the two penalties are residual-balanced on a cooldown.
-The scaled dual variable of the w constraint yields the certificate:
-nu = -rho_w * u_w satisfies, at optimality, B^T nu in the subdifferential of
-the block norm, hence max_j ||(B^T nu)_j||_2 <= 1 and the objective equals
-<y, nu> - eta ||nu||_2. Convergence is declared on joint primal/dual
-residuals plus that duality gap, never on objective stagnation.
+the equality program over c = c_ls + Z w, by a primal-dual interior-point
+method with Nesterov-Todd scaling and a Mehrotra corrector that keeps every
+iterate strictly feasible. The cone multipliers give the dual vector nu:
+the negated ball multiplier, or the least-squares solution of
+B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
+nu bounds the distance to the optimum by the gap
+||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
+at most ``tol_gap``. Equality iterates are also refined by least squares on
+their detected support, which is returned when it passes the same test.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .errors import (
     NotOrthogonalError,
@@ -46,48 +41,36 @@ from .frames import SubspaceCollection, coherence
 from .measurement import CoefficientOperator
 from .signals import BlockSignal, from_coeff_vector
 
-_RHO_MIN, _RHO_MAX = 1e-8, 1e8
-_BALANCE_RATIO = 10.0
-_BALANCE_FACTOR = 2.0
-# rebalance at most once per this many iterations; per-iteration jumps keep
-# re-perturbing the duals and can cycle forever
-_BALANCE_COOLDOWN = 50
-# over-relaxation of the consensus inputs, a standard splitting accelerator
-_RELAXATION = 1.7
-
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Iteration limits and stopping tolerances.
+    """Iteration limit and stopping tolerances.
 
-    Residual tolerances are relative; the duality gap tolerance is absolute
-    at the scale of the objective. ``adapt_rho`` enables residual-balancing
-    updates of the penalty.
+    ``max_iters`` bounds the Newton steps of the interior-point method.
+    ``tol_gap`` is absolute at the scale of the objective; ``tol_primal``
+    is relative to 1 + ||y|| and ``tol_dual`` to the unit dual ball, and
+    both set how far :func:`certify` lets a solution stray.
     """
 
     max_iters: int = 20000
     tol_primal: float = 1e-9
     tol_dual: float = 1e-9
     tol_gap: float = 1e-7
-    rho: float = 1.0
-    adapt_rho: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if min(self.tol_primal, self.tol_dual, self.tol_gap) < 0:
             raise ValueError("tolerances must be nonnegative")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
 
 
 @dataclass(frozen=True)
 class RecoverySolution:
     estimate: BlockSignal
     status: str  # "converged" | "max_iters" | "infeasible"
-    iterations: int
-    primal_residual: float
-    dual_residual: float
+    iterations: int  # interior-point Newton steps
+    primal_residual: float  # max(0, ||B c - y|| - eta) / (1 + ||y||)
+    dual_residual: float  # max(0, max_j ||(B^T nu)_j|| - 1)
     duality_gap: float
     objective: float
     dual_vector: np.ndarray = field(repr=False, default=None)
@@ -130,52 +113,135 @@ def _norm21_flat(v: np.ndarray, starts: np.ndarray) -> float:
     return float(np.sum(_block_norms_flat(v, starts)))
 
 
-def _shrink_flat(v: np.ndarray, starts: np.ndarray, lengths: np.ndarray, tau: float) -> np.ndarray:
-    norms = _block_norms_flat(v, starts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norms > tau, 1.0 - tau / norms, 0.0)
-    return v * np.repeat(factor, lengths)
+# ---------------------------------------------------------------------------
+# Second-order cones and the interior-point method
+# ---------------------------------------------------------------------------
+
+class _Cones:
+    """Product of second-order cones {(u0, u1) : ||u1|| <= u0} on one stacked vector.
+
+    Each cone occupies a contiguous segment whose first entry is u0.
+    """
+
+    def __init__(self, dims):
+        self.heads = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
+        self.owner = np.repeat(np.arange(len(dims)), dims)
+        self.e = np.zeros(int(np.sum(dims)))  # identity element
+        self.e[self.heads] = 1.0
+        self.j = 2.0 * self.e - 1.0  # diagonal of the reflection J = diag(1, -I)
+
+    def dot(self, u, v):
+        return np.add.reduceat(u * v, self.heads, axis=0)
+
+    def jdot(self, u, v):
+        return self.dot(self.j * u, v)
+
+    def prod(self, u, v):
+        """Jordan product (u^T v, u0 v1 + v0 u1) per cone."""
+        out = u[self.heads][self.owner] * v + v[self.heads][self.owner] * u
+        out[self.heads] = self.dot(u, v)
+        return out
+
+    def div(self, lam, r):
+        """The x with lam o x = r, for lam in the interior."""
+        x0 = self.jdot(lam, r) / self.jdot(lam, lam)
+        out = (r - x0[self.owner] * lam) / lam[self.heads][self.owner]
+        out[self.heads] = x0
+        return out
+
+    def scaling(self, s, z):
+        """v and beta of the Nesterov-Todd scaling W = beta (2 v v^T - J), W s = W^-1 z."""
+        sn, zn = np.sqrt(self.jdot(s, s)), np.sqrt(self.jdot(z, z))
+        sb, zb = s / sn[self.owner], z / zn[self.owner]
+        gamma = np.sqrt(0.5 * (1.0 + self.dot(sb, zb)))
+        wb = (zb + self.j * sb) / (2.0 * gamma[self.owner]) + self.e
+        return wb / np.sqrt(2.0 * wb[self.heads])[self.owner], np.sqrt(zn / sn)
+
+    def scale(self, nt, v):
+        """W v for a vector, or W applied to each column of a matrix."""
+        w, beta = nt
+        v2 = v.reshape(len(v), -1)
+        wv = self.dot(w[:, None], v2)[self.owner]
+        out = beta[self.owner, None] * (2.0 * w[:, None] * wv - self.j[:, None] * v2)
+        return out.reshape(v.shape)
+
+    def max_step(self, u, d):
+        """Largest a with u + a d in the cone product, for u in the interior."""
+        uu = self.jdot(u, u)
+        a, b = self.jdot(d, d) / uu, self.jdot(u, d) / uu
+        root = np.sqrt(np.maximum(b * b - a, 0.0))
+        # per cone 1/x for the smallest positive root x of a x^2 + 2 b x + 1,
+        # or 0 when there is none; both branches avoid cancellation
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(b * b < a, 0.0, np.where(b > 0.0, -a / (root + b), root - b)).max()
+        return 1.0 / inv if inv > 0.0 else math.inf
 
 
-def _cg(apply_fn, b, x0, rtol, maxiter):
-    """Conjugate gradient for a symmetric positive definite apply_fn."""
-    x = x0.copy()
-    r = b - apply_fn(x)
-    rs = float(r @ r)
-    stop = (rtol * math.sqrt(float(b @ b))) ** 2
-    if rs <= stop:
-        return x
-    p = r.copy()
-    for _ in range(maxiter):
-        ap = apply_fn(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        if rs_new <= stop:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+def _interior_point(G, h, cost, x, cones):
+    """Newton steps of a primal-dual method for min cost^T x s.t. G x + s = h, s in cones.
+
+    x must be strictly feasible; every step keeps G x + s = h. Yields
+    (x, z) after each step and returns when rounding stops progress: a
+    singular Newton matrix or an iterate off the cone interior.
+    """
+    s = h - G @ x
+    z = cones.e.copy()
+    degree = len(cones.heads)  # of the barrier: one per second-order cone
+    while True:
+        nt = cones.scaling(s, z)
+        lam = cones.scale(nt, s)
+        wg = cones.scale(nt, G)
+        rd = G.T @ z + cost
+        mu = float(s @ z) / degree
+        hessian = wg.T @ wg
+
+        def direction(q):
+            # Newton system G^T W^2 G dx = -rd - (W G)^T q; steps scaled by W
+            dx = np.linalg.solve(hessian, -rd - wg.T @ q)
+            dz = wg @ dx + q
+            return dx, q - dz, dz
+
+        try:
+            dx, ds, dz = direction(-lam)
+            alpha = min(1.0, cones.max_step(lam, ds), cones.max_step(lam, dz))
+            # Mehrotra: second-order correction and centering at (1 - alpha)^3 mu
+            q = cones.div(lam, (1.0 - alpha) ** 3 * mu * cones.e
+                          - cones.prod(lam, lam) - cones.prod(ds, dz))
+            dx, ds, dz = direction(q)
+        except np.linalg.LinAlgError:
+            return
+        # stop 1 % short of the cone boundary
+        alpha = min(1.0, 0.99 * min(cones.max_step(lam, ds), cones.max_step(lam, dz)))
+        x = x + alpha * dx
+        s = s - alpha * (G @ dx)
+        z = z + alpha * cones.scale(nt, dz)
+        if not all(np.all(u[cones.heads] > 0.0) and np.all(cones.jdot(u, u) > 0.0) for u in (s, z)):
+            return  # rounding has carried an iterate to the boundary
+        yield x, z
 
 
-def _admm(B: CoefficientOperator, y: np.ndarray, eta: float, params: SolverParams) -> RecoverySolution:
-    starts = B.block_starts
-    lengths = np.asarray(B.block_dims, dtype=int)
-    n, p = B.in_dim, B.out_dim
+def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverParams) -> RecoverySolution:
+    starts = op.block_starts
+    lengths = np.asarray(op.block_dims, dtype=int)
+    n, p, nb = op.in_dim, op.out_dim, len(lengths)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (p,):
+        raise ValueError(f"expected y of length {p}, got shape {y.shape}")
     ynorm = float(np.linalg.norm(y))
 
-    def solution(vec, status, iters, pr, dr, gap, nu):
-        est = from_coeff_vector(B.collection, vec)
+    def solution(vec, status, iters, nu):
+        violation = max(0.0, float(np.linalg.norm(B @ vec - y)) - eta) / (1.0 + ynorm)
+        if status == "infeasible":
+            dual_inf = gap = math.inf
+        else:
+            dual_inf = max(0.0, float(np.max(_block_norms_flat(B.T @ nu, starts))) - 1.0)
+            gap = certificate(vec, nu)[0]
         return RecoverySolution(
-            estimate=est,
+            estimate=from_coeff_vector(op.collection, vec),
             status=status,
             iterations=iters,
-            primal_residual=pr,
-            dual_residual=dr,
+            primal_residual=violation,
+            dual_residual=dual_inf,
             duality_gap=gap,
             objective=_norm21_flat(vec, starts),
             dual_vector=nu,
@@ -183,186 +249,115 @@ def _admm(B: CoefficientOperator, y: np.ndarray, eta: float, params: SolverParam
             params=params,
         )
 
+    def certificate(vec, nu):
+        """The duality gap of vec against nu scaled into the dual feasible set, and that nu."""
+        nu = nu / max(1.0, float(np.max(_block_norms_flat(B.T @ nu, starts))))
+        return _norm21_flat(vec, starts) - (float(y @ nu) - eta * float(np.linalg.norm(nu))), nu
+
+    B = op.support_matrix(range(nb))
     # zero is feasible and has minimal objective
     if ynorm <= eta or ynorm == 0.0:
-        return solution(np.zeros(n), "converged", 0, 0.0, 0.0, 0.0, np.zeros(p))
+        return solution(np.zeros(n), "converged", 0, np.zeros(p))
 
-    as_operator = LinearOperator((p, n), matvec=B.matvec, rmatvec=B.rmatvec)
+    evals, evecs = np.linalg.eigh(B.T @ B)
+    keep = evals > n * np.finfo(float).eps * max(evals[-1], 0.0)
+    v_r, l_r = evecs[:, keep], evals[keep]
 
-    def least_squares(rhs):
-        return lsqr(as_operator, rhs, atol=1e-14, btol=1e-14, conlim=0.0,
-                    iter_lim=8 * (n + p))[0]
+    def gram_pinv(v):
+        return v_r @ ((v_r.T @ v) / l_r)
 
-    # least-squares probe: feasibility check and warm start
-    c = least_squares(y)
-    bc = B.matvec(c)
-    range_dist = float(np.linalg.norm(bc - y))
+    # the minimum-norm least-squares solutions of B c = r and B^T nu = g, each
+    # with one step of iterative refinement: the factor of B^T B alone loses
+    # accuracy with the square of the condition number of B
+    def pinv(r):
+        c = gram_pinv(B.T @ r)
+        return c + gram_pinv(B.T @ (r - B @ c))
+
+    def dual_ls(g):
+        nu = B @ gram_pinv(g)
+        return nu + B @ gram_pinv(g - B.T @ nu)
+
+    def subgradient(vec):
+        norms = np.maximum(_block_norms_flat(vec, starts), np.finfo(float).tiny)
+        return vec / np.repeat(norms, lengths)
+
+    def refine(vec, nu):
+        """Least squares on the support of vec, if it passes the certificate."""
+        norms = _block_norms_flat(vec, starts)
+        cols = np.repeat(norms > 1e-6 * norms.max(), lengths)
+        b_s = B[:, cols]
+        out = np.zeros(n)
+        out[cols] = np.linalg.lstsq(b_s, y, rcond=None)[0]
+        if np.linalg.norm(B @ out - y) > params.tol_primal * (1.0 + ynorm):
+            return None
+        for cand in (nu, np.linalg.lstsq(b_s.T, subgradient(out)[cols], rcond=None)[0]):
+            gap, cand = certificate(out, cand)
+            if gap <= params.tol_gap:
+                return out, cand
+        return None
+
+    # least-squares probe: feasibility check and starting point
+    c0 = pinv(y)
+    range_dist = float(np.linalg.norm(B @ c0 - y))
     if range_dist > eta + 1e-8 * (1.0 + ynorm):
-        return solution(
-            c, "infeasible", 0, range_dist / (1.0 + ynorm), math.inf, math.inf, np.zeros(p)
-        )
+        return solution(c0, "infeasible", 0, np.zeros(p))
+    if eta == 0.0:
+        basis = evecs[:, ~keep]
+        if basis.shape[1] == 0:
+            # injective B: the probe point is the only feasible point
+            return solution(c0, "converged", 0, certificate(c0, dual_ls(subgradient(c0)))[1])
+    else:
+        basis = np.eye(n)
 
-    if eta == 0.0 and range_dist <= params.tol_primal * (1.0 + ynorm):
-        # direct optimality test of the probe point: find nu with B^T nu
-        # equal to the subgradient of the block norm there; certifies every
-        # instance whose feasible set is a single point
-        norms = np.maximum(_block_norms_flat(c, starts), np.finfo(float).tiny)
-        g = c * np.repeat(1.0 / norms, lengths)
-        transpose_op = LinearOperator((n, p), matvec=B.rmatvec, rmatvec=B.matvec)
-        nu = lsqr(transpose_op, g, atol=1e-14, btol=1e-14, conlim=0.0,
-                  iter_lim=8 * (n + p))[0]
-        btnu = B.rmatvec(nu)
-        dual_feas = float(np.max(_block_norms_flat(btnu, starts)))
-        obj = _norm21_flat(c, starts)
-        gap = obj - float(y @ nu)
-        if abs(gap) <= params.tol_gap and dual_feas <= 1.0 + params.tol_dual:
-            pr_rel = range_dist / (1.0 + ynorm)
-            return solution(c, "converged", 0, pr_rel, 0.0, gap, nu)
+    # cone rows: (t_j, c0_j + Z_j w) per block, then (eta, y - B c) for the ball
+    r = basis.shape[1]
+    heads = starts + np.arange(nb)
+    tails = np.delete(np.arange(n + nb), heads)
+    dims = list(lengths + 1)
+    G = np.zeros((n + nb, r + nb))
+    G[heads, r + np.arange(nb)] = -1.0
+    G[tails, :r] = -basis
+    h = np.zeros(n + nb)
+    h[tails] = c0
+    if eta > 0.0:
+        G = np.vstack([G, np.zeros((1, r + nb)), np.hstack([B @ basis, np.zeros((p, nb))])])
+        # the probe must lie strictly inside the ball: a radius within the
+        # infeasibility tolerance of range_dist is widened to admit it
+        h = np.concatenate([h, [max(eta, range_dist * (1.0 + 1e-12) + 1e-300)], y - B @ c0])
+        dims.append(p + 1)
+    norms = _block_norms_flat(c0, starts)
+    x = np.concatenate([np.zeros(r), norms + max(float(norms.mean()), np.finfo(float).tiny)])
+    cost = np.concatenate([np.zeros(r), np.ones(nb)])
 
-    # constraint slack left by the splitting at convergence: the reported
-    # estimate must satisfy the original constraint to its own tolerance,
-    # which is far below the splitting residual for small eta
-    feas_limit = (
-        0.5 * params.tol_primal * (1.0 + ynorm) if eta == 0.0 else eta * (1.0 + 5e-10)
-    )
-
-    def polish(vec, bvec):
-        r = bvec - y
-        rn = float(np.linalg.norm(r))
-        if rn <= feas_limit:
-            return vec, bvec
-        # split off the component of r outside range(B); only the range part
-        # can be corrected, and the target radius shrinks accordingly
-        rho = math.sqrt(max(0.0, rn * rn - range_dist * range_dist))
-        tau = math.sqrt(max(0.0, feas_limit * feas_limit - range_dist * range_dist))
-        if rho <= tau or rho == 0.0:
-            return vec, bvec
-        f = 1.0 - tau / rho
-        vec = vec - least_squares(f * r)
-        return vec, B.matvec(vec)
-
-    # one penalty per constraint block, balanced independently
-    rho_z = rho_w = params.rho
-    alpha = _RELAXATION
-    z = c.copy()
-    w = y.copy() if eta == 0.0 else _ball_project(bc, y, eta)
-    u_z = np.zeros(n)
-    u_w = np.zeros(p)
-
-    best_score = math.inf
-    best = None  # (c, nu, pr_rel, dr_rel)
-    last_adapt = 0
-
-    for it in range(1, params.max_iters + 1):
-        def normal_op(q):
-            return rho_z * q + rho_w * B.rmatvec(B.matvec(q))
-
-        rhs = rho_z * (z - u_z) + rho_w * B.rmatvec(w - u_w)
-        c = _cg(normal_op, rhs, c, 1e-11, 2 * n + 20)
-        bc = B.matvec(c)
-
-        z_prev, w_prev = z, w
-        c_hat = alpha * c + (1.0 - alpha) * z_prev
-        bc_hat = alpha * bc + (1.0 - alpha) * w_prev
-        z = _shrink_flat(c_hat + u_z, starts, lengths, 1.0 / rho_z)
-        w = y if eta == 0.0 else _ball_project(bc_hat + u_w, y, eta)
-        u_z = u_z + c_hat - z
-        u_w = u_w + bc_hat - w
-
-        rc = c - z
-        rw = bc - w
-        pr = math.sqrt(float(rc @ rc) + float(rw @ rw))
-        dz = z_prev - z
-        dw = None if eta == 0.0 else w_prev - w
-        # for the equality constraint w stays pinned at y, so its term drops
-        dual_vec = rho_z * dz if dw is None else rho_z * dz + rho_w * B.rmatvec(dw)
-        dr = float(np.linalg.norm(dual_vec))
-
-        btuw = B.rmatvec(u_w)
-        pr_scale = 1.0 + max(
-            math.sqrt(float(c @ c) + float(bc @ bc)),
-            math.sqrt(float(z @ z) + float(w @ w)),
-        )
-        dr_scale = 1.0 + float(np.linalg.norm(rho_z * u_z + rho_w * btuw))
-        pr_rel = pr / pr_scale
-        dr_rel = dr / dr_scale
-
-        score = max(pr_rel, dr_rel)
-        if score < best_score:
-            best_score = score
-            best = (c.copy(), -rho_w * u_w, pr_rel, dr_rel)
-
-        if pr_rel <= params.tol_primal and dr_rel <= params.tol_dual:
-            nu = -rho_w * u_w
-            btnu = -rho_w * btuw
-            dual_feas = float(np.max(_block_norms_flat(btnu, starts)))
-            obj = _norm21_flat(c, starts)
-            gap = obj - (float(y @ nu) - eta * float(np.linalg.norm(nu)))
-            if gap <= params.tol_gap and dual_feas <= 1.0 + params.tol_dual:
-                c, bc = polish(c, bc)
-                gap = _norm21_flat(c, starts) - (
-                    float(y @ nu) - eta * float(np.linalg.norm(nu))
-                )
-                return solution(c, "converged", it, pr_rel, dr_rel, gap, nu)
-
-        if params.adapt_rho and it - last_adapt >= _BALANCE_COOLDOWN:
-            prz = float(np.linalg.norm(rc))
-            prw = float(np.linalg.norm(rw))
-            drz = rho_z * float(np.linalg.norm(dz))
-            drw = 0.0 if dw is None else rho_w * float(np.linalg.norm(B.rmatvec(dw)))
-            adapted = False
-            if prz > _BALANCE_RATIO * drz and rho_z < _RHO_MAX:
-                rho_z *= _BALANCE_FACTOR
-                u_z /= _BALANCE_FACTOR
-                adapted = True
-            elif drz > _BALANCE_RATIO * prz and rho_z > _RHO_MIN:
-                rho_z /= _BALANCE_FACTOR
-                u_z *= _BALANCE_FACTOR
-                adapted = True
-            # the pinned-w block has no dual motion of its own; balance its
-            # penalty against the z-block dual instead
-            drw_ref = drz if dw is None else drw
-            if prw > _BALANCE_RATIO * drw_ref and rho_w < _RHO_MAX:
-                rho_w *= _BALANCE_FACTOR
-                u_w /= _BALANCE_FACTOR
-                adapted = True
-            elif dw is not None and drw > _BALANCE_RATIO * prw and rho_w > _RHO_MIN:
-                rho_w /= _BALANCE_FACTOR
-                u_w *= _BALANCE_FACTOR
-                adapted = True
-            if adapted:
-                last_adapt = it
-
-    c_best, nu, pr_rel, dr_rel = best
-    obj = _norm21_flat(c_best, starts)
-    gap = obj - (float(y @ nu) - eta * float(np.linalg.norm(nu)))
-    return solution(c_best, "max_iters", params.max_iters, pr_rel, dr_rel, gap, nu)
-
-
-def _ball_project(v: np.ndarray, y: np.ndarray, eta: float) -> np.ndarray:
-    diff = v - y
-    nrm = float(np.linalg.norm(diff))
-    if nrm <= eta:
-        return v.copy()
-    return y + (eta / nrm) * diff
+    it, c, nu = 0, c0, np.zeros(p)
+    steps = _interior_point(G, h, cost, x, _Cones(dims))
+    for it, (x, z) in zip(range(1, params.max_iters + 1), steps):
+        c = c0 + basis @ x[:r]
+        if eta > 0.0:
+            nu = -z[n + nb + 1:]
+        else:
+            nu = dual_ls(-z[tails])
+            refined = refine(c, nu)
+            if refined is not None:
+                return solution(refined[0], "converged", it, refined[1])
+        gap, nu = certificate(c, nu)
+        if gap <= params.tol_gap:
+            if eta == 0.0:
+                c = c - pinv(B @ c - y)
+            return solution(c, "converged", it, nu)
+    return solution(c, "max_iters", it, nu)
 
 
 def solve_equality(B: CoefficientOperator, y: np.ndarray, params: SolverParams | None = None) -> RecoverySolution:
     """Minimize the block norm sum subject to B c = y."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (B.out_dim,):
-        raise ValueError(f"expected y of length {B.out_dim}, got shape {y.shape}")
-    return _admm(B, y, 0.0, params or SolverParams())
+    return _solve(B, y, 0.0, params or SolverParams())
 
 
 def solve_noisy(B: CoefficientOperator, y: np.ndarray, eta: float, params: SolverParams | None = None) -> RecoverySolution:
     """Minimize the block norm sum subject to ||B c - y||_2 <= eta."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (B.out_dim,):
-        raise ValueError(f"expected y of length {B.out_dim}, got shape {y.shape}")
-    return _admm(B, y, float(eta), params or SolverParams())
+    return _solve(B, y, float(eta), params or SolverParams())
 
 
 def closed_form_orthogonal(y: np.ndarray, a: np.ndarray, collection: SubspaceCollection) -> BlockSignal:
