@@ -1,9 +1,8 @@
 """Command-line harness.
 
 Exit codes: 0 on success, 2 on configuration or usage errors, 3 on I/O
-errors. Set ``FUSIONCS_THREADS`` to bound the trial pool; the default is the
-logical core count. All experiment output is a pure function of the
-configuration, so reruns reproduce files byte for byte.
+errors. All experiment output is a pure function of the configuration, so
+reruns reproduce files byte for byte.
 """
 
 from __future__ import annotations

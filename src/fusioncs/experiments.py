@@ -5,7 +5,7 @@ Every trial derives its own seed from (base_seed, cell_key, trial_index,
 stream) through a SplitMix64 fold, where the cell key encodes the cell's
 coordinates (family, theta, s, m, eta) rather than its position in the
 sweep. Any sub-grid of a configuration therefore reproduces the identical
-trials, and the execution order (serial or pooled) cannot affect results.
+trials, and the order in which cells and trials run cannot affect results.
 One collection is fixed per cell; the measurement ensemble is resampled per
 trial, unless ``resample_collection`` asks for a fresh collection per trial
 as well.
@@ -16,10 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -36,12 +34,10 @@ from .frames import (
 from .measurement import EnsembleSpec, add_noise, compose_with_bases, sample_ensemble, vector_operator
 from .rip import MAX_SUPPORT_COLUMNS, MAX_SUPPORTS_EXACT, exact_frip, mc_frip
 from .signals import coeff_vector, random_sparse_signal
-from .solver import SolverParams, solve_equality, solve_noisy
+from .solver import SolverParams, solve_noisy
 
 EXPERIMENTS = ("phase_transition", "noise_robustness", "frip_sweep", "bound_table")
 FAMILIES = ("orthogonal", "angle", "random")
-
-THREADS_ENV_VAR = "FUSIONCS_THREADS"
 
 # seed streams, one per random ingredient of a trial
 STREAM_COLLECTION = 0
@@ -93,25 +89,6 @@ def cell_key(family: str, theta: float | None, s: int, m: int, eta: float | None
     for part in parts:
         x = _splitmix64(x ^ (part & _MASK64))
     return x
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR}={raw!r} is not an integer") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
-def _map_trials(fn, n_trials: int) -> list:
-    workers = min(_thread_count(), n_trials)
-    if workers <= 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +167,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "family": cfg.family,
-        "d": cfg.d,
-        "k": cfg.k,
-        "N": cfg.N,
-        "sparsity_grid": list(cfg.sparsity_grid),
-        "measurement_grid": list(cfg.measurement_grid),
-        "ensemble": {"distribution": cfg.ensemble},
-        "trials_per_cell": cfg.trials_per_cell,
-        "success_tol": cfg.success_tol,
-        "eta_grid": list(cfg.eta_grid),
-        "theta_grid": list(cfg.theta_grid),
-        "base_seed": cfg.base_seed,
-        "output_path": cfg.output_path,
-        "resample_collection": cfg.resample_collection,
-        "max_iters": cfg.max_iters,
-        "epsilon": cfg.epsilon,
-    }
+    doc = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        doc[f.name] = list(value) if isinstance(value, tuple) else value
+    doc["ensemble"] = {"distribution": cfg.ensemble}  # keeps its place in the key order
+    return doc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -311,25 +275,7 @@ class CellResult:
     base_seed: int
 
     def row(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "family": self.family,
-            "theta": self.theta,
-            "lambda": self.lambda_,
-            "d": self.d,
-            "k": self.k,
-            "N": self.N,
-            "s": self.s,
-            "m": self.m,
-            "eta": self.eta,
-            "trials": self.trials,
-            "successes": self.successes,
-            "mean_rel_error": self.mean_rel_error,
-            "max_rel_error": self.max_rel_error,
-            "mean_iterations": self.mean_iterations,
-            "solver_failures": self.solver_failures,
-            "base_seed": self.base_seed,
-        }
+        return _row(self)
 
 
 FRIP_CSV_COLUMNS = (
@@ -372,24 +318,12 @@ class FripCell:
     base_seed: int
 
     def row(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "family": self.family,
-            "theta": self.theta,
-            "lambda": self.lambda_,
-            "d": self.d,
-            "k": self.k,
-            "N": self.N,
-            "s": self.s,
-            "m": self.m,
-            "trials": self.trials,
-            "mode": self.mode,
-            "delta_q1": self.delta_q1,
-            "delta_median": self.delta_median,
-            "delta_q3": self.delta_q3,
-            "bound_uniform": self.bound_uniform,
-            "base_seed": self.base_seed,
-        }
+        return _row(self)
+
+
+def _row(result) -> dict:
+    """Field values keyed by field name, with ``lambda_`` written as ``lambda``."""
+    return {f.name.rstrip("_"): getattr(result, f.name) for f in fields(result)}
 
 
 def _csv_cell(value) -> str:
@@ -468,6 +402,12 @@ def _measured_lambda(coll: SubspaceCollection) -> float:
 # Runners
 # ---------------------------------------------------------------------------
 
+def _check_experiment(config: ExperimentConfig, experiment: str) -> None:
+    validate_config(config)
+    if config.experiment != experiment:
+        raise ConfigError(f"config is for {config.experiment!r}, not {experiment}")
+
+
 def run_phase_transition(config: ExperimentConfig) -> list[CellResult]:
     """Success probability of equality-constrained recovery on an (s, m) grid.
 
@@ -476,46 +416,9 @@ def run_phase_transition(config: ExperimentConfig) -> list[CellResult]:
     Non-converged statuses count as solver failures and never abort the
     sweep.
     """
-    validate_config(config)
-    if config.experiment != "phase_transition":
-        raise ConfigError(f"config is for {config.experiment!r}, not phase_transition")
-    params = SolverParams(max_iters=config.max_iters)
-    results = []
-    cells = list(product(_family_points(config), config.sparsity_grid, config.measurement_grid))
-    for point, s, m in cells:
-        key = cell_key(point.family, point.theta, s, m, None)
-        fixed_coll = None
-        if not config.resample_collection:
-            fixed_coll = _collection_for(config, point, key, None)
-
-        def trial(t: int):
-            coll = fixed_coll
-            if coll is None:
-                coll = _collection_for(config, point, key, t)
-            x = random_sparse_signal(
-                coll, s, derive_seed(config.base_seed, key, t, STREAM_SIGNAL)
-            )
-            a = sample_ensemble(
-                EnsembleSpec(
-                    config.ensemble, m, coll.size,
-                    derive_seed(config.base_seed, key, t, STREAM_ENSEMBLE),
-                )
-            )
-            op = vector_operator(a, coll.ambient_dim)
-            b = compose_with_bases(op, coll)
-            truth = coeff_vector(x)
-            y = b.matvec(truth)
-            sol = solve_equality(b, y, params)
-            rel = float(
-                np.linalg.norm(coeff_vector(sol.estimate) - truth) / np.linalg.norm(truth)
-            )
-            converged = sol.status == "converged"
-            return converged and rel <= config.success_tol, rel, sol.iterations, not converged
-
-        outcomes = _map_trials(trial, config.trials_per_cell)
-        lam_coll = fixed_coll if fixed_coll is not None else _collection_for(config, point, key, 0)
-        results.append(_summarize_cell(config, point, s, m, None, lam_coll, outcomes))
-    return results
+    _check_experiment(config, "phase_transition")
+    grid = product(_family_points(config), config.sparsity_grid, config.measurement_grid)
+    return _run_recovery(config, [(point, s, m, None) for point, s, m in grid], 1.0)
 
 
 def run_noise_robustness(config: ExperimentConfig) -> list[CellResult]:
@@ -526,17 +429,26 @@ def run_noise_robustness(config: ExperimentConfig) -> list[CellResult]:
     program at the same eta. The returned rows support a least-squares read
     of the error slope and intercept via :func:`fit_error_vs_eta`.
     """
-    validate_config(config)
-    if config.experiment != "noise_robustness":
-        raise ConfigError(f"config is for {config.experiment!r}, not noise_robustness")
-    params = SolverParams(max_iters=config.max_iters)
+    _check_experiment(config, "noise_robustness")
     s = config.sparsity_grid[0]
     m = config.measurement_grid[0]
+    grid = product(_family_points(config), config.eta_grid)
+    cells = [(point, s, m, float(eta)) for point, eta in grid]
+    return _run_recovery(config, cells, 1.0 / math.sqrt(m))
+
+
+def _run_recovery(config: ExperimentConfig, cells, scale: float) -> list[CellResult]:
+    """One row per (point, s, m, eta) cell; eta is None for a phase cell.
+
+    Every trial measures with ``scale * (A (x) I)``, perturbs by norm eta
+    and solves the ball program at radius eta; at eta = 0 the noise is a
+    copy without a draw and the ball program is the equality program.
+    """
+    params = SolverParams(max_iters=config.max_iters)
     results = []
-    cells = list(product(_family_points(config), config.eta_grid))
-    for point, eta in cells:
+    for point, s, m, eta in cells:
         # eta left out of the key: every eta row reuses the same instances
-        # and noise directions, so the sweep reads as a dose response
+        # and noise directions, so a noise sweep reads as a dose response
         key = cell_key(point.family, point.theta, s, m, None)
         fixed_coll = None
         if not config.resample_collection:
@@ -555,23 +467,22 @@ def run_noise_robustness(config: ExperimentConfig) -> list[CellResult]:
                     derive_seed(config.base_seed, key, t, STREAM_ENSEMBLE),
                 )
             )
-            op = vector_operator(a, coll.ambient_dim, scale=1.0 / math.sqrt(m))
-            b = compose_with_bases(op, coll)
+            b = compose_with_bases(vector_operator(a, coll.ambient_dim, scale=scale), coll)
             truth = coeff_vector(x)
             y = add_noise(
-                b.matvec(truth), eta,
+                b.matvec(truth), eta or 0.0,
                 derive_seed(config.base_seed, key, t, STREAM_NOISE),
             )
-            sol = solve_noisy(b, y, eta, params)
+            sol = solve_noisy(b, y, eta or 0.0, params)
             rel = float(
                 np.linalg.norm(coeff_vector(sol.estimate) - truth) / np.linalg.norm(truth)
             )
             converged = sol.status == "converged"
             return converged and rel <= config.success_tol, rel, sol.iterations, not converged
 
-        outcomes = _map_trials(trial, config.trials_per_cell)
+        outcomes = [trial(t) for t in range(config.trials_per_cell)]
         lam_coll = fixed_coll if fixed_coll is not None else _collection_for(config, point, key, 0)
-        results.append(_summarize_cell(config, point, s, m, float(eta), lam_coll, outcomes))
+        results.append(_summarize_cell(config, point, s, m, eta, lam_coll, outcomes))
     return results
 
 
@@ -605,9 +516,7 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
     500-support sampled lower bound otherwise; each row also carries the
     closed-form sufficient measurement count at C = 1 for reference.
     """
-    validate_config(config)
-    if config.experiment != "frip_sweep":
-        raise ConfigError(f"config is for {config.experiment!r}, not frip_sweep")
+    _check_experiment(config, "frip_sweep")
     results = []
     cells = list(product(_family_points(config), config.sparsity_grid, config.measurement_grid))
     for point, s, m in cells:
@@ -635,7 +544,7 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
             )
             return est.value
 
-        deltas = _map_trials(trial, config.trials_per_cell)
+        deltas = [trial(t) for t in range(config.trials_per_cell)]
         q1, med, q3 = np.percentile(deltas, [25.0, 50.0, 75.0])
         lam = _measured_lambda(coll)
         results.append(
@@ -665,9 +574,7 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
 
 def run_bound_table(config: ExperimentConfig) -> list[dict]:
     """Closed-form bound reports over the family points and sparsity grid."""
-    validate_config(config)
-    if config.experiment != "bound_table":
-        raise ConfigError(f"config is for {config.experiment!r}, not bound_table")
+    _check_experiment(config, "bound_table")
     beta = 2 if config.ensemble == "gaussian" else 1
     rows = []
     for point, s in product(_family_points(config), config.sparsity_grid):

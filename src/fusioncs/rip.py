@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ModeError, TooLargeError
 from .frames import SubspaceCollection
+from .measurement import compose_with_bases, scalar_operator, vector_operator
 
 MAX_SUPPORTS_EXACT = 10**6
 MAX_SUPPORT_COLUMNS = 200
@@ -63,17 +64,6 @@ def _delta_of(m_s: np.ndarray) -> float:
     return max(smax2 - 1.0, 1.0 - smin2)
 
 
-def _vector_support_matrix(a: np.ndarray, collection: SubspaceCollection, supp, scale: float) -> np.ndarray:
-    cols = [scale * np.kron(a[:, [j]], collection.bases[j]) for j in supp]
-    return np.hstack(cols)
-
-
-def _scalar_support_matrix(phi: np.ndarray, collection: SubspaceCollection, supp, scale: float) -> np.ndarray:
-    d = collection.ambient_dim
-    cols = [scale * (phi[:, j * d : (j + 1) * d] @ collection.bases[j]) for j in supp]
-    return np.hstack(cols)
-
-
 def _check_guards(n: int, s: int, sum_cols: int):
     if not 1 <= s <= n:
         raise ValueError(f"s={s} outside [1, {n}]")
@@ -106,7 +96,8 @@ def _exact_over_supports(n: int, s: int, matrix_of, worst_cols: int) -> RipEstim
 def exact_frip(a: np.ndarray, collection: SubspaceCollection, s: int, scale: float = 1.0) -> RipEstimate:
     """Exhaustive isometry constant of the blockwise operator scale * (A (x) I).
 
-    Per support S the restricted operator is assembled column-block-wise as
+    Per support S the restricted operator is the operator's
+    ``support_matrix``, assembled column-block-wise as
     [A[:, j] (x) U_j]_{j in S} without ever forming the full Kronecker
     matrix.
     """
@@ -114,12 +105,9 @@ def exact_frip(a: np.ndarray, collection: SubspaceCollection, s: int, scale: flo
     n = collection.size
     if a.shape[1] != n:
         raise ValueError(f"A has {a.shape[1]} columns for {n} subspaces")
-
-    def matrix_of(supp):
-        return _vector_support_matrix(a, collection, supp, scale)
-
+    b = compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection)
     worst_cols = sum(sorted(collection.block_dims)[-s:])
-    return _exact_over_supports(n, s, matrix_of, worst_cols)
+    return _exact_over_supports(n, s, b.support_matrix, worst_cols)
 
 
 def mc_frip(
@@ -141,12 +129,13 @@ def mc_frip(
         raise ValueError("trials must be positive")
     if not 1 <= s <= n:
         raise ValueError(f"s={s} outside [1, {n}]")
+    b = compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection)
     rng = np.random.default_rng(seed)
     value = -math.inf
     worst = None
     for _ in range(trials):
         supp = tuple(int(j) for j in np.sort(rng.choice(n, size=s, replace=False)))
-        delta = _delta_of(_vector_support_matrix(a, collection, supp, scale))
+        delta = _delta_of(b.support_matrix(supp))
         if delta > value:
             value = delta
             worst = supp
@@ -163,12 +152,9 @@ def scalar_rip_on_H(phi: np.ndarray, collection: SubspaceCollection, s: int) -> 
     d = collection.ambient_dim
     if phi.shape[1] != d * n:
         raise ValueError(f"Phi has {phi.shape[1]} columns for ambient dimension {d * n}")
-
-    def matrix_of(supp):
-        return _scalar_support_matrix(phi, collection, supp, 1.0)
-
+    b = compose_with_bases(scalar_operator(phi), collection)
     worst_cols = sum(sorted(collection.block_dims)[-s:])
-    return _exact_over_supports(n, s, matrix_of, worst_cols)
+    return _exact_over_supports(n, s, b.support_matrix, worst_cols)
 
 
 def classical_rip(a: np.ndarray, s: int, scale: float = 1.0) -> RipEstimate:

@@ -141,13 +141,9 @@ class TestPhaseTransition:
         assert rows[0].lambda_ == pytest.approx(expected, abs=1e-10)
         assert rows[0].theta == 0.4
 
-    def test_determinism_and_thread_invariance(self, monkeypatch):
+    def test_determinism(self):
         cfg = phase_config()
-        monkeypatch.setenv("FUSIONCS_THREADS", "1")
-        serial = run_phase_transition(cfg)
-        monkeypatch.setenv("FUSIONCS_THREADS", "2")
-        pooled = run_phase_transition(cfg)
-        assert serial == pooled
+        assert run_phase_transition(cfg) == run_phase_transition(cfg)
 
     def test_subgrid_reproduces_cells(self):
         full = run_phase_transition(phase_config())
@@ -195,6 +191,17 @@ class TestNoiseRobustness:
         slope, intercept = fit_error_vs_eta(rows)
         assert slope > 0
         assert abs(intercept) < 1e-4
+
+    def test_subgrid_reproduces_rows(self):
+        cfg = dict(
+            experiment="noise_robustness", family="random", d=6, k=2, N=4,
+            sparsity_grid=(2,), measurement_grid=(3,), trials_per_cell=4, base_seed=5,
+        )
+        full = run_noise_robustness(ExperimentConfig(**cfg, eta_grid=(0.0, 1e-3, 1e-2, 1e-1)))
+        sub = run_noise_robustness(ExperimentConfig(**cfg, eta_grid=(1e-1, 1e-3)))
+        by_eta = {r.eta: r for r in full}
+        assert sub == [by_eta[1e-1], by_eta[1e-3]]
+        assert by_eta[1e-1] != by_eta[1e-3]
 
 
 class TestFripSweep:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fusioncs.errors import ModeError, TooLargeError
+from fusioncs.errors import DimMismatchError, ModeError, TooLargeError
 from fusioncs.frames import orthogonal_collection, random_collection
 from fusioncs.measurement import EnsembleSpec, sample_ensemble
 from fusioncs.rip import (
@@ -98,6 +98,11 @@ class TestMcFrip:
         r2 = mc_frip(a, coll, 2, trials=20, seed=16)
         assert r1.value == r2.value
         assert r1.worst_support == r2.worst_support
+
+    def test_column_count_checked(self):
+        coll = random_collection(4, 2, 5, seed=17)
+        with pytest.raises(DimMismatchError):
+            mc_frip(np.ones((3, 7)), coll, 2, trials=5, seed=18)
 
 
 class TestScalarRip:
