@@ -43,7 +43,6 @@ from .solver import (
     CertificateReport,
     RecoverySolution,
     SolverParams,
-    block_soft_threshold,
     certify,
     closed_form_orthogonal,
     oracle_recover_exhaustive,

@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FusionCSError as err:
+    except (FusionCSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -2,8 +2,10 @@
 
 Scalar operators act on the stacked ambient vector through a dense
 m' x (d*N) matrix. Vector operators take m linear combinations of the
-ambient blocks, y_i = sum_j A[i, j] x_j, which is the Kronecker action of
-A (x) I_d applied without ever forming the (d*m) x (d*N) matrix.
+ambient blocks, y_i = sum_j A[i, j] x_j, which is the action of A (x) I_d.
+Composed with the subspace bases, either operator becomes one dense matrix
+over the coefficient vector (:class:`CoefficientOperator`), which the
+solver, the isometry constants and the oracle all read.
 """
 
 from __future__ import annotations
@@ -182,96 +184,58 @@ class CoefficientOperator:
 
     Maps coefficient vectors c to the measurement of the signal with blocks
     U_j c_j, so a recovery program over c never has to carry the membership
-    constraint. Vector-kind application stays matrix-free: cost O(m N d)
-    and storage m x N.
+    constraint. The map is built once as the read-only dense matrix
+    ``matrix`` (out_dim x in_dim), whose columns for block j are
+    scale * (A[:, j] (x) U_j) for a vector operator and scale * Phi_j U_j
+    for a scalar one, Phi_j being the d columns of Phi that act on block j.
     """
 
     def __init__(self, op: MeasurementOperator, collection: SubspaceCollection):
+        d = collection.ambient_dim
         if op.kind == "vector":
             if op.matrix.shape[1] != collection.size:
                 raise DimMismatchError(
                     f"operator has {op.matrix.shape[1]} columns for "
                     f"{collection.size} subspaces"
                 )
-            if op.block_dim != collection.ambient_dim:
-                raise DimMismatchError(
-                    f"operator block_dim {op.block_dim} != ambient {collection.ambient_dim}"
-                )
+            if op.block_dim != d:
+                raise DimMismatchError(f"operator block_dim {op.block_dim} != ambient {d}")
+            blocks = [np.kron(op.matrix[:, [j]], u) for j, u in enumerate(collection.bases)]
         else:
-            if op.matrix.shape[1] != collection.ambient_dim * collection.size:
+            if op.matrix.shape[1] != d * collection.size:
                 raise DimMismatchError(
                     f"operator has {op.matrix.shape[1]} columns for ambient "
-                    f"dimension {collection.ambient_dim * collection.size}"
+                    f"dimension {d * collection.size}"
                 )
-        self.op = op
+            blocks = [op.matrix[:, j * d : (j + 1) * d] @ u for j, u in enumerate(collection.bases)]
+        self.matrix = op.scale * np.hstack(blocks)
+        self.matrix.flags.writeable = False
         self.collection = collection
         dims = collection.block_dims
         self.block_starts = np.concatenate([[0], np.cumsum(dims)])[:-1].astype(int)
         self.block_dims = dims
-        self.in_dim = int(sum(dims))
-        self.out_dim = op.output_dim
-        self.shape = (self.out_dim, self.in_dim)
-        # batched basis stack for the common equal-dimension case
-        self._ustack = None
-        if len(set(dims)) == 1:
-            self._ustack = np.stack(collection.bases)  # (N, d, k)
-
-    def _coeff_to_blocks(self, c: np.ndarray) -> np.ndarray:
-        """Ambient block matrix X with rows U_j c_j, shape (N, d)."""
-        if self._ustack is not None:
-            k = self.block_dims[0]
-            cmat = c.reshape(self.collection.size, k)
-            return np.einsum("jdk,jk->jd", self._ustack, cmat)
-        rows = []
-        for start, k, u in zip(self.block_starts, self.block_dims, self.collection.bases):
-            rows.append(u @ c[start : start + k])
-        return np.stack(rows)
-
-    def _blocks_to_coeff(self, z: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`_coeff_to_blocks`; z has shape (N, d)."""
-        if self._ustack is not None:
-            return np.einsum("jdk,jd->jk", self._ustack, z).ravel()
-        out = np.empty(self.in_dim)
-        for start, k, u, row in zip(
-            self.block_starts, self.block_dims, self.collection.bases, z
-        ):
-            out[start : start + k] = u.T @ row
-        return out
+        self.out_dim, self.in_dim = self.matrix.shape
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.in_dim,):
             raise DimMismatchError(f"expected length {self.in_dim}, got {c.shape}")
-        x_blocks = self._coeff_to_blocks(c)
-        if self.op.kind == "vector":
-            return (self.op.scale * (self.op.matrix @ x_blocks)).ravel()
-        return self.op.scale * (self.op.matrix @ x_blocks.ravel())
+        return self.matrix @ c
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.out_dim,):
             raise DimMismatchError(f"expected length {self.out_dim}, got {y.shape}")
-        if self.op.kind == "vector":
-            m = self.op.matrix.shape[0]
-            z = self.op.scale * (self.op.matrix.T @ y.reshape(m, self.op.block_dim))
-        else:
-            v = self.op.scale * (self.op.matrix.T @ y)
-            z = v.reshape(self.collection.size, self.collection.ambient_dim)
-        return self._blocks_to_coeff(z)
+        return self.matrix.T @ y
+
+    def support_columns(self, support) -> np.ndarray:
+        """Column indices of the given blocks, block by block in the given order."""
+        starts, dims = self.block_starts, self.block_dims
+        return np.array([i for j in support for i in range(starts[j], starts[j] + dims[j])], dtype=int)
 
     def support_matrix(self, support) -> np.ndarray:
         """Dense matrix of the columns belonging to the given blocks."""
-        cols = []
-        d = self.collection.ambient_dim
-        for j in support:
-            u = self.collection.bases[j]
-            if self.op.kind == "vector":
-                cols.append(self.op.scale * np.kron(self.op.matrix[:, [j]], u))
-            else:
-                cols.append(self.op.scale * (self.op.matrix[:, j * d : (j + 1) * d] @ u))
-        if not cols:
-            return np.zeros((self.out_dim, 0))
-        return np.hstack(cols)
+        return self.matrix[:, self.support_columns(support)]
 
     def block_slice(self, j: int) -> slice:
         start = int(self.block_starts[j])

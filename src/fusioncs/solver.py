@@ -5,11 +5,12 @@ Two constrained programs over coefficient vectors c (blocks c_j):
     equality:  min sum_j ||c_j||_2   s.t.  B c = y
     ball:      min sum_j ||c_j||_2   s.t.  ||B c - y||_2 <= eta
 
-Each solve forms the dense B once and one eigendecomposition of B^T B, which
-gives the least-squares probe (feasibility and a starting point), the null
-space basis Z of B, and every least-squares solve after. An injective B has
-a single feasible point, certified without iterating. Otherwise both
-programs run as second-order cone programs,
+Each solve reads the operator's dense matrix B and forms one
+eigendecomposition of B^T B, which gives the least-squares probe
+(feasibility and a starting point), the null space basis Z of B, and every
+least-squares solve after. An injective B has a single feasible point,
+certified without iterating. Otherwise both programs run as second-order
+cone programs,
 
     min sum_j t_j   s.t.  ||c_j||_2 <= t_j  (and ||B c - y||_2 <= eta),
 
@@ -88,17 +89,6 @@ def diagnostics(solution: RecoverySolution) -> dict:
         "duality_gap": solution.duality_gap,
         "objective": solution.objective,
     }
-
-
-def block_soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink a block toward zero: 0 if ||v|| <= tau, else (1 - tau/||v||) v."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm <= tau:
-        return np.zeros_like(v)
-    return (1.0 - tau / nrm) * v
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +244,7 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
         nu = nu / max(1.0, float(np.max(_block_norms_flat(B.T @ nu, starts))))
         return _norm21_flat(vec, starts) - (float(y @ nu) - eta * float(np.linalg.norm(nu))), nu
 
-    B = op.support_matrix(range(nb))
+    B = op.matrix
     # zero is feasible and has minimal objective
     if ynorm <= eta or ynorm == 0.0:
         return solution(np.zeros(n), "converged", 0, np.zeros(p))
@@ -419,11 +409,7 @@ def oracle_recover_exhaustive(
             best_norm = math.inf
             for supp, c_s, m_s in accepted:
                 vec = np.zeros(B.in_dim)
-                pos = 0
-                for j in supp:
-                    sl = B.block_slice(j)
-                    vec[sl] = c_s[pos : pos + B.block_dims[j]]
-                    pos += B.block_dims[j]
+                vec[B.support_columns(supp)] = c_s
                 n21 = _norm21_flat(vec, B.block_starts)
                 if n21 < best_norm - 1e-15:
                     best_norm = n21

@@ -109,6 +109,34 @@ class TestPipelines:
         assert doc["regime_ok"] is True
 
 
+BAD_NUMERIC_INPUT = {
+    "exact_extra_column": ("rip", "exact", "--matrix", "A5", "--collection", "coll", "--s", 2),
+    "scalar_wrong_width": ("rip", "scalar", "--matrix", "phi", "--collection", "coll", "--s", 1),
+    "exact_s_above_n": ("rip", "exact", "--matrix", "A5", "--collection", "coll5", "--s", 9),
+    "mc_zero_trials": ("rip", "mc", "--matrix", "A4", "--collection", "coll", "--s", 1,
+                       "--trials", 0),
+    "noisy_negative_eta": ("recover", "noisy", "--matrix", "A4", "--collection", "coll",
+                           "--y", "y", "--eta", -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMERIC_INPUT))
+def test_bad_numeric_input_exits_2(workspace, capsys, case):
+    tmp, coll = workspace
+    files = {"coll": coll}
+    for name, rows, cols in (("A4", 3, 4), ("A5", 3, 5), ("phi", 3, 31), ("y", 24, 1)):
+        files[name] = tmp / f"{name}.json"
+        assert run("measure", "sample", "--rows", rows, "--cols", cols, "--out", files[name]) == 0
+    files["coll5"] = tmp / "coll5.json"
+    assert run("frames", "gen", "--family", "random", "--d", 4, "--k", 2, "--N", 5,
+               "--out", files["coll5"]) == 0
+    capsys.readouterr()
+    assert run(*(files.get(arg, arg) for arg in BAD_NUMERIC_INPUT[case])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestExperimentCommand:
     def make_config(self, tmp_path, **overrides):
         cfg = dict(

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fusioncs.measurement import (
     subgaussian_alpha,
     vector_operator,
 )
-from fusioncs.signals import coeff_vector, random_sparse_signal, to_ambient
+from fusioncs.signals import coeff_vector, from_coeff_vector, random_sparse_signal, to_ambient
 
 
 class TestEnsembles:
@@ -320,6 +321,44 @@ class TestUnequalBlockDimensions:
         assert np.allclose(dense @ coeff_vector(x), lhs, atol=1e-12)
         y = rng.standard_normal(15)
         assert np.allclose(dense.T @ y, b.rmatvec(y), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["vector", "scalar"])
+    def test_every_support_against_unit_vector_columns(self, kind):
+        from fusioncs.rip import exact_frip, scalar_rip_on_H
+
+        coll = self.make_ragged()
+        rng = np.random.default_rng(6)
+        if kind == "vector":
+            op = vector_operator(rng.standard_normal((2, 4)), 5, scale=0.7)
+        else:
+            op = scalar_operator(rng.standard_normal((3, 20)))
+        b = compose_with_bases(op, coll)
+        # column i is the measurement of the signal with coefficient vector e_i
+        full = np.column_stack(
+            [apply(op, to_ambient(from_coeff_vector(coll, e))) for e in np.eye(6)]
+        )
+        edges = np.cumsum((0, 1, 2, 2, 1))
+
+        def reference(supp):
+            return np.hstack([full[:, edges[j] : edges[j + 1]] for j in supp])
+
+        def delta(m_s):
+            sv = np.linalg.svd(m_s, compute_uv=False)
+            smin = sv[-1] if len(sv) == m_s.shape[1] else 0.0
+            return max(sv[0] ** 2 - 1.0, 1.0 - smin**2)
+
+        for s in range(1, 5):
+            supports = list(combinations(range(4), s))
+            for supp in supports + [supp[::-1] for supp in supports]:
+                np.testing.assert_allclose(
+                    b.support_matrix(supp), reference(supp), rtol=0, atol=1e-12
+                )
+            expected = max(delta(reference(supp)) for supp in supports)
+            if kind == "vector":
+                got = exact_frip(op.matrix, coll, s, op.scale).value
+            else:
+                got = scalar_rip_on_H(op.matrix, coll, s).value
+            assert abs(got - expected) <= 1e-12
 
     def test_ragged_solve_round_trip(self):
         from fusioncs.signals import BlockSignal, coeff_vector

@@ -29,7 +29,6 @@ from fusioncs.measurement import (
 from fusioncs.signals import coeff_vector, norm_21, random_sparse_signal
 from fusioncs.solver import (
     SolverParams,
-    block_soft_threshold,
     certify,
     closed_form_orthogonal,
     diagnostics,
@@ -50,25 +49,6 @@ def planted_instance(coll, s, m, seed, scale=1.0, distribution="gaussian"):
 def rel_err(sol, truth):
     est = coeff_vector(sol.estimate)
     return float(np.linalg.norm(est - truth) / np.linalg.norm(truth))
-
-
-class TestBlockSoftThreshold:
-    def test_tau_zero_identity(self):
-        v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(block_soft_threshold(v, 0.0), v)
-
-    def test_small_block_zeroed(self):
-        v = np.array([0.3, 0.4])
-        assert np.all(block_soft_threshold(v, 0.5) == 0.0)
-        assert np.all(block_soft_threshold(v, 10.0) == 0.0)
-
-    def test_shrink_three_four(self):
-        out = block_soft_threshold(np.array([3.0, 4.0]), 2.5)
-        assert np.allclose(out, [1.5, 2.0])
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            block_soft_threshold(np.ones(2), -1.0)
 
 
 class TestSolveEquality:
