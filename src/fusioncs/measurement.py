@@ -14,9 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import (
     DimMismatchError,
@@ -29,6 +29,7 @@ from .signals import BlockSignal, to_ambient
 
 DISTRIBUTIONS = ("gaussian", "bernoulli", "uniform_scaled")
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # variance one on [-sqrt(3), sqrt(3)]
+_CHUNK_ENTRIES = 2**15  # stacked matrix entries per chunk of supports
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ def subgaussian_alpha(distribution: str) -> float:
         return 1.0
     if distribution != "uniform_scaled":
         raise ValueError(f"unknown distribution {distribution!r}")
+    from scipy import optimize
+
     a = _UNIFORM_HALF_WIDTH
 
     def neg_alpha_sq(t):
@@ -90,6 +93,8 @@ def psi2_norm(distribution: str) -> float:
         return 1.0 / math.sqrt(2.0 * math.log(2.0))
     if distribution != "uniform_scaled":
         raise ValueError(f"unknown distribution {distribution!r}")
+    from scipy import optimize, special
+
     a = _UNIFORM_HALF_WIDTH
 
     def moment_minus_two(c):
@@ -240,6 +245,38 @@ class CoefficientOperator:
     def block_slice(self, j: int) -> slice:
         start = int(self.block_starts[j])
         return slice(start, start + self.block_dims[j])
+
+
+def support_chunks(supports, s: int, entries: int):
+    """(n, s) arrays of the s-supports from an iterable, in order.
+
+    Each chunk holds about _CHUNK_ENTRIES // entries supports (at least
+    one), so stacked matrices of ``entries`` entries per support stay
+    bounded whatever the number of supports.
+    """
+    supports = iter(supports)
+    size = max(1, _CHUNK_ENTRIES // entries)
+    while chunk := list(islice(supports, size)):
+        yield np.array(chunk, dtype=int).reshape(len(chunk), s)
+
+
+def stacked_columns(block_starts, block_dims, supports):
+    """Column index of each support, stacked by column count.
+
+    For each distinct column count among the rows of ``supports``, an
+    integer array of block indices, yields (rows, cols): the positions of
+    the supports with that count and their column indices, one row per
+    support, block by block in the order of the support.
+    """
+    lengths = np.asarray(block_dims)[supports]
+    counts = lengths.sum(axis=1)
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        blocks, sizes = supports[rows].ravel(), lengths[rows].ravel()
+        # column t of the flattened run lies in block b at offset t - (ends_b - size_b)
+        ends = np.cumsum(sizes)
+        cols = np.repeat(block_starts[blocks] - (ends - sizes), sizes) + np.arange(int(count) * len(rows))
+        yield rows, cols.reshape(len(rows), int(count))
 
 
 def compose_with_bases(op: MeasurementOperator, collection: SubspaceCollection) -> CoefficientOperator:

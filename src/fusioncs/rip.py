@@ -6,7 +6,10 @@ of the Gram block m_S^T m_S (the squared singular values of m_S) give the
 per-support constant max(sigma_max^2 - 1, 1 - sigma_min^2). The exact
 constant is the maximum over all supports of one size; the Monte Carlo
 variant maximizes over sampled supports and is a lower bound by
-construction.
+construction. Supports are enumerated in stacked batches: the Gram matrix
+of the whole operator is formed once per call, and each chunk of supports
+gathers its Gram blocks, grouped by column count, into one batched
+eigenvalue call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ import numpy as np
 
 from .errors import ModeError, TooLargeError
 from .frames import SubspaceCollection
-from .measurement import compose_with_bases, scalar_operator, vector_operator
+from .measurement import (
+    compose_with_bases,
+    scalar_operator,
+    stacked_columns,
+    support_chunks,
+    vector_operator,
+)
 
 MAX_SUPPORTS_EXACT = 10**6
 MAX_SUPPORT_COLUMNS = 200
@@ -50,18 +59,6 @@ class RipEstimate:
         }
 
 
-def _delta_of(m_s: np.ndarray) -> float:
-    """max(sigma_max^2 - 1, 1 - sigma_min^2) from the eigenvalues of m_s^T m_s.
-
-    A matrix with more columns than rows has sigma_min = 0; its Gram block
-    is singular, and eigenvalues that rounding pushes below zero count as 0.
-    """
-    eig = np.linalg.eigvalsh(m_s.T @ m_s)
-    smax2 = float(max(eig[-1], 0.0))
-    smin2 = float(max(eig[0], 0.0))
-    return max(smax2 - 1.0, 1.0 - smin2)
-
-
 def _check_guards(n: int, s: int, sum_cols: int):
     if not 1 <= s <= n:
         raise ValueError(f"s={s} outside [1, {n}]")
@@ -75,17 +72,40 @@ def _check_guards(n: int, s: int, sum_cols: int):
         )
 
 
-def _exact_over_supports(n: int, s: int, matrix_of, worst_cols: int) -> RipEstimate:
-    _check_guards(n, s, worst_cols)
-    value = -math.inf
-    worst = None
-    count = 0
-    for supp in combinations(range(n), s):
-        count += 1
-        delta = _delta_of(matrix_of(supp))
-        if delta > value:
-            value = delta
-            worst = supp
+def _worst_columns(block_dims, s: int) -> int:
+    return int(sum(sorted(block_dims)[-s:]))
+
+
+def _max_over_supports(matrix, block_starts, block_dims, supports, s: int):
+    """Largest per-support constant over an iterable of s-supports.
+
+    Returns (value, first support attaining it, number of supports). The
+    Gram matrix G = M^T M is formed once; each chunk of supports takes its
+    Gram blocks G[S, S] and one batched eigvalsh. A support with more
+    columns than rows has a singular Gram block, and eigenvalues that
+    rounding pushes below zero count as 0.
+    """
+    gram = matrix.T @ matrix
+    value, worst, count = -math.inf, None, 0
+    for chunk in support_chunks(supports, s, _worst_columns(block_dims, s) ** 2):
+        deltas = np.empty(len(chunk))
+        for rows, cols in stacked_columns(block_starts, block_dims, chunk):
+            eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
+            smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
+            deltas[rows] = np.maximum(smax2 - 1.0, 1.0 - smin2)
+        i = int(np.argmax(deltas))
+        if deltas[i] > value:
+            value, worst = float(deltas[i]), tuple(int(j) for j in chunk[i])
+        count += len(chunk)
+    return value, worst, count
+
+
+def _exact_over_supports(matrix, block_starts, block_dims, s: int) -> RipEstimate:
+    n = len(block_dims)
+    _check_guards(n, s, _worst_columns(block_dims, s))
+    value, worst, count = _max_over_supports(
+        matrix, block_starts, block_dims, combinations(range(n), s), s
+    )
     return RipEstimate(
         s=s, value=value, mode="exact", supports_evaluated=count, worst_support=worst
     )
@@ -94,14 +114,12 @@ def _exact_over_supports(n: int, s: int, matrix_of, worst_cols: int) -> RipEstim
 def exact_frip(a: np.ndarray, collection: SubspaceCollection, s: int, scale: float = 1.0) -> RipEstimate:
     """Exhaustive isometry constant of the blockwise operator scale * (A (x) I).
 
-    Per support S the restricted operator is the operator's
-    ``support_matrix``, the columns [scale * (A[:, j] (x) U_j)]_{j in S} of
-    the composed matrix, which is built once for all supports.
+    Per support S the restricted operator is the column slice of the
+    composed matrix belonging to the blocks in S, the columns
+    [scale * (A[:, j] (x) U_j)]_{j in S}.
     """
-    n = collection.size
     b = compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection)
-    worst_cols = sum(sorted(collection.block_dims)[-s:])
-    return _exact_over_supports(n, s, b.support_matrix, worst_cols)
+    return _exact_over_supports(b.matrix, b.block_starts, b.block_dims, s)
 
 
 def mc_frip(
@@ -124,37 +142,29 @@ def mc_frip(
         raise ValueError(f"s={s} outside [1, {n}]")
     b = compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection)
     rng = np.random.default_rng(seed)
-    value = -math.inf
-    worst = None
-    for _ in range(trials):
-        supp = tuple(int(j) for j in np.sort(rng.choice(n, size=s, replace=False)))
-        delta = _delta_of(b.support_matrix(supp))
-        if delta > value:
-            value = delta
-            worst = supp
+    draws = (
+        tuple(int(j) for j in np.sort(rng.choice(n, size=s, replace=False)))
+        for _ in range(trials)
+    )
+    value, worst, count = _max_over_supports(b.matrix, b.block_starts, b.block_dims, draws, s)
     return RipEstimate(
-        s=s, value=value, mode="monte_carlo", supports_evaluated=trials, worst_support=worst
+        s=s, value=value, mode="monte_carlo", supports_evaluated=count, worst_support=worst
     )
 
 
 def scalar_rip_on_H(phi: np.ndarray, collection: SubspaceCollection, s: int) -> RipEstimate:
     """Exhaustive isometry constant of a dense scalar operator on the
     s-block-sparse subspace signals; pre-scale phi for normalized variants."""
-    n = collection.size
     b = compose_with_bases(scalar_operator(phi), collection)
-    worst_cols = sum(sorted(collection.block_dims)[-s:])
-    return _exact_over_supports(n, s, b.support_matrix, worst_cols)
+    return _exact_over_supports(b.matrix, b.block_starts, b.block_dims, s)
 
 
 def classical_rip(a: np.ndarray, s: int, scale: float = 1.0) -> RipEstimate:
-    """Exhaustive isometry constant of scale * A over plain sparse vectors."""
+    """Exhaustive isometry constant of scale * A over plain sparse vectors
+    (the case of one column per block)."""
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
-
-    def matrix_of(supp):
-        return scale * a[:, list(supp)]
-
-    return _exact_over_supports(n, s, matrix_of, s)
+    return _exact_over_supports(scale * a, np.arange(n), (1,) * n, s)
 
 
 def recovery_sufficient(rip: RipEstimate) -> bool:

@@ -39,8 +39,12 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .frames import SubspaceCollection, coherence
-from .measurement import CoefficientOperator
+from .measurement import CoefficientOperator, stacked_columns, support_chunks
 from .signals import BlockSignal, from_coeff_vector
+
+# the oracle's batched residuals screen supports at this multiple of the
+# accept tolerance; lstsq on each screened support then decides
+_SCREEN_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -374,6 +378,30 @@ def closed_form_orthogonal(y: np.ndarray, a: np.ndarray, collection: SubspaceCol
     return BlockSignal(coeffs, collection)
 
 
+def _stacked_residuals(b_t, gram, bty, y, cols) -> np.ndarray:
+    """Least-squares residuals ||B_S c_S - y|| of a stack of supports.
+
+    ``cols`` holds one support's columns per row; ``b_t``, ``gram`` and
+    ``bty`` are B^T, B^T B and B^T y. Solves G[S, S] c = (B^T y)[S] through
+    one batched eigendecomposition, dropping eigenvalues below n * eps of
+    the largest, with one step of iterative refinement as in :func:`_solve`.
+    """
+    evals, evecs = np.linalg.eigh(gram[cols[:, :, None], cols[:, None, :]])
+    keep = evals > cols.shape[1] * np.finfo(float).eps * np.maximum(evals[:, -1:], 0.0)
+    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)[:, :, None]
+    bs_t = b_t[cols]  # the stacked B_S^T
+
+    def gram_pinv(g):
+        return evecs @ (inv * (np.swapaxes(evecs, 1, 2) @ g))
+
+    def residual(c):
+        return y[:, None] - np.swapaxes(bs_t, 1, 2) @ c
+
+    c = gram_pinv(bty[cols][:, :, None])
+    c = c + gram_pinv(bs_t @ residual(c))
+    return np.linalg.norm(residual(c)[:, :, 0], axis=1)
+
+
 def oracle_recover_exhaustive(
     B: CoefficientOperator, y: np.ndarray, s: int
 ) -> tuple[BlockSignal | None, bool]:
@@ -385,39 +413,51 @@ def oracle_recover_exhaustive(
     support is the winner; ties within the level break toward the smaller
     block norm sum. ``unique`` is True when exactly one support at that level
     fits and its column matrix has full rank.
+
+    Supports go through in chunks on one Gram matrix B^T B: a batched
+    residual (:func:`_stacked_residuals`) screens them at _SCREEN_FACTOR
+    times the accept tolerance, and each screened support is solved again
+    by ``lstsq`` on its columns; that solution decides acceptance and gives
+    the estimate.
     """
     y = np.asarray(y, dtype=float)
     n = B.collection.size
     k = B.collection.block_dim
     if math.comb(n, min(s, n)) * max(1, (s * k) ** 3) > 10**9:
         raise TooLargeError("support enumeration would exceed the work guard")
-    accept_tol = 1e-8 * (1.0 + float(np.linalg.norm(y)))
-    for level in range(0, min(s, n) + 1):
+    ynorm = float(np.linalg.norm(y))
+    accept_tol = 1e-8 * (1.0 + ynorm)
+    if ynorm <= accept_tol:
+        return from_coeff_vector(B.collection, np.zeros(B.in_dim)), True
+    b_t = np.ascontiguousarray(B.matrix.T)
+    gram, bty = b_t @ B.matrix, b_t @ y
+    dims = B.block_dims
+    for level in range(1, min(s, n) + 1):
+        width = int(sum(sorted(dims)[-level:]))
+        entries = width * (width + B.out_dim)
         accepted = []
-        for supp in combinations(range(n), level):
-            m_s = B.support_matrix(supp)
-            if level == 0:
-                c_s = np.zeros(0)
-                resid = float(np.linalg.norm(y))
-            else:
+        for chunk in support_chunks(combinations(range(n), level), level, entries):
+            screened = []
+            for rows, cols in stacked_columns(B.block_starts, dims, chunk):
+                fit = _stacked_residuals(b_t, gram, bty, y, cols) <= _SCREEN_FACTOR * accept_tol
+                screened += zip(rows[fit], cols[fit])
+            for _, cols in sorted(screened, key=lambda pair: pair[0]):
+                m_s = B.matrix[:, cols]
                 c_s, *_ = np.linalg.lstsq(m_s, y, rcond=None)
-                resid = float(np.linalg.norm(m_s @ c_s - y))
-            if resid <= accept_tol:
-                accepted.append((supp, c_s, m_s))
+                if float(np.linalg.norm(m_s @ c_s - y)) <= accept_tol:
+                    accepted.append((cols, c_s, m_s))
         if accepted:
             best = None
             best_norm = math.inf
-            for supp, c_s, m_s in accepted:
+            for cols, c_s, m_s in accepted:
                 vec = np.zeros(B.in_dim)
-                vec[B.support_columns(supp)] = c_s
+                vec[cols] = c_s
                 n21 = _norm21_flat(vec, B.block_starts)
                 if n21 < best_norm - 1e-15:
                     best_norm = n21
-                    best = (supp, vec, m_s)
-            supp, vec, m_s = best
-            unique = len(accepted) == 1 and (
-                level == 0 or np.linalg.matrix_rank(m_s) == m_s.shape[1]
-            )
+                    best = (vec, m_s)
+            vec, m_s = best
+            unique = len(accepted) == 1 and np.linalg.matrix_rank(m_s) == m_s.shape[1]
             return from_coeff_vector(B.collection, vec), unique
     return None, False
 

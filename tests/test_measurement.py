@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import fusioncs
 from fusioncs.errors import (
     DimMismatchError,
     InvalidDimsError,
@@ -82,6 +87,19 @@ class TestSubgaussianParameters:
         a = math.sqrt(3.0)
         val, _ = integrate.quad(lambda x: math.exp(x * x / (2 * c * c)) / (2 * a), -a, a)
         assert val == pytest.approx(2.0, abs=1e-9)
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # scipy is imported only inside the uniform_scaled branches above, so the
+    # library and its CLI start without scipy.optimize and scipy.special
+    src = str(Path(fusioncs.__file__).resolve().parent.parent)
+    code = (
+        "import sys, fusioncs, fusioncs.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestApplyAdjoint:

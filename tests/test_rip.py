@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fusioncs import measurement
 from fusioncs.errors import DimMismatchError, ModeError, TooLargeError
-from fusioncs.frames import orthogonal_collection, random_collection
-from fusioncs.measurement import EnsembleSpec, sample_ensemble
+from fusioncs.frames import SubspaceCollection, _orthonormalize, orthogonal_collection, random_collection
+from fusioncs.measurement import EnsembleSpec, compose_with_bases, sample_ensemble, vector_operator
 from fusioncs.rip import (
     RipEstimate,
     classical_rip,
@@ -164,6 +165,72 @@ class TestClassicalRip:
                 fusion = exact_frip(a, coll, s, scale=scale)
                 classical = classical_rip(a, s, scale=scale)
                 assert fusion.value <= classical.value + 1e-12
+
+
+class TestStackedEnumeration:
+    """Supports go through in chunks of stacked Gram blocks; results must not
+    depend on where the chunks break."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, per_chunk, ragged):
+        rng = np.random.default_rng(30)
+        if ragged:
+            dims = (1, 2, 2, 1, 2, 1)
+            coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
+        else:
+            dims = (2,) * 6
+            coll = random_collection(4, 2, 6, seed=31)
+        s, m = 3, 3
+        a = rng.standard_normal((m, 6))
+        phi = rng.standard_normal((10, 24))
+        worst = sum(sorted(dims)[-s:])
+        calls = [
+            (lambda: exact_frip(a, coll, s, 0.6), worst),
+            (lambda: scalar_rip_on_H(phi, coll, s), worst),
+            (lambda: mc_frip(a, coll, s, trials=30, seed=32, scale=0.6), worst),
+            (lambda: classical_rip(a, s, 0.6), s),
+        ]
+        for call, cols in calls:
+            reference = call()
+            monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", per_chunk * cols**2)
+            assert call() == reference
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("one_per_chunk", [False, True])
+    def test_all_ties_report_first_support(self, monkeypatch, one_per_chunk):
+        if one_per_chunk:
+            monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 1)
+        est = classical_rip(np.eye(5), 2)
+        assert est.value == 0.0
+        assert est.worst_support == (0, 1)
+        assert est.supports_evaluated == 10
+        # every Gram block of coordinate subspaces under an identity is exactly I
+        est = exact_frip(np.eye(4), orthogonal_collection(8, 2, 4), 2)
+        assert est.value == 0.0
+        assert est.worst_support == (0, 1)
+
+    @pytest.mark.parametrize("seed", [33, 34])
+    def test_mc_frip_matches_per_draw_loop(self, seed):
+        n, s, trials = 7, 3, 40
+        coll = random_collection(4, 2, n, seed=seed)
+        a = sample_ensemble(EnsembleSpec("gaussian", 3, n, seed=seed + 1))
+        scale = 1.0 / math.sqrt(3)
+        b = compose_with_bases(vector_operator(a, 4, scale), coll)
+        rng = np.random.default_rng(seed)
+        value, worst = -math.inf, None
+        for _ in range(trials):
+            supp = tuple(int(j) for j in np.sort(rng.choice(n, size=s, replace=False)))
+            m_s = b.support_matrix(supp)
+            sv = np.linalg.svd(m_s, compute_uv=False)
+            smin2 = sv[-1] ** 2 if m_s.shape[0] >= m_s.shape[1] else 0.0
+            delta = max(sv[0] ** 2 - 1.0, 1.0 - smin2)
+            if delta > value:
+                value, worst = delta, supp
+        est = mc_frip(a, coll, s, trials=trials, seed=seed, scale=scale)
+        assert est.value == pytest.approx(value, abs=1e-12)
+        assert est.worst_support == worst
+        assert est.supports_evaluated == trials
 
 
 class TestRecoverySufficient:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from fusioncs.experiments import (
     cell_key,
     derive_seed,
 )
-from fusioncs.frames import angle_family, orthogonal_collection, random_collection
+from fusioncs.frames import (
+    SubspaceCollection,
+    _orthonormalize,
+    angle_family,
+    orthogonal_collection,
+    random_collection,
+)
 from fusioncs.measurement import (
     EnsembleSpec,
     add_noise,
@@ -339,6 +346,55 @@ class TestOracle:
         rec, unique = oracle_recover_exhaustive(b, y, 1)
         assert rec is None
         assert not unique
+
+    @staticmethod
+    def dense_blocks(*blocks):
+        """Operator whose coefficient matrix is the given column blocks."""
+        coll = SubspaceCollection(tuple(np.eye(blk.shape[1]) for blk in blocks))
+        return compose_with_bases(scalar_operator(np.hstack(blocks)), coll)
+
+    def test_two_fitting_supports_smaller_norm_wins(self):
+        rng = np.random.default_rng(9)
+        pq = rng.standard_normal((12, 2))
+        # y = pq (1, 1) = 2pq (0.5, 0.5): both single blocks fit; the
+        # second has the smaller block norm sum
+        b = self.dense_blocks(pq, 2.0 * pq, rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
+        rec, unique = oracle_recover_exhaustive(b, pq.sum(axis=1), 2)
+        assert not unique
+        np.testing.assert_allclose(coeff_vector(rec), [0, 0, 0.5, 0.5, 0, 0, 0, 0], atol=1e-12)
+        # equal sums (the same columns swapped): the first support wins
+        b = self.dense_blocks(pq, pq[:, ::-1], rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
+        rec, unique = oracle_recover_exhaustive(b, pq.sum(axis=1), 2)
+        assert not unique
+        np.testing.assert_allclose(coeff_vector(rec), [1, 1, 0, 0, 0, 0, 0, 0], atol=1e-12)
+
+    def test_rank_deficient_sole_fit_not_unique(self):
+        rng = np.random.default_rng(10)
+        p, q, r = rng.standard_normal((3, 12))
+        # only the pair (0, 1) fits p + r, and its columns [p q q r] have rank 3
+        b = self.dense_blocks(
+            np.column_stack([p, q]), np.column_stack([q, r]),
+            rng.standard_normal((12, 2)), rng.standard_normal((12, 2)),
+        )
+        y = p + r
+        rec, unique = oracle_recover_exhaustive(b, y, 2)
+        assert rec is not None
+        assert not unique
+        assert np.linalg.norm(b.matvec(coeff_vector(rec)) - y) <= 1e-8 * (1 + np.linalg.norm(y))
+        # lstsq's minimum-norm solution puts nothing on the shared column q
+        np.testing.assert_allclose(coeff_vector(rec), [1, 0, 0, 1, 0, 0, 0, 0], atol=1e-10)
+
+    def test_planted_recovery_on_ragged_block_dims(self):
+        rng = np.random.default_rng(11)
+        dims = (1, 2, 2, 1)
+        coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
+        b = compose_with_bases(vector_operator(rng.standard_normal((3, 4)), 4), coll)
+        for supp in combinations(range(4), 2):
+            coeffs = [rng.standard_normal(k) if j in supp else np.zeros(k) for j, k in enumerate(dims)]
+            truth = np.concatenate(coeffs)
+            rec, unique = oracle_recover_exhaustive(b, b.matvec(truth), 2)
+            assert unique
+            assert np.linalg.norm(coeff_vector(rec) - truth) <= 1e-10
 
     def test_guard(self):
         coll = random_collection(4, 2, 40, seed=7)
