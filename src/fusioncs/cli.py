@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         r.add_argument("--y", required=True)
         r.add_argument("--scale", type=float, default=1.0)
         r.add_argument("--normalized", action="store_true")
-        r.add_argument("--max-iters", dest="max_iters", type=int, default=20000)
+        r.add_argument("--max-iters", dest="max_iters", type=int, default=SolverParams.max_iters)
         r.add_argument("--out", default="")
         if mode == "noisy":
             r.add_argument("--eta", type=float, required=True)

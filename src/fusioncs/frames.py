@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -246,24 +247,38 @@ def coherence(collection: SubspaceCollection) -> CoherenceReport:
 
     Equals the operator norm of P_i P_j for the worst pair; 0 means all
     subspaces are mutually orthogonal, 1 means two of them intersect.
+    The products U_i^T U_j of every pair i < j go through one batched SVD
+    per shape, so ragged block dims work; ``argmax_pair`` is the first
+    maximum in row-major (i, j) order.
     """
     n = collection.size
     if n < 2:
         raise SingleSubspaceError("coherence needs at least two subspaces")
+    # the bases stacked by block dim; pos[j] is basis j's place in its stack
+    dims = np.array(collection.block_dims)
+    pos = np.zeros(n, dtype=int)
+    stacks = {}
+    for k in sorted(set(collection.block_dims)):
+        members = np.nonzero(dims == k)[0]
+        pos[members] = np.arange(len(members))
+        stacks[k] = np.stack([collection.bases[j] for j in members])
+    rows, cols = np.array(list(combinations(range(n), 2))).T  # row-major pair order
+    pair_sigma = np.empty(len(rows))
+    for ki, u_i in stacks.items():
+        for kj, u_j in stacks.items():
+            idx = np.nonzero((dims[rows] == ki) & (dims[cols] == kj))[0]
+            if idx.size:
+                g = np.swapaxes(u_i[pos[rows[idx]]], 1, 2) @ u_j[pos[cols[idx]]]
+                sv = np.linalg.svd(g, compute_uv=False)
+                pair_sigma[idx] = np.clip(sv[:, 0], 0.0, 1.0)
     sigma = np.full((n, n), np.nan)
-    best = -1.0
-    argmax = (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = float(_pair_singular_values(collection, i, j)[0])
-            sigma[i, j] = sigma[j, i] = s
-            if s > best:
-                best = s
-                argmax = (i, j)
+    sigma[rows, cols] = sigma[cols, rows] = pair_sigma
     sigma.flags.writeable = False
+    first = int(np.argmax(pair_sigma))
+    best = float(pair_sigma[first])
     return CoherenceReport(
         lambda_=best,
-        argmax_pair=argmax,
+        argmax_pair=(int(rows[first]), int(cols[first])),
         pairwise_sigma=sigma,
         min_principal_angle=float(np.arccos(best)),
     )

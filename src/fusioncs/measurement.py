@@ -193,6 +193,9 @@ class CoefficientOperator:
     ``matrix`` (out_dim x in_dim), whose columns for block j are
     scale * (A[:, j] (x) U_j) for a vector operator and scale * Phi_j U_j
     for a scalar one, Phi_j being the d columns of Phi that act on block j.
+    The Kronecker block is formed by broadcasting A[:, j] against U_j, one
+    product per entry as in ``np.kron``, so both give the same bits; ragged
+    block dims take the same per-block path.
     """
 
     def __init__(self, op: MeasurementOperator, collection: SubspaceCollection):
@@ -205,7 +208,9 @@ class CoefficientOperator:
                 )
             if op.block_dim != d:
                 raise DimMismatchError(f"operator block_dim {op.block_dim} != ambient {d}")
-            blocks = [np.kron(op.matrix[:, [j]], u) for j, u in enumerate(collection.bases)]
+            # block j is A[:, j] (x) U_j: row i*d + r holds A[i, j] * U_j[r]
+            blocks = [(op.matrix[:, j, None, None] * u).reshape(-1, u.shape[1])
+                      for j, u in enumerate(collection.bases)]
         else:
             if op.matrix.shape[1] != d * collection.size:
                 raise DimMismatchError(

@@ -22,7 +22,11 @@ B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
 nu bounds the distance to the optimum by the gap
 ||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
 at most ``tol_gap``. Equality iterates are also refined by least squares on
-their detected support, which is returned when it passes the same test.
+their detected support, which is returned when it passes the same test;
+the support is fitted once, and while later steps detect the same support
+only their new nu is checked against that fit. A solve whose Newton steps
+rounding stops early (a singular Newton matrix, or an iterate off the cone
+interior) ends as "stalled".
 """
 
 from __future__ import annotations
@@ -51,13 +55,14 @@ _SCREEN_FACTOR = 10.0
 class SolverParams:
     """Iteration limit and stopping tolerances.
 
-    ``max_iters`` bounds the Newton steps of the interior-point method.
+    ``max_iters`` bounds the Newton steps of the interior-point method,
+    which take at most 14 on the shipped sweeps.
     ``tol_gap`` is absolute at the scale of the objective; ``tol_primal``
     is relative to 1 + ||y|| and ``tol_dual`` to the unit dual ball, and
     both set how far :func:`certify` lets a solution stray.
     """
 
-    max_iters: int = 20000
+    max_iters: int = 100
     tol_primal: float = 1e-9
     tol_dual: float = 1e-9
     tol_gap: float = 1e-7
@@ -72,7 +77,7 @@ class SolverParams:
 @dataclass(frozen=True)
 class RecoverySolution:
     estimate: BlockSignal
-    status: str  # "converged" | "max_iters" | "infeasible"
+    status: str  # "converged" | "max_iters" | "stalled" (rounding stopped progress) | "infeasible"
     iterations: int  # interior-point Newton steps
     primal_residual: float  # max(0, ||B c - y|| - eta) / (1 + ||y||)
     dual_residual: float  # max(0, max_j ||(B^T nu)_j|| - 1)
@@ -123,6 +128,9 @@ class _Cones:
         self.e = np.zeros(int(np.sum(dims)))  # identity element
         self.e[self.heads] = 1.0
         self.j = 2.0 * self.e - 1.0  # diagonal of the reflection J = diag(1, -I)
+        # heads and J for two vectors of the product stacked end to end
+        self.heads2 = np.concatenate([self.heads, self.heads + len(self.e)])
+        self.j2 = np.tile(self.j, 2)
 
     def dot(self, u, v):
         return np.add.reduceat(u * v, self.heads, axis=0)
@@ -130,22 +138,29 @@ class _Cones:
     def jdot(self, u, v):
         return self.dot(self.j * u, v)
 
+    def jdot2(self, u, v):
+        """jdot per cone of u and v, each two vectors of the product end to end."""
+        return np.add.reduceat(self.j2 * u * v, self.heads2)
+
     def prod(self, u, v):
         """Jordan product (u^T v, u0 v1 + v0 u1) per cone."""
         out = u[self.heads][self.owner] * v + v[self.heads][self.owner] * u
         out[self.heads] = self.dot(u, v)
         return out
 
-    def div(self, lam, r):
-        """The x with lam o x = r, for lam in the interior."""
-        x0 = self.jdot(lam, r) / self.jdot(lam, lam)
+    def div(self, lam, lam_sq, r):
+        """The x with lam o x = r, for lam in the interior and lam_sq = jdot(lam, lam)."""
+        x0 = self.jdot(lam, r) / lam_sq
         out = (r - x0[self.owner] * lam) / lam[self.heads][self.owner]
         out[self.heads] = x0
         return out
 
-    def scaling(self, s, z):
-        """v and beta of the Nesterov-Todd scaling W = beta (2 v v^T - J), W s = W^-1 z."""
-        sn, zn = np.sqrt(self.jdot(s, s)), np.sqrt(self.jdot(z, z))
+    def scaling(self, s, z, sz_sq):
+        """v and beta of the Nesterov-Todd scaling W = beta (2 v v^T - J), W s = W^-1 z.
+
+        sz_sq is jdot2 of s and z stacked.
+        """
+        sn, zn = np.sqrt(sz_sq).reshape(2, -1)
         sb, zb = s / sn[self.owner], z / zn[self.owner]
         gamma = np.sqrt(0.5 * (1.0 + self.dot(sb, zb)))
         wb = (zb + self.j * sb) / (2.0 * gamma[self.owner]) + self.e
@@ -159,15 +174,19 @@ class _Cones:
         out = beta[self.owner, None] * (2.0 * w[:, None] * wv - self.j[:, None] * v2)
         return out.reshape(v.shape)
 
-    def max_step(self, u, d):
-        """Largest a with u + a d in the cone product, for u in the interior."""
-        uu = self.jdot(u, u)
-        a, b = self.jdot(d, d) / uu, self.jdot(u, d) / uu
+    def max_step(self, uu, u, d):
+        """Largest a with u_i + a d_i in the cone product for both stacked pairs.
+
+        u and d each stack two vectors of the product (u in the interior),
+        and uu is jdot2(u, u).
+        """
+        a, b = self.jdot2(d, d) / uu, self.jdot2(u, d) / uu
         root = np.sqrt(np.maximum(b * b - a, 0.0))
         # per cone 1/x for the smallest positive root x of a x^2 + 2 b x + 1,
-        # or 0 when there is none; both branches avoid cancellation
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(b * b < a, 0.0, np.where(b > 0.0, -a / (root + b), root - b)).max()
+        # or 0 when there is none; both branches avoid cancellation, and the
+        # guarded denominator is positive wherever its branch is taken
+        up = b > 0.0
+        inv = np.where(b * b < a, 0.0, np.where(up, -a / np.where(up, root + b, 1.0), root - b)).max()
         return 1.0 / inv if inv > 0.0 else math.inf
 
 
@@ -180,9 +199,11 @@ def _interior_point(G, h, cost, x, cones):
     """
     s = h - G @ x
     z = cones.e.copy()
+    sz = np.concatenate([s, z])
+    sz_sq = cones.jdot2(sz, sz)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
     while True:
-        nt = cones.scaling(s, z)
+        nt = cones.scaling(s, z, sz_sq)
         lam = cones.scale(nt, s)
         wg = cones.scale(nt, G)
         rd = G.T @ z + cost
@@ -195,21 +216,26 @@ def _interior_point(G, h, cost, x, cones):
             dz = wg @ dx + q
             return dx, q - dz, dz
 
+        # ds and dz both step from lam: one stacked ratio test for the pair
+        lam2 = np.concatenate([lam, lam])
+        lam2_sq = cones.jdot2(lam2, lam2)
         try:
             dx, ds, dz = direction(-lam)
-            alpha = min(1.0, cones.max_step(lam, ds), cones.max_step(lam, dz))
+            alpha = min(1.0, cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz])))
             # Mehrotra: second-order correction and centering at (1 - alpha)^3 mu
-            q = cones.div(lam, (1.0 - alpha) ** 3 * mu * cones.e
+            q = cones.div(lam, lam2_sq[:degree], (1.0 - alpha) ** 3 * mu * cones.e
                           - cones.prod(lam, lam) - cones.prod(ds, dz))
             dx, ds, dz = direction(q)
         except np.linalg.LinAlgError:
             return
         # stop 1 % short of the cone boundary
-        alpha = min(1.0, 0.99 * min(cones.max_step(lam, ds), cones.max_step(lam, dz)))
+        alpha = min(1.0, 0.99 * cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz])))
         x = x + alpha * dx
         s = s - alpha * (G @ dx)
         z = z + alpha * cones.scale(nt, dz)
-        if not all(np.all(u[cones.heads] > 0.0) and np.all(cones.jdot(u, u) > 0.0) for u in (s, z)):
+        sz = np.concatenate([s, z])
+        sz_sq = cones.jdot2(sz, sz)
+        if not (np.all(sz[cones.heads2] > 0.0) and np.all(sz_sq > 0.0)):
             return  # rounding has carried an iterate to the boundary
         yield x, z
 
@@ -243,10 +269,17 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
             params=params,
         )
 
+    def in_ball(nu):
+        """nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
+        return nu / max(1.0, float(np.max(_block_norms_flat(B.T @ nu, starts))))
+
+    def dual_gap(vec, nu):
+        return _norm21_flat(vec, starts) - (float(y @ nu) - eta * float(np.linalg.norm(nu)))
+
     def certificate(vec, nu):
         """The duality gap of vec against nu scaled into the dual feasible set, and that nu."""
-        nu = nu / max(1.0, float(np.max(_block_norms_flat(B.T @ nu, starts))))
-        return _norm21_flat(vec, starts) - (float(y @ nu) - eta * float(np.linalg.norm(nu))), nu
+        nu = in_ball(nu)
+        return dual_gap(vec, nu), nu
 
     B = op.matrix
     # zero is feasible and has minimal objective
@@ -275,20 +308,33 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
         norms = np.maximum(_block_norms_flat(vec, starts), np.finfo(float).tiny)
         return vec / np.repeat(norms, lengths)
 
+    fit = None  # the last detected block support and its fit (None when it misses y)
+
     def refine(vec, nu):
-        """Least squares on the support of vec, if it passes the certificate."""
+        """Least squares on the support of vec, if it passes the certificate.
+
+        nu is already in the dual ball. The fit and the support's own dual
+        candidate depend only on the support, so a support repeated from
+        the step before reuses its fit and re-checks only the new nu: that
+        step already found the support's own candidate short.
+        """
+        nonlocal fit
         norms = _block_norms_flat(vec, starts)
-        cols = np.repeat(norms > 1e-6 * norms.max(), lengths)
-        b_s = B[:, cols]
+        support = norms > 1e-6 * norms.max()
+        if fit is not None and np.array_equal(fit[0], support):
+            out = fit[1]
+            return (out, nu) if out is not None and dual_gap(out, nu) <= params.tol_gap else None
+        cols = np.repeat(support, lengths)
         out = np.zeros(n)
-        out[cols] = np.linalg.lstsq(b_s, y, rcond=None)[0]
-        if np.linalg.norm(B @ out - y) > params.tol_primal * (1.0 + ynorm):
+        out[cols] = np.linalg.lstsq(B[:, cols], y, rcond=None)[0]
+        misses = np.linalg.norm(B @ out - y) > params.tol_primal * (1.0 + ynorm)
+        fit = (support, None if misses else out)
+        if misses:
             return None
-        for cand in (nu, np.linalg.lstsq(b_s.T, subgradient(out)[cols], rcond=None)[0]):
-            gap, cand = certificate(out, cand)
-            if gap <= params.tol_gap:
-                return out, cand
-        return None
+        if dual_gap(out, nu) <= params.tol_gap:
+            return out, nu
+        cand = in_ball(np.linalg.lstsq(B[:, cols].T, subgradient(out)[cols], rcond=None)[0])
+        return (out, cand) if dual_gap(out, cand) <= params.tol_gap else None
 
     # least-squares probe: feasibility check and starting point
     c0 = pinv(y)
@@ -327,19 +373,17 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
     steps = _interior_point(G, h, cost, x, _Cones(dims))
     for it, (x, z) in zip(range(1, params.max_iters + 1), steps):
         c = c0 + basis @ x[:r]
-        if eta > 0.0:
-            nu = -z[n + nb + 1:]
-        else:
-            nu = dual_ls(-z[tails])
+        nu = in_ball(-z[n + nb + 1:] if eta > 0.0 else dual_ls(-z[tails]))
+        if eta == 0.0:
             refined = refine(c, nu)
             if refined is not None:
                 return solution(refined[0], "converged", it, refined[1])
-        gap, nu = certificate(c, nu)
-        if gap <= params.tol_gap:
+        if dual_gap(c, nu) <= params.tol_gap:
             if eta == 0.0:
                 c = c - pinv(B @ c - y)
             return solution(c, "converged", it, nu)
-    return solution(c, "max_iters", it, nu)
+    # the steps end before max_iters only when rounding stops progress
+    return solution(c, "max_iters" if it == params.max_iters else "stalled", it, nu)
 
 
 def solve_equality(B: CoefficientOperator, y: np.ndarray, params: SolverParams | None = None) -> RecoverySolution:

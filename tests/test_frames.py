@@ -19,6 +19,8 @@ from fusioncs.errors import (
 )
 from fusioncs.frames import (
     SubspaceCollection,
+    _orthonormalize,
+    _pair_singular_values,
     angle_family,
     build_collection,
     coherence,
@@ -150,6 +152,31 @@ class TestCoherence:
         assert 0.0 <= rep.lambda_ <= 1.0 + 1e-12
         assert rep.min_principal_angle == pytest.approx(math.acos(rep.lambda_))
         assert np.isnan(rep.pairwise_sigma[0, 0])
+
+    @pytest.mark.parametrize("dims", [(2,) * 7, (3,) * 16, (1, 2, 2, 1, 3, 2)])
+    def test_matches_pairwise_loop_bit_for_bit(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        bases = tuple(_orthonormalize(rng.standard_normal((6, k))) for k in dims)
+        coll = SubspaceCollection(bases)
+        n = len(dims)
+        expected = np.full((n, n), np.nan)
+        best, pair = -1.0, None
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = float(_pair_singular_values(coll, i, j)[0])
+                expected[i, j] = expected[j, i] = s
+                if s > best:
+                    best, pair = s, (i, j)
+        rep = coherence(coll)
+        assert np.array_equal(rep.pairwise_sigma, expected, equal_nan=True)
+        assert rep.lambda_ == best
+        assert rep.argmax_pair == pair
+
+    def test_ties_report_first_pair(self):
+        # every pair is orthogonal: the first pair in row-major order wins
+        rep = coherence(orthogonal_collection(12, 2, 6))
+        assert rep.lambda_ == 0.0
+        assert rep.argmax_pair == (0, 1)
 
 
 class TestPairwiseGeometry:

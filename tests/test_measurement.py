@@ -16,7 +16,12 @@ from fusioncs.errors import (
     SchemaError,
     ZeroColumnError,
 )
-from fusioncs.frames import orthogonal_collection, random_collection
+from fusioncs.frames import (
+    SubspaceCollection,
+    _orthonormalize,
+    orthogonal_collection,
+    random_collection,
+)
 from fusioncs.measurement import (
     EnsembleSpec,
     add_noise,
@@ -228,6 +233,26 @@ class TestCoefficientOperator:
             compose_with_bases(vector_operator(np.ones((2, 5)), 3), coll)
         with pytest.raises(DimMismatchError):
             compose_with_bases(scalar_operator(np.ones((2, 19))), coll)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 2), (1, 2, 2, 1)])
+    @pytest.mark.parametrize("kind", ["vector", "scalar"])
+    def test_matrix_is_definitional_product(self, kind, dims):
+        # the same bits as the definition: scale * [A[:, j] (x) U_j]_j for a
+        # vector operator, scale * [Phi_j U_j]_j for a scalar one
+        rng = np.random.default_rng(len(dims))
+        d = 5
+        bases = tuple(_orthonormalize(rng.standard_normal((d, k))) for k in dims)
+        coll = SubspaceCollection(bases)
+        n = len(dims)
+        if kind == "vector":
+            a = rng.standard_normal((3, n))
+            b = compose_with_bases(vector_operator(a, d, scale=0.7), coll)
+            blocks = [np.kron(a[:, [j]], u) for j, u in enumerate(bases)]
+        else:
+            phi = rng.standard_normal((7, d * n))
+            b = compose_with_bases(scalar_operator(phi, scale=0.7), coll)
+            blocks = [phi[:, j * d:(j + 1) * d] @ u for j, u in enumerate(bases)]
+        assert np.array_equal(b.matrix, 0.7 * np.hstack(blocks))
 
     def test_isometry_in_expectation(self):
         coll = random_collection(6, 2, 4, seed=8)

@@ -160,6 +160,50 @@ class TestSolveEquality:
         assert sol.status == "max_iters"
         assert sol.iterations == 2
 
+    def test_stalled_status(self, monkeypatch):
+        # a singular Newton matrix from the third solve on (the second step's
+        # predictor) ends the steps early: that is not max_iters
+        coll = random_collection(4, 2, 8, seed=2)
+        b, truth, y = planted_instance(coll, 2, 3, seed=3)
+        real_solve = np.linalg.solve
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(None)
+            if len(calls) >= 3:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr("fusioncs.solver.np.linalg.solve", failing_solve)
+        params = SolverParams()
+        sol = solve_equality(b, y, params)
+        assert sol.status == "stalled"
+        assert sol.iterations == 1 < params.max_iters
+
+    def test_repeated_support_reuses_fit_exactly(self, monkeypatch):
+        # a support detected again at the next step keeps its least-squares
+        # fit; refitting it every step (the support comparison patched to
+        # fail) must give the same bits and steps with more lstsq calls
+        instances = [planted_instance(random_collection(4, 2, 8, seed=seed), s, m, seed=seed)
+                     for seed in range(6) for s in (1, 2) for m in (2, 3)]
+        real_lstsq = np.linalg.lstsq
+        calls = []
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(None)
+            return real_lstsq(*args, **kwargs)
+
+        monkeypatch.setattr("fusioncs.solver.np.linalg.lstsq", counting_lstsq)
+        cached = [solve_equality(b, y) for b, _, y in instances]
+        cached_calls = len(calls)
+        monkeypatch.setattr("fusioncs.solver.np.array_equal", lambda u, v: False)
+        refit = [solve_equality(b, y) for b, _, y in instances]
+        assert cached_calls < len(calls) - cached_calls
+        for one, other in zip(cached, refit):
+            assert (one.status, one.iterations) == (other.status, other.iterations)
+            assert coeff_vector(one.estimate).tobytes() == coeff_vector(other.estimate).tobytes()
+            assert one.dual_vector.tobytes() == other.dual_vector.tobytes()
+
     def test_infeasible_detected(self):
         coll = random_collection(4, 2, 2, seed=8)  # 4 coefficients
         a = sample_ensemble(EnsembleSpec("gaussian", 3, 2, seed=9))
