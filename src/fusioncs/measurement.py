@@ -275,13 +275,14 @@ def stacked_columns(block_starts, block_dims, supports):
     """
     lengths = np.asarray(block_dims)[supports]
     counts = lengths.sum(axis=1)
-    for count in np.unique(counts):
+    # not np.unique: its first call in a process imports numpy.ma
+    for count in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == count)
         blocks, sizes = supports[rows].ravel(), lengths[rows].ravel()
         # column t of the flattened run lies in block b at offset t - (ends_b - size_b)
         ends = np.cumsum(sizes)
-        cols = np.repeat(block_starts[blocks] - (ends - sizes), sizes) + np.arange(int(count) * len(rows))
-        yield rows, cols.reshape(len(rows), int(count))
+        cols = np.repeat(block_starts[blocks] - (ends - sizes), sizes) + np.arange(count * len(rows))
+        yield rows, cols.reshape(len(rows), count)
 
 
 def compose_with_bases(op: MeasurementOperator, collection: SubspaceCollection) -> CoefficientOperator:

@@ -21,10 +21,14 @@ the negated ball multiplier, or the least-squares solution of
 B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
 nu bounds the distance to the optimum by the gap
 ||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
-at most ``tol_gap``. Equality iterates are also refined by least squares on
-their detected support, which is returned when it passes the same test;
-the support is fitted once, and while later steps detect the same support
-only their new nu is checked against that fit. A solve whose Newton steps
+at most ``tol_gap``. After each equality step the support is read off
+primal-dual complementarity: block j is in it when its cone head t_j
+exceeds its dual cone's slack z0_j - ||z1_j||. The least-squares fit on
+that support is returned when it passes the same test against nu projected
+onto the support's optimality equations B_S^T nu = g_S (g the subgradient
+of the fit); a wrong support costs one fit, never a wrong answer. The fit
+and the pseudoinverse of B_S^T are computed once per support and reused
+while later steps detect the same support. A solve whose Newton steps
 rounding stops early (a singular Newton matrix, or an iterate off the cone
 interior) ends as "stalled".
 """
@@ -56,7 +60,8 @@ class SolverParams:
     """Iteration limit and stopping tolerances.
 
     ``max_iters`` bounds the Newton steps of the interior-point method,
-    which take at most 14 on the shipped sweeps.
+    which take at most 14 (ball program) and 10 (equality program) on the
+    shipped sweeps.
     ``tol_gap`` is absolute at the scale of the objective; ``tol_primal``
     is relative to 1 + ||y|| and ``tol_dual`` to the unit dual ball, and
     both set how far :func:`certify` lets a solution stray.
@@ -308,32 +313,37 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
         norms = np.maximum(_block_norms_flat(vec, starts), np.finfo(float).tiny)
         return vec / np.repeat(norms, lengths)
 
-    fit = None  # the last detected block support and its fit (None when it misses y)
+    fit = None  # the last detected support and its fit data (None when the fit misses y)
 
-    def refine(vec, nu):
-        """Least squares on the support of vec, if it passes the certificate.
+    def refine(t, z, nu):
+        """Least squares on the support that complementarity identifies, if
+        it passes the certificate.
 
-        nu is already in the dual ball. The fit and the support's own dual
-        candidate depend only on the support, so a support repeated from
-        the step before reuses its fit and re-checks only the new nu: that
-        step already found the support's own candidate short.
+        Block j is in the support when its cone head t_j exceeds the slack
+        z0_j - ||z1_j|| of its dual cone. The dual candidate projects nu
+        (already in the dual ball) onto the support's optimality equations
+        B_S^T nu = g_S, g the subgradient of the fit:
+        nu + B_S^{T+} (g_S - B_S^T nu). The fit, g_S and B_S^{T+} depend
+        only on the support, so a support repeated from the step before
+        reuses them and only the new nu is projected.
         """
         nonlocal fit
-        norms = _block_norms_flat(vec, starts)
-        support = norms > 1e-6 * norms.max()
-        if fit is not None and np.array_equal(fit[0], support):
-            out = fit[1]
-            return (out, nu) if out is not None and dual_gap(out, nu) <= params.tol_gap else None
-        cols = np.repeat(support, lengths)
-        out = np.zeros(n)
-        out[cols] = np.linalg.lstsq(B[:, cols], y, rcond=None)[0]
-        misses = np.linalg.norm(B @ out - y) > params.tol_primal * (1.0 + ynorm)
-        fit = (support, None if misses else out)
-        if misses:
+        support = t > z[heads] - _block_norms_flat(z[tails], starts)
+        if fit is None or not np.array_equal(fit[0], support):
+            cols = np.repeat(support, lengths)
+            b_s = B[:, cols]
+            out = np.zeros(n)
+            out[cols] = np.linalg.lstsq(b_s, y, rcond=None)[0]
+            fit = (support, None)
+            if np.linalg.norm(B @ out - y) <= params.tol_primal * (1.0 + ynorm):
+                # B_S^{T+} by lstsq: np.linalg.pinv's SVD routine would add
+                # about 0.3 MB of resident LAPACK code to a sweep
+                t_pinv = np.linalg.lstsq(b_s.T, np.eye(b_s.shape[1]), rcond=None)[0]
+                fit = (support, (out, b_s, t_pinv, subgradient(out)[cols]))
+        if fit[1] is None:
             return None
-        if dual_gap(out, nu) <= params.tol_gap:
-            return out, nu
-        cand = in_ball(np.linalg.lstsq(B[:, cols].T, subgradient(out)[cols], rcond=None)[0])
+        out, b_s, t_pinv, g = fit[1]
+        cand = in_ball(nu + t_pinv @ (g - b_s.T @ nu))
         return (out, cand) if dual_gap(out, cand) <= params.tol_gap else None
 
     # least-squares probe: feasibility check and starting point
@@ -375,7 +385,7 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
         c = c0 + basis @ x[:r]
         nu = in_ball(-z[n + nb + 1:] if eta > 0.0 else dual_ls(-z[tails]))
         if eta == 0.0:
-            refined = refine(c, nu)
+            refined = refine(x[r:], z, nu)
             if refined is not None:
                 return solution(refined[0], "converged", it, refined[1])
         if dual_gap(c, nu) <= params.tol_gap:

@@ -153,12 +153,46 @@ class TestSolveEquality:
         assert resid <= sol.params.tol_primal * (1.0 + np.linalg.norm(y)) * 1.5
 
     def test_max_iters_status(self):
-        # underdetermined planted instance: no single-point shortcut applies
+        # underdetermined planted instance: no single-point shortcut applies,
+        # and the first step's support does not yet pass the certificate
         coll = random_collection(4, 2, 8, seed=2)
         b, truth, y = planted_instance(coll, 2, 3, seed=3)
-        sol = solve_equality(b, y, SolverParams(max_iters=2))
+        sol = solve_equality(b, y, SolverParams(max_iters=1))
         assert sol.status == "max_iters"
-        assert sol.iterations == 2
+        assert sol.iterations == 1
+
+    def test_complementarity_support_certified_in_two_steps(self):
+        # the support read off t_j > z0_j - ||z1_j|| passes the certificate
+        # within two Newton steps
+        coll = random_collection(4, 2, 8, seed=2)
+        b, truth, y = planted_instance(coll, 2, 3, seed=3)
+        sol = solve_equality(b, y)
+        assert sol.status == "converged"
+        assert sol.iterations <= 2
+        assert certify(sol, b, y).ok
+        assert rel_err(sol, truth) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_detected_support_exit_on_ragged_dims(self, scale):
+        # heads and tails of ragged cones: every solve must end through the
+        # support that complementarity detects, whose least-squares fit is
+        # the estimate, and not through the interior-point gap
+        rng = np.random.default_rng(21)
+        dims = (1, 2, 2, 1)
+        coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((5, k))) for k in dims))
+        b = compose_with_bases(vector_operator(rng.standard_normal((1, 4)), 5), coll)  # 5 x 6
+        for j, k in enumerate(dims):
+            coeffs = [rng.standard_normal(k) if i == j else np.zeros(k) for i, k in enumerate(dims)]
+            truth = np.concatenate(coeffs)
+            y = scale * b.matvec(truth)
+            sol = solve_equality(b, y)
+            assert sol.status == "converged"
+            assert sol.iterations >= 1
+            assert certify(sol, b, y).ok
+            est = coeff_vector(sol.estimate)
+            cols = est != 0.0
+            assert np.array_equal(est[cols], np.linalg.lstsq(b.matrix[:, cols], y, rcond=None)[0])
+            assert np.linalg.norm(est - scale * truth) <= 1e-9 * scale
 
     def test_stalled_status(self, monkeypatch):
         # a singular Newton matrix from the third solve on (the second step's
