@@ -42,7 +42,6 @@ from .signals import (
 from .solver import (
     CertificateReport,
     RecoverySolution,
-    SolverParams,
     certify,
     closed_form_orthogonal,
     oracle_recover_exhaustive,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     InvalidDimsError,
@@ -155,18 +155,10 @@ class BoundReport:
     parameters: dict
 
     def to_dict(self) -> dict:
-        out = {
-            "necessary_scalar": self.necessary_scalar,
-            "sufficient_scalar": self.sufficient_scalar,
-            "sufficient_uniform_vector": self.sufficient_uniform_vector,
-            "sufficient_nonuniform_vector": self.sufficient_nonuniform_vector,
-            "necessary_vector": self.necessary_vector,
-            "lambda_floor": self.lambda_floor,
-            "equiisoclinic_cap": self.equiisoclinic_cap,
-            "mu_f_sparsity_cap": None if math.isinf(self.mu_f_sparsity_cap) else self.mu_f_sparsity_cap,
-            "regime_ok": self.regime_ok,
-            "parameters": self.parameters,
-        }
+        """The fields by name; an infinite ``mu_f_sparsity_cap`` becomes None."""
+        out = asdict(self)
+        if math.isinf(out["mu_f_sparsity_cap"]):
+            out["mu_f_sparsity_cap"] = None
         return out
 
 

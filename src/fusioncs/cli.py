@@ -26,6 +26,8 @@ from .frames import (
     save_collection,
 )
 from .measurement import (
+    DISTRIBUTIONS,
+    OPERATOR_KINDS,
     EnsembleSpec,
     compose_with_bases,
     load_matrix,
@@ -35,8 +37,8 @@ from .measurement import (
     vector_operator,
 )
 from .rip import classical_rip, exact_frip, mc_frip, scalar_rip_on_H
-from .signals import load_signal, random_sparse_signal, save_signal
-from .solver import SolverParams, diagnostics, solve_equality, solve_noisy
+from .signals import AMPLITUDE_LAWS, load_signal, random_sparse_signal, save_signal
+from .solver import MAX_ITERS, diagnostics, solve_equality, solve_noisy
 
 
 def _emit(doc, out_path):
@@ -86,11 +88,14 @@ def _cmd_measure_sample(args) -> int:
     return 0
 
 
+def _scale(args, mat) -> float:
+    """--scale, or 1/sqrt(rows) under --normalized."""
+    return 1.0 / math.sqrt(mat.shape[0]) if args.normalized else args.scale
+
+
 def _build_operator(args, coll):
     mat = load_matrix(args.matrix)
-    scale = args.scale
-    if args.normalized:
-        scale = 1.0 / math.sqrt(mat.shape[0])
+    scale = _scale(args, mat)
     if args.kind == "vector":
         return vector_operator(mat, coll.ambient_dim, scale=scale)
     return scalar_operator(mat, scale=scale)
@@ -111,11 +116,10 @@ def _cmd_recover(args) -> int:
     op = _build_operator(args, coll)
     b = compose_with_bases(op, coll)
     y = load_matrix(args.y).ravel()
-    params = SolverParams(max_iters=args.max_iters)
     if args.mode == "eq":
-        sol = solve_equality(b, y, params)
+        sol = solve_equality(b, y, max_iters=args.max_iters)
     else:
-        sol = solve_noisy(b, y, args.eta, params)
+        sol = solve_noisy(b, y, args.eta, max_iters=args.max_iters)
     if args.out:
         save_signal(sol.estimate, args.out)
     _emit(diagnostics(sol), None)
@@ -125,9 +129,7 @@ def _cmd_recover(args) -> int:
 def _cmd_rip(args) -> int:
     coll = load_collection(args.collection) if args.collection else None
     mat = load_matrix(args.matrix)
-    scale = args.scale
-    if args.normalized:
-        scale = 1.0 / math.sqrt(mat.shape[0])
+    scale = _scale(args, mat)
     if args.variant == "exact":
         est = exact_frip(mat, coll, args.s, scale)
     elif args.variant == "mc":
@@ -162,30 +164,29 @@ def _cmd_experiment(args) -> int:
     out = args.out or cfg.output_path
     if not out:
         raise exp.ConfigError("no output path: set --out or output_path in the config")
-    kind = {"phase": "phase_transition", "noise": "noise_robustness", "frip": "frip_sweep"}[args.kind]
-    if cfg.experiment != kind:
-        raise exp.ConfigError(f"config declares {cfg.experiment!r}, command expects {kind!r}")
-    if kind == "phase_transition":
-        rows = exp.run_phase_transition(cfg)
-        exp.write_results(rows, out, args.format)
-    elif kind == "noise_robustness":
-        rows = exp.run_noise_robustness(cfg)
-        exp.write_results(rows, out, args.format)
-    else:
-        rows = exp.run_frip_sweep(cfg)
-        exp.write_frip_results(rows, out, args.format)
+    # looked up when the command runs, so that a wrapped runner is the one called
+    rows = getattr(exp, args.run)(cfg)
+    getattr(exp, args.write)(rows, out, args.format)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fusioncs")
+    matrix_opts = argparse.ArgumentParser(add_help=False)
+    matrix_opts.add_argument("--matrix", required=True)
+    scaling = matrix_opts.add_mutually_exclusive_group()
+    scaling.add_argument("--scale", type=float, default=1.0)
+    scaling.add_argument("--normalized", action="store_true", help="scale by 1/sqrt(rows)")
+    operator_opts = argparse.ArgumentParser(add_help=False, parents=[matrix_opts])
+    operator_opts.add_argument("--kind", choices=OPERATOR_KINDS, default="vector")
+    operator_opts.add_argument("--collection", required=True)
     top = parser.add_subparsers(dest="command", required=True)
 
     frames = top.add_parser("frames", help="subspace collections").add_subparsers(
         dest="sub", required=True
     )
     gen = frames.add_parser("gen", help="generate a collection")
-    gen.add_argument("--family", choices=("orthogonal", "angle", "random"), required=True)
+    gen.add_argument("--family", choices=exp.FAMILIES, required=True)
     gen.add_argument("--d", type=int, default=0)
     gen.add_argument("--k", type=int, required=True)
     gen.add_argument("--N", type=int, required=True)
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     sgen.add_argument("--collection", required=True)
     sgen.add_argument("--s", type=int, required=True)
     sgen.add_argument("--seed", type=int, default=0)
-    sgen.add_argument("--law", choices=("unit_norm_blocks", "gaussian_blocks"), default="unit_norm_blocks")
+    sgen.add_argument("--law", choices=AMPLITUDE_LAWS, default="unit_norm_blocks")
     sgen.add_argument("--out", required=True)
     sgen.set_defaults(fn=_cmd_signal_gen)
 
@@ -213,19 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     msample = measure.add_parser("sample", help="sample a random matrix")
-    msample.add_argument("--distribution", choices=("gaussian", "bernoulli", "uniform_scaled"), default="gaussian")
+    msample.add_argument("--distribution", choices=DISTRIBUTIONS, default="gaussian")
     msample.add_argument("--rows", type=int, required=True)
     msample.add_argument("--cols", type=int, required=True)
     msample.add_argument("--seed", type=int, default=0)
     msample.add_argument("--out", required=True)
     msample.set_defaults(fn=_cmd_measure_sample)
-    mapply = measure.add_parser("apply", help="measure a signal")
-    for p in (mapply,):
-        p.add_argument("--matrix", required=True)
-        p.add_argument("--kind", choices=("vector", "scalar"), default="vector")
-        p.add_argument("--collection", required=True)
-        p.add_argument("--scale", type=float, default=1.0)
-        p.add_argument("--normalized", action="store_true")
+    mapply = measure.add_parser("apply", parents=[operator_opts], help="measure a signal")
     mapply.add_argument("--signal", required=True)
     mapply.add_argument("--out", required=True)
     mapply.set_defaults(fn=_cmd_measure_apply)
@@ -234,14 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="mode", required=True
     )
     for mode in ("eq", "noisy"):
-        r = recover.add_parser(mode)
-        r.add_argument("--matrix", required=True)
-        r.add_argument("--kind", choices=("vector", "scalar"), default="vector")
-        r.add_argument("--collection", required=True)
+        r = recover.add_parser(mode, parents=[operator_opts])
         r.add_argument("--y", required=True)
-        r.add_argument("--scale", type=float, default=1.0)
-        r.add_argument("--normalized", action="store_true")
-        r.add_argument("--max-iters", dest="max_iters", type=int, default=SolverParams.max_iters)
+        r.add_argument("--max-iters", dest="max_iters", type=int, default=MAX_ITERS)
         r.add_argument("--out", default="")
         if mode == "noisy":
             r.add_argument("--eta", type=float, required=True)
@@ -251,12 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="variant", required=True
     )
     for variant in ("exact", "mc", "scalar", "classical"):
-        r = rip.add_parser(variant)
-        r.add_argument("--matrix", required=True)
-        r.add_argument("--collection", default="", required=variant in ("exact", "mc", "scalar"))
+        r = rip.add_parser(variant, parents=[matrix_opts])
+        r.add_argument("--collection", default="", required=variant != "classical")
         r.add_argument("--s", type=int, required=True)
-        r.add_argument("--scale", type=float, default=1.0)
-        r.add_argument("--normalized", action="store_true")
         r.add_argument("--out", default="")
         if variant == "mc":
             r.add_argument("--trials", type=int, required=True)
@@ -283,12 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = top.add_parser("experiment", help="seeded sweeps").add_subparsers(
         dest="kind", required=True
     )
-    for kind in ("phase", "noise", "frip"):
+    for kind, run, write in (
+        ("phase", "run_phase_transition", "write_results"),
+        ("noise", "run_noise_robustness", "write_results"),
+        ("frip", "run_frip_sweep", "write_frip_results"),
+    ):
         e = experiment.add_parser(kind)
         e.add_argument("--config", required=True)
         e.add_argument("--out", default="")
         e.add_argument("--format", choices=("csv", "json"), default="csv")
-        e.set_defaults(fn=_cmd_experiment)
+        e.set_defaults(fn=_cmd_experiment, run=run, write=write)
 
     return parser
 

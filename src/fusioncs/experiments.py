@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -31,12 +31,20 @@ from .frames import (
     orthogonal_collection,
     random_collection,
 )
-from .measurement import EnsembleSpec, add_noise, compose_with_bases, sample_ensemble, vector_operator
+from .measurement import (
+    DISTRIBUTIONS,
+    EnsembleSpec,
+    add_noise,
+    compose_with_bases,
+    sample_ensemble,
+    vector_operator,
+)
 from .rip import MAX_SUPPORT_COLUMNS, MAX_SUPPORTS_EXACT, exact_frip, mc_frip
 from .signals import coeff_vector, random_sparse_signal
-from .solver import SolverParams, solve_noisy
+from .solver import solve_noisy
 
 EXPERIMENTS = ("phase_transition", "noise_robustness", "frip_sweep", "bound_table")
+# a family's position plus one is its code in cell_key: add new families at the end
 FAMILIES = ("orthogonal", "angle", "random")
 
 # seed streams, one per random ingredient of a trial
@@ -66,9 +74,6 @@ def derive_seed(base_seed: int, cell_key: int, trial_index: int, stream: int) ->
     return x
 
 
-_FAMILY_CODES = {"orthogonal": 1, "angle": 2, "random": 3}
-
-
 def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
@@ -79,7 +84,7 @@ def cell_key(family: str, theta: float | None, s: int, m: int, eta: float | None
     Independent of the cell's position in the sweep, so sub-grids of a
     configuration reproduce the identical trials cell by cell.
     """
-    x = _FAMILY_CODES[family] & _MASK64
+    x = FAMILIES.index(family) + 1
     parts = (
         _float_bits(theta if theta is not None else -1.0),
         s,
@@ -116,26 +121,17 @@ class ExperimentConfig:
     epsilon: float = 0.01
 
 
-_CONFIG_FIELDS = {
-    "experiment": str,
-    "family": str,
-    "d": int,
-    "k": int,
-    "N": int,
-    "sparsity_grid": list,
-    "measurement_grid": list,
-    "ensemble": (str, dict),
-    "trials_per_cell": int,
-    "success_tol": (int, float),
-    "eta_grid": list,
-    "theta_grid": list,
-    "base_seed": int,
-    "output_path": str,
-    "resample_collection": bool,
-    "max_iters": int,
-    "epsilon": (int, float),
-}
-_REQUIRED_FIELDS = ("experiment", "family", "d", "k", "N", "sparsity_grid", "measurement_grid")
+def _json_type(f):
+    """The JSON types a config field accepts, read off its annotation."""
+    if f.name == "ensemble":
+        return (str, dict)  # a distribution name, or {"distribution": name}
+    if f.type.startswith("tuple"):
+        return list
+    return {"str": str, "int": int, "float": (int, float), "bool": bool}[f.type]
+
+
+_CONFIG_FIELDS = {f.name: _json_type(f) for f in fields(ExperimentConfig)}
+_REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -157,10 +153,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ensemble = ensemble["distribution"]
         if not isinstance(ensemble, str):
             raise SchemaError("ensemble.distribution", "expected a string")
-    kwargs = {k: v for k, v in doc.items() if k != "ensemble"}
-    for name in ("sparsity_grid", "measurement_grid", "eta_grid", "theta_grid"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k != "ensemble"}
     cfg = ExperimentConfig(ensemble=ensemble, **kwargs)
     validate_config(cfg)
     return cfg
@@ -195,7 +188,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown family {cfg.family!r}")
-    if cfg.ensemble not in ("gaussian", "bernoulli", "uniform_scaled"):
+    if cfg.ensemble not in DISTRIBUTIONS:
         raise ConfigError(f"unknown ensemble {cfg.ensemble!r}")
     if cfg.d < 1 or cfg.k < 1 or cfg.N < 1 or cfg.k > cfg.d:
         raise ConfigError(f"invalid dimensions d={cfg.d}, k={cfg.k}, N={cfg.N}")
@@ -233,27 +226,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # Results
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "experiment",
-    "family",
-    "theta",
-    "lambda",
-    "d",
-    "k",
-    "N",
-    "s",
-    "m",
-    "eta",
-    "trials",
-    "successes",
-    "mean_rel_error",
-    "max_rel_error",
-    "mean_iterations",
-    "solver_failures",
-    "base_seed",
-)
-
-
 @dataclass(frozen=True)
 class CellResult:
     experiment: str
@@ -276,26 +248,6 @@ class CellResult:
 
     def row(self) -> dict:
         return _row(self)
-
-
-FRIP_CSV_COLUMNS = (
-    "experiment",
-    "family",
-    "theta",
-    "lambda",
-    "d",
-    "k",
-    "N",
-    "s",
-    "m",
-    "trials",
-    "mode",
-    "delta_q1",
-    "delta_median",
-    "delta_q3",
-    "bound_uniform",
-    "base_seed",
-)
 
 
 @dataclass(frozen=True)
@@ -321,9 +273,19 @@ class FripCell:
         return _row(self)
 
 
+def _column(name: str) -> str:
+    """The CSV column of a result field: ``lambda_`` is written as ``lambda``."""
+    return name.rstrip("_")
+
+
 def _row(result) -> dict:
-    """Field values keyed by field name, with ``lambda_`` written as ``lambda``."""
-    return {f.name.rstrip("_"): getattr(result, f.name) for f in fields(result)}
+    """Field values keyed by their CSV column."""
+    return {_column(f.name): getattr(result, f.name) for f in fields(result)}
+
+
+# the fixed column contracts, in field order
+CSV_COLUMNS = tuple(_column(f.name) for f in fields(CellResult))
+FRIP_CSV_COLUMNS = tuple(_column(f.name) for f in fields(FripCell))
 
 
 def _csv_cell(value) -> str:
@@ -444,7 +406,6 @@ def _run_recovery(config: ExperimentConfig, cells, scale: float) -> list[CellRes
     and solves the ball program at radius eta; at eta = 0 the noise is a
     copy without a draw and the ball program is the equality program.
     """
-    params = SolverParams(max_iters=config.max_iters)
     results = []
     for point, s, m, eta in cells:
         # eta left out of the key: every eta row reuses the same instances
@@ -473,7 +434,7 @@ def _run_recovery(config: ExperimentConfig, cells, scale: float) -> list[CellRes
                 b.matvec(truth), eta or 0.0,
                 derive_seed(config.base_seed, key, t, STREAM_NOISE),
             )
-            sol = solve_noisy(b, y, eta or 0.0, params)
+            sol = solve_noisy(b, y, eta or 0.0, max_iters=config.max_iters)
             rel = float(
                 np.linalg.norm(coeff_vector(sol.estimate) - truth) / np.linalg.norm(truth)
             )

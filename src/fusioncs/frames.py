@@ -301,14 +301,10 @@ def spectral_distance(collection: SubspaceCollection, i: int, j: int) -> float:
 
 def packing_diameter(collection: SubspaceCollection) -> float:
     """Smallest pairwise spectral distance; sqrt(1 - coherence^2)."""
-    n = collection.size
-    if n < 2:
+    if collection.size < 2:
         raise SingleSubspaceError("packing diameter needs at least two subspaces")
-    return min(
-        spectral_distance(collection, i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    lam = coherence(collection).lambda_
+    return math.sqrt(max(0.0, 1.0 - lam * lam))
 
 
 def fusion_frame_bounds(collection: SubspaceCollection, weights) -> FrameBounds:

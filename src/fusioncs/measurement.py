@@ -28,6 +28,7 @@ from .frames import SubspaceCollection, coherence
 from .signals import BlockSignal, to_ambient
 
 DISTRIBUTIONS = ("gaussian", "bernoulli", "uniform_scaled")
+OPERATOR_KINDS = ("vector", "scalar")
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # variance one on [-sqrt(3), sqrt(3)]
 _CHUNK_ENTRIES = 2**15  # stacked matrix entries per chunk of supports
 
@@ -124,7 +125,7 @@ class MeasurementOperator:
         mat = np.array(self.matrix, dtype=float)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        if self.kind not in ("scalar", "vector"):
+        if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if mat.ndim != 2:
             raise InvalidDimsError("operator matrix must be two-dimensional")

@@ -16,6 +16,7 @@ from .errors import DimMismatchError, InvalidSparsityError, SchemaError
 from .frames import SubspaceCollection
 
 DEFAULT_SUPPORT_TOL = 1e-9
+AMPLITUDE_LAWS = ("unit_norm_blocks", "gaussian_blocks")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -87,7 +88,7 @@ def random_sparse_signal(
     n = collection.size
     if not 1 <= s <= n:
         raise InvalidSparsityError(f"s={s} outside [1, {n}]")
-    if amplitude_law not in ("unit_norm_blocks", "gaussian_blocks"):
+    if amplitude_law not in AMPLITUDE_LAWS:
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
     rng = np.random.default_rng(seed)
     support_idx = np.sort(rng.choice(n, size=s, replace=False))

@@ -21,16 +21,18 @@ the negated ball multiplier, or the least-squares solution of
 B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
 nu bounds the distance to the optimum by the gap
 ||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
-at most ``tol_gap``. After each equality step the support is read off
-primal-dual complementarity: block j is in it when its cone head t_j
-exceeds its dual cone's slack z0_j - ||z1_j||. The least-squares fit on
-that support is returned when it passes the same test against nu projected
-onto the support's optimality equations B_S^T nu = g_S (g the subgradient
-of the fit); a wrong support costs one fit, never a wrong answer. The fit
-and the pseudoinverse of B_S^T are computed once per support and reused
-while later steps detect the same support. A solve whose Newton steps
-rounding stops early (a singular Newton matrix, or an iterate off the cone
-interior) ends as "stalled".
+at most ``TOL_GAP``, or after ``max_iters`` Newton steps (default
+``MAX_ITERS``). The tolerances are module constants, which :func:`certify`
+applies to the same residuals (:func:`_residuals`). After each equality
+step the support is read off primal-dual complementarity: block j is in it
+when its cone head t_j exceeds its dual cone's slack z0_j - ||z1_j||. The
+least-squares fit on that support is returned when it passes the same test
+against nu projected onto the support's optimality equations
+B_S^T nu = g_S (g the subgradient of the fit); a wrong support costs one
+fit, never a wrong answer. The fit and the pseudoinverse of B_S^T are
+computed once per support and reused while later steps detect the same
+support. A solve whose Newton steps rounding stops early (a singular
+Newton matrix, or an iterate off the cone interior) ends as "stalled".
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    DimMismatchError,
     NotOrthogonalError,
     TooLargeError,
     ZeroCoefficientError,
@@ -55,28 +58,15 @@ from .signals import BlockSignal, from_coeff_vector
 _SCREEN_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class SolverParams:
-    """Iteration limit and stopping tolerances.
-
-    ``max_iters`` bounds the Newton steps of the interior-point method,
-    which take at most 14 (ball program) and 10 (equality program) on the
-    shipped sweeps.
-    ``tol_gap`` is absolute at the scale of the objective; ``tol_primal``
-    is relative to 1 + ||y|| and ``tol_dual`` to the unit dual ball, and
-    both set how far :func:`certify` lets a solution stray.
-    """
-
-    max_iters: int = 100
-    tol_primal: float = 1e-9
-    tol_dual: float = 1e-9
-    tol_gap: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if min(self.tol_primal, self.tol_dual, self.tol_gap) < 0:
-            raise ValueError("tolerances must be nonnegative")
+# The stopping rule of both programs, which certify applies again at ten
+# times each tolerance. TOL_PRIMAL is relative to 1 + ||y||, TOL_DUAL to the
+# unit dual ball, and TOL_GAP is absolute at the scale of the objective.
+# MAX_ITERS bounds the Newton steps, which take at most 14 (ball program)
+# and 10 (equality program) on the shipped sweeps.
+MAX_ITERS = 100
+TOL_PRIMAL = 1e-9
+TOL_DUAL = 1e-9
+TOL_GAP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -90,7 +80,6 @@ class RecoverySolution:
     objective: float
     dual_vector: np.ndarray = field(repr=False, default=None)
     eta: float = 0.0
-    params: SolverParams = field(repr=False, default_factory=SolverParams)
 
 
 def diagnostics(solution: RecoverySolution) -> dict:
@@ -115,6 +104,20 @@ def _block_norms_flat(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _norm21_flat(v: np.ndarray, starts: np.ndarray) -> float:
     return float(np.sum(_block_norms_flat(v, starts)))
+
+
+def _dual_gap(vec, nu, y, eta, starts) -> float:
+    """||c||_{2,1} - (<y, nu> - eta ||nu||), which bounds the distance to the
+    optimum when max_j ||(B^T nu)_j|| <= 1."""
+    return _norm21_flat(vec, starts) - (float(y @ nu) - eta * float(np.linalg.norm(nu)))
+
+
+def _residuals(op: CoefficientOperator, y, eta, vec, nu) -> tuple[float, float, float]:
+    """The primal violation max(0, ||B c - y|| - eta), max_j ||(B^T nu)_j|| and
+    the duality gap of c against nu as given."""
+    violation = max(0.0, float(np.linalg.norm(op.matrix @ vec - y)) - eta)
+    dual_norm = float(np.max(_block_norms_flat(op.matrix.T @ nu, op.block_starts)))
+    return violation, dual_norm, _dual_gap(vec, nu, y, eta, op.block_starts)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,9 @@ def _interior_point(G, h, cost, x, cones):
         yield x, z
 
 
-def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverParams) -> RecoverySolution:
+def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, max_iters: int) -> RecoverySolution:
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     starts = op.block_starts
     lengths = np.asarray(op.block_dims, dtype=int)
     n, p, nb = op.in_dim, op.out_dim, len(lengths)
@@ -255,36 +260,24 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
     ynorm = float(np.linalg.norm(y))
 
     def solution(vec, status, iters, nu):
-        violation = max(0.0, float(np.linalg.norm(B @ vec - y)) - eta) / (1.0 + ynorm)
+        violation, dual_norm, gap = _residuals(op, y, eta, vec, nu)
         if status == "infeasible":
-            dual_inf = gap = math.inf
-        else:
-            dual_inf = max(0.0, float(np.max(_block_norms_flat(B.T @ nu, starts))) - 1.0)
-            gap = certificate(vec, nu)[0]
+            dual_norm = gap = math.inf
         return RecoverySolution(
             estimate=from_coeff_vector(op.collection, vec),
             status=status,
             iterations=iters,
-            primal_residual=violation,
-            dual_residual=dual_inf,
+            primal_residual=violation / (1.0 + ynorm),
+            dual_residual=max(0.0, dual_norm - 1.0),
             duality_gap=gap,
             objective=_norm21_flat(vec, starts),
             dual_vector=nu,
             eta=eta,
-            params=params,
         )
 
     def in_ball(nu):
         """nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
         return nu / max(1.0, float(np.max(_block_norms_flat(B.T @ nu, starts))))
-
-    def dual_gap(vec, nu):
-        return _norm21_flat(vec, starts) - (float(y @ nu) - eta * float(np.linalg.norm(nu)))
-
-    def certificate(vec, nu):
-        """The duality gap of vec against nu scaled into the dual feasible set, and that nu."""
-        nu = in_ball(nu)
-        return dual_gap(vec, nu), nu
 
     B = op.matrix
     # zero is feasible and has minimal objective
@@ -335,7 +328,7 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
             out = np.zeros(n)
             out[cols] = np.linalg.lstsq(b_s, y, rcond=None)[0]
             fit = (support, None)
-            if np.linalg.norm(B @ out - y) <= params.tol_primal * (1.0 + ynorm):
+            if np.linalg.norm(B @ out - y) <= TOL_PRIMAL * (1.0 + ynorm):
                 # B_S^{T+} by lstsq: np.linalg.pinv's SVD routine would add
                 # about 0.3 MB of resident LAPACK code to a sweep
                 t_pinv = np.linalg.lstsq(b_s.T, np.eye(b_s.shape[1]), rcond=None)[0]
@@ -344,18 +337,18 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
             return None
         out, b_s, t_pinv, g = fit[1]
         cand = in_ball(nu + t_pinv @ (g - b_s.T @ nu))
-        return (out, cand) if dual_gap(out, cand) <= params.tol_gap else None
+        return (out, cand) if _dual_gap(out, cand, y, eta, starts) <= TOL_GAP else None
 
     # least-squares probe: feasibility check and starting point
     c0 = pinv(y)
     range_dist = float(np.linalg.norm(B @ c0 - y))
-    if range_dist > eta + 1e-8 * (1.0 + ynorm):
+    if range_dist > eta + 10 * TOL_PRIMAL * (1.0 + ynorm):
         return solution(c0, "infeasible", 0, np.zeros(p))
     if eta == 0.0:
         basis = evecs[:, ~keep]
         if basis.shape[1] == 0:
             # injective B: the probe point is the only feasible point
-            return solution(c0, "converged", 0, certificate(c0, dual_ls(subgradient(c0)))[1])
+            return solution(c0, "converged", 0, in_ball(dual_ls(subgradient(c0))))
     else:
         basis = np.eye(n)
 
@@ -381,31 +374,31 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, params: SolverPar
 
     it, c, nu = 0, c0, np.zeros(p)
     steps = _interior_point(G, h, cost, x, _Cones(dims))
-    for it, (x, z) in zip(range(1, params.max_iters + 1), steps):
+    for it, (x, z) in zip(range(1, max_iters + 1), steps):
         c = c0 + basis @ x[:r]
         nu = in_ball(-z[n + nb + 1:] if eta > 0.0 else dual_ls(-z[tails]))
         if eta == 0.0:
             refined = refine(x[r:], z, nu)
             if refined is not None:
                 return solution(refined[0], "converged", it, refined[1])
-        if dual_gap(c, nu) <= params.tol_gap:
+        if _dual_gap(c, nu, y, eta, starts) <= TOL_GAP:
             if eta == 0.0:
                 c = c - pinv(B @ c - y)
             return solution(c, "converged", it, nu)
     # the steps end before max_iters only when rounding stops progress
-    return solution(c, "max_iters" if it == params.max_iters else "stalled", it, nu)
+    return solution(c, "max_iters" if it == max_iters else "stalled", it, nu)
 
 
-def solve_equality(B: CoefficientOperator, y: np.ndarray, params: SolverParams | None = None) -> RecoverySolution:
+def solve_equality(B: CoefficientOperator, y: np.ndarray, *, max_iters: int = MAX_ITERS) -> RecoverySolution:
     """Minimize the block norm sum subject to B c = y."""
-    return _solve(B, y, 0.0, params or SolverParams())
+    return _solve(B, y, 0.0, max_iters)
 
 
-def solve_noisy(B: CoefficientOperator, y: np.ndarray, eta: float, params: SolverParams | None = None) -> RecoverySolution:
+def solve_noisy(B: CoefficientOperator, y: np.ndarray, eta: float, *, max_iters: int = MAX_ITERS) -> RecoverySolution:
     """Minimize the block norm sum subject to ||B c - y||_2 <= eta."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    return _solve(B, y, float(eta), params or SolverParams())
+    return _solve(B, y, float(eta), max_iters)
 
 
 def closed_form_orthogonal(y: np.ndarray, a: np.ndarray, collection: SubspaceCollection) -> BlockSignal:
@@ -535,25 +528,21 @@ class CertificateReport:
 def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -> CertificateReport:
     """Recompute feasibility, dual feasibility, and the gap from scratch.
 
-    Flags a check when it is violated by more than ten times the solver
-    tolerance it was converged under.
+    Uses the residuals the solver reports (:func:`_residuals`) and flags a
+    check when it is violated by more than ten times the solver's tolerance
+    (``TOL_PRIMAL``, ``TOL_DUAL``, ``TOL_GAP``).
     """
     y = np.asarray(y, dtype=float)
-    params = solution.params
-    vec = np.concatenate(solution.estimate.coeffs)
-    bc = B.matvec(vec)
-    violation = max(0.0, float(np.linalg.norm(bc - y)) - solution.eta)
-    nu = solution.dual_vector
-    btnu = B.rmatvec(nu)
-    dual_feas = float(np.max(_block_norms_flat(btnu, B.block_starts)))
-    obj = _norm21_flat(vec, B.block_starts)
-    gap = obj - (float(y @ nu) - solution.eta * float(np.linalg.norm(nu)))
+    vec, nu = np.concatenate(solution.estimate.coeffs), solution.dual_vector
+    if vec.shape != (B.in_dim,) or nu.shape != (B.out_dim,):
+        raise DimMismatchError(f"a solution with {vec.size} coefficients and {nu.size} duals does not fit B")
+    violation, dual_feas, gap = _residuals(B, y, solution.eta, vec, nu)
     ynorm = float(np.linalg.norm(y))
     return CertificateReport(
         primal_violation=violation,
         dual_feasibility=dual_feas,
         duality_gap=gap,
-        primal_ok=violation <= 10.0 * params.tol_primal * (1.0 + ynorm),
-        dual_ok=dual_feas <= 1.0 + 10.0 * params.tol_dual,
-        gap_ok=gap <= 10.0 * params.tol_gap,
+        primal_ok=violation <= 10.0 * TOL_PRIMAL * (1.0 + ynorm),
+        dual_ok=dual_feas <= 1.0 + 10.0 * TOL_DUAL,
+        gap_ok=gap <= 10.0 * TOL_GAP,
     )

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fusioncs import solver
 from fusioncs.bounds import C1_NECESSARY, C3_NECESSARY, lambda_lower_bound
 from fusioncs.experiments import (
     ExperimentConfig,
@@ -115,7 +116,7 @@ def test_criterion_2_solver_vs_oracle():
         sol = solve_equality(b, y)
         err = relative_error(coeff_vector(sol.estimate), coeff_vector(oracle))
         worst = max(worst, err)
-        slack = 10.0 * sol.params.tol_gap
+        slack = 10.0 * solver.TOL_GAP
         deficit = norm_21(oracle) - norm_21(sol.estimate)
         case = f"({i}, {s}, {m}, {err:.2e}, {deficit:.2e})"
         if sol.status != "converged" or not certify(sol, b, y).ok or deficit < -slack:

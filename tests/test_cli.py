@@ -137,6 +137,33 @@ def test_bad_numeric_input_exits_2(workspace, capsys, case):
     assert "Traceback" not in err
 
 
+SCALED_COMMANDS = {
+    "measure_apply": ("measure", "apply", "--matrix", "A4", "--collection", "coll",
+                      "--signal", "sig", "--out", "y_out"),
+    "recover_eq": ("recover", "eq", "--matrix", "A4", "--collection", "coll", "--y", "y"),
+    "rip_exact": ("rip", "exact", "--matrix", "A4", "--collection", "coll", "--s", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALED_COMMANDS))
+def test_scale_and_normalized_exclusive(workspace, capsys, case):
+    tmp, coll = workspace
+    files = {"coll": coll, "A4": tmp / "A4.json", "sig": tmp / "sig.json",
+             "y": tmp / "y.json", "y_out": tmp / "y_out.json"}
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", files["A4"]) == 0
+    assert run("signal", "gen", "--collection", coll, "--s", 1, "--out", files["sig"]) == 0
+    assert run("measure", "apply", "--matrix", files["A4"], "--collection", coll,
+               "--signal", files["sig"], "--out", files["y"]) == 0
+    capsys.readouterr()
+    args = [files.get(arg, arg) for arg in SCALED_COMMANDS[case]]
+    with pytest.raises(SystemExit) as exit_info:
+        run(*args, "--scale", 3, "--normalized")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument --scale" in err
+    assert "Traceback" not in err
+
+
 class TestExperimentCommand:
     def make_config(self, tmp_path, **overrides):
         cfg = dict(

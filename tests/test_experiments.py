@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -22,6 +23,9 @@ from fusioncs.experiments import (
     write_results,
 )
 from fusioncs.frames import coherence
+
+
+REQUIRED_CONFIG_FIELDS = ("experiment", "family", "d", "k", "N", "sparsity_grid", "measurement_grid")
 
 
 def phase_config(**overrides):
@@ -78,6 +82,23 @@ class TestConfig:
         with pytest.raises(SchemaError) as err:
             config_from_dict(doc)
         assert err.value.field == "sparsity_grid"
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_every_field_checked(self, name):
+        doc = config_to_dict(phase_config())
+        value = doc[name]
+        for wrong in (None, 1 if isinstance(value, (str, dict)) else "1"):
+            with pytest.raises(SchemaError) as err:
+                config_from_dict({**doc, name: wrong})
+            assert err.value.field == name
+        del doc[name]
+        if name in REQUIRED_CONFIG_FIELDS:
+            with pytest.raises(SchemaError) as err:
+                config_from_dict(doc)
+            assert err.value.field == name
+        else:
+            default = next(f.default for f in fields(ExperimentConfig) if f.name == name)
+            assert getattr(config_from_dict(doc), name) == default
 
     def test_unknown_field_rejected(self):
         doc = config_to_dict(phase_config())
@@ -262,6 +283,21 @@ class TestResultsIO:
         assert first[0] == "phase_transition"
         assert first[2] == ""  # no theta for the orthogonal family
         assert first[9] == ""  # no eta in a phase sweep
+
+    def test_headers_pinned(self, tmp_path):
+        # the column contracts spelled out: the tuples come from the result
+        # fields, so renaming a field must fail here
+        path = tmp_path / "header.csv"
+        write_results([], path)
+        assert path.read_text() == (
+            "experiment,family,theta,lambda,d,k,N,s,m,eta,trials,successes,"
+            "mean_rel_error,max_rel_error,mean_iterations,solver_failures,base_seed\n"
+        )
+        write_frip_results([], path)
+        assert path.read_text() == (
+            "experiment,family,theta,lambda,d,k,N,s,m,trials,mode,"
+            "delta_q1,delta_median,delta_q3,bound_uniform,base_seed\n"
+        )
 
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fusioncs import solver
 from fusioncs.errors import (
     NotOrthogonalError,
     TooLargeError,
@@ -35,7 +36,6 @@ from fusioncs.measurement import (
 )
 from fusioncs.signals import coeff_vector, norm_21, random_sparse_signal
 from fusioncs.solver import (
-    SolverParams,
     certify,
     closed_form_orthogonal,
     diagnostics,
@@ -96,7 +96,7 @@ class TestSolveEquality:
             sol = solve_equality(b, y)
             assert sol.status == "converged"
             assert certify(sol, b, y).ok
-            slack = 10.0 * sol.params.tol_gap
+            slack = 10.0 * solver.TOL_GAP
             deficit = norm_21(oracle) - norm_21(sol.estimate)
             assert deficit >= -slack
             if rel_err(sol, coeff_vector(oracle)) > 1e-6:
@@ -134,7 +134,7 @@ class TestSolveEquality:
             sol = solve_equality(b, y)
             assert sol.status == "converged"
             truth_obj = norm_21(random_sparse_signal(coll, 2, seed=seed))
-            assert sol.objective <= truth_obj + sol.params.tol_gap + 1e-9
+            assert sol.objective <= truth_obj + solver.TOL_GAP + 1e-9
 
     def test_scale_equivariance(self):
         coll = random_collection(4, 2, 8, seed=1)
@@ -150,16 +150,22 @@ class TestSolveEquality:
         b, truth, y = planted_instance(coll, 2, 5, seed=6)
         sol = solve_equality(b, y)
         resid = np.linalg.norm(b.matvec(coeff_vector(sol.estimate)) - y)
-        assert resid <= sol.params.tol_primal * (1.0 + np.linalg.norm(y)) * 1.5
+        assert resid <= solver.TOL_PRIMAL * (1.0 + np.linalg.norm(y)) * 1.5
 
     def test_max_iters_status(self):
         # underdetermined planted instance: no single-point shortcut applies,
         # and the first step's support does not yet pass the certificate
         coll = random_collection(4, 2, 8, seed=2)
         b, truth, y = planted_instance(coll, 2, 3, seed=3)
-        sol = solve_equality(b, y, SolverParams(max_iters=1))
+        sol = solve_equality(b, y, max_iters=1)
         assert sol.status == "max_iters"
         assert sol.iterations == 1
+
+    def test_max_iters_must_be_positive(self):
+        coll = random_collection(4, 2, 8, seed=2)
+        b, _, y = planted_instance(coll, 2, 3, seed=3)
+        with pytest.raises(ValueError):
+            solve_equality(b, y, max_iters=0)
 
     def test_complementarity_support_certified_in_two_steps(self):
         # the support read off t_j > z0_j - ||z1_j|| passes the certificate
@@ -209,10 +215,9 @@ class TestSolveEquality:
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr("fusioncs.solver.np.linalg.solve", failing_solve)
-        params = SolverParams()
-        sol = solve_equality(b, y, params)
+        sol = solve_equality(b, y)
         assert sol.status == "stalled"
-        assert sol.iterations == 1 < params.max_iters
+        assert sol.iterations == 1 < solver.MAX_ITERS
 
     def test_repeated_support_reuses_fit_exactly(self, monkeypatch):
         # a support detected again at the next step keeps its least-squares
@@ -316,7 +321,7 @@ class TestSolveNoisy:
         )
         b = compose_with_bases(vector_operator(a, 12, scale=0.5), coll)
         y = add_noise(b.matvec(coeff_vector(x)), 1e-4, derive_seed(99, key, 3, STREAM_NOISE))
-        sol = solve_noisy(b, y, 1e-4, SolverParams(max_iters=20000))
+        sol = solve_noisy(b, y, 1e-4, max_iters=20000)
         assert sol.status == "converged"
         assert certify(sol, b, y).ok
         assert sol.iterations < 200
@@ -490,6 +495,16 @@ class TestCertify:
             assert sol.status == "converged"
             rep = certify(sol, b, y)
             assert rep.ok, (seed, rep)
+
+    def test_reported_gap_is_certify_gap(self):
+        # the solver reports the gap certify recomputes, bit for bit
+        for seed in range(30):
+            coll = random_collection(4, 2, 6, seed=seed)
+            b, _, y = planted_instance(coll, 2, 4, seed=seed + 50)
+            y = 10.0 ** (seed % 5 - 2) * y
+            for sol in (solve_equality(b, y), solve_noisy(b, y, 1e-3 * np.linalg.norm(y))):
+                assert sol.status == "converged"
+                assert sol.duality_gap == certify(sol, b, y).duality_gap, seed
 
     def test_zero_instance(self):
         coll = random_collection(4, 2, 6, seed=1)
