@@ -7,6 +7,7 @@ import pytest
 
 from fusioncs import solver
 from fusioncs.errors import (
+    DimMismatchError,
     NotOrthogonalError,
     TooLargeError,
     ZeroCoefficientError,
@@ -505,6 +506,13 @@ class TestCertify:
             for sol in (solve_equality(b, y), solve_noisy(b, y, 1e-3 * np.linalg.norm(y))):
                 assert sol.status == "converged"
                 assert sol.duality_gap == certify(sol, b, y).duality_gap, seed
+
+    def test_solution_of_another_operator_rejected(self):
+        coll = random_collection(4, 2, 6, seed=1)
+        b, _, y = planted_instance(coll, 2, 4, seed=2)
+        other, _, _ = planted_instance(coll, 2, 3, seed=2)
+        with pytest.raises(DimMismatchError):
+            certify(solve_equality(b, y), other, y[: other.out_dim])
 
     def test_zero_instance(self):
         coll = random_collection(4, 2, 6, seed=1)
