@@ -37,7 +37,7 @@ from .measurement import (
     vector_operator,
 )
 from .rip import classical_rip, exact_frip, mc_frip, scalar_rip_on_H
-from .signals import AMPLITUDE_LAWS, load_signal, random_sparse_signal, save_signal
+from .signals import AMPLITUDE_LAWS, coeff_vector, load_signal, random_sparse_signal, save_signal
 from .solver import MAX_ITERS, diagnostics, solve_equality, solve_noisy
 
 
@@ -106,7 +106,7 @@ def _cmd_measure_apply(args) -> int:
     x = load_signal(args.signal, coll)
     op = _build_operator(args, coll)
     b = compose_with_bases(op, coll)
-    y = b.matvec(np.concatenate(x.coeffs))
+    y = b.matvec(coeff_vector(x))
     save_matrix(y.reshape(-1, 1), args.out)
     return 0
 

@@ -41,7 +41,7 @@ from .measurement import (
 )
 from .rip import MAX_SUPPORT_COLUMNS, MAX_SUPPORTS_EXACT, exact_frip, mc_frip
 from .signals import coeff_vector, random_sparse_signal
-from .solver import solve_noisy
+from .solver import MAX_ITERS, solve_noisy
 
 EXPERIMENTS = ("phase_transition", "noise_robustness", "frip_sweep", "bound_table")
 # a family's position plus one is its code in cell_key: add new families at the end
@@ -117,7 +117,7 @@ class ExperimentConfig:
     base_seed: int = 0
     output_path: str = ""
     resample_collection: bool = False
-    max_iters: int = 5000
+    max_iters: int = MAX_ITERS
     epsilon: float = 0.01
 
 
@@ -470,6 +470,22 @@ def _summarize_cell(config, point, s, m, eta, coll, outcomes) -> CellResult:
     )
 
 
+def _quartiles(values) -> list[float]:
+    """The 25th, 50th and 75th percentiles by numpy's linear rule, bit for
+    bit, without np.percentile (its first call in a process imports
+    numpy.ma)."""
+    v = sorted(values)
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        pos = (len(v) - 1) * q
+        i = math.floor(pos)
+        t = pos - i
+        a, b = v[i], v[min(i + 1, len(v) - 1)]
+        # numpy's lerp: from whichever end t is nearer
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
+    return out
+
+
 def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
     """Quartiles of the restricted isometry constant over fresh ensembles.
 
@@ -506,7 +522,7 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
             return est.value
 
         deltas = [trial(t) for t in range(config.trials_per_cell)]
-        q1, med, q3 = np.percentile(deltas, [25.0, 50.0, 75.0])
+        q1, med, q3 = _quartiles(deltas)
         lam = _measured_lambda(coll)
         results.append(
             FripCell(
@@ -521,9 +537,9 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
                 m=m,
                 trials=config.trials_per_cell,
                 mode="exact" if exact_ok else "monte_carlo",
-                delta_q1=float(q1),
-                delta_median=float(med),
-                delta_q3=float(q3),
+                delta_q1=q1,
+                delta_median=med,
+                delta_q3=q3,
                 bound_uniform=bounds_mod.sufficient_uniform_vector(
                     s, coll.size, coll.block_dim, lam, 1.0, config.epsilon, 1.0
                 ),

@@ -3,12 +3,15 @@
 A signal x with blocks x_j = U_j c_j is represented by the coefficients c_j
 alone. Membership of every block in its subspace is then structural, and all
 block norms agree with the ambient ones because the bases are orthonormal.
+The coefficients are held as one read-only vector, the blocks end to end:
+:func:`coeff_vector` and :func:`from_coeff_vector` copy it once, and the
+blocks are views of it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,23 +22,21 @@ DEFAULT_SUPPORT_TOL = 1e-9
 AMPLITUDE_LAWS = ("unit_norm_blocks", "gaussian_blocks")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockSignal:
-    """Coefficient blocks c_j of a signal with x_j = U_j c_j."""
+    """Coefficient blocks c_j of a signal with x_j = U_j c_j.
 
-    coeffs: tuple[np.ndarray, ...]
+    Built from one array per block, and stored as one read-only copy of
+    their concatenation, the coefficient vector. :attr:`coeffs` gives the
+    blocks back as read-only views of that vector.
+    """
+
     collection: SubspaceCollection
+    _vector: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        coeffs = tuple(_freeze(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        dims = self.collection.block_dims
+    def __init__(self, coeffs, collection: SubspaceCollection):
+        coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+        dims = collection.block_dims
         if len(coeffs) != len(dims):
             raise DimMismatchError(
                 f"{len(coeffs)} blocks for a collection of {len(dims)} subspaces"
@@ -43,6 +44,24 @@ class BlockSignal:
         for j, (c, k_j) in enumerate(zip(coeffs, dims)):
             if c.shape != (k_j,):
                 raise DimMismatchError(f"block {j} has shape {c.shape}, expected ({k_j},)")
+        self._set(collection, np.concatenate(coeffs))
+
+    def _set(self, collection: SubspaceCollection, vector: np.ndarray) -> None:
+        vector.flags.writeable = False
+        object.__setattr__(self, "collection", collection)
+        object.__setattr__(self, "_vector", vector)
+
+    @classmethod
+    def _owning(cls, collection: SubspaceCollection, vector: np.ndarray) -> "BlockSignal":
+        """Signal that takes over a new float vector of the collection's
+        length, without a copy."""
+        x = cls.__new__(cls)
+        x._set(collection, vector)
+        return x
+
+    @property
+    def coeffs(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self._vector, np.cumsum(self.collection.block_dims)[:-1]))
 
     @property
     def collection_ref(self) -> str:
@@ -50,15 +69,12 @@ class BlockSignal:
 
     @property
     def num_blocks(self) -> int:
-        return len(self.coeffs)
+        return self.collection.size
 
     def _binop(self, other: "BlockSignal", op) -> "BlockSignal":
         if self.collection is not other.collection:
             raise DimMismatchError("signals bound to different collections")
-        return BlockSignal(
-            tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-            self.collection,
-        )
+        return BlockSignal._owning(self.collection, op(self._vector, other._vector))
 
     def __sub__(self, other: "BlockSignal") -> "BlockSignal":
         return self._binop(other, np.subtract)
@@ -68,9 +84,7 @@ class BlockSignal:
 
 
 def zero_signal(collection: SubspaceCollection) -> BlockSignal:
-    return BlockSignal(
-        tuple(np.zeros(k) for k in collection.block_dims), collection
-    )
+    return BlockSignal._owning(collection, np.zeros(sum(collection.block_dims)))
 
 
 def random_sparse_signal(
@@ -172,21 +186,16 @@ def from_ambient(collection: SubspaceCollection, v: np.ndarray) -> BlockSignal:
 
 
 def coeff_vector(x: BlockSignal) -> np.ndarray:
-    """Concatenate the coefficient blocks into one flat vector."""
-    return np.concatenate(x.coeffs)
+    """A writable copy of the coefficient vector, the blocks end to end."""
+    return x._vector.copy()
 
 
 def from_coeff_vector(collection: SubspaceCollection, vec: np.ndarray) -> BlockSignal:
-    vec = np.asarray(vec, dtype=float)
+    vec = np.array(vec, dtype=float)
     total = sum(collection.block_dims)
     if vec.shape != (total,):
         raise DimMismatchError(f"expected length {total}, got shape {vec.shape}")
-    coeffs = []
-    pos = 0
-    for k in collection.block_dims:
-        coeffs.append(vec[pos : pos + k])
-        pos += k
-    return BlockSignal(tuple(coeffs), collection)
+    return BlockSignal._owning(collection, vec)
 
 
 # ---------------------------------------------------------------------------

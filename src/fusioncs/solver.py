@@ -51,7 +51,7 @@ from .errors import (
 )
 from .frames import SubspaceCollection, coherence
 from .measurement import CoefficientOperator, stacked_columns, support_chunks
-from .signals import BlockSignal, from_coeff_vector
+from .signals import BlockSignal, coeff_vector, from_coeff_vector
 
 # the oracle's batched residuals screen supports at this multiple of the
 # accept tolerance; lstsq on each screened support then decides
@@ -533,7 +533,7 @@ def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -
     (``TOL_PRIMAL``, ``TOL_DUAL``, ``TOL_GAP``).
     """
     y = np.asarray(y, dtype=float)
-    vec, nu = np.concatenate(solution.estimate.coeffs), solution.dual_vector
+    vec, nu = coeff_vector(solution.estimate), solution.dual_vector
     if vec.shape != (B.in_dim,) or nu.shape != (B.out_dim,):
         raise DimMismatchError(f"a solution with {vec.size} coefficients and {nu.size} duals does not fit B")
     violation, dual_feas, gap = _residuals(B, y, solution.eta, vec, nu)

@@ -1,7 +1,10 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
+
+from fusioncs import experiments, solver
 
 from fusioncs.errors import ConfigError, SchemaError
 from fusioncs.experiments import (
@@ -99,6 +102,12 @@ class TestConfig:
         else:
             default = next(f.default for f in fields(ExperimentConfig) if f.name == name)
             assert getattr(config_from_dict(doc), name) == default
+
+    def test_max_iters_defaults_to_solver_limit(self):
+        doc = config_to_dict(phase_config())
+        del doc["max_iters"]
+        assert config_from_dict(doc).max_iters == solver.MAX_ITERS
+        assert phase_config().max_iters == solver.MAX_ITERS
 
     def test_unknown_field_rejected(self):
         doc = config_to_dict(phase_config())
@@ -251,6 +260,19 @@ class TestFripSweep:
         assert coherent.bound_uniform == pytest.approx(
             sufficient_uniform_vector(2, 4, 1, coherent.lambda_, 1.0, cfg.epsilon, 1.0)
         )
+
+
+    def test_quartiles_match_numpy_percentile(self):
+        rng = np.random.default_rng(40)
+        for trial in range(3000):
+            n = int(rng.integers(1, 10))
+            if trial % 2:  # few distinct values, so ties
+                values = (rng.integers(0, 4, size=n) / 3.0).tolist()
+            else:
+                values = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)).tolist()
+            expected = np.percentile(values, [25.0, 50.0, 75.0])
+            got = experiments._quartiles(values)
+            assert [v.hex() for v in got] == [float(v).hex() for v in expected], values
 
 
 class TestBoundTable:

@@ -1,9 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from fusioncs import measurement
+from fusioncs import measurement, rip
 from fusioncs.errors import DimMismatchError, ModeError, TooLargeError
 from fusioncs.frames import SubspaceCollection, _orthonormalize, orthogonal_collection, random_collection
 from fusioncs.measurement import EnsembleSpec, compose_with_bases, sample_ensemble, vector_operator
@@ -19,6 +20,28 @@ from fusioncs.rip import (
 
 def kron_materialize(a, d, scale=1.0):
     return scale * np.kron(a, np.eye(d))
+
+
+def every_support_max(matrix, block_starts, block_dims, supports, s):
+    """Reference for rip._max_over_supports: every support through eigvalsh,
+    the enumeration as it was before supports were pruned."""
+    gram = matrix.T @ matrix
+    value, worst, count = -math.inf, None, 0
+    for chunk in measurement.support_chunks(supports, s, rip._worst_columns(block_dims, s) ** 2):
+        deltas = np.empty(len(chunk))
+        for rows, cols in measurement.stacked_columns(block_starts, block_dims, chunk):
+            eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
+            smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
+            deltas[rows] = np.maximum(smax2 - 1.0, 1.0 - smin2)
+        i = int(np.argmax(deltas))
+        if deltas[i] > value:
+            value, worst = float(deltas[i]), tuple(int(j) for j in chunk[i])
+        count += len(chunk)
+    return value, worst, count
+
+
+def ragged_collection(rng, dims=(1, 2, 2, 1, 2, 1, 2, 1, 1, 2)):
+    return SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
 
 
 class TestExactFrip:
@@ -168,34 +191,44 @@ class TestClassicalRip:
 
 
 class TestStackedEnumeration:
-    """Supports go through in chunks of stacked Gram blocks; results must not
-    depend on where the chunks break."""
+    """Supports go through in chunks of stacked Gram blocks, and a support
+    whose bound stays below the running maximum skips eigvalsh; results must
+    equal evaluating every support, wherever the chunks break."""
 
     @pytest.mark.parametrize("per_chunk", [1, 7])
     @pytest.mark.parametrize("ragged", [False, True])
     def test_chunk_size_does_not_change_results(self, monkeypatch, per_chunk, ragged):
         rng = np.random.default_rng(30)
-        if ragged:
-            dims = (1, 2, 2, 1, 2, 1)
-            coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
-        else:
-            dims = (2,) * 6
-            coll = random_collection(4, 2, 6, seed=31)
-        s, m = 3, 3
-        a = rng.standard_normal((m, 6))
-        phi = rng.standard_normal((10, 24))
-        worst = sum(sorted(dims)[-s:])
-        calls = [
-            (lambda: exact_frip(a, coll, s, 0.6), worst),
-            (lambda: scalar_rip_on_H(phi, coll, s), worst),
-            (lambda: mc_frip(a, coll, s, trials=30, seed=32, scale=0.6), worst),
-            (lambda: classical_rip(a, s, 0.6), s),
-        ]
-        for call, cols in calls:
-            reference = call()
-            monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", per_chunk * cols**2)
-            assert call() == reference
-            monkeypatch.undo()
+        for n in (6, 10):
+            if ragged:
+                dims = (1, 2, 2, 1, 2, 1, 2, 1, 1, 2)[:n]
+                coll = ragged_collection(rng, dims)
+            else:
+                dims = (2,) * n
+                coll = random_collection(4, 2, n, seed=31)
+            s, m = 3, 3
+            a = rng.standard_normal((m, n))
+            phi = rng.standard_normal((10, 4 * n))
+            worst = sum(sorted(dims)[-s:])
+            calls = [
+                (lambda: exact_frip(a, coll, s, 0.6), worst),
+                (lambda: scalar_rip_on_H(phi, coll, s), worst),
+                (lambda: mc_frip(a, coll, s, trials=30, seed=32, scale=0.6), worst),
+                (lambda: classical_rip(a, s, 0.6), s),
+            ]
+            for call, cols in calls:
+                monkeypatch.setattr(rip, "_max_over_supports", every_support_max)
+                reference = call()
+                monkeypatch.undo()
+                for chunk_entries in (None, per_chunk * cols**2):
+                    for seeds in (rip._SEEDS, 1):
+                        if chunk_entries is not None:
+                            monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", chunk_entries)
+                        monkeypatch.setattr(rip, "_SEEDS", seeds)
+                        got = call()
+                        monkeypatch.undo()
+                        assert got == reference
+                        assert got.value.hex() == reference.value.hex()
 
     @pytest.mark.parametrize("one_per_chunk", [False, True])
     def test_all_ties_report_first_support(self, monkeypatch, one_per_chunk):
@@ -231,6 +264,49 @@ class TestStackedEnumeration:
         assert est.value == pytest.approx(value, abs=1e-12)
         assert est.worst_support == worst
         assert est.supports_evaluated == trials
+
+
+class TestPruning:
+    """The block-Gershgorin bound that lets a support skip eigvalsh."""
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_bound_holds_on_every_support(self, ragged):
+        rng = np.random.default_rng(50 + ragged)
+        for trial in range(6):
+            coll = ragged_collection(rng) if ragged else random_collection(4, 2, 10, seed=trial)
+            m = int(rng.integers(1, 7))
+            b = compose_with_bases(vector_operator(rng.standard_normal((m, 10)), 4, 1 / math.sqrt(m)), coll)
+            gram = b.matrix.T @ b.matrix
+            h = gram - np.eye(b.in_dim)
+            blocks = [slice(int(j0), int(j0) + k) for j0, k in zip(b.block_starts, b.block_dims)]
+            c = np.array([[np.linalg.norm(h[bi, bj], 2) for bj in blocks] for bi in blocks])
+            np.testing.assert_allclose(rip._block_norms(gram, b.block_starts, b.block_dims), c,
+                                       rtol=1e-12, atol=1e-14)
+            for s in (1, 2, 3, 4):
+                for supp in combinations(range(10), s):
+                    cols = np.concatenate([np.arange(b.in_dim)[blocks[j]] for j in supp])
+                    delta = np.max(np.abs(np.linalg.eigvalsh(h[np.ix_(cols, cols)])))
+                    bound = max(sum(c[i, j] for j in supp) for i in supp)
+                    assert delta <= bound * (1.0 + rip._MARGIN) + rip._TINY
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        a = np.ones((3, 6))
+        a[0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            classical_rip(a, 2)
+
+    def test_fewer_than_half_the_supports_reach_eigvalsh(self, monkeypatch):
+        # the shape of the benchmark's exact sweep: d=4, k=2, N=16, s=4, m=4
+        eigvalsh, sent = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sent.append(len(g)) or eigvalsh(g))
+        for seed in range(3):
+            sent.clear()
+            coll = random_collection(4, 2, 16, seed=seed)
+            a = sample_ensemble(EnsembleSpec("gaussian", 4, 16, seed=seed + 70))
+            est = exact_frip(a, coll, 4, scale=0.5)
+            assert est.supports_evaluated == math.comb(16, 4)
+            assert sum(sent) < math.comb(16, 4) / 2
 
 
 class TestRecoverySufficient:

@@ -204,6 +204,23 @@ class TestSupportAndConversions:
         z = (x + y) - y
         assert np.allclose(coeff_vector(z), coeff_vector(x), atol=1e-14)
 
+    def test_copied_on_construction_and_read_only(self):
+        coll = random_collection(6, 2, 3, seed=5)
+        blocks = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
+        x = BlockSignal(tuple(blocks), coll)
+        blocks[0][0] = -1.0
+        assert x.coeffs[0].tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            x.coeffs[1][0] = 0.0
+        vec = coeff_vector(x)
+        vec[:] = 0.0
+        assert coeff_vector(x).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        back = from_coeff_vector(coll, vec)
+        vec[0] = 9.0
+        assert coeff_vector(back)[0] == 0.0
+        with pytest.raises(ValueError):
+            back.coeffs[0][0] = 1.0
+
     def test_block_shape_validated(self):
         coll = random_collection(6, 2, 4, seed=5)
         with pytest.raises(DimMismatchError):
