@@ -17,14 +17,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import experiments as exp
 from .errors import FusionCSError
-from .frames import (
-    angle_family,
-    coherence,
-    load_collection,
-    orthogonal_collection,
-    random_collection,
-    save_collection,
-)
+from .frames import coherence, load_collection, save_collection
 from .measurement import (
     DISTRIBUTIONS,
     OPERATOR_KINDS,
@@ -51,12 +44,7 @@ def _emit(doc, out_path):
 
 
 def _cmd_frames_gen(args) -> int:
-    if args.family == "orthogonal":
-        coll = orthogonal_collection(args.d, args.k, args.N)
-    elif args.family == "angle":
-        coll = angle_family(args.k, args.N, args.theta)
-    else:
-        coll = random_collection(args.d, args.k, args.N, args.seed)
+    coll = exp.FAMILIES[args.family](args.d, args.k, args.N, args.theta, args.seed)
     save_collection(coll, args.out)
     return 0
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the schema check of a
+JSON document's root."""
 
 
 class FusionCSError(Exception):
@@ -99,6 +100,15 @@ class SchemaError(FusionCSError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def require_fields(doc, names) -> None:
+    """Raise SchemaError unless doc is a JSON object holding every named field."""
+    if not isinstance(doc, dict):
+        raise SchemaError("<root>", "expected a JSON object")
+    for name in names:
+        if name not in doc:
+            raise SchemaError(name, "missing field")
 
 
 class RegimeViolationWarning(UserWarning):

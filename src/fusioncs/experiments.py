@@ -1,6 +1,11 @@
 """Seeded experiment sweeps: phase transitions, noise robustness, isometry
 constants, and bound tables.
 
+One table, :data:`FAMILIES`, maps each family name to its collection
+builder, and one cell loop serves every sweep: for each theta and grid point
+it derives the cell key, builds the trial-0 collection, measures lambda on
+it once and fills the leading result fields.
+
 Every trial derives its own seed from (base_seed, cell_key, trial_index,
 stream) through a SplitMix64 fold, where the cell key encodes the cell's
 coordinates (family, theta, s, m, eta) rather than its position in the
@@ -23,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, require_fields
 from .frames import (
     SubspaceCollection,
     angle_family,
@@ -39,13 +44,19 @@ from .measurement import (
     sample_ensemble,
     vector_operator,
 )
-from .rip import MAX_SUPPORT_COLUMNS, MAX_SUPPORTS_EXACT, exact_frip, mc_frip
+from .rip import enumerable, exact_frip, mc_frip
 from .signals import coeff_vector, random_sparse_signal
 from .solver import MAX_ITERS, solve_noisy
 
 EXPERIMENTS = ("phase_transition", "noise_robustness", "frip_sweep", "bound_table")
-# a family's position plus one is its code in cell_key: add new families at the end
-FAMILIES = ("orthogonal", "angle", "random")
+# family name -> collection builder (d, k, N, theta, seed). A family's position
+# plus one is its code in cell_key: add new families at the end. The builders
+# look their functions up when called, so that a wrapped one is the one called.
+FAMILIES = {
+    "orthogonal": lambda d, k, N, theta, seed: orthogonal_collection(d, k, N),
+    "angle": lambda d, k, N, theta, seed: angle_family(k, N, theta),
+    "random": lambda d, k, N, theta, seed: random_collection(d, k, N, seed),
+}
 
 # seed streams, one per random ingredient of a trial
 STREAM_COLLECTION = 0
@@ -84,7 +95,7 @@ def cell_key(family: str, theta: float | None, s: int, m: int, eta: float | None
     Independent of the cell's position in the sweep, so sub-grids of a
     configuration reproduce the identical trials cell by cell.
     """
-    x = FAMILIES.index(family) + 1
+    x = list(FAMILIES).index(family) + 1
     parts = (
         _float_bits(theta if theta is not None else -1.0),
         s,
@@ -135,11 +146,7 @@ _REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default i
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "configuration must be a JSON object")
-    for name in _REQUIRED_FIELDS:
-        if name not in doc:
-            raise SchemaError(name, "missing field")
+    require_fields(doc, _REQUIRED_FIELDS)
     for name in doc:
         if name not in _CONFIG_FIELDS:
             raise SchemaError(name, "unknown field")
@@ -227,7 +234,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CellResult:
+class _Cell:
+    """The leading result fields of every sweep row, in column order."""
+
     experiment: str
     family: str
     theta: float | None
@@ -237,6 +246,10 @@ class CellResult:
     N: int
     s: int
     m: int
+
+
+@dataclass(frozen=True)
+class CellResult(_Cell):
     eta: float | None
     trials: int
     successes: int
@@ -246,21 +259,9 @@ class CellResult:
     solver_failures: int
     base_seed: int
 
-    def row(self) -> dict:
-        return _row(self)
-
 
 @dataclass(frozen=True)
-class FripCell:
-    experiment: str
-    family: str
-    theta: float | None
-    lambda_: float
-    d: int
-    k: int
-    N: int
-    s: int
-    m: int
+class FripCell(_Cell):
     trials: int
     mode: str
     delta_q1: float
@@ -268,9 +269,6 @@ class FripCell:
     delta_q3: float
     bound_uniform: float
     base_seed: int
-
-    def row(self) -> dict:
-        return _row(self)
 
 
 def _column(name: str) -> str:
@@ -297,7 +295,7 @@ def _csv_cell(value) -> str:
 def _write_rows(rows, columns, path, format: str) -> None:
     if format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {format!r}")
-    dicts = [r.row() for r in rows]
+    dicts = [_row(r) for r in rows]
     if format == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(dicts, fh, indent=2)
@@ -329,35 +327,43 @@ def fit_error_vs_eta(rows) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Family points and cells
+# Cells
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _FamilyPoint:
-    family: str
-    theta: float | None
-
-
-def _family_points(cfg: ExperimentConfig) -> list[_FamilyPoint]:
-    if cfg.family == "angle":
-        return [_FamilyPoint("angle", float(t)) for t in cfg.theta_grid]
-    return [_FamilyPoint(cfg.family, None)]
-
-
-def _collection_for(cfg: ExperimentConfig, point: _FamilyPoint, key: int, trial: int | None) -> SubspaceCollection:
-    if point.family == "orthogonal":
-        return orthogonal_collection(cfg.d, cfg.k, cfg.N)
-    if point.family == "angle":
-        return angle_family(cfg.k, cfg.N, point.theta)
-    t = 0 if trial is None else trial
-    seed = derive_seed(cfg.base_seed, key, t, STREAM_COLLECTION)
-    return random_collection(cfg.d, cfg.k, cfg.N, seed)
+def _collection_for(cfg: ExperimentConfig, theta: float | None, key: int, trial: int) -> SubspaceCollection:
+    seed = derive_seed(cfg.base_seed, key, trial, STREAM_COLLECTION)
+    return FAMILIES[cfg.family](cfg.d, cfg.k, cfg.N, theta, seed)
 
 
 def _measured_lambda(coll: SubspaceCollection) -> float:
     if coll.size < 2:
         return 0.0
     return coherence(coll).lambda_
+
+
+def _cells(config: ExperimentConfig, grid):
+    """The cells of a sweep, for each theta and (s, m) point of ``grid``.
+
+    Yields the cell key, the trial-0 collection (the fixed collection of
+    the cell) and the leading result fields, with lambda measured once on
+    that collection. The key leaves eta out: every eta row of a noise sweep
+    reuses the same instances and noise directions, so it reads as a dose
+    response.
+    """
+    thetas = [float(t) for t in config.theta_grid] if config.family == "angle" else [None]
+    for theta, (s, m) in product(thetas, grid):
+        key = cell_key(config.family, theta, s, m, None)
+        coll = _collection_for(config, theta, key, 0)
+        yield key, coll, _Cell(
+            config.experiment, config.family, theta, _measured_lambda(coll),
+            coll.ambient_dim, coll.block_dim, coll.size, s, m,
+        )
+
+
+def _ensemble(config: ExperimentConfig, key: int, trial: int, m: int, n: int) -> np.ndarray:
+    """The m x n measurement matrix of one trial of a cell."""
+    seed = derive_seed(config.base_seed, key, trial, STREAM_ENSEMBLE)
+    return sample_ensemble(EnsembleSpec(config.ensemble, m, n, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +385,8 @@ def run_phase_transition(config: ExperimentConfig) -> list[CellResult]:
     sweep.
     """
     _check_experiment(config, "phase_transition")
-    grid = product(_family_points(config), config.sparsity_grid, config.measurement_grid)
-    return _run_recovery(config, [(point, s, m, None) for point, s, m in grid], 1.0)
+    grid = product(config.sparsity_grid, config.measurement_grid)
+    return _run_recovery(config, grid, (None,), 1.0)
 
 
 def run_noise_robustness(config: ExperimentConfig) -> list[CellResult]:
@@ -392,42 +398,29 @@ def run_noise_robustness(config: ExperimentConfig) -> list[CellResult]:
     of the error slope and intercept via :func:`fit_error_vs_eta`.
     """
     _check_experiment(config, "noise_robustness")
-    s = config.sparsity_grid[0]
-    m = config.measurement_grid[0]
-    grid = product(_family_points(config), config.eta_grid)
-    cells = [(point, s, m, float(eta)) for point, eta in grid]
-    return _run_recovery(config, cells, 1.0 / math.sqrt(m))
+    s, m = config.sparsity_grid[0], config.measurement_grid[0]
+    etas = [float(eta) for eta in config.eta_grid]
+    return _run_recovery(config, [(s, m)], etas, 1.0 / math.sqrt(m))
 
 
-def _run_recovery(config: ExperimentConfig, cells, scale: float) -> list[CellResult]:
-    """One row per (point, s, m, eta) cell; eta is None for a phase cell.
+def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[CellResult]:
+    """One row per cell and eta; eta is None for a phase cell.
 
     Every trial measures with ``scale * (A (x) I)``, perturbs by norm eta
     and solves the ball program at radius eta; at eta = 0 the noise is a
     copy without a draw and the ball program is the equality program.
     """
     results = []
-    for point, s, m, eta in cells:
-        # eta left out of the key: every eta row reuses the same instances
-        # and noise directions, so a noise sweep reads as a dose response
-        key = cell_key(point.family, point.theta, s, m, None)
-        fixed_coll = None
-        if not config.resample_collection:
-            fixed_coll = _collection_for(config, point, key, None)
+    for key, fixed_coll, cell in _cells(config, grid):
 
-        def trial(t: int):
+        def trial(t: int, eta: float | None):
             coll = fixed_coll
-            if coll is None:
-                coll = _collection_for(config, point, key, t)
+            if config.resample_collection:
+                coll = _collection_for(config, cell.theta, key, t)
             x = random_sparse_signal(
-                coll, s, derive_seed(config.base_seed, key, t, STREAM_SIGNAL)
+                coll, cell.s, derive_seed(config.base_seed, key, t, STREAM_SIGNAL)
             )
-            a = sample_ensemble(
-                EnsembleSpec(
-                    config.ensemble, m, coll.size,
-                    derive_seed(config.base_seed, key, t, STREAM_ENSEMBLE),
-                )
-            )
+            a = _ensemble(config, key, t, cell.m, coll.size)
             b = compose_with_bases(vector_operator(a, coll.ambient_dim, scale=scale), coll)
             truth = coeff_vector(x)
             y = add_noise(
@@ -441,33 +434,22 @@ def _run_recovery(config: ExperimentConfig, cells, scale: float) -> list[CellRes
             converged = sol.status == "converged"
             return converged and rel <= config.success_tol, rel, sol.iterations, not converged
 
-        outcomes = [trial(t) for t in range(config.trials_per_cell)]
-        lam_coll = fixed_coll if fixed_coll is not None else _collection_for(config, point, key, 0)
-        results.append(_summarize_cell(config, point, s, m, eta, lam_coll, outcomes))
+        for eta in etas:
+            ok, rels, iterations, failed = zip(
+                *(trial(t, eta) for t in range(config.trials_per_cell))
+            )
+            results.append(CellResult(
+                **vars(cell),
+                eta=eta,
+                trials=config.trials_per_cell,
+                successes=sum(ok),
+                mean_rel_error=float(np.mean(rels)),
+                max_rel_error=float(np.max(rels)),
+                mean_iterations=float(np.mean(iterations)),
+                solver_failures=sum(failed),
+                base_seed=config.base_seed,
+            ))
     return results
-
-
-def _summarize_cell(config, point, s, m, eta, coll, outcomes) -> CellResult:
-    rels = [o[1] for o in outcomes]
-    return CellResult(
-        experiment=config.experiment,
-        family=point.family,
-        theta=point.theta,
-        lambda_=_measured_lambda(coll),
-        d=coll.ambient_dim,
-        k=coll.block_dim,
-        N=coll.size,
-        s=s,
-        m=m,
-        eta=eta,
-        trials=len(outcomes),
-        successes=sum(1 for o in outcomes if o[0]),
-        mean_rel_error=float(np.mean(rels)),
-        max_rel_error=float(np.max(rels)),
-        mean_iterations=float(np.mean([o[2] for o in outcomes])),
-        solver_failures=sum(1 for o in outcomes if o[3]),
-        base_seed=config.base_seed,
-    )
 
 
 def _quartiles(values) -> list[float]:
@@ -495,57 +477,30 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
     """
     _check_experiment(config, "frip_sweep")
     results = []
-    cells = list(product(_family_points(config), config.sparsity_grid, config.measurement_grid))
-    for point, s, m in cells:
-        key = cell_key(point.family, point.theta, s, m, None)
-        coll = _collection_for(config, point, key, None)
-        exact_ok = (
-            math.comb(coll.size, s) <= MAX_SUPPORTS_EXACT
-            and s * coll.block_dim <= MAX_SUPPORT_COLUMNS
-        )
+    for key, coll, cell in _cells(config, product(config.sparsity_grid, config.measurement_grid)):
+        s, scale = cell.s, 1.0 / math.sqrt(cell.m)
+        exact = enumerable(coll.block_dims, s)
 
-        def trial(t: int):
-            a = sample_ensemble(
-                EnsembleSpec(
-                    config.ensemble, m, coll.size,
-                    derive_seed(config.base_seed, key, t, STREAM_ENSEMBLE),
-                )
-            )
-            scale = 1.0 / math.sqrt(m)
-            if exact_ok:
+        def delta(t: int) -> float:
+            a = _ensemble(config, key, t, cell.m, coll.size)
+            if exact:
                 return exact_frip(a, coll, s, scale).value
-            est = mc_frip(
-                a, coll, s, trials=500,
-                seed=derive_seed(config.base_seed, key, t, STREAM_MC_SUPPORTS),
-                scale=scale,
-            )
-            return est.value
+            seed = derive_seed(config.base_seed, key, t, STREAM_MC_SUPPORTS)
+            return mc_frip(a, coll, s, trials=500, seed=seed, scale=scale).value
 
-        deltas = [trial(t) for t in range(config.trials_per_cell)]
-        q1, med, q3 = _quartiles(deltas)
-        lam = _measured_lambda(coll)
-        results.append(
-            FripCell(
-                experiment=config.experiment,
-                family=point.family,
-                theta=point.theta,
-                lambda_=lam,
-                d=coll.ambient_dim,
-                k=coll.block_dim,
-                N=coll.size,
-                s=s,
-                m=m,
-                trials=config.trials_per_cell,
-                mode="exact" if exact_ok else "monte_carlo",
-                delta_q1=q1,
-                delta_median=med,
-                delta_q3=q3,
-                bound_uniform=bounds_mod.sufficient_uniform_vector(
-                    s, coll.size, coll.block_dim, lam, 1.0, config.epsilon, 1.0
-                ),
-                base_seed=config.base_seed,
-            )
-        )
+        q1, med, q3 = _quartiles([delta(t) for t in range(config.trials_per_cell)])
+        results.append(FripCell(
+            **vars(cell),
+            trials=config.trials_per_cell,
+            mode="exact" if exact else "monte_carlo",
+            delta_q1=q1,
+            delta_median=med,
+            delta_q3=q3,
+            bound_uniform=bounds_mod.sufficient_uniform_vector(
+                s, cell.N, cell.k, cell.lambda_, 1.0, config.epsilon, 1.0
+            ),
+            base_seed=config.base_seed,
+        ))
     return results
 
 
@@ -553,18 +508,10 @@ def run_bound_table(config: ExperimentConfig) -> list[dict]:
     """Closed-form bound reports over the family points and sparsity grid."""
     _check_experiment(config, "bound_table")
     beta = 2 if config.ensemble == "gaussian" else 1
-    rows = []
-    for point, s in product(_family_points(config), config.sparsity_grid):
-        key = cell_key(point.family, point.theta, s, 0, None)
-        coll = _collection_for(config, point, key, None)
-        report = bounds_mod.bound_report(
-            s=s,
-            N=coll.size,
-            k=coll.block_dim,
-            d=coll.ambient_dim,
-            lam=_measured_lambda(coll),
-            epsilon=config.epsilon,
-            beta=beta,
-        )
-        rows.append(report.to_dict())
-    return rows
+    return [
+        bounds_mod.bound_report(
+            s=cell.s, N=cell.N, k=cell.k, d=cell.d, lam=cell.lambda_,
+            epsilon=config.epsilon, beta=beta,
+        ).to_dict()
+        for _, _, cell in _cells(config, [(s, 0) for s in config.sparsity_grid])
+    ]

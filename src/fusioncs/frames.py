@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatchError,
     SingleSubspaceError,
     TooManySubspacesError,
+    require_fields,
 )
 
 ORTHONORMALITY_TOL = 1e-10
@@ -353,9 +354,7 @@ def collection_to_dict(collection: SubspaceCollection) -> dict:
 
 def collection_from_dict(doc: dict) -> SubspaceCollection:
     """Rebuild a collection from its JSON dict, re-validating orthonormality."""
-    for key in ("version", "d", "k", "N", "bases"):
-        if key not in doc:
-            raise SchemaError(key, "missing field")
+    require_fields(doc, ("version", "d", "k", "N", "bases"))
     if doc["version"] != 1:
         raise SchemaError("version", f"unsupported version {doc['version']!r}")
     d, k, n = doc["d"], doc["k"], doc["N"]

@@ -23,6 +23,7 @@ from .errors import (
     InvalidDimsError,
     SchemaError,
     ZeroColumnError,
+    require_fields,
 )
 from .frames import SubspaceCollection, coherence
 from .signals import BlockSignal, to_ambient
@@ -353,9 +354,7 @@ def matrix_to_dict(mat: np.ndarray) -> dict:
 
 
 def matrix_from_dict(doc: dict) -> np.ndarray:
-    for key in ("version", "rows", "cols", "data"):
-        if key not in doc:
-            raise SchemaError(key, "missing field")
+    require_fields(doc, ("version", "rows", "cols", "data"))
     if doc["version"] != 1:
         raise SchemaError("version", f"unsupported version {doc['version']!r}")
     rows, cols = doc["rows"], doc["cols"]

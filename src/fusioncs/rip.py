@@ -71,21 +71,29 @@ class RipEstimate:
         }
 
 
-def _check_guards(n: int, s: int, sum_cols: int):
-    if not 1 <= s <= n:
-        raise ValueError(f"s={s} outside [1, {n}]")
-    if math.comb(n, s) > MAX_SUPPORTS_EXACT:
-        raise TooLargeError(
-            f"{math.comb(n, s)} supports exceed the exhaustive guard {MAX_SUPPORTS_EXACT}"
-        )
-    if sum_cols > MAX_SUPPORT_COLUMNS:
-        raise TooLargeError(
-            f"{sum_cols} columns per support exceed the guard {MAX_SUPPORT_COLUMNS}"
-        )
-
-
 def _worst_columns(block_dims, s: int) -> int:
     return int(sum(sorted(block_dims)[-s:]))
+
+
+def enumerable(block_dims, s: int) -> bool:
+    """Whether the exhaustive constant at level s stays within the guards:
+    at most MAX_SUPPORTS_EXACT supports of at most MAX_SUPPORT_COLUMNS
+    columns each."""
+    return (
+        math.comb(len(block_dims), s) <= MAX_SUPPORTS_EXACT
+        and _worst_columns(block_dims, s) <= MAX_SUPPORT_COLUMNS
+    )
+
+
+def _check_guards(block_dims, s: int) -> None:
+    n = len(block_dims)
+    if not 1 <= s <= n:
+        raise ValueError(f"s={s} outside [1, {n}]")
+    if not enumerable(block_dims, s):
+        raise TooLargeError(
+            f"{math.comb(n, s)} supports of up to {_worst_columns(block_dims, s)} columns "
+            f"exceed the guards of {MAX_SUPPORTS_EXACT} supports and {MAX_SUPPORT_COLUMNS} columns"
+        )
 
 
 def _block_norms(gram, block_starts, block_dims) -> np.ndarray:
@@ -156,10 +164,9 @@ def _max_over_supports(matrix, block_starts, block_dims, supports, s: int):
 
 
 def _exact_over_supports(matrix, block_starts, block_dims, s: int) -> RipEstimate:
-    n = len(block_dims)
-    _check_guards(n, s, _worst_columns(block_dims, s))
+    _check_guards(block_dims, s)
     value, worst, count = _max_over_supports(
-        matrix, block_starts, block_dims, combinations(range(n), s), s
+        matrix, block_starts, block_dims, combinations(range(len(block_dims)), s), s
     )
     return RipEstimate(
         s=s, value=value, mode="exact", supports_evaluated=count, worst_support=worst

@@ -15,20 +15,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidSparsityError, SchemaError
+from .errors import DimMismatchError, InvalidSparsityError, SchemaError, require_fields
 from .frames import SubspaceCollection
 
 DEFAULT_SUPPORT_TOL = 1e-9
 AMPLITUDE_LAWS = ("unit_norm_blocks", "gaussian_blocks")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BlockSignal:
     """Coefficient blocks c_j of a signal with x_j = U_j c_j.
 
     Built from one array per block, and stored as one read-only copy of
     their concatenation, the coefficient vector. :attr:`coeffs` gives the
-    blocks back as read-only views of that vector.
+    blocks back as read-only views of that vector. Signals compare and hash
+    by identity; compare coefficient vectors to compare values.
     """
 
     collection: SubspaceCollection
@@ -216,9 +217,7 @@ def signal_to_dict(x: BlockSignal) -> dict:
 
 
 def signal_from_dict(doc: dict, collection: SubspaceCollection) -> BlockSignal:
-    for key in ("version", "collection", "k", "N", "coeffs"):
-        if key not in doc:
-            raise SchemaError(key, "missing field")
+    require_fields(doc, ("version", "collection", "k", "N", "coeffs"))
     if doc["version"] != 1:
         raise SchemaError("version", f"unsupported version {doc['version']!r}")
     if doc["N"] != collection.size or doc["k"] != collection.block_dim:

@@ -164,6 +164,29 @@ def test_scale_and_normalized_exclusive(workspace, capsys, case):
     assert "Traceback" not in err
 
 
+NON_OBJECT_ROOT = {
+    "collection": ("frames", "coherence", "--collection", "bad"),
+    "matrix": ("recover", "eq", "--matrix", "bad", "--collection", "coll", "--y", "y"),
+    "signal": ("measure", "apply", "--matrix", "A4", "--collection", "coll",
+               "--signal", "bad", "--out", "y_out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_OBJECT_ROOT))
+def test_non_object_root_exits_2(workspace, capsys, case):
+    tmp, coll = workspace
+    files = {"coll": coll, "bad": tmp / "bad.json", "A4": tmp / "A4.json",
+             "y": tmp / "y.json", "y_out": tmp / "y_out.json"}
+    files["bad"].write_text("5\n")
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", files["A4"]) == 0
+    assert run("measure", "sample", "--rows", 24, "--cols", 1, "--out", files["y"]) == 0
+    capsys.readouterr()
+    assert run(*(files.get(arg, arg) for arg in NON_OBJECT_ROOT[case])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: <root>: ")
+    assert "Traceback" not in err
+
+
 class TestExperimentCommand:
     def make_config(self, tmp_path, **overrides):
         cfg = dict(

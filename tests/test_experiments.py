@@ -54,6 +54,12 @@ class TestSeeds:
         assert derive_seed(11, 3, 7, 2) == 2610255070085570617
         assert derive_seed(2**63, 1, 1, 1) == 1434157057848903833
 
+    def test_cell_key_frozen_values(self):
+        # pin one key per family: reordering the family table would reseed every trial
+        assert cell_key("orthogonal", None, 2, 4, None) == 1066464275567029647
+        assert cell_key("angle", 0.4, 2, 3, None) == 17176655775375089686
+        assert cell_key("random", None, 1, 2, 0.01) == 18193254395063937670
+
     def test_cell_key_depends_on_coordinates_only(self):
         a = cell_key("angle", 0.3, 2, 5, None)
         b = cell_key("angle", 0.3, 2, 5, None)

@@ -221,6 +221,16 @@ class TestSupportAndConversions:
         with pytest.raises(ValueError):
             back.coeffs[0][0] = 1.0
 
+    def test_identity_equality_and_hash(self):
+        # equal draws are distinct signals; values compare through coeff_vector
+        coll = random_collection(4, 2, 3, seed=0)
+        x = random_sparse_signal(coll, 2, seed=1)
+        y = random_sparse_signal(coll, 2, seed=1)
+        assert x == x
+        assert x != y
+        assert len({x, y, x}) == 2
+        assert np.array_equal(coeff_vector(x), coeff_vector(y))
+
     def test_block_shape_validated(self):
         coll = random_collection(6, 2, 4, seed=5)
         with pytest.raises(DimMismatchError):
