@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the schema check of a
-JSON document's root."""
+"""Exception types shared across the package, and the schema checks of a
+JSON document's root and of its lists of numbers."""
+
+import numpy as np
 
 
 class FusionCSError(Exception):
@@ -109,6 +111,16 @@ def require_fields(doc, names) -> None:
     for name in names:
         if name not in doc:
             raise SchemaError(name, "missing field")
+
+
+def float_list(value, field: str, what: str) -> np.ndarray:
+    """value, a JSON list of numbers, as a float array; SchemaError otherwise."""
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(field, f"{what} must be a list of numbers")
 
 
 class RegimeViolationWarning(UserWarning):

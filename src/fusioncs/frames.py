@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatchError,
     SingleSubspaceError,
     TooManySubspacesError,
+    float_list,
     require_fields,
 )
 
@@ -34,11 +35,12 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 def _orthonormalize(basis: np.ndarray) -> np.ndarray:
-    """Thin QR factor with nonnegative R diagonal (deterministic sign choice)."""
+    """Thin QR factor with nonnegative R diagonal (deterministic sign choice),
+    of one d x k matrix or of each matrix in a stack (..., d, k)."""
     q, r = np.linalg.qr(basis)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -160,12 +162,11 @@ def build_collection(bases, label: str = "") -> SubspaceCollection:
             raise InvalidDimsError(f"basis {j} is not a matrix")
         if m.shape != shape:
             raise ShapeMismatchError(f"basis {j} has shape {m.shape}, expected {shape}")
-    ortho = []
-    for j, m in enumerate(mats):
-        if np.linalg.matrix_rank(m) < m.shape[1]:
-            raise RankDeficientError(j)
-        ortho.append(_orthonormalize(m))
-    return SubspaceCollection(tuple(ortho), label=label)
+    stack = np.stack(mats)
+    deficient = np.flatnonzero(np.linalg.matrix_rank(stack) < shape[1])
+    if deficient.size:
+        raise RankDeficientError(int(deficient[0]))
+    return SubspaceCollection(tuple(_orthonormalize(stack)), label=label)
 
 
 def random_collection(d: int, k: int, N: int, seed: int, label: str | None = None) -> SubspaceCollection:
@@ -180,7 +181,7 @@ def random_collection(d: int, k: int, N: int, seed: int, label: str | None = Non
     if N < 1 or k < 1:
         raise InvalidDimsError("need N >= 1 and k >= 1")
     rng = np.random.default_rng(seed)
-    bases = tuple(_orthonormalize(rng.standard_normal((d, k))) for _ in range(N))
+    bases = tuple(_orthonormalize(rng.standard_normal((N, d, k))))
     if label is None:
         label = f"random(d={d},k={k},N={N},seed={seed})"
     return SubspaceCollection(bases, label=label)
@@ -366,7 +367,7 @@ def collection_from_dict(doc: dict) -> SubspaceCollection:
         raise SchemaError("bases", f"expected {n} bases")
     bases = []
     for j, flat in enumerate(raw):
-        arr = np.asarray(flat, dtype=float)
+        arr = float_list(flat, "bases", f"basis {j}")
         if arr.shape != (d * k,):
             raise SchemaError("bases", f"basis {j} has {arr.size} entries, expected {d * k}")
         bases.append(arr.reshape(d, k))

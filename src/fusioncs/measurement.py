@@ -23,6 +23,7 @@ from .errors import (
     InvalidDimsError,
     SchemaError,
     ZeroColumnError,
+    float_list,
     require_fields,
 )
 from .frames import SubspaceCollection, coherence
@@ -361,7 +362,7 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
     for name, v in (("rows", rows), ("cols", cols)):
         if not isinstance(v, int) or v < 1:
             raise SchemaError(name, "must be a positive integer")
-    data = np.asarray(doc["data"], dtype=float)
+    data = float_list(doc["data"], "data", "data")
     if data.shape != (rows * cols,):
         raise SchemaError("data", f"expected {rows * cols} entries, got {data.size}")
     return data.reshape(rows, cols)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidSparsityError, SchemaError, require_fields
+from .errors import DimMismatchError, InvalidSparsityError, SchemaError, float_list, require_fields
 from .frames import SubspaceCollection
 
 DEFAULT_SUPPORT_TOL = 1e-9
@@ -222,9 +222,10 @@ def signal_from_dict(doc: dict, collection: SubspaceCollection) -> BlockSignal:
         raise SchemaError("version", f"unsupported version {doc['version']!r}")
     if doc["N"] != collection.size or doc["k"] != collection.block_dim:
         raise SchemaError("N", "document does not match the supplied collection")
-    coeffs = [np.asarray(c, dtype=float) for c in doc["coeffs"]]
-    if len(coeffs) != collection.size:
-        raise SchemaError("coeffs", f"expected {collection.size} blocks")
+    raw = doc["coeffs"]
+    if not isinstance(raw, list) or len(raw) != collection.size:
+        raise SchemaError("coeffs", f"expected a list of {collection.size} blocks")
+    coeffs = [float_list(c, "coeffs", f"block {j}") for j, c in enumerate(raw)]
     return BlockSignal(tuple(coeffs), collection)
 
 

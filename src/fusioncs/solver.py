@@ -33,6 +33,11 @@ fit, never a wrong answer. The fit and the pseudoinverse of B_S^T are
 computed once per support and reused while later steps detect the same
 support. A solve whose Newton steps rounding stops early (a singular
 Newton matrix, or an iterate off the cone interior) ends as "stalled".
+
+The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens its
+supports S by one stacked QR of [B_S | y] per batch, whose residual never
+exceeds the least-squares residual on S but for rounding, and decides each
+screened support by ``lstsq``.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .frames import SubspaceCollection, coherence
 from .measurement import CoefficientOperator, stacked_columns, support_chunks
 from .signals import BlockSignal, coeff_vector, from_coeff_vector
 
-# the oracle's batched residuals screen supports at this multiple of the
+# the oracle's stacked QR residuals screen supports at this multiple of the
 # accept tolerance; lstsq on each screened support then decides
 _SCREEN_FACTOR = 10.0
 
@@ -425,28 +430,19 @@ def closed_form_orthogonal(y: np.ndarray, a: np.ndarray, collection: SubspaceCol
     return BlockSignal(coeffs, collection)
 
 
-def _stacked_residuals(b_t, gram, bty, y, cols) -> np.ndarray:
-    """Least-squares residuals ||B_S c_S - y|| of a stack of supports.
+def _screen_residuals(matrix, y, cols) -> np.ndarray:
+    """||R[w:, w]|| of the QR of [B_S | y] for a stack of supports: at most
+    the least-squares residual min_c ||B_S c - y|| but for rounding (see
+    :func:`oracle_recover_exhaustive`).
 
-    ``cols`` holds one support's columns per row; ``b_t``, ``gram`` and
-    ``bty`` are B^T, B^T B and B^T y. Solves G[S, S] c = (B^T y)[S] through
-    one batched eigendecomposition, dropping eigenvalues below n * eps of
-    the largest, with one step of iterative refinement as in :func:`_solve`.
+    ``cols`` holds one support's w columns of ``matrix`` per row.
     """
-    evals, evecs = np.linalg.eigh(gram[cols[:, :, None], cols[:, None, :]])
-    keep = evals > cols.shape[1] * np.finfo(float).eps * np.maximum(evals[:, -1:], 0.0)
-    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)[:, :, None]
-    bs_t = b_t[cols]  # the stacked B_S^T
-
-    def gram_pinv(g):
-        return evecs @ (inv * (np.swapaxes(evecs, 1, 2) @ g))
-
-    def residual(c):
-        return y[:, None] - np.swapaxes(bs_t, 1, 2) @ c
-
-    c = gram_pinv(bty[cols][:, :, None])
-    c = c + gram_pinv(bs_t @ residual(c))
-    return np.linalg.norm(residual(c)[:, :, 0], axis=1)
+    w = cols.shape[1]
+    aug = np.empty((len(cols), matrix.shape[0], w + 1))
+    aug[:, :, :w] = np.moveaxis(matrix[:, cols], 0, 1)
+    aug[:, :, w] = y
+    r = np.linalg.qr(aug, mode="r")
+    return np.linalg.norm(r[:, w:, w], axis=1)
 
 
 def oracle_recover_exhaustive(
@@ -461,11 +457,15 @@ def oracle_recover_exhaustive(
     block norm sum. ``unique`` is True when exactly one support at that level
     fits and its column matrix has full rank.
 
-    Supports go through in chunks on one Gram matrix B^T B: a batched
-    residual (:func:`_stacked_residuals`) screens them at _SCREEN_FACTOR
-    times the accept tolerance, and each screened support is solved again
-    by ``lstsq`` on its columns; that solution decides acceptance and gives
-    the estimate.
+    Supports go through in chunks, screened at _SCREEN_FACTOR times the
+    accept tolerance by one stacked Householder QR of [B_S | y] = QR per
+    chunk (:func:`_screen_residuals`). For S of w columns, Q's first w
+    columns span a space that contains range(B_S), whatever the rank of
+    B_S, so ||R[w:, w]|| (|R[w, w]|, or 0 when B has at most w rows) is the
+    distance from y to that space: at most the least-squares residual on S
+    but for rounding, and no fitting support is screened out. Each screened
+    support is solved again by ``lstsq`` on its columns; that solution
+    decides acceptance and gives the estimate.
     """
     y = np.asarray(y, dtype=float)
     n = B.collection.size
@@ -476,17 +476,14 @@ def oracle_recover_exhaustive(
     accept_tol = 1e-8 * (1.0 + ynorm)
     if ynorm <= accept_tol:
         return from_coeff_vector(B.collection, np.zeros(B.in_dim)), True
-    b_t = np.ascontiguousarray(B.matrix.T)
-    gram, bty = b_t @ B.matrix, b_t @ y
     dims = B.block_dims
     for level in range(1, min(s, n) + 1):
         width = int(sum(sorted(dims)[-level:]))
-        entries = width * (width + B.out_dim)
         accepted = []
-        for chunk in support_chunks(combinations(range(n), level), level, entries):
+        for chunk in support_chunks(combinations(range(n), level), level, B.out_dim * (width + 1)):
             screened = []
             for rows, cols in stacked_columns(B.block_starts, dims, chunk):
-                fit = _stacked_residuals(b_t, gram, bty, y, cols) <= _SCREEN_FACTOR * accept_tol
+                fit = _screen_residuals(B.matrix, y, cols) <= _SCREEN_FACTOR * accept_tol
                 screened += zip(rows[fit], cols[fit])
             for _, cols in sorted(screened, key=lambda pair: pair[0]):
                 m_s = B.matrix[:, cols]
@@ -504,7 +501,7 @@ def oracle_recover_exhaustive(
                     best_norm = n21
                     best = (vec, m_s)
             vec, m_s = best
-            unique = len(accepted) == 1 and np.linalg.matrix_rank(m_s) == m_s.shape[1]
+            unique = bool(len(accepted) == 1 and np.linalg.matrix_rank(m_s) == m_s.shape[1])
             return from_coeff_vector(B.collection, vec), unique
     return None, False
 

@@ -187,6 +187,37 @@ def test_non_object_root_exits_2(workspace, capsys, case):
     assert "Traceback" not in err
 
 
+# (document, field, value): a field that is not a list of numbers
+BAD_LIST_FIELDS = {
+    "coeffs_number": ("signal", "coeffs", 5),
+    "coeffs_block_object": ("signal", "coeffs", [{}] * 4),
+    "coeffs_entry_object": ("signal", "coeffs", [[{}, 0.0]] * 4),
+    "data_object": ("matrix", "data", {}),
+    "data_entry_object": ("matrix", "data", [{}] * 12),
+    "bases_object": ("collection", "bases", [{}] * 4),
+    "bases_entry_string": ("collection", "bases", [["x"] * 16] * 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIST_FIELDS))
+def test_non_list_field_exits_2(workspace, capsys, case):
+    tmp, coll = workspace
+    files = {"coll": coll, "bad": tmp / "bad.json", "A4": tmp / "A4.json", "sig": tmp / "sig.json",
+             "y": tmp / "y.json", "y_out": tmp / "y_out.json"}
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", files["A4"]) == 0
+    assert run("measure", "sample", "--rows", 24, "--cols", 1, "--out", files["y"]) == 0
+    assert run("signal", "gen", "--collection", coll, "--s", 1, "--out", files["sig"]) == 0
+    kind, field, value = BAD_LIST_FIELDS[case]
+    doc = json.loads({"collection": coll, "matrix": files["A4"], "signal": files["sig"]}[kind].read_text())
+    doc[field] = value
+    files["bad"].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(*(files.get(arg, arg) for arg in NON_OBJECT_ROOT[kind])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
 class TestExperimentCommand:
     def make_config(self, tmp_path, **overrides):
         cfg = dict(

@@ -57,6 +57,10 @@ class TestBuildCollection:
         col = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
         with pytest.raises(RankDeficientError):
             build_collection([col])
+        # the first deficient basis of a stack is named
+        with pytest.raises(RankDeficientError) as info:
+            build_collection([np.eye(3, 2), col, col])
+        assert info.value.index == 1
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -74,6 +78,15 @@ class TestConstructors:
         b = random_collection(6, 2, 4, seed=123)
         for u, v in zip(a.bases, b.bases):
             assert np.array_equal(u, v)
+
+    def test_random_collection_matches_one_basis_at_a_time(self):
+        # the stacked draw and QR give the bits of N separate ones
+        for d, k, n in [(4, 2, 16), (8, 3, 5), (6, 1, 12), (3, 3, 2)]:
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                expected = [_orthonormalize(rng.standard_normal((d, k))) for _ in range(n)]
+                for u, v in zip(random_collection(d, k, n, seed=seed).bases, expected, strict=True):
+                    assert np.array_equal(u, v)
 
     def test_random_collection_full_dim_coherence_one(self):
         coll = random_collection(3, 3, 3, seed=5)

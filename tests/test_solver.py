@@ -33,6 +33,7 @@ from fusioncs.measurement import (
     matrix_coherences,
     sample_ensemble,
     scalar_operator,
+    stacked_columns,
     vector_operator,
 )
 from fusioncs.signals import coeff_vector, norm_21, random_sparse_signal
@@ -411,7 +412,7 @@ class TestOracle:
         rec, unique = oracle_recover_exhaustive(b, y, 2)
         assert rec is not None
         assert np.linalg.norm(coeff_vector(rec) - truth) <= 1e-9
-        assert unique
+        assert type(unique) is bool and unique
 
     def test_zero_rhs(self):
         coll = random_collection(4, 2, 6, seed=2)
@@ -419,7 +420,7 @@ class TestOracle:
         rec, unique = oracle_recover_exhaustive(b, np.zeros(b.out_dim), 2)
         assert rec is not None
         assert norm_21(rec) == 0.0
-        assert unique
+        assert type(unique) is bool and unique
 
     def test_unreachable_rhs(self):
         coll = random_collection(4, 2, 6, seed=4)
@@ -429,7 +430,7 @@ class TestOracle:
         y = rng.standard_normal(b.out_dim)  # generic: no s-sparse fit with m > sk
         rec, unique = oracle_recover_exhaustive(b, y, 1)
         assert rec is None
-        assert not unique
+        assert type(unique) is bool and not unique
 
     @staticmethod
     def dense_blocks(*blocks):
@@ -444,7 +445,7 @@ class TestOracle:
         # second has the smaller block norm sum
         b = self.dense_blocks(pq, 2.0 * pq, rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
         rec, unique = oracle_recover_exhaustive(b, pq.sum(axis=1), 2)
-        assert not unique
+        assert type(unique) is bool and not unique
         np.testing.assert_allclose(coeff_vector(rec), [0, 0, 0.5, 0.5, 0, 0, 0, 0], atol=1e-12)
         # equal sums (the same columns swapped): the first support wins
         b = self.dense_blocks(pq, pq[:, ::-1], rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
@@ -485,6 +486,96 @@ class TestOracle:
         b, _, y = planted_instance(coll, 2, 4, seed=8)
         with pytest.raises(TooLargeError):
             oracle_recover_exhaustive(b, y, 20)
+
+
+def oracle_instances():
+    """(name, B, y, s) for the oracle's screen: random, repeated-column
+    (rank-deficient), ragged, wide (w >= md) and near-tolerance B, each y
+    also scaled by 1e-3 and 1e3."""
+    rng = np.random.default_rng(40)
+    base = []
+    for seed in range(3):
+        b, _, y = planted_instance(random_collection(4, 2, 7, seed=seed), 2, 3, seed=seed + 20)
+        base += [("planted", b, y, 3), ("random", b, rng.standard_normal(b.out_dim), 2)]
+    base.append(("zero", b, np.zeros(b.out_dim), 2))
+    p, q, r = rng.standard_normal((3, 12))
+    repeated = TestOracle.dense_blocks(np.column_stack([p, q]), np.column_stack([q, r]),
+                                       np.column_stack([p, q]), rng.standard_normal((12, 2)))
+    base += [("repeated", repeated, p + r, 2), ("repeated", repeated, p + q, 3)]
+    dims = (1, 2, 2, 1)
+    coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
+    ragged = compose_with_bases(vector_operator(rng.standard_normal((3, 4)), 4), coll)
+    planted = np.concatenate([np.zeros(1), rng.standard_normal(4), np.zeros(1)])
+    base += [("ragged", ragged, ragged.matvec(planted), 3), ("ragged", ragged, rng.standard_normal(12), 4)]
+    wide = compose_with_bases(vector_operator(rng.standard_normal((1, 6)), 4), random_collection(4, 2, 6, seed=5))
+    base.append(("wide", wide, rng.standard_normal(4), 3))
+    # a fit at half the accept tolerance: y leaves range(B) by 0.5e-8 (1 + ||y||)
+    b, _, y = planted_instance(random_collection(4, 2, 5, seed=6), 2, 4, seed=7)
+    g = rng.standard_normal(b.out_dim)
+    off = g - b.matrix @ np.linalg.lstsq(b.matrix, g, rcond=None)[0]
+    base.append(("near_tol", b, y + off * (0.5e-8 * (1.0 + np.linalg.norm(y)) / np.linalg.norm(off)), 2))
+    return [(name, b, scale * y, s) for name, b, y, s in base for scale in (1e-3, 1.0, 1e3)]
+
+
+def lstsq_residual(m_s, y):
+    return float(np.linalg.norm(m_s @ np.linalg.lstsq(m_s, y, rcond=None)[0] - y))
+
+
+def reference_oracle(b, y, s):
+    """lstsq on every support, level by level, with the oracle's accept
+    tolerance and tie rule (the first of the smallest block norm sums)."""
+    ynorm = float(np.linalg.norm(y))
+    accept_tol = 1e-8 * (1.0 + ynorm)
+    if ynorm <= accept_tol:
+        return np.zeros(b.in_dim), True
+    blocks = [np.arange(start, start + dim) for start, dim in zip(b.block_starts, b.block_dims)]
+    for level in range(1, s + 1):
+        fits = []
+        for support in combinations(range(b.collection.size), level):
+            cols = np.concatenate([blocks[j] for j in support])
+            m_s = b.matrix[:, cols]
+            c_s = np.linalg.lstsq(m_s, y, rcond=None)[0]
+            if float(np.linalg.norm(m_s @ c_s - y)) <= accept_tol:
+                vec = np.zeros(b.in_dim)
+                vec[cols] = c_s
+                fits.append((solver._norm21_flat(vec, b.block_starts), vec, m_s))
+        if fits:
+            best = fits[0]
+            for fit in fits[1:]:
+                if fit[0] < best[0] - 1e-15:
+                    best = fit
+            return best[1], len(fits) == 1 and np.linalg.matrix_rank(best[2]) == best[2].shape[1]
+    return None, False
+
+
+class TestOracleScreen:
+    def test_screen_never_above_lstsq_residual(self):
+        for name, b, y, s in oracle_instances():
+            ynorm = float(np.linalg.norm(y))
+            accept_tol = 1e-8 * (1.0 + ynorm)
+            for level in range(1, s + 1):
+                supports = np.array(list(combinations(range(b.collection.size), level)))
+                for _, cols in stacked_columns(b.block_starts, b.block_dims, supports):
+                    screen = solver._screen_residuals(b.matrix, y, cols)
+                    lstsq = np.array([lstsq_residual(b.matrix[:, c], y) for c in cols])
+                    assert np.all(screen <= lstsq + 1e-10 * (1.0 + ynorm)), (name, level)
+                    # implied by the bound above at the shipped screen factor
+                    accepted = lstsq <= accept_tol
+                    assert np.all(screen[accepted] <= solver._SCREEN_FACTOR * accept_tol), (name, level)
+
+    def test_oracle_equals_lstsq_enumeration(self):
+        outcomes = set()
+        for name, b, y, s in oracle_instances():
+            est, unique = oracle_recover_exhaustive(b, y, s)
+            ref, ref_unique = reference_oracle(b, y, s)
+            assert type(unique) is bool and unique == ref_unique, name
+            if ref is None:
+                assert est is None, name
+            else:
+                assert np.array_equal(coeff_vector(est), ref), name
+            outcomes.add((ref is None, ref_unique))
+        # the instances reach every kind of answer: none, unique and not unique
+        assert outcomes == {(True, False), (False, True), (False, False)}
 
 
 class TestCertify:
