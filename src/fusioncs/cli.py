@@ -34,8 +34,19 @@ from .signals import AMPLITUDE_LAWS, coeff_vector, load_signal, random_sparse_si
 from .solver import MAX_ITERS, diagnostics, solve_equality, solve_noisy
 
 
+def _strict(value):
+    """value with every non-finite float (inf, nan) as None, JSON's null."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(_strict(doc), indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

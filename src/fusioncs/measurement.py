@@ -363,6 +363,8 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
         if not isinstance(v, int) or v < 1:
             raise SchemaError(name, "must be a positive integer")
     data = float_list(doc["data"], "data", "data")
+    if data.ndim != 1:
+        raise SchemaError("data", "must be a flat list of rows * cols numbers")
     if data.shape != (rows * cols,):
         raise SchemaError("data", f"expected {rows * cols} entries, got {data.size}")
     return data.reshape(rows, cols)

@@ -218,6 +218,66 @@ def test_non_list_field_exits_2(workspace, capsys, case):
     assert "Traceback" not in err
 
 
+NON_FINITE_INPUT = {
+    "eta_nan": (("--eta", "nan"), None),
+    "eta_inf": (("--eta", "inf"), None),
+    "y_nan": ((), float("nan")),
+    "y_inf": ((), float("inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUT))
+def test_non_finite_input_exits_2(workspace, capsys, case):
+    tmp, coll = workspace
+    mat, sig, y = tmp / "A4.json", tmp / "sig.json", tmp / "y.json"
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", mat) == 0
+    assert run("signal", "gen", "--collection", coll, "--s", 1, "--out", sig) == 0
+    assert run("measure", "apply", "--matrix", mat, "--collection", coll, "--signal", sig, "--out", y) == 0
+    eta, entry = NON_FINITE_INPUT[case]
+    if entry is not None:
+        doc = json.loads(y.read_text())
+        doc["data"][5] = entry
+        y.write_text(json.dumps(doc))
+    capsys.readouterr()
+    mode = ("noisy",) + eta if eta else ("eq",)
+    assert run("recover", *mode, "--matrix", mat, "--collection", coll, "--y", y) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: y and eta must be finite\n"
+
+
+def test_recover_prints_strict_json(workspace, capsys):
+    # a generic y is outside the range of the injective 24 x 8 B: the
+    # infeasible report's infinite residual and gap print as null
+    tmp, coll = workspace
+    mat, y = tmp / "A4.json", tmp / "y.json"
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--seed", 1, "--out", mat) == 0
+    assert run("measure", "sample", "--rows", 24, "--cols", 1, "--seed", 2, "--out", y) == 0
+    capsys.readouterr()
+    assert run("recover", "eq", "--matrix", mat, "--collection", coll, "--y", y) == 0
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert diag["status"] == "infeasible"
+    assert diag["dual_residual"] is None and diag["duality_gap"] is None
+    assert isinstance(diag["primal_residual"], float) and diag["primal_residual"] > 0.0
+
+
+def test_nested_matrix_data_named(workspace, capsys):
+    tmp, coll = workspace
+    mat, y = tmp / "A4.json", tmp / "y.json"
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", mat) == 0
+    assert run("measure", "sample", "--rows", 24, "--cols", 1, "--out", y) == 0
+    doc = json.loads(mat.read_text())
+    doc["data"] = np.reshape(doc["data"], (3, 4)).tolist()
+    mat.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("recover", "eq", "--matrix", mat, "--collection", coll, "--y", y) == 2
+    assert capsys.readouterr().err == "error: data: must be a flat list of rows * cols numbers\n"
+
+
 class TestExperimentCommand:
     def make_config(self, tmp_path, **overrides):
         cfg = dict(

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusioncs import solver
 from fusioncs.errors import (
@@ -202,11 +205,34 @@ class TestSolveEquality:
             assert np.array_equal(est[cols], np.linalg.lstsq(b.matrix[:, cols], y, rcond=None)[0])
             assert np.linalg.norm(est - scale * truth) <= 1e-9 * scale
 
+    def test_wide_support_exits_through_its_optimality_system(self, monkeypatch):
+        # the optimal support has 6 coefficients against B's 4 rows, so its
+        # least-squares fit is the minimum-norm one and never certifies;
+        # Newton's method on the support's optimality system does
+        b, _, y = planted_instance(random_collection(4, 2, 8, seed=0), 2, 1, seed=30)
+        sol = solve_equality(b, y)
+        assert sol.status == "converged"
+        assert certify(sol, b, y).ok
+        est = coeff_vector(sol.estimate)
+        cols = est != 0.0
+        assert np.count_nonzero(cols) > b.out_dim
+        g = solver._block_norms_flat(est, b.block_starts)
+        g = est / np.repeat(np.maximum(g, 1e-300), b.block_dims)
+        np.testing.assert_allclose(b.matrix[:, cols].T @ sol.dual_vector, g[cols], rtol=0, atol=1e-9)
+        monkeypatch.setattr(solver, "_support_kkt", lambda *args: None)
+        gap_exit = solve_equality(b, y)
+        assert gap_exit.status == "converged"
+        assert sol.iterations < gap_exit.iterations
+        assert abs(sol.objective - gap_exit.objective) <= 10 * solver.TOL_GAP
+
     def test_stalled_status(self, monkeypatch):
         # a singular Newton matrix from the third solve on (the second step's
-        # predictor) ends the steps early: that is not max_iters
+        # predictor) ends the steps early: that is not max_iters. The
+        # instance never reaches the support system, whose solves would
+        # count too
         coll = random_collection(4, 2, 8, seed=2)
         b, truth, y = planted_instance(coll, 2, 3, seed=3)
+        monkeypatch.setattr(solver, "_support_kkt", lambda *args: pytest.fail("support system reached"))
         real_solve = np.linalg.solve
         calls = []
 
@@ -269,6 +295,57 @@ class TestSolveEquality:
             "duality_gap",
             "objective",
         }
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, entry):
+        coll = random_collection(4, 2, 8, seed=2)
+        b, _, y = planted_instance(coll, 2, 3, seed=3)
+        bad = y.copy()
+        bad[4] = entry
+        for call in (lambda: solve_equality(b, bad), lambda: solve_noisy(b, bad, 1e-3),
+                     lambda: solve_noisy(b, y, abs(entry)), lambda: oracle_recover_exhaustive(b, bad, 2)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
+
+def random_instance(seed, dims, d, rows, s, kind, scale):
+    """A planted s-sparse instance on random subspaces of the given block
+    dims, measured by a vector (rows of A, times d) or scalar operator."""
+    rng = np.random.default_rng(seed)
+    coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((d, k))) for k in dims))
+    if kind == "vector":
+        op = vector_operator(rng.standard_normal((rows, len(dims))), d)
+    else:
+        op = scalar_operator(rng.standard_normal((rows * d, d * len(dims))))
+    b = compose_with_bases(op, coll)
+    support = rng.choice(len(dims), size=min(s, len(dims)), replace=False)
+    truth = np.concatenate([rng.standard_normal(k) if j in support else np.zeros(k)
+                            for j, k in enumerate(dims)])
+    return b, scale * b.matvec(truth)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(1, 2, 2, 1), (1, 2, 2, 1, 2, 1), (2,) * 6, (2,) * 8, (1,) * 7, (3,) * 4]),
+    d=st.integers(3, 5),
+    rows=st.integers(1, 2),
+    s=st.integers(1, 3),
+    kind=st.sampled_from(["vector", "scalar"]),
+    log_scale=st.floats(-2.0, 2.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_support_system_never_adds_steps(seed, dims, d, rows, s, kind, log_scale):
+    # the support exit against the same solve ending only by the
+    # interior-point gap (or a support no wider than B)
+    b, y = random_instance(seed, dims, d, rows, s, kind, 10.0**log_scale)
+    sol = solve_equality(b, y)
+    with mock.patch.object(solver, "_support_kkt", lambda *args: None):
+        gap_exit = solve_equality(b, y)
+    assert gap_exit.status == "converged"
+    assert sol.status == "converged"
+    assert certify(sol, b, y).ok
+    assert sol.iterations <= gap_exit.iterations
+    assert abs(sol.objective - gap_exit.objective) <= 10 * solver.TOL_GAP
 
 
 class TestSolveNoisy:
