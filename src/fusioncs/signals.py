@@ -65,10 +65,6 @@ class BlockSignal:
         return tuple(np.split(self._vector, np.cumsum(self.collection.block_dims)[:-1]))
 
     @property
-    def collection_ref(self) -> str:
-        return self.collection.label
-
-    @property
     def num_blocks(self) -> int:
         return self.collection.size
 

@@ -25,19 +25,18 @@ at most ``TOL_GAP``, or after ``max_iters`` Newton steps (default
 ``MAX_ITERS``). The tolerances are module constants, which :func:`certify`
 applies to the same residuals (:func:`_residuals`). After each equality
 step the support is read off primal-dual complementarity: block j is in it
-when its cone head t_j exceeds its dual cone's slack z0_j - ||z1_j||. The
-least-squares fit on that support is returned when it passes the same test
-against nu projected onto the support's optimality equations
-B_S^T nu = g_S (g the subgradient of the fit); a wrong support costs one
-fit, never a wrong answer. The fit and the pseudoinverse of B_S^T are
-computed once per support and reused while later steps detect the same
-support. A support with more coefficients than B has rows leaves B_S c = y
-underdetermined, and its least-squares fit (the minimum-norm one) is not
-the l2,1 optimum; there ``KKT_ITERS`` Newton iterations on the support's
-optimality system g_j(c) = B_j^T nu (j in S), B_S c = y, from the step's
-c_S, give the candidate pair (:func:`_support_kkt`), which must pass the
-same test. A solve whose Newton steps rounding stops early (a singular
-Newton matrix, or an iterate off the cone interior) ends as "stalled".
+when its cone head t_j exceeds its dual cone's slack z0_j - ||z1_j||. One
+rule gives that support S its candidate: c_S is the least-squares fit on
+S, or, when S has more coefficients than B has rows (B_S c = y is then
+underdetermined, and the minimum-norm fit is not the l2,1 optimum),
+``KKT_ITERS`` Newton iterations on the support's optimality system
+g_j(c) = B_j^T nu (j in S), B_S c = y from the step's c_S
+(:func:`_support_kkt`); the dual is the step's nu projected onto
+B_S^T nu = g_S (g the subgradient of c) by one least-squares solve. The
+pair is returned when it passes the same test; a wrong support costs one
+candidate, never a wrong answer. A solve whose Newton steps rounding stops
+early (a singular Newton matrix, or an iterate off the cone interior) ends
+as "stalled".
 
 The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens its
 supports S by one stacked QR of [B_S | y] per batch, whose residual never
@@ -211,9 +210,14 @@ class _Cones:
         return 1.0 / inv if inv > 0.0 else math.inf
 
 
-def _check_finite(y, eta=0.0) -> None:
+def _check_y(op: CoefficientOperator, y, eta=0.0) -> np.ndarray:
+    """y as a float vector of op's output length, with y and eta finite."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (op.out_dim,):
+        raise ValueError(f"expected y of length {op.out_dim}, got shape {y.shape}")
     if not (np.all(np.isfinite(y)) and math.isfinite(eta)):
         raise ValueError("y and eta must be finite")
+    return y
 
 
 def _support_kkt(b_s, y, lengths, c_s):
@@ -224,9 +228,9 @@ def _support_kkt(b_s, y, lengths, c_s):
 
     Its Jacobian is K = [[H, -B_S^T], [B_S, 0]], H = blockdiag((I - g_j
     g_j^T) / ||c_j||). As H c = 0, a Newton step from (c, nu) lands on the
-    solution of K (c', nu') = (-g, y), whatever nu. Returns (c, nu) after
-    ``KKT_ITERS`` iterations, or None on a zero block, a singular K or a
-    non-finite result.
+    solution of K (c', nu') = (-g, y), whatever nu, so nu stays inside the
+    solves. Returns c after ``KKT_ITERS`` iterations, or None on a zero
+    block, a singular K or a non-finite result.
     """
     w = len(c_s)
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
@@ -253,7 +257,7 @@ def _support_kkt(b_s, y, lengths, c_s):
             c_s = sol[:w]
     if not np.all(np.isfinite(sol)):
         return None
-    return c_s, sol[w:]
+    return c_s
 
 
 def _interior_point(G, h, cost, x, cones):
@@ -312,10 +316,7 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, max_iters: int) -
     starts = op.block_starts
     lengths = np.asarray(op.block_dims, dtype=int)
     n, p, nb = op.in_dim, op.out_dim, len(lengths)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (p,):
-        raise ValueError(f"expected y of length {p}, got shape {y.shape}")
-    _check_finite(y, eta)
+    y = _check_y(op, y, eta)
     ynorm = float(np.linalg.norm(y))
 
     def solution(vec, status, iters, nu):
@@ -340,7 +341,7 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, max_iters: int) -
 
     B = op.matrix
     # zero is feasible and has minimal objective
-    if ynorm <= eta or ynorm == 0.0:
+    if ynorm <= eta:
         return solution(np.zeros(n), "converged", 0, np.zeros(p))
 
     evals, evecs = np.linalg.eigh(B.T @ B)
@@ -365,52 +366,36 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, max_iters: int) -
         norms = np.maximum(_block_norms_flat(vec, starts), np.finfo(float).tiny)
         return vec / np.repeat(norms, lengths)
 
-    fit = None  # the last detected support and its fit data (None when the fit misses y)
-
     def refine(c, t, z, nu):
         """The optimum on the support that complementarity identifies, if it
         passes the certificate.
 
-        Block j is in the support when its cone head t_j exceeds the slack
-        z0_j - ||z1_j|| of its dual cone. When the support S has at most as
-        many coefficients as B has rows, the candidate is the least-squares
-        fit on S, with nu (already in the dual ball) projected onto the
-        support's optimality equations B_S^T nu = g_S, g the subgradient of
-        the fit: nu + B_S^{T+} (g_S - B_S^T nu). The fit, g_S and B_S^{T+}
-        depend only on the support, so a support repeated from the step
-        before reuses them and only the new nu is projected. A wider
-        support leaves B c = y underdetermined on S, and its least-squares
-        fit (the minimum-norm one) is not the l2,1 optimum; there the
-        candidate pair solves the support's optimality system from the
-        step's c_S (:func:`_support_kkt`).
+        Block j is in the support S when its cone head t_j exceeds the slack
+        z0_j - ||z1_j|| of its dual cone. The candidate c_S is the
+        least-squares fit on S; when S has more coefficients than B has
+        rows, B_S c = y is underdetermined and its minimum-norm fit is not
+        the l2,1 optimum, so c_S is instead Newton's iterate on the
+        support's optimality system from the step's c_S
+        (:func:`_support_kkt`). Either way the candidate dual is the step's
+        nu projected onto the optimality equations B_S^T nu = g_S, g the
+        subgradient of the candidate, by one least-squares solve, then
+        scaled into the dual ball.
         """
-        nonlocal fit
         support = t > z[heads] - _block_norms_flat(z[tails], starts)
         cols = np.repeat(support, lengths)
+        b_s = B[:, cols]
         if np.count_nonzero(cols) > p:
-            kkt = _support_kkt(B[:, cols], y, lengths[support], c[cols])
-            if kkt is None:
-                return None
-            out = np.zeros(n)
-            out[cols] = kkt[0]
-            if np.linalg.norm(B @ out - y) > TOL_PRIMAL * (1.0 + ynorm):
-                return None
-            cand = in_ball(kkt[1])
+            c_s = _support_kkt(b_s, y, lengths[support], c[cols])
         else:
-            if fit is None or not np.array_equal(fit[0], support):
-                b_s = B[:, cols]
-                out = np.zeros(n)
-                out[cols] = np.linalg.lstsq(b_s, y, rcond=None)[0]
-                fit = (support, None)
-                if np.linalg.norm(B @ out - y) <= TOL_PRIMAL * (1.0 + ynorm):
-                    # B_S^{T+} by lstsq: np.linalg.pinv's SVD routine would add
-                    # about 0.3 MB of resident LAPACK code to a sweep
-                    t_pinv = np.linalg.lstsq(b_s.T, np.eye(b_s.shape[1]), rcond=None)[0]
-                    fit = (support, (out, b_s, t_pinv, subgradient(out)[cols]))
-            if fit[1] is None:
-                return None
-            out, b_s, t_pinv, g = fit[1]
-            cand = in_ball(nu + t_pinv @ (g - b_s.T @ nu))
+            c_s = np.linalg.lstsq(b_s, y, rcond=None)[0]
+        if c_s is None:
+            return None
+        out = np.zeros(n)
+        out[cols] = c_s
+        if np.linalg.norm(B @ out - y) > TOL_PRIMAL * (1.0 + ynorm):
+            return None
+        g = subgradient(out)[cols]
+        cand = in_ball(nu + np.linalg.lstsq(b_s.T, g - b_s.T @ nu, rcond=None)[0])
         return (out, cand) if _dual_gap(out, cand, y, eta, starts) <= TOL_GAP else None
 
     # least-squares probe: feasibility check and starting point
@@ -536,8 +521,7 @@ def oracle_recover_exhaustive(
     support is solved again by ``lstsq`` on its columns; that solution
     decides acceptance and gives the estimate.
     """
-    y = np.asarray(y, dtype=float)
-    _check_finite(y)
+    y = _check_y(B, y)
     n = B.collection.size
     k = B.collection.block_dim
     if math.comb(n, min(s, n)) * max(1, (s * k) ** 3) > 10**9:
@@ -597,9 +581,11 @@ def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -
 
     Uses the residuals the solver reports (:func:`_residuals`) and flags a
     check when it is violated by more than ten times the solver's tolerance
-    (``TOL_PRIMAL``, ``TOL_DUAL``, ``TOL_GAP``).
+    (``TOL_PRIMAL``, ``TOL_DUAL``, ``TOL_GAP``). Like the solves and the
+    oracle, raises ``ValueError`` unless y is a finite vector of B's output
+    length.
     """
-    y = np.asarray(y, dtype=float)
+    y = _check_y(B, y)
     vec, nu = coeff_vector(solution.estimate), solution.dual_vector
     if vec.shape != (B.in_dim,) or nu.shape != (B.out_dim,):
         raise DimMismatchError(f"a solution with {vec.size} coefficients and {nu.size} duals does not fit B")

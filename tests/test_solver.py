@@ -63,6 +63,31 @@ def rel_err(sol, truth):
     return float(np.linalg.norm(est - truth) / np.linalg.norm(truth))
 
 
+def ragged_single_block_solves(scale):
+    """Equality solves of each one-block signal on ragged block dims
+    (1, 2, 2, 1) through a 5 x 6 B, as (b, truth, y, solution)."""
+    rng = np.random.default_rng(21)
+    dims = (1, 2, 2, 1)
+    coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((5, k))) for k in dims))
+    b = compose_with_bases(vector_operator(rng.standard_normal((1, 4)), 5), coll)
+    for j in range(len(dims)):
+        truth = np.concatenate([rng.standard_normal(k) if i == j else np.zeros(k) for i, k in enumerate(dims)])
+        y = scale * b.matvec(truth)
+        yield b, truth, y, solve_equality(b, y)
+
+
+def assert_support_dual(b, sol):
+    """B_S^T nu = g_S on the estimate's support S (g the subgradient) and
+    every block of B^T nu off S in the unit ball."""
+    est = coeff_vector(sol.estimate)
+    cols = est != 0.0
+    norms = solver._block_norms_flat(est, b.block_starts)
+    g = est / np.repeat(np.maximum(norms, 1e-300), b.block_dims)
+    np.testing.assert_allclose(b.matrix[:, cols].T @ sol.dual_vector, g[cols], rtol=0, atol=1e-9)
+    off = solver._block_norms_flat(b.matrix.T @ sol.dual_vector, b.block_starts)[norms == 0.0]
+    assert np.all(off <= 1.0 + solver.TOL_DUAL)
+
+
 class TestSolveEquality:
     def test_zero_rhs(self):
         coll = random_collection(4, 2, 5, seed=0)
@@ -188,15 +213,7 @@ class TestSolveEquality:
         # heads and tails of ragged cones: every solve must end through the
         # support that complementarity detects, whose least-squares fit is
         # the estimate, and not through the interior-point gap
-        rng = np.random.default_rng(21)
-        dims = (1, 2, 2, 1)
-        coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((5, k))) for k in dims))
-        b = compose_with_bases(vector_operator(rng.standard_normal((1, 4)), 5), coll)  # 5 x 6
-        for j, k in enumerate(dims):
-            coeffs = [rng.standard_normal(k) if i == j else np.zeros(k) for i, k in enumerate(dims)]
-            truth = np.concatenate(coeffs)
-            y = scale * b.matvec(truth)
-            sol = solve_equality(b, y)
+        for b, truth, y, sol in ragged_single_block_solves(scale):
             assert sol.status == "converged"
             assert sol.iterations >= 1
             assert certify(sol, b, y).ok
@@ -204,6 +221,15 @@ class TestSolveEquality:
             cols = est != 0.0
             assert np.array_equal(est[cols], np.linalg.lstsq(b.matrix[:, cols], y, rcond=None)[0])
             assert np.linalg.norm(est - scale * truth) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_narrow_support_exit_dual_solves_optimality_equations(self, scale):
+        # each support has at most 2 coefficients against B's 5 rows: the
+        # dual is the step's nu projected onto B_S^T nu = g_S
+        for b, _, y, sol in ragged_single_block_solves(scale):
+            cols = coeff_vector(sol.estimate) != 0.0
+            assert 0 < np.count_nonzero(cols) <= b.out_dim
+            assert_support_dual(b, sol)
 
     def test_wide_support_exits_through_its_optimality_system(self, monkeypatch):
         # the optimal support has 6 coefficients against B's 4 rows, so its
@@ -213,12 +239,8 @@ class TestSolveEquality:
         sol = solve_equality(b, y)
         assert sol.status == "converged"
         assert certify(sol, b, y).ok
-        est = coeff_vector(sol.estimate)
-        cols = est != 0.0
-        assert np.count_nonzero(cols) > b.out_dim
-        g = solver._block_norms_flat(est, b.block_starts)
-        g = est / np.repeat(np.maximum(g, 1e-300), b.block_dims)
-        np.testing.assert_allclose(b.matrix[:, cols].T @ sol.dual_vector, g[cols], rtol=0, atol=1e-9)
+        assert np.count_nonzero(coeff_vector(sol.estimate)) > b.out_dim
+        assert_support_dual(b, sol)
         monkeypatch.setattr(solver, "_support_kkt", lambda *args: None)
         gap_exit = solve_equality(b, y)
         assert gap_exit.status == "converged"
@@ -246,30 +268,6 @@ class TestSolveEquality:
         sol = solve_equality(b, y)
         assert sol.status == "stalled"
         assert sol.iterations == 1 < solver.MAX_ITERS
-
-    def test_repeated_support_reuses_fit_exactly(self, monkeypatch):
-        # a support detected again at the next step keeps its least-squares
-        # fit; refitting it every step (the support comparison patched to
-        # fail) must give the same bits and steps with more lstsq calls
-        instances = [planted_instance(random_collection(4, 2, 8, seed=seed), s, m, seed=seed)
-                     for seed in range(6) for s in (1, 2) for m in (2, 3)]
-        real_lstsq = np.linalg.lstsq
-        calls = []
-
-        def counting_lstsq(*args, **kwargs):
-            calls.append(None)
-            return real_lstsq(*args, **kwargs)
-
-        monkeypatch.setattr("fusioncs.solver.np.linalg.lstsq", counting_lstsq)
-        cached = [solve_equality(b, y) for b, _, y in instances]
-        cached_calls = len(calls)
-        monkeypatch.setattr("fusioncs.solver.np.array_equal", lambda u, v: False)
-        refit = [solve_equality(b, y) for b, _, y in instances]
-        assert cached_calls < len(calls) - cached_calls
-        for one, other in zip(cached, refit):
-            assert (one.status, one.iterations) == (other.status, other.iterations)
-            assert coeff_vector(one.estimate).tobytes() == coeff_vector(other.estimate).tobytes()
-            assert one.dual_vector.tobytes() == other.dual_vector.tobytes()
 
     def test_infeasible_detected(self):
         coll = random_collection(4, 2, 2, seed=8)  # 4 coefficients
@@ -303,9 +301,25 @@ class TestSolveEquality:
         bad = y.copy()
         bad[4] = entry
         for call in (lambda: solve_equality(b, bad), lambda: solve_noisy(b, bad, 1e-3),
-                     lambda: solve_noisy(b, y, abs(entry)), lambda: oracle_recover_exhaustive(b, bad, 2)):
+                     lambda: solve_noisy(b, y, abs(entry)), lambda: oracle_recover_exhaustive(b, bad, 2),
+                     lambda: certify(solve_equality(b, y), b, bad)):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (8, 1)])
+    @pytest.mark.parametrize("entry", ["equality", "noisy", "oracle", "certify"])
+    def test_y_of_wrong_shape_rejected(self, entry, shape):
+        b, _, y = planted_instance(random_collection(4, 2, 5, seed=1), 2, 2, seed=2)
+        assert b.out_dim == 8
+        bad = np.ones(shape)
+        call = {
+            "equality": lambda: solve_equality(b, bad),
+            "noisy": lambda: solve_noisy(b, bad, 1e-3),
+            "oracle": lambda: oracle_recover_exhaustive(b, bad, 2),
+            "certify": lambda: certify(solve_equality(b, y), b, bad),
+        }[entry]
+        with pytest.raises(ValueError, match=rf"expected y of length 8, got shape \({shape[0]},"):
+            call()
 
 
 def random_instance(seed, dims, d, rows, s, kind, scale):
