@@ -46,6 +46,7 @@ from .solver import (
     closed_form_orthogonal,
     oracle_recover_exhaustive,
     solve_equality,
+    solve_many,
     solve_noisy,
 )
 

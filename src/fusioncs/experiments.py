@@ -46,7 +46,7 @@ from .measurement import (
 )
 from .rip import enumerable, exact_frip, mc_frip
 from .signals import coeff_vector, random_sparse_signal
-from .solver import MAX_ITERS, solve_noisy
+from .solver import MAX_ITERS, solve_many
 
 EXPERIMENTS = ("phase_transition", "noise_robustness", "frip_sweep", "bound_table")
 # family name -> collection builder (d, k, N, theta, seed). A family's position
@@ -207,8 +207,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("measurement grid entries must be positive")
     if cfg.trials_per_cell < 1:
         raise ConfigError("trials_per_cell must be at least 1")
-    if cfg.success_tol <= 0:
-        raise ConfigError("success_tol must be positive")
+    # NaN fails every comparison: test for what must hold
+    if not (math.isfinite(cfg.success_tol) and cfg.success_tol > 0):
+        raise ConfigError("success_tol must be positive and finite")
     if cfg.max_iters < 1:
         raise ConfigError("max_iters must be positive")
     if not 0.0 < cfg.epsilon < 1.0:
@@ -225,8 +226,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "noise_robustness":
         if not cfg.eta_grid:
             raise ConfigError("noise_robustness needs a nonempty eta_grid")
-        if any(e < 0 for e in cfg.eta_grid):
-            raise ConfigError("eta grid entries must be nonnegative")
+        if not all(math.isfinite(e) and e >= 0 for e in cfg.eta_grid):
+            raise ConfigError("eta_grid entries must be nonnegative and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +409,20 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
 
     Every trial measures with ``scale * (A (x) I)``, perturbs by norm eta
     and solves the ball program at radius eta; at eta = 0 the noise is a
-    copy without a draw and the ball program is the equality program.
+    copy without a draw and the ball program is the equality program. The
+    eta rows of a trial share its B, signal and noise direction, and every
+    (eta, trial) instance of a cell goes to one :func:`solve_many` call.
     """
+    def score(sol, truth):
+        rel = float(np.linalg.norm(coeff_vector(sol.estimate) - truth) / np.linalg.norm(truth))
+        converged = sol.status == "converged"
+        return converged and rel <= config.success_tol, rel, sol.iterations, not converged
+
+    trials = range(config.trials_per_cell)
     results = []
     for key, fixed_coll, cell in _cells(config, grid):
-
-        def trial(t: int, eta: float | None):
+        ops, truths = [], []
+        for t in trials:
             coll = fixed_coll
             if config.resample_collection:
                 coll = _collection_for(config, cell.theta, key, t)
@@ -421,23 +430,16 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
                 coll, cell.s, derive_seed(config.base_seed, key, t, STREAM_SIGNAL)
             )
             a = _ensemble(config, key, t, cell.m, coll.size)
-            b = compose_with_bases(vector_operator(a, coll.ambient_dim, scale=scale), coll)
-            truth = coeff_vector(x)
-            y = add_noise(
-                b.matvec(truth), eta or 0.0,
-                derive_seed(config.base_seed, key, t, STREAM_NOISE),
-            )
-            sol = solve_noisy(b, y, eta or 0.0, max_iters=config.max_iters)
-            rel = float(
-                np.linalg.norm(coeff_vector(sol.estimate) - truth) / np.linalg.norm(truth)
-            )
-            converged = sol.status == "converged"
-            return converged and rel <= config.success_tol, rel, sol.iterations, not converged
-
+            ops.append(compose_with_bases(vector_operator(a, coll.ambient_dim, scale=scale), coll))
+            truths.append(coeff_vector(x))
+        ys = [
+            add_noise(b.matvec(truth), eta or 0.0, derive_seed(config.base_seed, key, t, STREAM_NOISE))
+            for eta in etas for t, b, truth in zip(trials, ops, truths)
+        ]
+        sols = iter(solve_many(ops * len(etas), ys, [eta or 0.0 for eta in etas for _ in trials],
+                               max_iters=config.max_iters))
         for eta in etas:
-            ok, rels, iterations, failed = zip(
-                *(trial(t, eta) for t in range(config.trials_per_cell))
-            )
+            ok, rels, iterations, failed = zip(*(score(next(sols), truth) for truth in truths))
             results.append(CellResult(
                 **vars(cell),
                 eta=eta,

@@ -38,6 +38,18 @@ candidate, never a wrong answer. A solve whose Newton steps rounding stops
 early (a singular Newton matrix, or an iterate off the cone interior) ends
 as "stalled".
 
+Solves run in stacks. :func:`solve_many` takes many (B, y, eta) triples,
+lets the probe settle each one it can, and steps the remaining programs of
+one shape (program, cone dims and null-space width) through one
+interior-point loop, each numpy call of which covers the whole stack; a
+program leaves the stack at the step that ends it. Every operation of the
+loop acts slice by slice on C-contiguous stacks (elementwise arithmetic,
+``reduceat``, stacked ``matmul`` and ``solve``), and the 1-D dots and norms,
+whose stacked forms round differently, stay per program, as do the support
+refinement and the stop tests. Each solution therefore equals the solve of
+its triple alone bit for bit, whatever else the stack holds;
+:func:`solve_equality` and :func:`solve_noisy` are stacks of one.
+
 The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens its
 supports S by one stacked QR of [B_S | y] per batch, whose residual never
 exceeds the least-squares residual on S but for rounding, and decides each
@@ -137,14 +149,16 @@ def _residuals(op: CoefficientOperator, y, eta, vec, nu) -> tuple[float, float, 
 # ---------------------------------------------------------------------------
 
 class _Cones:
-    """Product of second-order cones {(u0, u1) : ||u1|| <= u0} on one stacked vector.
+    """Product of second-order cones {(u0, u1) : ||u1|| <= u0}, acting on a
+    stack of vectors of the product, one per row (axis 1 runs along the
+    product).
 
     Each cone occupies a contiguous segment whose first entry is u0.
     """
 
     def __init__(self, dims):
+        self.dims = np.asarray(dims, dtype=int)
         self.heads = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
-        self.owner = np.repeat(np.arange(len(dims)), dims)
         self.e = np.zeros(int(np.sum(dims)))  # identity element
         self.e[self.heads] = 1.0
         self.j = 2.0 * self.e - 1.0  # diagonal of the reflection J = diag(1, -I)
@@ -152,27 +166,36 @@ class _Cones:
         self.heads2 = np.concatenate([self.heads, self.heads + len(self.e)])
         self.j2 = np.tile(self.j, 2)
 
+    def spread(self, a):
+        """Each cone's column of a repeated over the cone's entries.
+
+        The result is C-contiguous whatever the stack's size, as every
+        array that reaches BLAS must be: a slice's bits there can depend on
+        its strides.
+        """
+        return np.repeat(a, self.dims, axis=1)
+
     def dot(self, u, v):
-        return np.add.reduceat(u * v, self.heads, axis=0)
+        return np.add.reduceat(u * v, self.heads, axis=1)
 
     def jdot(self, u, v):
         return self.dot(self.j * u, v)
 
     def jdot2(self, u, v):
         """jdot per cone of u and v, each two vectors of the product end to end."""
-        return np.add.reduceat(self.j2 * u * v, self.heads2)
+        return np.add.reduceat(self.j2 * u * v, self.heads2, axis=1)
 
     def prod(self, u, v):
         """Jordan product (u^T v, u0 v1 + v0 u1) per cone."""
-        out = u[self.heads][self.owner] * v + v[self.heads][self.owner] * u
-        out[self.heads] = self.dot(u, v)
+        out = self.spread(u[:, self.heads]) * v + self.spread(v[:, self.heads]) * u
+        out[:, self.heads] = self.dot(u, v)
         return out
 
     def div(self, lam, lam_sq, r):
         """The x with lam o x = r, for lam in the interior and lam_sq = jdot(lam, lam)."""
         x0 = self.jdot(lam, r) / lam_sq
-        out = (r - x0[self.owner] * lam) / lam[self.heads][self.owner]
-        out[self.heads] = x0
+        out = (r - self.spread(x0) * lam) / self.spread(lam[:, self.heads])
+        out[:, self.heads] = x0
         return out
 
     def scaling(self, s, z, sz_sq):
@@ -180,22 +203,26 @@ class _Cones:
 
         sz_sq is jdot2 of s and z stacked.
         """
-        sn, zn = np.sqrt(sz_sq).reshape(2, -1)
-        sb, zb = s / sn[self.owner], z / zn[self.owner]
+        sn, zn = np.split(np.sqrt(sz_sq), 2, axis=1)
+        sb, zb = s / self.spread(sn), z / self.spread(zn)
         gamma = np.sqrt(0.5 * (1.0 + self.dot(sb, zb)))
-        wb = (zb + self.j * sb) / (2.0 * gamma[self.owner]) + self.e
-        return wb / np.sqrt(2.0 * wb[self.heads])[self.owner], np.sqrt(zn / sn)
+        wb = (zb + self.j * sb) / (2.0 * self.spread(gamma)) + self.e
+        return wb / self.spread(np.sqrt(2.0 * wb[:, self.heads])), np.sqrt(zn / sn)
 
     def scale(self, nt, v):
-        """W v for a vector, or W applied to each column of a matrix."""
+        """W v for a stack of vectors, or W applied to each column of a stack of matrices."""
         w, beta = nt
-        v2 = v.reshape(len(v), -1)
-        wv = self.dot(w[:, None], v2)[self.owner]
-        out = beta[self.owner, None] * (2.0 * w[:, None] * wv - self.j[:, None] * v2)
+        v3 = v.reshape(*v.shape[:2], -1)
+        # beta (2 w (w^T v) - J v), in place: products commute bit for bit
+        out = self.spread(self.dot(w[:, :, None], v3))
+        out *= 2.0 * w[:, :, None]
+        out -= self.j[:, None] * v3
+        out *= self.spread(beta)[:, :, None]
         return out.reshape(v.shape)
 
     def max_step(self, uu, u, d):
-        """Largest a with u_i + a d_i in the cone product for both stacked pairs.
+        """Per row, the largest a with u_i + a d_i in the cone product for both
+        stacked pairs.
 
         u and d each stack two vectors of the product (u in the interior),
         and uu is jdot2(u, u).
@@ -206,8 +233,11 @@ class _Cones:
         # or 0 when there is none; both branches avoid cancellation, and the
         # guarded denominator is positive wherever its branch is taken
         up = b > 0.0
-        inv = np.where(b * b < a, 0.0, np.where(up, -a / np.where(up, root + b, 1.0), root - b)).max()
-        return 1.0 / inv if inv > 0.0 else math.inf
+        inv = np.where(b * b < a, 0.0, np.where(up, -a / np.where(up, root + b, 1.0), root - b)).max(axis=1)
+        step = np.full(len(inv), math.inf)
+        bounded = inv > 0.0
+        step[bounded] = 1.0 / inv[bounded]
+        return step
 
 
 def _check_y(op: CoefficientOperator, y, eta=0.0) -> np.ndarray:
@@ -260,113 +290,194 @@ def _support_kkt(b_s, y, lengths, c_s):
     return c_s
 
 
-def _interior_point(G, h, cost, x, cones):
-    """Newton steps of a primal-dual method for min cost^T x s.t. G x + s = h, s in cones.
+def _mv(a, v):
+    """a_i v_i for a stack of matrices and a stack of vectors."""
+    return (a @ v[:, :, None])[:, :, 0]
 
-    x must be strictly feasible; every step keeps G x + s = h. Yields
-    (x, z) after each step and returns when rounding stops progress: a
-    singular Newton matrix or an iterate off the cone interior.
+
+def _newton_solve(hessian, rhs, ok):
+    """The solutions of a stack of Newton systems. One singular system makes
+    the stacked solve raise; the stack is then solved slice by slice, and a
+    singular slice clears its entry of ``ok`` and gets a zero direction."""
+    try:
+        return np.linalg.solve(hessian, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    for i, (a, b) in enumerate(zip(hessian, rhs)):
+        try:
+            out[i] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return out
+
+
+def _interior_point(G, h, cost, x, cones):
+    """Newton steps of a primal-dual method for min cost^T x s.t. G x + s = h,
+    s in cones, on a stack of programs of one shape (the leading axis of G, h
+    and x).
+
+    Each x must be strictly feasible; every step keeps G x + s = h. After
+    each step yields (x, z, ok), ok marking the programs whose step rounding
+    did not stop (a singular Newton matrix, or an iterate off the cone
+    interior), and takes back by ``send`` the mask of the yielded programs
+    that step on.
     """
-    s = h - G @ x
-    z = cones.e.copy()
-    sz = np.concatenate([s, z])
+    s = h - _mv(G, x)
+    z = np.tile(cones.e, (len(x), 1))
+    sz = np.concatenate([s, z], axis=1)
     sz_sq = cones.jdot2(sz, sz)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
     while True:
         nt = cones.scaling(s, z, sz_sq)
         lam = cones.scale(nt, s)
         wg = cones.scale(nt, G)
-        rd = G.T @ z + cost
-        mu = float(s @ z) / degree
-        hessian = wg.T @ wg
+        wgt = np.swapaxes(wg, 1, 2)
+        rd = _mv(np.swapaxes(G, 1, 2), z) + cost
+        hessian = wgt @ wg
+        ok = np.ones(len(x), dtype=bool)
 
         def direction(q):
             # Newton system G^T W^2 G dx = -rd - (W G)^T q; steps scaled by W
-            dx = np.linalg.solve(hessian, -rd - wg.T @ q)
-            dz = wg @ dx + q
+            dx = _newton_solve(hessian, -rd - _mv(wgt, q), ok)
+            dz = _mv(wg, dx) + q
             return dx, q - dz, dz
 
         # ds and dz both step from lam: one stacked ratio test for the pair
-        lam2 = np.concatenate([lam, lam])
+        lam2 = np.concatenate([lam, lam], axis=1)
         lam2_sq = cones.jdot2(lam2, lam2)
-        try:
-            dx, ds, dz = direction(-lam)
-            alpha = min(1.0, cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz])))
-            # Mehrotra: second-order correction and centering at (1 - alpha)^3 mu
-            q = cones.div(lam, lam2_sq[:degree], (1.0 - alpha) ** 3 * mu * cones.e
-                          - cones.prod(lam, lam) - cones.prod(ds, dz))
-            dx, ds, dz = direction(q)
-        except np.linalg.LinAlgError:
-            return
+        dx, ds, dz = direction(-lam)
+        alpha = np.minimum(1.0, cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz], axis=1)))
+        # Mehrotra: second-order correction and centering at (1 - alpha)^3 mu;
+        # the 1-D dots and the powers run per program, as stacked forms of
+        # them may round differently
+        sigma_mu = [(1.0 - a) ** 3 * (float(si @ zi) / degree) for a, si, zi in zip(alpha.tolist(), s, z)]
+        q = cones.div(lam, lam2_sq[:, :degree], np.multiply.outer(sigma_mu, cones.e)
+                      - cones.prod(lam, lam) - cones.prod(ds, dz))
+        dx, ds, dz = direction(q)
         # stop 1 % short of the cone boundary
-        alpha = min(1.0, 0.99 * cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz])))
+        alpha = np.minimum(1.0, 0.99 * cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz], axis=1)))[:, None]
         x = x + alpha * dx
-        s = s - alpha * (G @ dx)
+        s = s - alpha * _mv(G, dx)
         z = z + alpha * cones.scale(nt, dz)
-        sz = np.concatenate([s, z])
+        sz = np.concatenate([s, z], axis=1)
         sz_sq = cones.jdot2(sz, sz)
-        if not (np.all(sz[cones.heads2] > 0.0) and np.all(sz_sq > 0.0)):
-            return  # rounding has carried an iterate to the boundary
-        yield x, z
+        # rounding may have carried an iterate to the boundary
+        ok &= np.all(sz[:, cones.heads2] > 0.0, axis=1) & np.all(sz_sq > 0.0, axis=1)
+        keep = yield x, z, ok
+        if not keep.all():
+            G, x, s, z, sz_sq = G[keep], x[keep], s[keep], z[keep], sz_sq[keep]
 
 
-def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, max_iters: int) -> RecoverySolution:
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
-    starts = op.block_starts
-    lengths = np.asarray(op.block_dims, dtype=int)
-    n, p, nb = op.in_dim, op.out_dim, len(lengths)
-    y = _check_y(op, y, eta)
-    ynorm = float(np.linalg.norm(y))
+class _Program:
+    """One solve: its data, the factor of B^T B, the least-squares probe and,
+    unless the probe settles the solve, its cone program (see :func:`_solve`).
+    """
 
-    def solution(vec, status, iters, nu):
-        violation, dual_norm, gap = _residuals(op, y, eta, vec, nu)
+    def __init__(self, op: CoefficientOperator, y, eta: float):
+        self.op, self.B, self.eta = op, op.matrix, eta
+        self.y = _check_y(op, y, eta)
+        self.ynorm = float(np.linalg.norm(self.y))
+        self.starts = op.block_starts
+        self.lengths = np.asarray(op.block_dims, dtype=int)
+
+    def solution(self, vec, status, iters, nu):
+        violation, dual_norm, gap = _residuals(self.op, self.y, self.eta, vec, nu)
         if status == "infeasible":
             dual_norm = gap = math.inf
         return RecoverySolution(
-            estimate=from_coeff_vector(op.collection, vec),
+            estimate=from_coeff_vector(self.op.collection, vec),
             status=status,
             iterations=iters,
-            primal_residual=violation / (1.0 + ynorm),
+            primal_residual=violation / (1.0 + self.ynorm),
             dual_residual=max(0.0, dual_norm - 1.0),
             duality_gap=gap,
-            objective=_norm21_flat(vec, starts),
+            objective=_norm21_flat(vec, self.starts),
             dual_vector=nu,
-            eta=eta,
+            eta=self.eta,
         )
 
-    def in_ball(nu):
+    def in_ball(self, nu):
         """nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
-        return nu / max(1.0, float(np.max(_block_norms_flat(B.T @ nu, starts))))
+        return nu / max(1.0, float(np.max(_block_norms_flat(self.B.T @ nu, self.starts))))
 
-    B = op.matrix
-    # zero is feasible and has minimal objective
-    if ynorm <= eta:
-        return solution(np.zeros(n), "converged", 0, np.zeros(p))
-
-    evals, evecs = np.linalg.eigh(B.T @ B)
-    keep = evals > n * np.finfo(float).eps * max(evals[-1], 0.0)
-    v_r, l_r = evecs[:, keep], evals[keep]
-
-    def gram_pinv(v):
-        return v_r @ ((v_r.T @ v) / l_r)
+    def gram_pinv(self, v):
+        return self.v_r @ ((self.v_r.T @ v) / self.l_r)
 
     # the minimum-norm least-squares solutions of B c = r and B^T nu = g, each
     # with one step of iterative refinement: the factor of B^T B alone loses
     # accuracy with the square of the condition number of B
-    def pinv(r):
-        c = gram_pinv(B.T @ r)
-        return c + gram_pinv(B.T @ (r - B @ c))
+    def pinv(self, r):
+        c = self.gram_pinv(self.B.T @ r)
+        return c + self.gram_pinv(self.B.T @ (r - self.B @ c))
 
-    def dual_ls(g):
-        nu = B @ gram_pinv(g)
-        return nu + B @ gram_pinv(g - B.T @ nu)
+    def dual_ls(self, g):
+        nu = self.B @ self.gram_pinv(g)
+        return nu + self.B @ self.gram_pinv(g - self.B.T @ nu)
 
-    def subgradient(vec):
-        norms = np.maximum(_block_norms_flat(vec, starts), np.finfo(float).tiny)
-        return vec / np.repeat(norms, lengths)
+    def subgradient(self, vec):
+        norms = np.maximum(_block_norms_flat(vec, self.starts), np.finfo(float).tiny)
+        return vec / np.repeat(norms, self.lengths)
 
-    def refine(c, t, z, nu):
+    def probe(self):
+        """The solution when the probe settles the solve (zero or the probe
+        point is optimal, or y is out of reach), or None after setting up the
+        cone program."""
+        B, y, eta, starts = self.B, self.y, self.eta, self.starts
+        n, p, nb = self.op.in_dim, self.op.out_dim, len(self.lengths)
+        # zero is feasible and has minimal objective
+        if self.ynorm <= eta:
+            return self.solution(np.zeros(n), "converged", 0, np.zeros(p))
+        evals, evecs = np.linalg.eigh(B.T @ B)
+        keep = evals > n * np.finfo(float).eps * max(evals[-1], 0.0)
+        self.v_r, self.l_r = evecs[:, keep], evals[keep]
+        # least-squares probe: feasibility check and starting point
+        c0 = self.pinv(y)
+        range_dist = float(np.linalg.norm(B @ c0 - y))
+        if range_dist > eta + 10 * TOL_PRIMAL * (1.0 + self.ynorm):
+            return self.solution(c0, "infeasible", 0, np.zeros(p))
+        if eta == 0.0:
+            basis = evecs[:, ~keep]
+            if basis.shape[1] == 0:
+                # injective B: the probe point is the only feasible point
+                return self.solution(c0, "converged", 0, self.in_ball(self.dual_ls(self.subgradient(c0))))
+        else:
+            basis = np.eye(n)
+        # the cone program is built for the whole stack (:func:`_newton`)
+        self.heads = starts + np.arange(nb)
+        self.tails = np.delete(np.arange(n + nb), self.heads)
+        # the probe must lie strictly inside the ball: a radius within the
+        # infeasibility tolerance of range_dist is widened to admit it
+        self.radius = max(eta, range_dist * (1.0 + 1e-12) + 1e-300)
+        norms = _block_norms_flat(c0, starts)
+        self.t0 = norms + max(float(norms.mean()), np.finfo(float).tiny)
+        self.c0, self.basis = c0, basis
+        self.last = (c0, np.zeros(p))  # (c, nu) of the last Newton step
+        return None
+
+    def step(self, c, t, z, it):
+        """The solution when Newton step ``it`` (estimate c, cone heads t, dual
+        cone vector z) passes the certificate, or None."""
+        y, eta = self.y, self.eta
+        # the ball cone (eta, y - B c) comes last: its multiplier is -nu
+        nu = self.in_ball(-z[-len(y):] if eta > 0.0 else self.dual_ls(-z[self.tails]))
+        self.last = (c, nu)
+        if eta == 0.0:
+            refined = self.refine(c, t, z, nu)
+            if refined is not None:
+                return self.solution(refined[0], "converged", it, refined[1])
+        if _dual_gap(c, nu, y, eta, self.starts) <= TOL_GAP:
+            if eta == 0.0:
+                c = c - self.pinv(self.B @ c - y)
+            return self.solution(c, "converged", it, nu)
+        return None
+
+    def stop(self, status, it):
+        """The last Newton step's solution, with the status it stopped at."""
+        c, nu = self.last
+        return self.solution(c, status, it, nu)
+
+    def refine(self, c, t, z, nu):
         """The optimum on the support that complementarity identifies, if it
         passes the certificate.
 
@@ -381,83 +492,110 @@ def _solve(op: CoefficientOperator, y: np.ndarray, eta: float, max_iters: int) -
         subgradient of the candidate, by one least-squares solve, then
         scaled into the dual ball.
         """
-        support = t > z[heads] - _block_norms_flat(z[tails], starts)
+        B, y, starts, lengths = self.B, self.y, self.starts, self.lengths
+        support = t > z[self.heads] - _block_norms_flat(z[self.tails], starts)
         cols = np.repeat(support, lengths)
         b_s = B[:, cols]
-        if np.count_nonzero(cols) > p:
+        if np.count_nonzero(cols) > len(y):
             c_s = _support_kkt(b_s, y, lengths[support], c[cols])
         else:
             c_s = np.linalg.lstsq(b_s, y, rcond=None)[0]
         if c_s is None:
             return None
-        out = np.zeros(n)
+        out = np.zeros(len(c))
         out[cols] = c_s
-        if np.linalg.norm(B @ out - y) > TOL_PRIMAL * (1.0 + ynorm):
+        if np.linalg.norm(B @ out - y) > TOL_PRIMAL * (1.0 + self.ynorm):
             return None
-        g = subgradient(out)[cols]
-        cand = in_ball(nu + np.linalg.lstsq(b_s.T, g - b_s.T @ nu, rcond=None)[0])
-        return (out, cand) if _dual_gap(out, cand, y, eta, starts) <= TOL_GAP else None
+        g = self.subgradient(out)[cols]
+        cand = self.in_ball(nu + np.linalg.lstsq(b_s.T, g - b_s.T @ nu, rcond=None)[0])
+        return (out, cand) if _dual_gap(out, cand, y, self.eta, starts) <= TOL_GAP else None
 
-    # least-squares probe: feasibility check and starting point
-    c0 = pinv(y)
-    range_dist = float(np.linalg.norm(B @ c0 - y))
-    if range_dist > eta + 10 * TOL_PRIMAL * (1.0 + ynorm):
-        return solution(c0, "infeasible", 0, np.zeros(p))
-    if eta == 0.0:
-        basis = evecs[:, ~keep]
-        if basis.shape[1] == 0:
-            # injective B: the probe point is the only feasible point
-            return solution(c0, "converged", 0, in_ball(dual_ls(subgradient(c0))))
-    else:
-        basis = np.eye(n)
 
-    # cone rows: (t_j, c0_j + Z_j w) per block, then (eta, y - B c) for the ball
-    r = basis.shape[1]
-    heads = starts + np.arange(nb)
-    tails = np.delete(np.arange(n + nb), heads)
-    dims = list(lengths + 1)
-    G = np.zeros((n + nb, r + nb))
-    G[heads, r + np.arange(nb)] = -1.0
-    G[tails, :r] = -basis
-    h = np.zeros(n + nb)
-    h[tails] = c0
-    if eta > 0.0:
-        G = np.vstack([G, np.zeros((1, r + nb)), np.hstack([B @ basis, np.zeros((p, nb))])])
-        # the probe must lie strictly inside the ball: a radius within the
-        # infeasibility tolerance of range_dist is widened to admit it
-        h = np.concatenate([h, [max(eta, range_dist * (1.0 + 1e-12) + 1e-300)], y - B @ c0])
-        dims.append(p + 1)
-    norms = _block_norms_flat(c0, starts)
-    x = np.concatenate([np.zeros(r), norms + max(float(norms.mean()), np.finfo(float).tiny)])
+def _newton(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
+    """Solve a stack of programs of one shape by one interior-point loop.
+
+    The cone program of each is min sum_j t_j over x = (w, t), with rows
+    (t_j, c0_j + Z_j w) per block, then (eta, y - B c) for the ball. A
+    program leaves the stack at the step that certifies it, the step
+    rounding stops (status "stalled", with the previous step's iterate) or
+    step ``max_iters``.
+    """
+    first = progs[0]
+    n, nb, r = len(first.c0), len(first.lengths), first.basis.shape[1]
+    ball = first.eta > 0.0
+    dims = list(first.lengths + 1) + ([len(first.y) + 1] if ball else [])
+    live = np.arange(len(progs))
+    c0 = np.stack([p.c0 for p in progs])
+    basis = np.stack([p.basis for p in progs])
+    G = np.zeros((len(progs), sum(dims), r + nb))
+    h = np.zeros(G.shape[:2])
+    G[:, first.heads, r + np.arange(nb)] = -1.0
+    G[:, first.tails, :r] = -basis
+    h[:, first.tails] = c0
+    if ball:
+        B = np.stack([p.B for p in progs])
+        G[:, n + nb + 1:, :r] = B @ basis
+        h[:, n + nb] = [p.radius for p in progs]
+        h[:, n + nb + 1:] = np.stack([p.y for p in progs]) - _mv(B, c0)
+    x = np.concatenate([np.zeros((len(progs), r)), np.stack([p.t0 for p in progs])], axis=1)
     cost = np.concatenate([np.zeros(r), np.ones(nb)])
-
-    it, c, nu = 0, c0, np.zeros(p)
     steps = _interior_point(G, h, cost, x, _Cones(dims))
-    for it, (x, z) in zip(range(1, max_iters + 1), steps):
-        c = c0 + basis @ x[:r]
-        nu = in_ball(-z[n + nb + 1:] if eta > 0.0 else dual_ls(-z[tails]))
-        if eta == 0.0:
-            refined = refine(c, x[r:], z, nu)
-            if refined is not None:
-                return solution(refined[0], "converged", it, refined[1])
-        if _dual_gap(c, nu, y, eta, starts) <= TOL_GAP:
-            if eta == 0.0:
-                c = c - pinv(B @ c - y)
-            return solution(c, "converged", it, nu)
-    # the steps end before max_iters only when rounding stops progress
-    return solution(c, "max_iters" if it == max_iters else "stalled", it, nu)
+    out = [None] * len(progs)
+    keep = None
+    for it in range(1, max_iters + 1):
+        x, z, ok = steps.send(keep)
+        c = c0 + _mv(basis, x[:, :r])
+        for row, i in enumerate(live):
+            out[i] = progs[i].step(c[row], x[row, r:], z[row], it) if ok[row] else progs[i].stop("stalled", it - 1)
+        keep = np.array([out[i] is None for i in live])
+        live, c0, basis = live[keep], c0[keep], basis[keep]
+        if not len(live):
+            break
+    return [sol or prog.stop("max_iters", max_iters) for sol, prog in zip(out, progs)]
+
+
+def _solve(ops, ys, etas, max_iters: int) -> list[RecoverySolution]:
+    """Solve each (B, y, eta): the equality program at eta = 0, else the ball program.
+
+    Programs the probe does not settle are stacked by shape (program, cone
+    dims and null-space width), and each stack goes through one
+    interior-point loop (:func:`_newton`).
+    """
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
+    if not len(ops) == len(ys) == len(etas):
+        raise ValueError("expected as many operators, y and eta")
+    progs = [_Program(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
+    out = [prog.probe() for prog in progs]
+    stacks = {}
+    for i, (prog, sol) in enumerate(zip(progs, out)):
+        if sol is None:
+            key = (prog.eta > 0.0, tuple(prog.lengths), len(prog.y), prog.basis.shape[1])
+            stacks.setdefault(key, []).append(i)
+    for rows in stacks.values():
+        for i, sol in zip(rows, _newton([progs[i] for i in rows], max_iters)):
+            out[i] = sol
+    return out
+
+
+def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySolution]:
+    """Solve the equality program (eta = 0) or the ball program of each
+    (B, y, eta) triple: one :class:`RecoverySolution` per input, each equal bit
+    for bit to the solution of its triple alone."""
+    etas = [float(eta) for eta in etas]
+    if any(eta < 0 for eta in etas):
+        raise ValueError("eta must be nonnegative")
+    return _solve(ops, ys, etas, max_iters)
 
 
 def solve_equality(B: CoefficientOperator, y: np.ndarray, *, max_iters: int = MAX_ITERS) -> RecoverySolution:
     """Minimize the block norm sum subject to B c = y."""
-    return _solve(B, y, 0.0, max_iters)
+    return _solve([B], [y], [0.0], max_iters)[0]
 
 
 def solve_noisy(B: CoefficientOperator, y: np.ndarray, eta: float, *, max_iters: int = MAX_ITERS) -> RecoverySolution:
     """Minimize the block norm sum subject to ||B c - y||_2 <= eta."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return _solve(B, y, float(eta), max_iters)
+    return solve_many([B], [y], [eta], max_iters=max_iters)[0]
 
 
 def closed_form_orthogonal(y: np.ndarray, a: np.ndarray, collection: SubspaceCollection) -> BlockSignal:

@@ -319,6 +319,21 @@ class TestExperimentCommand:
         cfg = self.make_config(tmp_path)
         assert run("experiment", "noise", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("phase", "success_tol", float("nan")),
+        ("noise", "eta_grid", [float("nan")]),
+        ("noise", "eta_grid", [float("inf")]),
+    ])
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, kind, field, value):
+        # JSON's NaN and Infinity are rejected before any trial runs, with
+        # the field named
+        noise = dict(experiment="noise_robustness", eta_grid=[1e-3], measurement_grid=[3])
+        cfg = self.make_config(tmp_path, **{**(noise if kind == "noise" else {}), field: value})
+        assert run("experiment", kind, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ")
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_missing_config_io_error(self, tmp_path):
         assert run("experiment", "phase", "--config", tmp_path / "none.json") == 3
 

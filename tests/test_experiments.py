@@ -26,6 +26,7 @@ from fusioncs.experiments import (
     write_results,
 )
 from fusioncs.frames import coherence
+from fusioncs.signals import coeff_vector
 
 
 REQUIRED_CONFIG_FIELDS = ("experiment", "family", "d", "k", "N", "sparsity_grid", "measurement_grid")
@@ -155,6 +156,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(phase_config(experiment="noise_robustness"))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_success_tol_must_be_positive_and_finite(self, value):
+        doc = json.loads(json.dumps(config_to_dict(phase_config(success_tol=value))))
+        with pytest.raises(ConfigError, match="success_tol"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+    def test_eta_grid_must_be_nonnegative_and_finite(self, value):
+        cfg = phase_config(experiment="noise_robustness", eta_grid=(0.0, value))
+        with pytest.raises(ConfigError, match="eta_grid"):
+            validate_config(cfg)
+
 
 class TestPhaseTransition:
     def test_orthogonal_single_measurement_always_succeeds(self):
@@ -238,6 +251,71 @@ class TestNoiseRobustness:
         by_eta = {r.eta: r for r in full}
         assert sub == [by_eta[1e-1], by_eta[1e-3]]
         assert by_eta[1e-1] != by_eta[1e-3]
+
+
+def bits(sol):
+    """Everything a trial's score and certificate read, bit for bit."""
+    return (coeff_vector(sol.estimate).tobytes(), sol.dual_vector.tobytes(), sol.status, sol.iterations)
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """The (B, y, eta, solution) of every trial, one list per solve_many call."""
+    calls = []
+
+    def record(ops, ys, etas, **kwargs):
+        sols = solver.solve_many(ops, ys, etas, **kwargs)
+        calls.append(list(zip(ops, ys, etas, sols)))
+        return sols
+
+    monkeypatch.setattr(experiments, "solve_many", record)
+    return calls
+
+
+STACKED_CONFIGS = {
+    # random d=4, k=2, N=8 at m = 2, 3: every trial takes Newton steps
+    "phase": dict(experiment="phase_transition", family="random", d=4, k=2, N=8,
+                  sparsity_grid=(1, 2), measurement_grid=(2, 3), base_seed=2024),
+    "noise": dict(experiment="noise_robustness", family="orthogonal", d=8, k=2, N=4,
+                  sparsity_grid=(1,), measurement_grid=(3,), eta_grid=(0.0, 1e-3, 1e-2),
+                  base_seed=8),
+}
+
+
+class TestStackedTrials:
+    @pytest.mark.parametrize("kind", sorted(STACKED_CONFIGS))
+    def test_trials_independent_of_their_stack(self, kind, recorded_solves):
+        # each cell is one solve_many call; every trial in it equals its own
+        # solve_noisy call bit for bit
+        cfg = ExperimentConfig(**STACKED_CONFIGS[kind], trials_per_cell=6)
+        runner = run_phase_transition if kind == "phase" else run_noise_robustness
+        runner(cfg)
+        assert len(recorded_solves) == (4 if kind == "phase" else 1)
+        for call in recorded_solves:
+            assert len(call) == 6 * (1 if kind == "phase" else 3)
+            assert any(sol.iterations > 0 for *_, sol in call)
+            for b, y, eta, sol in call:
+                assert bits(sol) == bits(solver.solve_noisy(b, y, eta, max_iters=cfg.max_iters))
+
+    @pytest.mark.parametrize("kind", sorted(STACKED_CONFIGS))
+    def test_trials_independent_of_trials_per_cell(self, kind, recorded_solves):
+        runner = run_phase_transition if kind == "phase" else run_noise_robustness
+        for trials in (3, 10):
+            runner(ExperimentConfig(**STACKED_CONFIGS[kind], trials_per_cell=trials))
+        short, long = recorded_solves[: len(recorded_solves) // 2], recorded_solves[len(recorded_solves) // 2:]
+        for few, many in zip(short, long):
+            # both lists run eta by eta, trial by trial within each eta
+            many = [row for i, row in enumerate(many) if i % 10 < 3]
+            assert [bits(row[3]) for row in few] == [bits(row[3]) for row in many]
+
+    @pytest.mark.parametrize("kind", sorted(STACKED_CONFIGS))
+    def test_converged_trials_certify(self, kind, recorded_solves):
+        runner = run_phase_transition if kind == "phase" else run_noise_robustness
+        runner(ExperimentConfig(**STACKED_CONFIGS[kind], trials_per_cell=10))
+        converged = [row for call in recorded_solves for row in call if row[3].status == "converged"]
+        assert len(converged) >= 30
+        for b, y, _, sol in converged:
+            assert solver.certify(sol, b, y).ok
 
 
 class TestFripSweep:

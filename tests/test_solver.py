@@ -434,6 +434,107 @@ class TestSolveNoisy:
         assert sol.status == "converged"
 
 
+def bits(sol):
+    return (coeff_vector(sol.estimate).tobytes(), sol.dual_vector.tobytes(), sol.status, sol.iterations)
+
+
+def repeated_blocks_instance(seed, repeats):
+    """B with 16 rows over 16 coefficients (d=4, k=2, N=8, m=4) whose odd
+    blocks 1, 3, ... up to ``repeats`` of them repeat the block before, so
+    B's null space has width 2 * repeats, and a y in its range."""
+    rng = np.random.default_rng(seed)
+    bases = [_orthonormalize(rng.standard_normal((4, 2))) for _ in range(8)]
+    a = rng.standard_normal((4, 8))
+    for j in range(repeats):
+        bases[2 * j + 1], a[:, 2 * j + 1] = bases[2 * j], a[:, 2 * j]
+    b = compose_with_bases(vector_operator(a, 4), SubspaceCollection(tuple(bases)))
+    truth = np.concatenate([np.zeros(10), rng.standard_normal(2), np.zeros(2), rng.standard_normal(2)])
+    return b, b.matvec(truth)
+
+
+def ball_instances(count):
+    """Criterion 9's shape (B 48 x 12) with noise of norm eta: every solve
+    takes several Newton steps."""
+    coll = orthogonal_collection(12, 2, 6)
+    out = []
+    for i in range(count):
+        b, _, clean = planted_instance(coll, 2, 4, seed=40 + i, scale=0.5)
+        eta = (1e-3, 1e-2, 1e-1)[i % 3]
+        out.append((b, add_noise(clean, eta, seed=60 + i), eta))
+    return out
+
+
+class TestSolveMany:
+    def test_stack_mixing_null_space_widths_independent(self):
+        # injective (probe exit) and null widths 2 and 4, equality and ball
+        # programs, interleaved in one call: each equals its own solve
+        cases = []
+        for seed in range(3):
+            for repeats in (0, 1, 2):
+                b, y = repeated_blocks_instance(seed, repeats)
+                assert b.in_dim - np.linalg.matrix_rank(b.matrix) == 2 * repeats
+                cases += [(b, y, 0.0), (b, y, 1e-3 * float(np.linalg.norm(y)))]
+        sols = solver.solve_many(*zip(*cases))
+        assert len(sols) == len(cases)
+        assert {sol.iterations > 0 for sol in sols} == {True, False}
+        for (b, y, eta), sol in zip(cases, sols):
+            assert bits(sol) == bits(solve_noisy(b, y, eta))
+            assert sol.status == "converged" and certify(sol, b, y).ok
+
+    def test_singular_trial_stalls_alone_independent(self, monkeypatch):
+        # the second step's predictor (the third stacked Newton solve) is
+        # singular for one trial: the stack is solved again slice by slice,
+        # that trial alone ends stalled after one step, with the bits of
+        # the same failure in a solve of its own, and the others keep theirs
+        cases = ball_instances(3)
+        clean = [solve_noisy(*case) for case in cases]
+        real_solve = np.linalg.solve
+        stacked, singular = [], []
+
+        def patch(target):
+            stacked.clear()
+            singular.clear()
+
+            def solve(a, rhs):
+                if a.ndim == 3:
+                    stacked.append(None)
+                    if len(stacked) == 3:
+                        singular.append(a[target].copy())
+                        raise np.linalg.LinAlgError("singular matrix")
+                elif singular and np.array_equal(a, singular[0]):
+                    raise np.linalg.LinAlgError("singular matrix")
+                return real_solve(a, rhs)
+
+            monkeypatch.setattr("fusioncs.solver.np.linalg.solve", solve)
+
+        patch(1)
+        sols = solver.solve_many(*zip(*cases))
+        assert [sol.status for sol in sols] == ["converged", "stalled", "converged"]
+        assert sols[1].iterations == 1 < min(sol.iterations for sol in clean)
+        assert bits(sols[0]) == bits(clean[0]) and bits(sols[2]) == bits(clean[2])
+        patch(0)
+        assert bits(solve_noisy(*cases[1])) == bits(sols[1])
+
+    def test_matches_single_solves_in_any_order_independent(self):
+        cases = ball_instances(6) + [(b, y, 0.0) for b, y in
+                                     (repeated_blocks_instance(seed, 1) for seed in range(4))]
+        single = [bits(solve_noisy(*case)) for case in cases]
+        order = np.random.default_rng(0).permutation(len(cases))
+        sols = solver.solve_many(*zip(*(cases[i] for i in order)))
+        assert [bits(sol) for sol in sols] == [single[i] for i in order]
+
+    def test_inputs_checked(self):
+        b, y = repeated_blocks_instance(0, 1)
+        assert solver.solve_many([], [], []) == []
+        for ops, ys, etas in (([b], [y, y], [0.0]), ([b, b], [y, y], [0.0])):
+            with pytest.raises(ValueError, match="as many"):
+                solver.solve_many(ops, ys, etas)
+        with pytest.raises(ValueError, match="nonnegative"):
+            solver.solve_many([b, b], [y, y], [0.0, -1e-3])
+        with pytest.raises(ValueError, match="max_iters"):
+            solver.solve_many([b], [y], [0.0], max_iters=0)
+
+
 class TestScalarKind:
     """The paper's second measurement model: one dense map of the stacked signal."""
 
