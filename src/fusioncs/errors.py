@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the schema checks of a
-JSON document's root and of its lists of numbers."""
+"""Exception types shared across the package, the one reader of JSON
+documents, and the schema checks of a document's root and of its lists of
+numbers."""
+
+import json
 
 import numpy as np
 
@@ -102,6 +105,15 @@ class SchemaError(FusionCSError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def read_json(path):
+    """The JSON document in the file at path; SchemaError if it does not parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("<json>", f"line {exc.lineno}: {exc.msg}") from exc
 
 
 def require_fields(doc, names) -> None:

@@ -12,8 +12,7 @@ coordinates (family, theta, s, m, eta) rather than its position in the
 sweep. Any sub-grid of a configuration therefore reproduces the identical
 trials, and the order in which cells and trials run cannot affect results.
 One collection is fixed per cell; the measurement ensemble is resampled per
-trial, unless ``resample_collection`` asks for a fresh collection per trial
-as well.
+trial.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import ConfigError, SchemaError, require_fields
+from .errors import ConfigError, SchemaError, read_json, require_fields
 from .frames import (
     SubspaceCollection,
     angle_family,
@@ -127,7 +126,6 @@ class ExperimentConfig:
     theta_grid: tuple[float, ...] = ()
     base_seed: int = 0
     output_path: str = ""
-    resample_collection: bool = False
     max_iters: int = MAX_ITERS
     epsilon: float = 0.01
 
@@ -138,7 +136,7 @@ def _json_type(f):
         return (str, dict)  # a distribution name, or {"distribution": name}
     if f.type.startswith("tuple"):
         return list
-    return {"str": str, "int": int, "float": (int, float), "bool": bool}[f.type]
+    return {"str": str, "int": int, "float": (int, float)}[f.type]
 
 
 _CONFIG_FIELDS = {f.name: _json_type(f) for f in fields(ExperimentConfig)}
@@ -176,12 +174,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("<json>", f"line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -331,11 +324,6 @@ def fit_error_vs_eta(rows) -> tuple[float, float]:
 # Cells
 # ---------------------------------------------------------------------------
 
-def _collection_for(cfg: ExperimentConfig, theta: float | None, key: int, trial: int) -> SubspaceCollection:
-    seed = derive_seed(cfg.base_seed, key, trial, STREAM_COLLECTION)
-    return FAMILIES[cfg.family](cfg.d, cfg.k, cfg.N, theta, seed)
-
-
 def _measured_lambda(coll: SubspaceCollection) -> float:
     if coll.size < 2:
         return 0.0
@@ -354,7 +342,8 @@ def _cells(config: ExperimentConfig, grid):
     thetas = [float(t) for t in config.theta_grid] if config.family == "angle" else [None]
     for theta, (s, m) in product(thetas, grid):
         key = cell_key(config.family, theta, s, m, None)
-        coll = _collection_for(config, theta, key, 0)
+        seed = derive_seed(config.base_seed, key, 0, STREAM_COLLECTION)
+        coll = FAMILIES[config.family](config.d, config.k, config.N, theta, seed)
         yield key, coll, _Cell(
             config.experiment, config.family, theta, _measured_lambda(coll),
             coll.ambient_dim, coll.block_dim, coll.size, s, m,
@@ -420,12 +409,9 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
 
     trials = range(config.trials_per_cell)
     results = []
-    for key, fixed_coll, cell in _cells(config, grid):
+    for key, coll, cell in _cells(config, grid):
         ops, truths = [], []
         for t in trials:
-            coll = fixed_coll
-            if config.resample_collection:
-                coll = _collection_for(config, cell.theta, key, t)
             x = random_sparse_signal(
                 coll, cell.s, derive_seed(config.base_seed, key, t, STREAM_SIGNAL)
             )

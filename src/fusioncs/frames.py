@@ -28,6 +28,7 @@ from .errors import (
     SingleSubspaceError,
     TooManySubspacesError,
     float_list,
+    read_json,
     require_fields,
 )
 
@@ -79,7 +80,7 @@ class SubspaceCollection:
                 raise InvalidDimsError(f"basis {j} has {k_j} columns, ambient {d}")
             gram = u.T @ u
             err = np.max(np.abs(gram - np.eye(k_j)))
-            if err > ORTHONORMALITY_TOL:
+            if not err <= ORTHONORMALITY_TOL:  # NaN fails every comparison
                 raise OrthonormalityError(
                     f"basis {j} deviates from orthonormality by {err:.3e}"
                 )
@@ -380,5 +381,4 @@ def save_collection(collection: SubspaceCollection, path) -> None:
 
 
 def load_collection(path) -> SubspaceCollection:
-    with open(path, "r", encoding="utf-8") as fh:
-        return collection_from_dict(json.load(fh))
+    return collection_from_dict(read_json(path))

@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     ZeroColumnError,
     float_list,
+    read_json,
     require_fields,
 )
 from .frames import SubspaceCollection, coherence
@@ -198,7 +199,9 @@ class CoefficientOperator:
     for a scalar one, Phi_j being the d columns of Phi that act on block j.
     The Kronecker block is formed by broadcasting A[:, j] against U_j, one
     product per entry as in ``np.kron``, so both give the same bits; ragged
-    block dims take the same per-block path.
+    block dims take the same per-block path. A matrix with a non-finite
+    entry raises ValueError, so no solve, isometry constant or oracle ever
+    sees one.
     """
 
     def __init__(self, op: MeasurementOperator, collection: SubspaceCollection):
@@ -211,17 +214,22 @@ class CoefficientOperator:
                 )
             if op.block_dim != d:
                 raise DimMismatchError(f"operator block_dim {op.block_dim} != ambient {d}")
-            # block j is A[:, j] (x) U_j: row i*d + r holds A[i, j] * U_j[r]
-            blocks = [(op.matrix[:, j, None, None] * u).reshape(-1, u.shape[1])
-                      for j, u in enumerate(collection.bases)]
-        else:
-            if op.matrix.shape[1] != d * collection.size:
-                raise DimMismatchError(
-                    f"operator has {op.matrix.shape[1]} columns for ambient "
-                    f"dimension {d * collection.size}"
-                )
-            blocks = [op.matrix[:, j * d : (j + 1) * d] @ u for j, u in enumerate(collection.bases)]
-        self.matrix = op.scale * np.hstack(blocks)
+        elif op.matrix.shape[1] != d * collection.size:
+            raise DimMismatchError(
+                f"operator has {op.matrix.shape[1]} columns for ambient "
+                f"dimension {d * collection.size}"
+            )
+        # a non-finite entry (inf * 0 is NaN) or an overflow fails once, below
+        with np.errstate(invalid="ignore", over="ignore"):
+            if op.kind == "vector":
+                # block j is A[:, j] (x) U_j: row i*d + r holds A[i, j] * U_j[r]
+                blocks = [(op.matrix[:, j, None, None] * u).reshape(-1, u.shape[1])
+                          for j, u in enumerate(collection.bases)]
+            else:
+                blocks = [op.matrix[:, j * d : (j + 1) * d] @ u for j, u in enumerate(collection.bases)]
+            self.matrix = op.scale * np.hstack(blocks)
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("the operator has non-finite entries")
         self.matrix.flags.writeable = False
         self.collection = collection
         dims = collection.block_dims
@@ -241,18 +249,12 @@ class CoefficientOperator:
             raise DimMismatchError(f"expected length {self.out_dim}, got {y.shape}")
         return self.matrix.T @ y
 
-    def support_columns(self, support) -> np.ndarray:
-        """Column indices of the given blocks, block by block in the given order."""
-        starts, dims = self.block_starts, self.block_dims
-        return np.array([i for j in support for i in range(starts[j], starts[j] + dims[j])], dtype=int)
-
     def support_matrix(self, support) -> np.ndarray:
-        """Dense matrix of the columns belonging to the given blocks."""
-        return self.matrix[:, self.support_columns(support)]
-
-    def block_slice(self, j: int) -> slice:
-        start = int(self.block_starts[j])
-        return slice(start, start + self.block_dims[j])
+        """Dense matrix of the columns belonging to the given blocks, block
+        by block in the given order."""
+        supports = np.asarray(tuple(support), dtype=int).reshape(1, -1)
+        (_, cols), = stacked_columns(self.block_starts, self.block_dims, supports)
+        return self.matrix[:, cols[0]]
 
 
 def support_chunks(supports, s: int, entries: int):
@@ -266,6 +268,11 @@ def support_chunks(supports, s: int, entries: int):
     size = max(1, _CHUNK_ENTRIES // entries)
     while chunk := list(islice(supports, size)):
         yield np.array(chunk, dtype=int).reshape(len(chunk), s)
+
+
+def widest_support(block_dims, s: int) -> int:
+    """Column count of the widest s-support: the s largest block dims."""
+    return int(sum(sorted(block_dims)[-s:]))
 
 
 def stacked_columns(block_starts, block_dims, supports):
@@ -376,5 +383,4 @@ def save_matrix(mat: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_dict(json.load(fh))
+    return matrix_from_dict(read_json(path))

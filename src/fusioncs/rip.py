@@ -6,10 +6,11 @@ of the Gram block m_S^T m_S (the squared singular values of m_S) give the
 per-support constant max(sigma_max^2 - 1, 1 - sigma_min^2). The exact
 constant is the maximum over all supports of one size; the Monte Carlo
 variant maximizes over sampled supports and is a lower bound by
-construction. Supports are enumerated in stacked batches: the Gram matrix
-G of the whole operator is formed once per call, and each chunk of
-supports gathers its Gram blocks, grouped by column count, into one
-batched eigenvalue call.
+construction. Every constant reads one coefficient operator; the classical
+constant is the scalar one on N one-dimensional blocks of R^1. Supports
+are enumerated in stacked batches: the Gram matrix G of the whole operator
+is formed once per call, and each chunk of supports gathers its Gram
+blocks, grouped by column count, into one batched eigenvalue call.
 
 Most supports never reach that call. The constant of S is ||G_SS - I||_2,
 and the block Gershgorin theorem bounds it by the largest row sum over S
@@ -32,11 +33,13 @@ import numpy as np
 from .errors import ModeError, TooLargeError
 from .frames import SubspaceCollection
 from .measurement import (
+    CoefficientOperator,
     compose_with_bases,
     scalar_operator,
     stacked_columns,
     support_chunks,
     vector_operator,
+    widest_support,
 )
 
 MAX_SUPPORTS_EXACT = 10**6
@@ -71,17 +74,13 @@ class RipEstimate:
         }
 
 
-def _worst_columns(block_dims, s: int) -> int:
-    return int(sum(sorted(block_dims)[-s:]))
-
-
 def enumerable(block_dims, s: int) -> bool:
     """Whether the exhaustive constant at level s stays within the guards:
     at most MAX_SUPPORTS_EXACT supports of at most MAX_SUPPORT_COLUMNS
     columns each."""
     return (
         math.comb(len(block_dims), s) <= MAX_SUPPORTS_EXACT
-        and _worst_columns(block_dims, s) <= MAX_SUPPORT_COLUMNS
+        and widest_support(block_dims, s) <= MAX_SUPPORT_COLUMNS
     )
 
 
@@ -91,22 +90,22 @@ def _check_guards(block_dims, s: int) -> None:
         raise ValueError(f"s={s} outside [1, {n}]")
     if not enumerable(block_dims, s):
         raise TooLargeError(
-            f"{math.comb(n, s)} supports of up to {_worst_columns(block_dims, s)} columns "
+            f"{math.comb(n, s)} supports of up to {widest_support(block_dims, s)} columns "
             f"exceed the guards of {MAX_SUPPORTS_EXACT} supports and {MAX_SUPPORT_COLUMNS} columns"
         )
 
 
-def _block_norms(gram, block_starts, block_dims) -> np.ndarray:
+def _block_norms(op: CoefficientOperator, gram) -> np.ndarray:
     """N x N matrix C of the spectral norms of the blocks of G - I.
 
     C_ii = ||G_ii - I||_2 and C_ij = ||G_ij||_2. Blocks are gathered per
     pair of block dimensions, one batched norm per pair.
     """
     h = gram - np.eye(len(gram))
-    dims = np.asarray(block_dims)
+    dims = np.asarray(op.block_dims)
     c = np.empty((len(dims), len(dims)))
     groups = [(k, np.flatnonzero(dims == k)) for k in sorted(set(dims.tolist()))]
-    index = {k: block_starts[members][:, None] + np.arange(k) for k, members in groups}
+    index = {k: op.block_starts[members][:, None] + np.arange(k) for k, members in groups}
     for ka, ia in groups:
         for kb, ib in groups:
             blocks = h[index[ka][:, None, :, None], index[kb][None, :, None, :]]
@@ -114,24 +113,24 @@ def _block_norms(gram, block_starts, block_dims) -> np.ndarray:
     return c
 
 
-def _deltas(gram, block_starts, block_dims, supports) -> np.ndarray:
+def _deltas(op: CoefficientOperator, gram, supports) -> np.ndarray:
     """Per-support constants of an (n, s) array of supports, one batched
     eigvalsh per column count. Rounding that pushes an eigenvalue of a
     singular Gram block below zero counts as 0."""
     deltas = np.empty(len(supports))
-    for rows, cols in stacked_columns(block_starts, block_dims, supports):
+    for rows, cols in stacked_columns(op.block_starts, op.block_dims, supports):
         eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
         smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
         deltas[rows] = np.maximum(smax2 - 1.0, 1.0 - smin2)
     return deltas
 
 
-def _max_over_supports(matrix, block_starts, block_dims, supports, s: int):
+def _max_over_supports(op: CoefficientOperator, supports, s: int):
     """Largest per-support constant over an iterable of s-supports.
 
     Returns (value, first support attaining it, number of supports). The
-    Gram matrix G = M^T M is formed once; an operator with non-finite
-    entries raises ValueError. The constant of a support S is
+    Gram matrix G = B^T B is formed once; finite entries whose products
+    overflow raise ValueError. The constant of a support S is
     ||G_SS - I||_2, which the block Gershgorin theorem (Feingold and Varga,
     Pacific J. Math. 12, 1962) bounds by max_{i in S} sum_{j in S} C_ij,
     with C from :func:`_block_norms`. In each chunk the _SEEDS supports of
@@ -142,20 +141,20 @@ def _max_over_supports(matrix, block_starts, block_dims, supports, s: int):
     rest of its batch, so the value and the first support attaining it are
     those of evaluating every support. The count covers every support.
     """
-    gram = matrix.T @ matrix
+    gram = op.matrix.T @ op.matrix
     if not np.isfinite(gram).all():
         raise ValueError("the operator has non-finite entries")
-    norms = _block_norms(gram, block_starts, block_dims)
+    norms = _block_norms(op, gram)
     value, worst, count = -math.inf, None, 0
-    for chunk in support_chunks(supports, s, _worst_columns(block_dims, s) ** 2):
+    for chunk in support_chunks(supports, s, widest_support(op.block_dims, s) ** 2):
         bounds = norms[chunk[:, :, None], chunk[:, None, :]].sum(axis=2).max(axis=1)
         deltas = np.full(len(chunk), -math.inf)
         seeds = np.argsort(bounds)[-_SEEDS:]
-        deltas[seeds] = _deltas(gram, block_starts, block_dims, chunk[seeds])
+        deltas[seeds] = _deltas(op, gram, chunk[seeds])
         reach = bounds * (1.0 + _MARGIN) + _TINY
         rest = reach >= max(value, float(deltas[seeds].max()))
         rest[seeds] = False
-        deltas[rest] = _deltas(gram, block_starts, block_dims, chunk[rest])
+        deltas[rest] = _deltas(op, gram, chunk[rest])
         i = int(np.argmax(deltas))
         if deltas[i] > value:
             value, worst = float(deltas[i]), tuple(int(j) for j in chunk[i])
@@ -163,11 +162,9 @@ def _max_over_supports(matrix, block_starts, block_dims, supports, s: int):
     return value, worst, count
 
 
-def _exact_over_supports(matrix, block_starts, block_dims, s: int) -> RipEstimate:
-    _check_guards(block_dims, s)
-    value, worst, count = _max_over_supports(
-        matrix, block_starts, block_dims, combinations(range(len(block_dims)), s), s
-    )
+def _exact_over_supports(op: CoefficientOperator, s: int) -> RipEstimate:
+    _check_guards(op.block_dims, s)
+    value, worst, count = _max_over_supports(op, combinations(range(len(op.block_dims)), s), s)
     return RipEstimate(
         s=s, value=value, mode="exact", supports_evaluated=count, worst_support=worst
     )
@@ -180,8 +177,9 @@ def exact_frip(a: np.ndarray, collection: SubspaceCollection, s: int, scale: flo
     composed matrix belonging to the blocks in S, the columns
     [scale * (A[:, j] (x) U_j)]_{j in S}.
     """
-    b = compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection)
-    return _exact_over_supports(b.matrix, b.block_starts, b.block_dims, s)
+    return _exact_over_supports(
+        compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection), s
+    )
 
 
 def mc_frip(
@@ -208,7 +206,7 @@ def mc_frip(
         tuple(int(j) for j in np.sort(rng.choice(n, size=s, replace=False)))
         for _ in range(trials)
     )
-    value, worst, count = _max_over_supports(b.matrix, b.block_starts, b.block_dims, draws, s)
+    value, worst, count = _max_over_supports(b, draws, s)
     return RipEstimate(
         s=s, value=value, mode="monte_carlo", supports_evaluated=count, worst_support=worst
     )
@@ -217,16 +215,14 @@ def mc_frip(
 def scalar_rip_on_H(phi: np.ndarray, collection: SubspaceCollection, s: int) -> RipEstimate:
     """Exhaustive isometry constant of a dense scalar operator on the
     s-block-sparse subspace signals; pre-scale phi for normalized variants."""
-    b = compose_with_bases(scalar_operator(phi), collection)
-    return _exact_over_supports(b.matrix, b.block_starts, b.block_dims, s)
+    return _exact_over_supports(compose_with_bases(scalar_operator(phi), collection), s)
 
 
 def classical_rip(a: np.ndarray, s: int, scale: float = 1.0) -> RipEstimate:
-    """Exhaustive isometry constant of scale * A over plain sparse vectors
-    (the case of one column per block)."""
+    """Exhaustive isometry constant of scale * A over plain sparse vectors:
+    the scalar constant on N one-dimensional blocks of R^1."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[1]
-    return _exact_over_supports(scale * a, np.arange(n), (1,) * n, s)
+    return scalar_rip_on_H(scale * a, SubspaceCollection((np.ones((1, 1)),) * a.shape[1]), s)
 
 
 def recovery_sufficient(rip: RipEstimate) -> bool:

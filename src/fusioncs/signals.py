@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidSparsityError, SchemaError, float_list, require_fields
+from .errors import DimMismatchError, InvalidSparsityError, SchemaError, float_list, read_json, require_fields
 from .frames import SubspaceCollection
 
 DEFAULT_SUPPORT_TOL = 1e-9
@@ -231,5 +231,4 @@ def save_signal(x: BlockSignal, path) -> None:
 
 
 def load_signal(path, collection: SubspaceCollection) -> BlockSignal:
-    with open(path, "r", encoding="utf-8") as fh:
-        return signal_from_dict(json.load(fh), collection)
+    return signal_from_dict(read_json(path), collection)

@@ -71,7 +71,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .frames import SubspaceCollection, coherence
-from .measurement import CoefficientOperator, stacked_columns, support_chunks
+from .measurement import CoefficientOperator, stacked_columns, support_chunks, widest_support
 from .signals import BlockSignal, coeff_vector, from_coeff_vector
 
 # the oracle's stacked QR residuals screen supports at this multiple of the
@@ -668,13 +668,12 @@ def oracle_recover_exhaustive(
     accept_tol = 1e-8 * (1.0 + ynorm)
     if ynorm <= accept_tol:
         return from_coeff_vector(B.collection, np.zeros(B.in_dim)), True
-    dims = B.block_dims
     for level in range(1, min(s, n) + 1):
-        width = int(sum(sorted(dims)[-level:]))
+        width = widest_support(B.block_dims, level)
         accepted = []
         for chunk in support_chunks(combinations(range(n), level), level, B.out_dim * (width + 1)):
             screened = []
-            for rows, cols in stacked_columns(B.block_starts, dims, chunk):
+            for rows, cols in stacked_columns(B.block_starts, B.block_dims, chunk):
                 fit = _screen_residuals(B.matrix, y, cols) <= _SCREEN_FACTOR * accept_tol
                 screened += zip(rows[fit], cols[fit])
             for _, cols in sorted(screened, key=lambda pair: pair[0]):

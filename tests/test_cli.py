@@ -72,6 +72,21 @@ class TestPipelines:
         )
         assert err <= 1e-6
 
+    def test_scalar_kind_round_trip(self, workspace, capsys):
+        # Phi acts on the stacked ambient vector: d * N = 32 columns
+        tmp, coll = workspace
+        sig, phi, y, rec = tmp / "s.json", tmp / "phi.json", tmp / "y.json", tmp / "r.json"
+        assert run("signal", "gen", "--collection", coll, "--s", 1, "--seed", 4, "--out", sig) == 0
+        assert run("measure", "sample", "--rows", 6, "--cols", 32, "--seed", 5, "--out", phi) == 0
+        operator = ("--kind", "scalar", "--matrix", phi, "--collection", coll)
+        assert run("measure", "apply", *operator, "--signal", sig, "--out", y) == 0
+        assert run("recover", "eq", *operator, "--y", y, "--out", rec) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "converged"
+        truth = load_signal(sig, load_collection(coll))
+        est = load_signal(rec, load_collection(coll))
+        err = max(float(np.max(np.abs(a - b))) for a, b in zip(truth.coeffs, est.coeffs))
+        assert err <= 1e-9
+
     def test_recover_noisy(self, workspace, capsys):
         tmp, coll = workspace
         sig, mat, y = tmp / "s.json", tmp / "A.json", tmp / "y.json"
@@ -218,11 +233,19 @@ def test_non_list_field_exits_2(workspace, capsys, case):
     assert "Traceback" not in err
 
 
+# case -> (extra recover arguments, file with a non-finite entry, the entry)
 NON_FINITE_INPUT = {
-    "eta_nan": (("--eta", "nan"), None),
-    "eta_inf": (("--eta", "inf"), None),
-    "y_nan": ((), float("nan")),
-    "y_inf": ((), float("inf")),
+    "eta_nan": (("--eta", "nan"), None, None),
+    "eta_inf": (("--eta", "inf"), None, None),
+    "y_nan": ((), "y", float("nan")),
+    "y_inf": ((), "y", float("inf")),
+    "matrix_nan": ((), "matrix", float("nan")),
+    "matrix_inf": ((), "matrix", float("inf")),
+}
+NON_FINITE_ERRORS = {
+    None: "error: y and eta must be finite\n",
+    "y": "error: y and eta must be finite\n",
+    "matrix": "error: the operator has non-finite entries\n",
 }
 
 
@@ -233,17 +256,52 @@ def test_non_finite_input_exits_2(workspace, capsys, case):
     assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", mat) == 0
     assert run("signal", "gen", "--collection", coll, "--s", 1, "--out", sig) == 0
     assert run("measure", "apply", "--matrix", mat, "--collection", coll, "--signal", sig, "--out", y) == 0
-    eta, entry = NON_FINITE_INPUT[case]
-    if entry is not None:
-        doc = json.loads(y.read_text())
+    eta, target, entry = NON_FINITE_INPUT[case]
+    if target is not None:
+        path = {"y": y, "matrix": mat}[target]
+        doc = json.loads(path.read_text())
         doc["data"][5] = entry
-        y.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))
     capsys.readouterr()
     mode = ("noisy",) + eta if eta else ("eq",)
     assert run("recover", *mode, "--matrix", mat, "--collection", coll, "--y", y) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: y and eta must be finite\n"
+    assert captured.err == NON_FINITE_ERRORS[target]
+
+
+def test_nan_basis_exits_2(workspace, capsys):
+    tmp, coll = workspace
+    doc = json.loads(coll.read_text())
+    doc["bases"][0][0] = float("nan")
+    coll.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("frames", "coherence", "--collection", coll) == 2
+    assert capsys.readouterr().err == "error: basis 0 deviates from orthonormality by nan\n"
+
+
+# loader -> the command that reads the malformed file, named "bad"
+MALFORMED_JSON = {
+    "collection": ("frames", "coherence", "--collection", "bad"),
+    "signal": ("measure", "apply", "--matrix", "mat", "--collection", "coll",
+               "--signal", "bad", "--out", "y"),
+    "matrix": ("rip", "classical", "--matrix", "bad", "--s", 1),
+    "config": ("experiment", "phase", "--config", "bad"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(MALFORMED_JSON))
+def test_malformed_json_exits_2(workspace, capsys, loader):
+    tmp, coll = workspace
+    mat = tmp / "A4.json"
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", mat) == 0
+    (tmp / "bad.json").write_text("{not json")
+    files = {"bad": tmp / "bad.json", "mat": mat, "coll": coll, "y": tmp / "y.json"}
+    capsys.readouterr()
+    assert run(*(files.get(a, a) for a in MALFORMED_JSON[loader])) == 2
+    assert capsys.readouterr().err == (
+        "error: <json>: line 1: Expecting property name enclosed in double quotes\n"
+    )
 
 
 def test_recover_prints_strict_json(workspace, capsys):

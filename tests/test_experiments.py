@@ -1,5 +1,6 @@
 import json
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from fusioncs.experiments import (
     write_frip_results,
     write_results,
 )
-from fusioncs.frames import coherence
+from fusioncs.frames import coherence, random_collection
+from fusioncs.measurement import EnsembleSpec, sample_ensemble
+from fusioncs.rip import mc_frip
 from fusioncs.signals import coeff_vector
 
 
@@ -204,20 +207,6 @@ class TestPhaseTransition:
         with pytest.raises(ConfigError):
             run_phase_transition(phase_config(experiment="frip_sweep"))
 
-    def test_random_family_resample_flag(self):
-        cfg = phase_config(
-            family="random", d=6, k=2, N=4,
-            sparsity_grid=(1,), measurement_grid=(3,), trials_per_cell=4,
-        )
-        fixed = run_phase_transition(cfg)
-        resampled = run_phase_transition(
-            ExperimentConfig(**{**config_to_dict(cfg), "ensemble": "gaussian",
-                               "resample_collection": True,
-                               "sparsity_grid": (1,), "measurement_grid": (3,),
-                               "eta_grid": (), "theta_grid": ()})
-        )
-        assert fixed != resampled
-
 
 class TestNoiseRobustness:
     def test_error_scales_with_eta(self):
@@ -345,6 +334,28 @@ class TestFripSweep:
             sufficient_uniform_vector(2, 4, 1, coherent.lambda_, 1.0, cfg.epsilon, 1.0)
         )
 
+
+    def test_monte_carlo_cells(self):
+        # C(30, 10) supports exceed MAX_SUPPORTS_EXACT, so every cell samples
+        cfg = ExperimentConfig(
+            experiment="frip_sweep", family="random", d=1, k=1, N=30,
+            sparsity_grid=(10,), measurement_grid=(4, 8), trials_per_cell=3, base_seed=6,
+        )
+        rows = run_frip_sweep(cfg)
+        assert len(rows) == 2
+        for row in rows:
+            assert row.mode == "monte_carlo"
+            key = cell_key(cfg.family, None, row.s, row.m, None)
+            coll = random_collection(
+                1, 1, 30, derive_seed(cfg.base_seed, key, 0, experiments.STREAM_COLLECTION))
+            deltas = []
+            for t in range(cfg.trials_per_cell):
+                a = sample_ensemble(EnsembleSpec(cfg.ensemble, row.m, cfg.N, derive_seed(
+                    cfg.base_seed, key, t, experiments.STREAM_ENSEMBLE)))
+                seed = derive_seed(cfg.base_seed, key, t, experiments.STREAM_MC_SUPPORTS)
+                deltas.append(mc_frip(a, coll, row.s, 500, seed, 1.0 / math.sqrt(row.m)).value)
+            assert [row.delta_q1, row.delta_median, row.delta_q3] == experiments._quartiles(deltas)
+        assert run_frip_sweep(replace(cfg, measurement_grid=(8,))) == rows[1:]
 
     def test_quartiles_match_numpy_percentile(self):
         rng = np.random.default_rng(40)

@@ -324,6 +324,11 @@ class TestSerialization:
         for u, v in zip(coll.bases, loaded.bases):
             assert np.allclose(u, v, atol=1e-15)
 
+    def test_nan_basis_rejected(self):
+        # NaN fails every comparison, so the check tests what must hold
+        with pytest.raises(OrthonormalityError, match="by nan"):
+            SubspaceCollection((np.array([[math.nan], [0.0]]), np.array([[0.0], [1.0]])))
+
     def test_load_revalidates_orthonormality(self):
         coll = orthogonal_collection(4, 2, 2)
         doc = collection_to_dict(coll)

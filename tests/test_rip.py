@@ -22,14 +22,14 @@ def kron_materialize(a, d, scale=1.0):
     return scale * np.kron(a, np.eye(d))
 
 
-def every_support_max(matrix, block_starts, block_dims, supports, s):
+def every_support_max(op, supports, s):
     """Reference for rip._max_over_supports: every support through eigvalsh,
     the enumeration as it was before supports were pruned."""
-    gram = matrix.T @ matrix
+    gram = op.matrix.T @ op.matrix
     value, worst, count = -math.inf, None, 0
-    for chunk in measurement.support_chunks(supports, s, rip._worst_columns(block_dims, s) ** 2):
+    for chunk in measurement.support_chunks(supports, s, measurement.widest_support(op.block_dims, s) ** 2):
         deltas = np.empty(len(chunk))
-        for rows, cols in measurement.stacked_columns(block_starts, block_dims, chunk):
+        for rows, cols in measurement.stacked_columns(op.block_starts, op.block_dims, chunk):
             eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
             smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
             deltas[rows] = np.maximum(smax2 - 1.0, 1.0 - smin2)
@@ -280,7 +280,7 @@ class TestPruning:
             h = gram - np.eye(b.in_dim)
             blocks = [slice(int(j0), int(j0) + k) for j0, k in zip(b.block_starts, b.block_dims)]
             c = np.array([[np.linalg.norm(h[bi, bj], 2) for bj in blocks] for bi in blocks])
-            np.testing.assert_allclose(rip._block_norms(gram, b.block_starts, b.block_dims), c,
+            np.testing.assert_allclose(rip._block_norms(b, gram), c,
                                        rtol=1e-12, atol=1e-14)
             for s in (1, 2, 3, 4):
                 for supp in combinations(range(10), s):

@@ -305,6 +305,12 @@ class TestSolveEquality:
                      lambda: certify(solve_equality(b, y), b, bad)):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
+        # a non-finite B fails once, where it is built, for the solves and the oracle alike
+        a, phi = np.ones((3, 8)), np.ones((6, 32))
+        a[1, 2] = phi[2, 5] = entry
+        for op in (vector_operator(a, 4), scalar_operator(phi)):
+            with pytest.raises(ValueError, match="the operator has non-finite entries"):
+                compose_with_bases(op, coll)
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (8, 1)])
     @pytest.mark.parametrize("entry", ["equality", "noisy", "oracle", "certify"])
@@ -823,18 +829,19 @@ class TestCertify:
         c = coeff_vector(sol.estimate)
         dense = b.support_matrix(range(coll.size))
         pinv = np.linalg.pinv(dense)
-        norms = [np.linalg.norm(c[b.block_slice(j)]) for j in range(coll.size)]
+        blocks = [slice(j0, j0 + k) for j0, k in zip(b.block_starts, b.block_dims)]
+        norms = [np.linalg.norm(c[blocks[j]]) for j in range(coll.size)]
         j_zero = int(np.argmin(norms))
         rng = np.random.default_rng(7)
         perturbed = c.copy()
-        perturbed[b.block_slice(j_zero)] += 1e-3 * rng.standard_normal(
+        perturbed[blocks[j_zero]] += 1e-3 * rng.standard_normal(
             b.block_dims[j_zero]
         )
         projected = perturbed - pinv @ (dense @ perturbed - y)
         assert np.linalg.norm(dense @ projected - y) <= 1e-9
         obj_perturbed = float(
             np.sum(
-                [np.linalg.norm(projected[b.block_slice(j)]) for j in range(coll.size)]
+                [np.linalg.norm(projected[blocks[j]]) for j in range(coll.size)]
             )
         )
         assert obj_perturbed > sol.objective + 1e-8
