@@ -34,8 +34,7 @@ def necessary_scalar_measurements(s: int, N: int, k: int) -> float:
     a :class:`RegimeViolationWarning` is emitted. The log term is clamped at
     zero so crowded regimes do not produce a negative contribution.
     """
-    if s < 1 or N < 1 or k < 1:
-        raise InvalidParamError("s, N, k must be positive")
+    _check_common(s, N, k)
     if 4 * s > N:
         warnings.warn(
             f"necessary count evaluated outside its regime: 4s={4 * s} > N={N}",

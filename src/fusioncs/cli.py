@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import experiments as exp
 from .errors import FusionCSError

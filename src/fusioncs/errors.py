@@ -108,10 +108,13 @@ class SchemaError(FusionCSError):
 
 
 def read_json(path):
-    """The JSON document in the file at path; SchemaError if it does not parse."""
+    """The JSON document in the file at path; SchemaError if the file is not
+    UTF-8 text or does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError("<json>", f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError("<json>", f"line {exc.lineno}: {exc.msg}") from exc
 

@@ -195,7 +195,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not cfg.sparsity_grid or not cfg.measurement_grid:
         raise ConfigError("sparsity_grid and measurement_grid must be nonempty")
     if any(s < 1 or s > cfg.N for s in cfg.sparsity_grid):
-        raise ConfigError(f"sparsity grid entries must lie in [1, {cfg.N}]")
+        raise ConfigError(f"sparsity_grid entries must lie in [1, {cfg.N}]")
     if any(m < 1 for m in cfg.measurement_grid):
         raise ConfigError("measurement grid entries must be positive")
     if cfg.trials_per_cell < 1:
@@ -215,7 +215,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not cfg.theta_grid:
             raise ConfigError("angle family needs a nonempty theta_grid")
         if any(not 0.0 <= t <= math.pi / 2 for t in cfg.theta_grid):
-            raise ConfigError("theta grid entries must lie in [0, pi/2]")
+            raise ConfigError("theta_grid entries must lie in [0, pi/2]")
     if cfg.experiment == "noise_robustness":
         if not cfg.eta_grid:
             raise ConfigError("noise_robustness needs a nonempty eta_grid")

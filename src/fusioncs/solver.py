@@ -21,9 +21,10 @@ the negated ball multiplier, or the least-squares solution of
 B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
 nu bounds the distance to the optimum by the gap
 ||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
-at most ``TOL_GAP``, or after ``max_iters`` Newton steps (default
-``MAX_ITERS``). The tolerances are module constants, which :func:`certify`
-applies to the same residuals (:func:`_residuals`). After each equality
+at most ``TOL_GAP``, returning the Newton iterate that the test certified,
+or after ``max_iters`` Newton steps (default ``MAX_ITERS``). The
+tolerances are module constants, which :func:`certify` applies to the same
+residuals (:func:`_residuals`). After each equality
 step the support is read off primal-dual complementarity: block j is in it
 when its cone head t_j exceeds its dual cone's slack z0_j - ||z1_j||. One
 rule gives that support S its candidate: c_S is the least-squares fit on
@@ -38,15 +39,16 @@ candidate, never a wrong answer. A solve whose Newton steps rounding stops
 early (a singular Newton matrix, or an iterate off the cone interior) ends
 as "stalled".
 
-Solves run in stacks. :func:`solve_many` takes many (B, y, eta) triples,
-lets the probe settle each one it can, and steps the remaining programs of
-one shape (program, cone dims and null-space width) through one
-interior-point loop, each numpy call of which covers the whole stack; a
-program leaves the stack at the step that ends it. Every operation of the
-loop acts slice by slice on C-contiguous stacks (elementwise arithmetic,
-``reduceat``, stacked ``matmul`` and ``solve``), and the 1-D dots and norms,
-whose stacked forms round differently, stay per program, as do the support
-refinement and the stop tests. Each solution therefore equals the solve of
+Solves run in stacks, and :func:`solve_many` is their one entry point. It
+takes many (B, y, eta) triples, lets the probe settle each one it can, and
+steps the remaining programs of one shape (program, cone dims and
+null-space width) through one interior-point loop (:func:`_newton`), each
+numpy call of which covers the whole stack; a program leaves the stack at
+the step that ends it. Every operation of the loop acts slice by slice on
+C-contiguous stacks (elementwise arithmetic, ``reduceat``, stacked
+``matmul`` and ``solve``), and the 1-D dots and norms, whose stacked forms
+round differently, stay per program, as do the support refinement and the
+stop tests. Each solution therefore equals the solve of
 its triple alone bit for bit, whatever else the stack holds;
 :func:`solve_equality` and :func:`solve_noisy` are stacks of one.
 
@@ -312,66 +314,9 @@ def _newton_solve(hessian, rhs, ok):
     return out
 
 
-def _interior_point(G, h, cost, x, cones):
-    """Newton steps of a primal-dual method for min cost^T x s.t. G x + s = h,
-    s in cones, on a stack of programs of one shape (the leading axis of G, h
-    and x).
-
-    Each x must be strictly feasible; every step keeps G x + s = h. After
-    each step yields (x, z, ok), ok marking the programs whose step rounding
-    did not stop (a singular Newton matrix, or an iterate off the cone
-    interior), and takes back by ``send`` the mask of the yielded programs
-    that step on.
-    """
-    s = h - _mv(G, x)
-    z = np.tile(cones.e, (len(x), 1))
-    sz = np.concatenate([s, z], axis=1)
-    sz_sq = cones.jdot2(sz, sz)
-    degree = len(cones.heads)  # of the barrier: one per second-order cone
-    while True:
-        nt = cones.scaling(s, z, sz_sq)
-        lam = cones.scale(nt, s)
-        wg = cones.scale(nt, G)
-        wgt = np.swapaxes(wg, 1, 2)
-        rd = _mv(np.swapaxes(G, 1, 2), z) + cost
-        hessian = wgt @ wg
-        ok = np.ones(len(x), dtype=bool)
-
-        def direction(q):
-            # Newton system G^T W^2 G dx = -rd - (W G)^T q; steps scaled by W
-            dx = _newton_solve(hessian, -rd - _mv(wgt, q), ok)
-            dz = _mv(wg, dx) + q
-            return dx, q - dz, dz
-
-        # ds and dz both step from lam: one stacked ratio test for the pair
-        lam2 = np.concatenate([lam, lam], axis=1)
-        lam2_sq = cones.jdot2(lam2, lam2)
-        dx, ds, dz = direction(-lam)
-        alpha = np.minimum(1.0, cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz], axis=1)))
-        # Mehrotra: second-order correction and centering at (1 - alpha)^3 mu;
-        # the 1-D dots and the powers run per program, as stacked forms of
-        # them may round differently
-        sigma_mu = [(1.0 - a) ** 3 * (float(si @ zi) / degree) for a, si, zi in zip(alpha.tolist(), s, z)]
-        q = cones.div(lam, lam2_sq[:, :degree], np.multiply.outer(sigma_mu, cones.e)
-                      - cones.prod(lam, lam) - cones.prod(ds, dz))
-        dx, ds, dz = direction(q)
-        # stop 1 % short of the cone boundary
-        alpha = np.minimum(1.0, 0.99 * cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz], axis=1)))[:, None]
-        x = x + alpha * dx
-        s = s - alpha * _mv(G, dx)
-        z = z + alpha * cones.scale(nt, dz)
-        sz = np.concatenate([s, z], axis=1)
-        sz_sq = cones.jdot2(sz, sz)
-        # rounding may have carried an iterate to the boundary
-        ok &= np.all(sz[:, cones.heads2] > 0.0, axis=1) & np.all(sz_sq > 0.0, axis=1)
-        keep = yield x, z, ok
-        if not keep.all():
-            G, x, s, z, sz_sq = G[keep], x[keep], s[keep], z[keep], sz_sq[keep]
-
-
 class _Program:
     """One solve: its data, the factor of B^T B, the least-squares probe and,
-    unless the probe settles the solve, its cone program (see :func:`_solve`).
+    unless the probe settles the solve, its cone program (see :func:`_newton`).
     """
 
     def __init__(self, op: CoefficientOperator, y, eta: float):
@@ -467,8 +412,6 @@ class _Program:
             if refined is not None:
                 return self.solution(refined[0], "converged", it, refined[1])
         if _dual_gap(c, nu, y, eta, self.starts) <= TOL_GAP:
-            if eta == 0.0:
-                c = c - self.pinv(self.B @ c - y)
             return self.solution(c, "converged", it, nu)
         return None
 
@@ -514,16 +457,22 @@ class _Program:
 def _newton(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
     """Solve a stack of programs of one shape by one interior-point loop.
 
-    The cone program of each is min sum_j t_j over x = (w, t), with rows
-    (t_j, c0_j + Z_j w) per block, then (eta, y - B c) for the ball. A
-    program leaves the stack at the step that certifies it, the step
-    rounding stops (status "stalled", with the previous step's iterate) or
-    step ``max_iters``.
+    The cone program of each is min cost^T x s.t. G x + s = h, s in the cone
+    product: min sum_j t_j over x = (w, t), with rows (t_j, c0_j + Z_j w)
+    per block, then (eta, y - B c) for the ball. Each step is a primal-dual
+    Newton step with Nesterov-Todd scaling and a Mehrotra corrector that
+    keeps x strictly feasible and G x + s = h. A program leaves the stack at
+    the step that certifies it, the step rounding stops (a singular Newton
+    matrix, or an iterate off the cone interior: status "stalled", with the
+    previous step's iterate) or step ``max_iters``; every stacked array is
+    then compacted to the programs that step on.
     """
     first = progs[0]
     n, nb, r = len(first.c0), len(first.lengths), first.basis.shape[1]
     ball = first.eta > 0.0
     dims = list(first.lengths + 1) + ([len(first.y) + 1] if ball else [])
+    cones = _Cones(dims)
+    degree = len(cones.heads)  # of the barrier: one per second-order cone
     live = np.arange(len(progs))
     c0 = np.stack([p.c0 for p in progs])
     basis = np.stack([p.basis for p in progs])
@@ -539,28 +488,70 @@ def _newton(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
         h[:, n + nb + 1:] = np.stack([p.y for p in progs]) - _mv(B, c0)
     x = np.concatenate([np.zeros((len(progs), r)), np.stack([p.t0 for p in progs])], axis=1)
     cost = np.concatenate([np.zeros(r), np.ones(nb)])
-    steps = _interior_point(G, h, cost, x, _Cones(dims))
+    s = h - _mv(G, x)
+    z = np.tile(cones.e, (len(x), 1))
+    sz = np.concatenate([s, z], axis=1)
+    sz_sq = cones.jdot2(sz, sz)
     out = [None] * len(progs)
-    keep = None
     for it in range(1, max_iters + 1):
-        x, z, ok = steps.send(keep)
+        nt = cones.scaling(s, z, sz_sq)
+        lam = cones.scale(nt, s)
+        wg = cones.scale(nt, G)
+        wgt = np.swapaxes(wg, 1, 2)
+        rd = _mv(np.swapaxes(G, 1, 2), z) + cost
+        hessian = wgt @ wg
+        ok = np.ones(len(x), dtype=bool)
+
+        def direction(q):
+            # Newton system G^T W^2 G dx = -rd - (W G)^T q; steps scaled by W
+            dx = _newton_solve(hessian, -rd - _mv(wgt, q), ok)
+            dz = _mv(wg, dx) + q
+            return dx, q - dz, dz
+
+        # ds and dz both step from lam: one stacked ratio test for the pair
+        lam2 = np.concatenate([lam, lam], axis=1)
+        lam2_sq = cones.jdot2(lam2, lam2)
+        dx, ds, dz = direction(-lam)
+        alpha = np.minimum(1.0, cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz], axis=1)))
+        # Mehrotra: second-order correction and centering at (1 - alpha)^3 mu;
+        # the 1-D dots and the powers run per program, as stacked forms of
+        # them may round differently
+        sigma_mu = [(1.0 - a) ** 3 * (float(si @ zi) / degree) for a, si, zi in zip(alpha.tolist(), s, z)]
+        q = cones.div(lam, lam2_sq[:, :degree], np.multiply.outer(sigma_mu, cones.e)
+                      - cones.prod(lam, lam) - cones.prod(ds, dz))
+        dx, ds, dz = direction(q)
+        # stop 1 % short of the cone boundary
+        alpha = np.minimum(1.0, 0.99 * cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz], axis=1)))[:, None]
+        x = x + alpha * dx
+        s = s - alpha * _mv(G, dx)
+        z = z + alpha * cones.scale(nt, dz)
+        sz = np.concatenate([s, z], axis=1)
+        sz_sq = cones.jdot2(sz, sz)
+        # rounding may have carried an iterate to the boundary
+        ok &= np.all(sz[:, cones.heads2] > 0.0, axis=1) & np.all(sz_sq > 0.0, axis=1)
         c = c0 + _mv(basis, x[:, :r])
         for row, i in enumerate(live):
             out[i] = progs[i].step(c[row], x[row, r:], z[row], it) if ok[row] else progs[i].stop("stalled", it - 1)
         keep = np.array([out[i] is None for i in live])
-        live, c0, basis = live[keep], c0[keep], basis[keep]
-        if not len(live):
+        if not keep.any():
             break
+        if not keep.all():
+            live, c0, basis, G, x, s, z, sz_sq = (a[keep] for a in (live, c0, basis, G, x, s, z, sz_sq))
     return [sol or prog.stop("max_iters", max_iters) for sol, prog in zip(out, progs)]
 
 
-def _solve(ops, ys, etas, max_iters: int) -> list[RecoverySolution]:
-    """Solve each (B, y, eta): the equality program at eta = 0, else the ball program.
+def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySolution]:
+    """Solve the equality program (eta = 0) or the ball program of each
+    (B, y, eta) triple: one :class:`RecoverySolution` per input, each equal bit
+    for bit to the solution of its triple alone.
 
     Programs the probe does not settle are stacked by shape (program, cone
     dims and null-space width), and each stack goes through one
     interior-point loop (:func:`_newton`).
     """
+    etas = [float(eta) for eta in etas]
+    if any(eta < 0 for eta in etas):
+        raise ValueError("eta must be nonnegative")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if not len(ops) == len(ys) == len(etas):
@@ -578,19 +569,9 @@ def _solve(ops, ys, etas, max_iters: int) -> list[RecoverySolution]:
     return out
 
 
-def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySolution]:
-    """Solve the equality program (eta = 0) or the ball program of each
-    (B, y, eta) triple: one :class:`RecoverySolution` per input, each equal bit
-    for bit to the solution of its triple alone."""
-    etas = [float(eta) for eta in etas]
-    if any(eta < 0 for eta in etas):
-        raise ValueError("eta must be nonnegative")
-    return _solve(ops, ys, etas, max_iters)
-
-
 def solve_equality(B: CoefficientOperator, y: np.ndarray, *, max_iters: int = MAX_ITERS) -> RecoverySolution:
     """Minimize the block norm sum subject to B c = y."""
-    return _solve([B], [y], [0.0], max_iters)[0]
+    return solve_many([B], [y], [0.0], max_iters=max_iters)[0]
 
 
 def solve_noisy(B: CoefficientOperator, y: np.ndarray, eta: float, *, max_iters: int = MAX_ITERS) -> RecoverySolution:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ class TestGeometryBounds:
         assert necessary_vector_measurements(2, 128, 2, 8) == pytest.approx(
             necessary_vector_measurements(2, 128, 2, 4) / 2
         )
+
+
+# each guard's raise, with the argument that trips it
+GUARDS = {
+    "necessary_s": (necessary_scalar_measurements, (0, 8, 1), InvalidParamError, "s, N, k must be positive"),
+    "necessary_vector_d": (necessary_vector_measurements, (1, 8, 1, 0), InvalidDimsError, "d must be positive"),
+    "equiisoclinic_k": (equiisoclinic_cap, (2, 3), InvalidDimsError, "1 <= k <= d"),
+    "sufficient_scalar_N": (sufficient_scalar_measurements, (1, 0, 1, 1.0, 0.4, 0.01),
+                            InvalidParamError, "s, N, k must be positive"),
+    "sufficient_scalar_C": (sufficient_scalar_measurements, (1, 8, 1, 1.0, 0.4, 0.01, 0.0),
+                            InvalidParamError, "C must be positive"),
+    "sufficient_uniform_alpha": (sufficient_uniform_vector, (1, 8, 1, 0.5, 0.0, 0.01),
+                                 InvalidParamError, "alpha must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_guard_raises(case):
+    fn, args, error, message = GUARDS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        fn(*args)
 
 
 class TestMonotonicity:

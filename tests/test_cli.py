@@ -304,6 +304,20 @@ def test_malformed_json_exits_2(workspace, capsys, loader):
     )
 
 
+@pytest.mark.parametrize("loader", sorted(MALFORMED_JSON))
+def test_non_utf8_json_exits_2(workspace, capsys, loader):
+    # a UTF-16 byte order mark is not UTF-8: the same schema error as any
+    # other unreadable document, not the codec's message
+    tmp, coll = workspace
+    mat = tmp / "A4.json"
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", mat) == 0
+    (tmp / "bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    files = {"bad": tmp / "bad.json", "mat": mat, "coll": coll, "y": tmp / "y.json"}
+    capsys.readouterr()
+    assert run(*(files.get(a, a) for a in MALFORMED_JSON[loader])) == 2
+    assert capsys.readouterr().err == "error: <json>: not UTF-8 text: invalid start byte at byte 0\n"
+
+
 def test_recover_prints_strict_json(workspace, capsys):
     # a generic y is outside the range of the injective 24 x 8 B: the
     # infeasible report's infinite residual and gap print as null
@@ -391,6 +405,15 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ")
         assert not (tmp_path / "rows.csv").exists()
+
+    def test_no_output_path_exits_2(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        del doc["output_path"]
+        cfg.write_text(json.dumps(doc))
+        assert run("experiment", "phase", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: no output path")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_missing_config_io_error(self, tmp_path):
         assert run("experiment", "phase", "--config", tmp_path / "none.json") == 3

@@ -159,6 +159,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(phase_config(experiment="noise_robustness"))
 
+    @pytest.mark.parametrize("overrides, field", [
+        pytest.param(overrides, field, id=field) for overrides, field in [
+            (dict(experiment="bogus"), "experiment"),
+            (dict(family="bogus"), "family"),
+            (dict(ensemble="bogus"), "ensemble"),
+            (dict(k=9), "dimensions"),
+            (dict(sparsity_grid=(1, 5)), "sparsity_grid"),
+            (dict(trials_per_cell=0), "trials_per_cell"),
+            (dict(max_iters=0), "max_iters"),
+            (dict(epsilon=1.0), "epsilon"),
+            (dict(family="angle", theta_grid=(0.4, 2.0)), "theta_grid"),
+        ]
+    ])
+    def test_out_of_range_field_named(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            validate_config(phase_config(**overrides))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6])
     def test_success_tol_must_be_positive_and_finite(self, value):
         doc = json.loads(json.dumps(config_to_dict(phase_config(success_tol=value))))

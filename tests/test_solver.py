@@ -368,6 +368,70 @@ def test_support_system_never_adds_steps(seed, dims, d, rows, s, kind, log_scale
     assert abs(sol.objective - gap_exit.objective) <= 10 * solver.TOL_GAP
 
 
+@pytest.mark.parametrize("kind", ["vector", "scalar"])
+def test_gap_exit_returns_the_certified_iterate(monkeypatch, kind):
+    # with the support refinement giving up, every equality solve that
+    # steps ends on the interior-point gap test: its estimate is the Newton
+    # iterate that test certified, feasible to TOL_PRIMAL as it stands
+    monkeypatch.setattr(solver._Program, "refine", lambda *args: None)
+    real_step = solver._Program.step
+    exits = []
+
+    def step(prog, c, t, z, it):
+        sol = real_step(prog, c, t, z, it)
+        if sol is not None:
+            exits.append(c)
+        return sol
+
+    monkeypatch.setattr(solver._Program, "step", step)
+    for seed in range(12):
+        dims = ((2,) * 6, (1, 2, 2, 1, 2, 1))[seed % 2]
+        b, y = random_instance(seed, dims, 4, 1, 2, kind, 10.0 ** (seed % 5 - 2))
+        exits.clear()
+        sol = solve_equality(b, y)
+        assert sol.status == "converged" and sol.iterations > 0
+        assert len(exits) == 1 and np.array_equal(coeff_vector(sol.estimate), exits[0])
+        assert certify(sol, b, y).ok
+        assert sol.primal_residual <= solver.TOL_PRIMAL
+
+
+class TestSupportKKT:
+    """The give-up returns of Newton's method on a support's optimality system."""
+
+    def wide_support(self):
+        # 3 coefficients in blocks of (1, 2) against 2 rows, started near a
+        # point from which the iterations converge
+        rng = np.random.default_rng(1)
+        b_s, x = rng.standard_normal((2, 3)), rng.standard_normal(3)
+        return b_s, b_s @ x, np.array([1, 2]), x + 0.1 * rng.standard_normal(3)
+
+    def test_zero_block(self):
+        b_s, y, lengths, _ = self.wide_support()
+        assert solver._support_kkt(b_s, y, lengths, np.array([0.0, 1.0, 2.0])) is None
+
+    def test_singular_system(self):
+        # two equal rows of B_S make K singular
+        b_s, _, lengths, c_s = self.wide_support()
+        b_s = np.vstack([b_s[0], b_s[0]])
+        assert solver._support_kkt(b_s, b_s @ c_s, lengths, c_s) is None
+
+    def test_non_finite_iterate(self, monkeypatch):
+        # unpatched, the iterations converge: only the NaN ends the attempt
+        b_s, y, lengths, c_s = self.wide_support()
+        assert np.linalg.norm(b_s @ solver._support_kkt(b_s, y, lengths, c_s) - y) <= 1e-12
+        real_solve = np.linalg.solve
+        calls = []
+
+        def solve(a, rhs):
+            calls.append(None)
+            out = real_solve(a, rhs)
+            return np.full_like(out, np.nan) if len(calls) == solver.KKT_ITERS else out
+
+        monkeypatch.setattr("fusioncs.solver.np.linalg.solve", solve)
+        assert solver._support_kkt(b_s, y, lengths, c_s) is None
+        assert len(calls) == solver.KKT_ITERS
+
+
 class TestSolveNoisy:
     def test_large_eta_gives_zero(self):
         coll = random_collection(4, 2, 6, seed=0)
