@@ -400,7 +400,8 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
     and solves the ball program at radius eta; at eta = 0 the noise is a
     copy without a draw and the ball program is the equality program. The
     eta rows of a trial share its B, signal and noise direction, and every
-    (eta, trial) instance of a cell goes to one :func:`solve_many` call.
+    (cell, eta, trial) instance of the sweep goes to one :func:`solve_many`
+    call, which stacks the programs of one shape across cells.
     """
     def score(sol, truth):
         rel = float(np.linalg.norm(coeff_vector(sol.estimate) - truth) / np.linalg.norm(truth))
@@ -408,22 +409,26 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
         return converged and rel <= config.success_tol, rel, sol.iterations, not converged
 
     trials = range(config.trials_per_cell)
-    results = []
+    cells, ops, ys = [], [], []
     for key, coll, cell in _cells(config, grid):
-        ops, truths = [], []
+        cell_ops, truths = [], []
         for t in trials:
             x = random_sparse_signal(
                 coll, cell.s, derive_seed(config.base_seed, key, t, STREAM_SIGNAL)
             )
             a = _ensemble(config, key, t, cell.m, coll.size)
-            ops.append(compose_with_bases(vector_operator(a, coll.ambient_dim, scale=scale), coll))
+            cell_ops.append(compose_with_bases(vector_operator(a, coll.ambient_dim, scale=scale), coll))
             truths.append(coeff_vector(x))
-        ys = [
+        ys += [
             add_noise(b.matvec(truth), eta or 0.0, derive_seed(config.base_seed, key, t, STREAM_NOISE))
-            for eta in etas for t, b, truth in zip(trials, ops, truths)
+            for eta in etas for t, b, truth in zip(trials, cell_ops, truths)
         ]
-        sols = iter(solve_many(ops * len(etas), ys, [eta or 0.0 for eta in etas for _ in trials],
-                               max_iters=config.max_iters))
+        ops += cell_ops * len(etas)
+        cells.append((cell, truths))
+    sols = iter(solve_many(ops, ys, [eta or 0.0 for _ in cells for eta in etas for _ in trials],
+                           max_iters=config.max_iters))
+    results = []
+    for cell, truths in cells:
         for eta in etas:
             ok, rels, iterations, failed = zip(*(score(next(sols), truth) for truth in truths))
             results.append(CellResult(

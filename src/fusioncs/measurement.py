@@ -197,9 +197,10 @@ class CoefficientOperator:
     ``matrix`` (out_dim x in_dim), whose columns for block j are
     scale * (A[:, j] (x) U_j) for a vector operator and scale * Phi_j U_j
     for a scalar one, Phi_j being the d columns of Phi that act on block j.
-    The Kronecker block is formed by broadcasting A[:, j] against U_j, one
-    product per entry as in ``np.kron``, so both give the same bits; ragged
-    block dims take the same per-block path. A matrix with a non-finite
+    The vector matrix is one broadcast product of A, its columns repeated
+    over their blocks' columns, with the bases side by side: one product
+    per entry as in ``np.kron``, so both give the same bits, and ragged
+    block dims take the same line. A matrix with a non-finite
     entry raises ValueError, so no solve, isometry constant or oracle ever
     sees one.
     """
@@ -219,20 +220,22 @@ class CoefficientOperator:
                 f"operator has {op.matrix.shape[1]} columns for ambient "
                 f"dimension {d * collection.size}"
             )
+        dims = collection.block_dims
         # a non-finite entry (inf * 0 is NaN) or an overflow fails once, below
         with np.errstate(invalid="ignore", over="ignore"):
             if op.kind == "vector":
-                # block j is A[:, j] (x) U_j: row i*d + r holds A[i, j] * U_j[r]
-                blocks = [(op.matrix[:, j, None, None] * u).reshape(-1, u.shape[1])
-                          for j, u in enumerate(collection.bases)]
+                # column t of block j is A[:, j] (x) U_j[:, t]: row i*d + r
+                # holds A[i, j] * U_j[r, t], with j = owner[t]
+                owner = np.repeat(np.arange(collection.size), dims)
+                bases = np.hstack(collection.bases)
+                self.matrix = op.scale * (op.matrix[:, None, owner] * bases).reshape(-1, bases.shape[1])
             else:
-                blocks = [op.matrix[:, j * d : (j + 1) * d] @ u for j, u in enumerate(collection.bases)]
-            self.matrix = op.scale * np.hstack(blocks)
+                self.matrix = op.scale * np.hstack(
+                    [op.matrix[:, j * d : (j + 1) * d] @ u for j, u in enumerate(collection.bases)])
         if not np.isfinite(self.matrix).all():
             raise ValueError("the operator has non-finite entries")
         self.matrix.flags.writeable = False
         self.collection = collection
-        dims = collection.block_dims
         self.block_starts = np.concatenate([[0], np.cumsum(dims)])[:-1].astype(int)
         self.block_dims = dims
         self.out_dim, self.in_dim = self.matrix.shape

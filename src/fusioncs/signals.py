@@ -103,13 +103,15 @@ def random_sparse_signal(
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
     rng = np.random.default_rng(seed)
     support_idx = np.sort(rng.choice(n, size=s, replace=False))
-    coeffs = [np.zeros(k) for k in collection.block_dims]
-    for j in support_idx:
-        g = rng.standard_normal(collection.block_dims[j])
+    dims = collection.block_dims
+    starts = np.cumsum((0,) + dims)
+    vec = np.zeros(starts[-1])
+    for j in support_idx.tolist():
+        g = rng.standard_normal(dims[j])
         if amplitude_law == "unit_norm_blocks":
             g = g / np.linalg.norm(g)
-        coeffs[int(j)] = g
-    return BlockSignal(tuple(coeffs), collection)
+        vec[starts[j]:starts[j + 1]] = g
+    return BlockSignal._owning(collection, vec)
 
 
 def block_norms(x: BlockSignal) -> np.ndarray:
@@ -154,7 +156,7 @@ def best_s_term(x: BlockSignal, s: int) -> tuple[BlockSignal, float]:
 
 def support(x: BlockSignal, tol: float = DEFAULT_SUPPORT_TOL) -> set[int]:
     """Indices of blocks with norm strictly above tol."""
-    if tol < 0:
+    if not tol >= 0:  # NaN fails every comparison
         raise ValueError("tol must be nonnegative")
     norms = block_norms(x)
     return {int(j) for j in np.nonzero(norms > tol)[0]}

@@ -5,10 +5,10 @@ Two constrained programs over coefficient vectors c (blocks c_j):
     equality:  min sum_j ||c_j||_2   s.t.  B c = y
     ball:      min sum_j ||c_j||_2   s.t.  ||B c - y||_2 <= eta
 
-Each solve reads the operator's dense matrix B and forms one
-eigendecomposition of B^T B, which gives the least-squares probe
-(feasibility and a starting point), the null space basis Z of B, and every
-least-squares solve after. An injective B has a single feasible point,
+Each solve reads the operator's dense matrix B, and each distinct operator
+is factored once, by one eigendecomposition of B^T B, which gives the
+least-squares probe (feasibility and a starting point), the null space
+basis Z of B, and every least-squares solve after. An injective B has a single feasible point,
 certified without iterating. Otherwise both programs run as second-order
 cone programs,
 
@@ -40,17 +40,22 @@ early (a singular Newton matrix, or an iterate off the cone interior) ends
 as "stalled".
 
 Solves run in stacks, and :func:`solve_many` is their one entry point. It
-takes many (B, y, eta) triples, lets the probe settle each one it can, and
-steps the remaining programs of one shape (program, cone dims and
-null-space width) through one interior-point loop (:func:`_newton`), each
-numpy call of which covers the whole stack; a program leaves the stack at
-the step that ends it. Every operation of the loop acts slice by slice on
-C-contiguous stacks (elementwise arithmetic, ``reduceat``, stacked
-``matmul`` and ``solve``), and the 1-D dots and norms, whose stacked forms
-round differently, stay per program, as do the support refinement and the
-stop tests. Each solution therefore equals the solve of
-its triple alone bit for bit, whatever else the stack holds;
-:func:`solve_equality` and :func:`solve_noisy` are stacks of one.
+takes many (B, y, eta) triples and works on stacks at every stage: one
+product B^T B and one ``eigh`` per matrix shape over the distinct operators
+(:func:`_factor`), the least-squares probe per shape and rank
+(:func:`_probe`), which settles each program it can, and one
+interior-point loop per shape of the remaining programs (program, cone
+dims and null-space width; :func:`_newton`), whose steps find their duals,
+complementarity supports and support systems (:func:`_support_kkt`, per
+block structure of the support) for the whole stack; a program leaves the
+stack at the step that ends it. Every stacked operation acts slice by
+slice on stacks whose slices have the layout of the 2-D arrays they stack
+(elementwise arithmetic, ``reduceat``, stacked ``matmul``, ``solve`` and
+``eigh``), and the 1-D dots and norms, whose stacked forms round
+differently, stay per program, as do the ``lstsq`` fits, the stop tests
+and the solutions. Each solution therefore equals the solve of its triple
+alone bit for bit, whatever else the stack holds; :func:`solve_equality`
+and :func:`solve_noisy` are stacks of one.
 
 The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens its
 supports S by one stacked QR of [B_S | y] per batch, whose residual never
@@ -61,6 +66,7 @@ screened support by ``lstsq``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -68,6 +74,7 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
+    InvalidSparsityError,
     NotOrthogonalError,
     TooLargeError,
     ZeroCoefficientError,
@@ -125,7 +132,7 @@ def diagnostics(solution: RecoverySolution) -> dict:
 # ---------------------------------------------------------------------------
 
 def _block_norms_flat(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.add.reduceat(v * v, starts))
+    return np.sqrt(np.add.reduceat(v * v, starts, axis=-1))
 
 
 def _norm21_flat(v: np.ndarray, starts: np.ndarray) -> float:
@@ -254,42 +261,49 @@ def _check_y(op: CoefficientOperator, y, eta=0.0) -> np.ndarray:
 
 def _support_kkt(b_s, y, lengths, c_s):
     """Newton's method on the optimality system of min sum_j ||c_j||
-    s.t. B_S c = y, from c_s:
+    s.t. B_S c = y, from c_s, for a stack of supports S of one block
+    structure (block dims ``lengths``), one support per row of ``b_s``,
+    ``y`` and ``c_s``:
 
         g_j(c) - B_j^T nu = 0 (j in S),   B_S c = y,   g_j = c_j / ||c_j||.
 
     Its Jacobian is K = [[H, -B_S^T], [B_S, 0]], H = blockdiag((I - g_j
     g_j^T) / ||c_j||). As H c = 0, a Newton step from (c, nu) lands on the
     solution of K (c', nu') = (-g, y), whatever nu, so nu stays inside the
-    solves. Returns c after ``KKT_ITERS`` iterations, or None on a zero
-    block, a singular K or a non-finite result.
+    solves. Each iteration is one stacked solve, solved slice by slice when
+    a K is singular (:func:`_newton_solve`). Returns per support c after
+    ``KKT_ITERS`` iterations, or None on a zero block, a singular K or a
+    non-finite result.
     """
-    w = len(c_s)
+    count, p, w = b_s.shape
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     owner = np.repeat(np.arange(len(lengths)), lengths)
     same = owner[:, None] == owner[None, :]
-    kkt = np.zeros((w + len(y), w + len(y)))
-    kkt[:w, w:] = -b_s.T
-    kkt[w:, :w] = b_s
-    rhs = np.concatenate([np.zeros(w), y])
-    # a diverging attempt is rejected by the finiteness test below
+    diag = np.arange(w)
+    kkt = np.zeros((count, w + p, w + p))
+    kkt[:, :w, w:] = -np.swapaxes(b_s, 1, 2)
+    kkt[:, w:, :w] = b_s
+    rhs = np.zeros((count, w + p))
+    rhs[:, w:] = y
+    # a support whose attempt has ended stays in the stack, and its entry
+    # of ``alive`` is cleared; the slices of a stacked solve are independent
+    alive = np.ones(count, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(KKT_ITERS):
             norms = _block_norms_flat(c_s, starts)
-            if not norms.min() > 0.0:
-                return None
-            inv = 1.0 / norms[owner]
+            alive &= norms.min(axis=1) > 0.0
+            inv = 1.0 / norms[:, owner]
             g = c_s * inv
-            kkt[:w, :w] = np.diag(inv) - same * np.outer(g * inv, g)
-            rhs[:w] = -g
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                return None
-            c_s = sol[:w]
-    if not np.all(np.isfinite(sol)):
-        return None
-    return c_s
+            # H = diag(inv) - same * (g inv) g^T, as its 2-D form rounds it
+            hess = kkt[:, :w, :w]
+            hess[...] = 0.0
+            hess[:, diag, diag] = inv
+            hess -= same * ((g * inv)[:, :, None] * g[:, None, :])
+            rhs[:, :w] = -g
+            sol = _newton_solve(kkt, rhs, alive)
+            c_s = sol[:, :w]
+    # a diverging attempt is rejected by the finiteness test
+    return [row[:w] if ok and np.all(np.isfinite(row)) else None for ok, row in zip(alive.tolist(), sol)]
 
 
 def _mv(a, v):
@@ -314,9 +328,56 @@ def _newton_solve(hessian, rhs, ok):
     return out
 
 
+class _Stack:
+    """The matrices B of programs of one shape and, for programs of one
+    rank too, their factors (V_r^T, L_r) of B^T B = V_r L_r V_r^T, one row
+    per program.
+
+    ``np.stack`` keeps the layout of what it stacks, so each slice has the
+    layout of a program's own B and V_r^T (both C-contiguous), and every
+    vector stack that reaches BLAS is C-contiguous: each product equals the
+    2-D product of its slice bit for bit.
+    """
+
+    def __init__(self, b, vt=None, l_r=None):
+        self.b, self.vt, self.l_r = b, vt, l_r
+
+    @classmethod
+    def of(cls, progs, factor=True):
+        b = np.stack([p.B for p in progs])
+        if not factor:
+            return cls(b)
+        return cls(b, np.stack([p.v_r.T for p in progs]), np.stack([p.l_r for p in progs]))
+
+    def take(self, rows):
+        return _Stack(*(None if a is None else a[rows] for a in (self.b, self.vt, self.l_r)))
+
+    def in_ball(self, nu, starts):
+        """Each nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
+        norms = _block_norms_flat(_mv(np.swapaxes(self.b, 1, 2), nu), starts)
+        return nu / np.fmax(1.0, norms.max(axis=1))[:, None]
+
+    def gram_pinv(self, v):
+        return _mv(np.swapaxes(self.vt, 1, 2), _mv(self.vt, v) / self.l_r)
+
+    # the minimum-norm least-squares solutions of B c = r and B^T nu = g, each
+    # with one step of iterative refinement: the factor of B^T B alone loses
+    # accuracy with the square of the condition number of B
+    def pinv(self, r):
+        bt = np.swapaxes(self.b, 1, 2)
+        c = self.gram_pinv(_mv(bt, r))
+        return c + self.gram_pinv(_mv(bt, r - _mv(self.b, c)))
+
+    def dual_ls(self, g):
+        nu = _mv(self.b, self.gram_pinv(g))
+        return nu + _mv(self.b, self.gram_pinv(g - _mv(np.swapaxes(self.b, 1, 2), nu)))
+
+
 class _Program:
-    """One solve: its data, the factor of B^T B, the least-squares probe and,
-    unless the probe settles the solve, its cone program (see :func:`_newton`).
+    """One solve: its data, its factor of B^T B (shared by every program on
+    the same operator, :func:`_factor`) and, unless the stacked
+    least-squares probe settles the solve (:func:`_probe`), its cone
+    program (see :func:`_newton`).
     """
 
     def __init__(self, op: CoefficientOperator, y, eta: float):
@@ -338,80 +399,42 @@ class _Program:
             dual_residual=max(0.0, dual_norm - 1.0),
             duality_gap=gap,
             objective=_norm21_flat(vec, self.starts),
-            dual_vector=nu,
+            # a copy: nu may be a row of a stack that must not outlive the solve
+            dual_vector=nu.copy(),
             eta=self.eta,
         )
 
     def in_ball(self, nu):
         """nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
-        return nu / max(1.0, float(np.max(_block_norms_flat(self.B.T @ nu, self.starts))))
-
-    def gram_pinv(self, v):
-        return self.v_r @ ((self.v_r.T @ v) / self.l_r)
-
-    # the minimum-norm least-squares solutions of B c = r and B^T nu = g, each
-    # with one step of iterative refinement: the factor of B^T B alone loses
-    # accuracy with the square of the condition number of B
-    def pinv(self, r):
-        c = self.gram_pinv(self.B.T @ r)
-        return c + self.gram_pinv(self.B.T @ (r - self.B @ c))
-
-    def dual_ls(self, g):
-        nu = self.B @ self.gram_pinv(g)
-        return nu + self.B @ self.gram_pinv(g - self.B.T @ nu)
+        return _Stack(self.B[None]).in_ball(nu[None], self.starts)[0]
 
     def subgradient(self, vec):
         norms = np.maximum(_block_norms_flat(vec, self.starts), np.finfo(float).tiny)
         return vec / np.repeat(norms, self.lengths)
 
-    def probe(self):
-        """The solution when the probe settles the solve (zero or the probe
-        point is optimal, or y is out of reach), or None after setting up the
-        cone program."""
-        B, y, eta, starts = self.B, self.y, self.eta, self.starts
-        n, p, nb = self.op.in_dim, self.op.out_dim, len(self.lengths)
-        # zero is feasible and has minimal objective
-        if self.ynorm <= eta:
-            return self.solution(np.zeros(n), "converged", 0, np.zeros(p))
-        evals, evecs = np.linalg.eigh(B.T @ B)
-        keep = evals > n * np.finfo(float).eps * max(evals[-1], 0.0)
-        self.v_r, self.l_r = evecs[:, keep], evals[keep]
-        # least-squares probe: feasibility check and starting point
-        c0 = self.pinv(y)
-        range_dist = float(np.linalg.norm(B @ c0 - y))
-        if range_dist > eta + 10 * TOL_PRIMAL * (1.0 + self.ynorm):
-            return self.solution(c0, "infeasible", 0, np.zeros(p))
-        if eta == 0.0:
-            basis = evecs[:, ~keep]
-            if basis.shape[1] == 0:
-                # injective B: the probe point is the only feasible point
-                return self.solution(c0, "converged", 0, self.in_ball(self.dual_ls(self.subgradient(c0))))
-        else:
-            basis = np.eye(n)
-        # the cone program is built for the whole stack (:func:`_newton`)
-        self.heads = starts + np.arange(nb)
-        self.tails = np.delete(np.arange(n + nb), self.heads)
+    def setup(self, c0, range_dist):
+        """Set up the cone program from the probe point c0, at distance
+        range_dist from y."""
+        # the equality program runs over c0 + Z w, the ball program over c0 + w
+        self.basis = self.null if self.eta == 0.0 else np.eye(len(c0))
         # the probe must lie strictly inside the ball: a radius within the
         # infeasibility tolerance of range_dist is widened to admit it
-        self.radius = max(eta, range_dist * (1.0 + 1e-12) + 1e-300)
-        norms = _block_norms_flat(c0, starts)
+        self.radius = max(self.eta, range_dist * (1.0 + 1e-12) + 1e-300)
+        norms = _block_norms_flat(c0, self.starts)
         self.t0 = norms + max(float(norms.mean()), np.finfo(float).tiny)
-        self.c0, self.basis = c0, basis
-        self.last = (c0, np.zeros(p))  # (c, nu) of the last Newton step
-        return None
+        self.c0 = c0
+        self.last = (c0, np.zeros(len(self.y)))  # (c, nu) of the last Newton step
 
-    def step(self, c, t, z, it):
-        """The solution when Newton step ``it`` (estimate c, cone heads t, dual
-        cone vector z) passes the certificate, or None."""
-        y, eta = self.y, self.eta
-        # the ball cone (eta, y - B c) comes last: its multiplier is -nu
-        nu = self.in_ball(-z[-len(y):] if eta > 0.0 else self.dual_ls(-z[self.tails]))
+    def step(self, c, nu, candidate, it):
+        """The solution when Newton step ``it`` (estimate c, dual nu scaled
+        into the dual ball) passes the certificate, or None. An equality
+        step's support ``candidate`` (:func:`_candidates`) is tried first."""
         self.last = (c, nu)
-        if eta == 0.0:
-            refined = self.refine(c, t, z, nu)
+        if candidate is not None:
+            refined = self.refine(*candidate, nu)
             if refined is not None:
                 return self.solution(refined[0], "converged", it, refined[1])
-        if _dual_gap(c, nu, y, eta, self.starts) <= TOL_GAP:
+        if _dual_gap(c, nu, self.y, self.eta, self.starts) <= TOL_GAP:
             return self.solution(c, "converged", it, nu)
         return None
 
@@ -420,38 +443,104 @@ class _Program:
         c, nu = self.last
         return self.solution(c, status, it, nu)
 
-    def refine(self, c, t, z, nu):
-        """The optimum on the support that complementarity identifies, if it
-        passes the certificate.
+    def refine(self, cols, c_s, nu):
+        """The optimum on the support whose columns are ``cols``, if it passes
+        the certificate.
 
-        Block j is in the support S when its cone head t_j exceeds the slack
-        z0_j - ||z1_j|| of its dual cone. The candidate c_S is the
-        least-squares fit on S; when S has more coefficients than B has
-        rows, B_S c = y is underdetermined and its minimum-norm fit is not
-        the l2,1 optimum, so c_S is instead Newton's iterate on the
-        support's optimality system from the step's c_S
-        (:func:`_support_kkt`). Either way the candidate dual is the step's
-        nu projected onto the optimality equations B_S^T nu = g_S, g the
-        subgradient of the candidate, by one least-squares solve, then
-        scaled into the dual ball.
+        The candidate c_S is the support system's iterate c_s when given,
+        else the least-squares fit on S. Either way the candidate dual is
+        the step's nu projected onto the optimality equations B_S^T nu =
+        g_S, g the subgradient of the candidate, by one least-squares
+        solve, then scaled into the dual ball.
         """
-        B, y, starts, lengths = self.B, self.y, self.starts, self.lengths
-        support = t > z[self.heads] - _block_norms_flat(z[self.tails], starts)
-        cols = np.repeat(support, lengths)
+        B, y = self.B, self.y
         b_s = B[:, cols]
-        if np.count_nonzero(cols) > len(y):
-            c_s = _support_kkt(b_s, y, lengths[support], c[cols])
-        else:
-            c_s = np.linalg.lstsq(b_s, y, rcond=None)[0]
         if c_s is None:
-            return None
-        out = np.zeros(len(c))
+            c_s = np.linalg.lstsq(b_s, y, rcond=None)[0]
+        out = np.zeros(len(cols))
         out[cols] = c_s
         if np.linalg.norm(B @ out - y) > TOL_PRIMAL * (1.0 + self.ynorm):
             return None
         g = self.subgradient(out)[cols]
         cand = self.in_ball(nu + np.linalg.lstsq(b_s.T, g - b_s.T @ nu, rcond=None)[0])
-        return (out, cand) if _dual_gap(out, cand, y, self.eta, starts) <= TOL_GAP else None
+        return (out, cand) if _dual_gap(out, cand, y, self.eta, self.starts) <= TOL_GAP else None
+
+
+def _factor(progs: list[_Program]) -> None:
+    """Give each program the factor of its B^T B = V L V^T: the range part
+    (V_r, L_r) and a basis of the null space.
+
+    There is one eigendecomposition per distinct operator, stacked with
+    one product B^T B over the operators of one matrix shape. An eigenvalue
+    counts as zero at n eps times the largest. V_r and the null basis are
+    column selections of V, whose layout the stacks that later hold them
+    keep (:class:`_Stack`).
+    """
+    shapes = {}
+    for prog in progs:
+        shapes.setdefault(prog.B.shape, {}).setdefault(id(prog.op), []).append(prog)
+    for (_, n), by_op in shapes.items():
+        b = np.stack([group[0].B for group in by_op.values()])
+        evals, evecs = np.linalg.eigh(np.swapaxes(b, 1, 2) @ b)
+        keeps = evals > n * np.finfo(float).eps * np.maximum(evals[:, -1:], 0.0)
+        for group, w, v, keep in zip(by_op.values(), evals, evecs, keeps):
+            l_r, v_r, null = w[keep], v[:, keep], v[:, ~keep]
+            for prog in group:
+                prog.l_r, prog.v_r, prog.null = l_r, v_r, null
+
+
+def _probe(progs: list[_Program]) -> list[RecoverySolution | None]:
+    """The least-squares probe c0 = pinv(B) y, stacked over programs of one
+    shape and rank: feasibility check and starting point.
+
+    Per program, the solution when the probe settles the solve (y out of
+    reach, or an injective B, whose probe point is the only feasible
+    point), or None after setting up its cone program.
+    """
+    stack = _Stack.of(progs)
+    ys = np.stack([p.y for p in progs])
+    c0 = stack.pinv(ys)
+    residual = _mv(stack.b, c0) - ys
+    out, exact = [None] * len(progs), []
+    for i, (prog, c, res) in enumerate(zip(progs, c0, residual)):
+        range_dist = float(np.linalg.norm(res))
+        if range_dist > prog.eta + 10 * TOL_PRIMAL * (1.0 + prog.ynorm):
+            out[i] = prog.solution(c, "infeasible", 0, np.zeros(len(prog.y)))
+        elif prog.eta == 0.0 and prog.null.shape[1] == 0:
+            exact.append(i)
+        else:
+            prog.setup(c, range_dist)
+    if exact:
+        duals = stack.take(exact).dual_ls(np.stack([progs[i].subgradient(c0[i]) for i in exact]))
+        for i, nu in zip(exact, duals):
+            out[i] = progs[i].solution(c0[i], "converged", 0, progs[i].in_ball(nu))
+    return out
+
+
+def _candidates(b, ys, lengths, support, c) -> list:
+    """The candidate of each equality step of a stack on its support, for
+    :meth:`_Program.refine`; ``support`` flags each step's blocks.
+
+    When a support S has more coefficients than B has rows, B_S c = y is
+    underdetermined and its minimum-norm fit is not the l2,1 optimum, so
+    the candidate is (cols, c_s), c_s Newton's iterate on the support's
+    optimality system from the step's c_S (:func:`_support_kkt`, one stack
+    per block structure of S), or None when that gives up. Otherwise it is
+    (cols, None), for the least-squares fit on S.
+    """
+    cols = np.repeat(support, lengths, axis=1)
+    out = [(row, None) for row in cols]
+    wide = {}
+    for i in np.flatnonzero(cols.sum(axis=1) > ys.shape[1]).tolist():
+        wide.setdefault(tuple(lengths[support[i]].tolist()), []).append(i)
+    for dims, rows in wide.items():
+        idx = cols[rows].nonzero()[1].reshape(len(rows), -1)
+        at = np.array(rows)[:, None]
+        # b[at, :, idx] stacks the B_S^T
+        fits = _support_kkt(np.swapaxes(b[at, :, idx], 1, 2), ys[rows], np.array(dims), c[at, idx])
+        for i, c_s in zip(rows, fits):
+            out[i] = None if c_s is None else (cols[i], c_s)
+    return out
 
 
 def _newton(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
@@ -461,32 +550,41 @@ def _newton(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
     product: min sum_j t_j over x = (w, t), with rows (t_j, c0_j + Z_j w)
     per block, then (eta, y - B c) for the ball. Each step is a primal-dual
     Newton step with Nesterov-Todd scaling and a Mehrotra corrector that
-    keeps x strictly feasible and G x + s = h. A program leaves the stack at
-    the step that certifies it, the step rounding stops (a singular Newton
-    matrix, or an iterate off the cone interior: status "stalled", with the
-    previous step's iterate) or step ``max_iters``; every stacked array is
-    then compacted to the programs that step on.
+    keeps x strictly feasible and G x + s = h. The duals of the steps and
+    the equality steps' supports and support systems are found for the
+    whole stack; the certificate is tested per program. A program leaves
+    the stack at the step that certifies it, the step rounding stops (a
+    singular Newton matrix, or an iterate off the cone interior: status
+    "stalled", with the previous step's iterate) or step ``max_iters``;
+    every stacked array is then compacted to the programs that step on.
     """
     first = progs[0]
-    n, nb, r = len(first.c0), len(first.lengths), first.basis.shape[1]
+    n, nb, p, r = len(first.c0), len(first.lengths), len(first.y), first.basis.shape[1]
     ball = first.eta > 0.0
-    dims = list(first.lengths + 1) + ([len(first.y) + 1] if ball else [])
+    dims = list(first.lengths + 1) + ([p + 1] if ball else [])
     cones = _Cones(dims)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
+    # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
+    heads = cones.heads[:nb]
+    tails = np.delete(np.arange(n + nb), heads)
     live = np.arange(len(progs))
-    c0 = np.stack([p.c0 for p in progs])
-    basis = np.stack([p.basis for p in progs])
+    stack = _Stack.of(progs, factor=not ball)
+    ys = np.stack([prog.y for prog in progs])
+    c0 = np.stack([prog.c0 for prog in progs])
+    basis = np.stack([prog.basis for prog in progs])
     G = np.zeros((len(progs), sum(dims), r + nb))
     h = np.zeros(G.shape[:2])
-    G[:, first.heads, r + np.arange(nb)] = -1.0
-    G[:, first.tails, :r] = -basis
-    h[:, first.tails] = c0
+    G[:, heads, r + np.arange(nb)] = -1.0
+    G[:, tails, :r] = -basis
+    h[:, tails] = c0
     if ball:
-        B = np.stack([p.B for p in progs])
-        G[:, n + nb + 1:, :r] = B @ basis
-        h[:, n + nb] = [p.radius for p in progs]
-        h[:, n + nb + 1:] = np.stack([p.y for p in progs]) - _mv(B, c0)
-    x = np.concatenate([np.zeros((len(progs), r)), np.stack([p.t0 for p in progs])], axis=1)
+        G[:, n + nb + 1:, :r] = stack.b @ basis
+        h[:, n + nb] = [prog.radius for prog in progs]
+        h[:, n + nb + 1:] = ys - _mv(stack.b, c0)
+    x = np.concatenate([np.zeros((len(progs), r)), np.stack([prog.t0 for prog in progs])], axis=1)
+    # from here on the stacks hold the factors
+    for prog in progs:
+        del prog.v_r, prog.l_r, prog.null, prog.basis
     cost = np.concatenate([np.zeros(r), np.ones(nb)])
     s = h - _mv(G, x)
     z = np.tile(cones.e, (len(x), 1))
@@ -530,13 +628,29 @@ def _newton(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
         # rounding may have carried an iterate to the boundary
         ok &= np.all(sz[:, cones.heads2] > 0.0, axis=1) & np.all(sz_sq > 0.0, axis=1)
         c = c0 + _mv(basis, x[:, :r])
+        # the duals of the programs that step on: the ball cone (eta, y - B c)
+        # comes last, and its multiplier is -nu; an equality step's nu is the
+        # least-squares solution of B^T nu = -z1, its support the blocks
+        # whose cone head t_j exceeds the slack z0_j - ||z1_j|| of their dual
+        # cone (primal-dual complementarity)
+        at, yg, xg, zg, cg = (stack, ys, x, z, c) if ok.all() else (
+            stack.take(ok), ys[ok], x[ok], z[ok], c[ok])
+        if ball:
+            nus, cands = at.in_ball(-zg[:, -p:], first.starts), [None] * len(zg)
+        else:
+            z1 = np.take(zg, tails, axis=1)
+            nus = at.in_ball(at.dual_ls(-z1), first.starts)
+            support = xg[:, r:] > zg[:, heads] - _block_norms_flat(z1, first.starts)
+            cands = _candidates(at.b, yg, first.lengths, support, cg)
+        steps = iter(zip(nus, cands))
         for row, i in enumerate(live):
-            out[i] = progs[i].step(c[row], x[row, r:], z[row], it) if ok[row] else progs[i].stop("stalled", it - 1)
+            out[i] = progs[i].step(c[row], *next(steps), it) if ok[row] else progs[i].stop("stalled", it - 1)
         keep = np.array([out[i] is None for i in live])
         if not keep.any():
             break
         if not keep.all():
-            live, c0, basis, G, x, s, z, sz_sq = (a[keep] for a in (live, c0, basis, G, x, s, z, sz_sq))
+            live, ys, c0, basis, G, x, s, z, sz_sq = (a[keep] for a in (live, ys, c0, basis, G, x, s, z, sz_sq))
+            stack = stack.take(keep)
     return [sol or prog.stop("max_iters", max_iters) for sol, prog in zip(out, progs)]
 
 
@@ -545,26 +659,44 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     (B, y, eta) triple: one :class:`RecoverySolution` per input, each equal bit
     for bit to the solution of its triple alone.
 
-    Programs the probe does not settle are stacked by shape (program, cone
-    dims and null-space width), and each stack goes through one
-    interior-point loop (:func:`_newton`).
+    After the zero exits (||y|| <= eta), B^T B is factored once per distinct
+    operator (:func:`_factor`) and the least-squares probe runs stacked over
+    programs of one shape and rank (:func:`_probe`). Programs the probe
+    does not settle are stacked by shape (program, cone dims and null-space
+    width), and each stack goes through one interior-point loop
+    (:func:`_newton`). ``max_iters`` must be a positive integer.
     """
     etas = [float(eta) for eta in etas]
     if any(eta < 0 for eta in etas):
         raise ValueError("eta must be nonnegative")
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if not len(ops) == len(ys) == len(etas):
         raise ValueError("expected as many operators, y and eta")
     progs = [_Program(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
-    out = [prog.probe() for prog in progs]
-    stacks = {}
-    for i, (prog, sol) in enumerate(zip(progs, out)):
-        if sol is None:
-            key = (prog.eta > 0.0, tuple(prog.lengths), len(prog.y), prog.basis.shape[1])
-            stacks.setdefault(key, []).append(i)
+    # zero is feasible and has minimal objective
+    out = [prog.solution(np.zeros(prog.op.in_dim), "converged", 0, np.zeros(len(prog.y)))
+           if prog.ynorm <= prog.eta else None for prog in progs]
+    rest = [i for i, sol in enumerate(out) if sol is None]
+    _factor([progs[i] for i in rest])
+    probes, stacks = {}, {}
+    for i in rest:
+        probes.setdefault((progs[i].B.shape, len(progs[i].l_r)), []).append(i)
+    for rows in probes.values():
+        for i, sol in zip(rows, _probe([progs[i] for i in rows])):
+            out[i] = sol
+            if sol is None:
+                prog = progs[i]
+                key = (prog.eta > 0.0, tuple(prog.lengths), len(prog.y), prog.basis.shape[1])
+                stacks.setdefault(key, []).append((i, prog))
+    # the programs the probe settled, and their factors, are not kept
+    del progs
     for rows in stacks.values():
-        for i, sol in zip(rows, _newton([progs[i] for i in rows], max_iters)):
+        for (i, _), sol in zip(rows, _newton([prog for _, prog in rows], max_iters)):
             out[i] = sol
     return out
 
@@ -641,6 +773,8 @@ def oracle_recover_exhaustive(
     decides acceptance and gives the estimate.
     """
     y = _check_y(B, y)
+    if s < 0:
+        raise InvalidSparsityError(f"s={s} must be nonnegative")
     n = B.collection.size
     k = B.collection.block_dim
     if math.comb(n, min(s, n)) * max(1, (s * k) ** 3) > 10**9:

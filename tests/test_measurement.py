@@ -254,6 +254,18 @@ class TestCoefficientOperator:
             blocks = [phi[:, j * d:(j + 1) * d] @ u for j, u in enumerate(bases)]
         assert np.array_equal(b.matrix, 0.7 * np.hstack(blocks))
 
+    @pytest.mark.parametrize("dims", [(2,) * 8, (1, 2, 2, 1)])
+    def test_vector_matrix_matches_kron_blocks_independent(self, dims):
+        # the one-broadcast build against the per-block np.kron definition,
+        # bit for bit, at the phase sweep's shapes (d = 4, m = 1..6)
+        rng = np.random.default_rng(len(dims))
+        for m in range(1, 7):
+            bases = tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims)
+            a = rng.standard_normal((m, len(dims)))
+            b = compose_with_bases(vector_operator(a, 4, scale=1.0 / math.sqrt(m)), SubspaceCollection(bases))
+            blocks = [np.kron(a[:, j:j + 1], u) for j, u in enumerate(bases)]
+            assert np.array_equal(b.matrix, 1.0 / math.sqrt(m) * np.hstack(blocks))
+
     def test_isometry_in_expectation(self):
         coll = random_collection(6, 2, 4, seed=8)
         x = random_sparse_signal(coll, 2, seed=9)

@@ -185,6 +185,11 @@ class TestSupportAndConversions:
         x = random_sparse_signal(coll, 3, seed=1, amplitude_law="gaussian_blocks")
         assert support(x, 0.0) == {0, 1, 2}
 
+    def test_nan_tol_rejected(self):
+        x = signal_with_block_norms([1.0, 0.0])
+        with pytest.raises(ValueError, match="tol"):
+            support(x, math.nan)
+
     def test_ambient_round_trip(self):
         coll = random_collection(6, 2, 4, seed=5)
         x = random_sparse_signal(coll, 2, seed=6, amplitude_law="gaussian_blocks")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fusioncs import solver
 from fusioncs.errors import (
     DimMismatchError,
+    InvalidSparsityError,
     NotOrthogonalError,
     TooLargeError,
     ZeroCoefficientError,
@@ -241,7 +242,7 @@ class TestSolveEquality:
         assert certify(sol, b, y).ok
         assert np.count_nonzero(coeff_vector(sol.estimate)) > b.out_dim
         assert_support_dual(b, sol)
-        monkeypatch.setattr(solver, "_support_kkt", lambda *args: None)
+        monkeypatch.setattr(solver, "_support_kkt", lambda b_s, *args: [None] * len(b_s))
         gap_exit = solve_equality(b, y)
         assert gap_exit.status == "converged"
         assert sol.iterations < gap_exit.iterations
@@ -359,7 +360,7 @@ def test_support_system_never_adds_steps(seed, dims, d, rows, s, kind, log_scale
     # interior-point gap (or a support no wider than B)
     b, y = random_instance(seed, dims, d, rows, s, kind, 10.0**log_scale)
     sol = solve_equality(b, y)
-    with mock.patch.object(solver, "_support_kkt", lambda *args: None):
+    with mock.patch.object(solver, "_support_kkt", lambda b_s, *args: [None] * len(b_s)):
         gap_exit = solve_equality(b, y)
     assert gap_exit.status == "converged"
     assert sol.status == "converged"
@@ -377,8 +378,8 @@ def test_gap_exit_returns_the_certified_iterate(monkeypatch, kind):
     real_step = solver._Program.step
     exits = []
 
-    def step(prog, c, t, z, it):
-        sol = real_step(prog, c, t, z, it)
+    def step(prog, c, *args):
+        sol = real_step(prog, c, *args)
         if sol is not None:
             exits.append(c)
         return sol
@@ -396,7 +397,8 @@ def test_gap_exit_returns_the_certified_iterate(monkeypatch, kind):
 
 
 class TestSupportKKT:
-    """The give-up returns of Newton's method on a support's optimality system."""
+    """The give-up returns of Newton's method on a support's optimality
+    system, alone and in a stack."""
 
     def wide_support(self):
         # 3 coefficients in blocks of (1, 2) against 2 rows, started near a
@@ -405,20 +407,25 @@ class TestSupportKKT:
         b_s, x = rng.standard_normal((2, 3)), rng.standard_normal(3)
         return b_s, b_s @ x, np.array([1, 2]), x + 0.1 * rng.standard_normal(3)
 
+    @staticmethod
+    def alone(b_s, y, lengths, c_s):
+        (c,) = solver._support_kkt(b_s[None], y[None], lengths, c_s[None])
+        return c
+
     def test_zero_block(self):
         b_s, y, lengths, _ = self.wide_support()
-        assert solver._support_kkt(b_s, y, lengths, np.array([0.0, 1.0, 2.0])) is None
+        assert self.alone(b_s, y, lengths, np.array([0.0, 1.0, 2.0])) is None
 
     def test_singular_system(self):
         # two equal rows of B_S make K singular
         b_s, _, lengths, c_s = self.wide_support()
         b_s = np.vstack([b_s[0], b_s[0]])
-        assert solver._support_kkt(b_s, b_s @ c_s, lengths, c_s) is None
+        assert self.alone(b_s, b_s @ c_s, lengths, c_s) is None
 
     def test_non_finite_iterate(self, monkeypatch):
         # unpatched, the iterations converge: only the NaN ends the attempt
         b_s, y, lengths, c_s = self.wide_support()
-        assert np.linalg.norm(b_s @ solver._support_kkt(b_s, y, lengths, c_s) - y) <= 1e-12
+        assert np.linalg.norm(b_s @ self.alone(b_s, y, lengths, c_s) - y) <= 1e-12
         real_solve = np.linalg.solve
         calls = []
 
@@ -428,8 +435,29 @@ class TestSupportKKT:
             return np.full_like(out, np.nan) if len(calls) == solver.KKT_ITERS else out
 
         monkeypatch.setattr("fusioncs.solver.np.linalg.solve", solve)
-        assert solver._support_kkt(b_s, y, lengths, c_s) is None
+        assert self.alone(b_s, y, lengths, c_s) is None
         assert len(calls) == solver.KKT_ITERS
+
+    def test_stack_matches_each_support_alone_independent(self):
+        # converging supports with a zero-block and a singular one: the
+        # singular K sends the stack slice by slice, and every support gets
+        # the bits (or the None) of its attempt alone
+        rng = np.random.default_rng(2)
+        lengths = np.array([1, 2])
+        b_s = rng.standard_normal((5, 2, 3))
+        b_s[3, 1] = b_s[3, 0]
+        x = rng.standard_normal((5, 3))
+        y = np.einsum("ipw,iw->ip", b_s, x)
+        c_s = x + 0.1 * rng.standard_normal((5, 3))
+        c_s[1, 0] = 0.0
+        alone = [self.alone(b, yi, lengths, c) for b, yi, c in zip(b_s, y, c_s)]
+        assert [c is None for c in alone] == [False, True, False, True, False]
+        for fits in (solver._support_kkt(b_s, y, lengths, c_s),
+                     solver._support_kkt(b_s[[0, 2, 4]], y[[0, 2, 4]], lengths, c_s[[0, 2, 4]])):
+            kept = fits if len(fits) == 5 else [fits[0], None, fits[1], None, fits[2]]
+            for fit, one in zip(kept, alone):
+                assert (fit is None) == (one is None)
+                assert fit is None or fit.tobytes() == one.tobytes()
 
 
 class TestSolveNoisy:
@@ -506,6 +534,10 @@ class TestSolveNoisy:
 
 def bits(sol):
     return (coeff_vector(sol.estimate).tobytes(), sol.dual_vector.tobytes(), sol.status, sol.iterations)
+
+
+def full_bits(sol):
+    return bits(sol) + (sol.primal_residual, sol.dual_residual, sol.duality_gap, sol.objective)
 
 
 def repeated_blocks_instance(seed, repeats):
@@ -592,6 +624,51 @@ class TestSolveMany:
         order = np.random.default_rng(0).permutation(len(cases))
         sols = solver.solve_many(*zip(*(cases[i] for i in order)))
         assert [bits(sol) for sol in sols] == [single[i] for i in order]
+
+    def test_shared_factors_and_stacked_support_systems_independent(self, monkeypatch):
+        # one operator shared by four eta rows, a rank-deficient B among
+        # full-rank Bs of its shape, equality and ball programs, and wide
+        # supports whose support systems share a column count: each
+        # solution equals its solve alone bit for bit, each distinct
+        # operator is factored once, by one eigh per matrix shape, and the
+        # support systems run in stacks
+        coll = random_collection(4, 2, 8, seed=0)
+        wide = [planted_instance(coll, 2, 1, seed=30 + i)[::2] for i in range(4)]
+        cases = [(b, y, 0.0) for b, y in wide]
+        b, y = wide[0]
+        cases += [(b, y, f * float(np.linalg.norm(y))) for f in (1e-3, 1e-2, 1e-1)]
+        for seed in range(2):
+            for repeats in (0, 1):
+                b, y = repeated_blocks_instance(seed, repeats)
+                cases += [(b, y, 0.0), (b, y, 1e-3 * float(np.linalg.norm(y)))]
+        single = [full_bits(solve_noisy(*case)) for case in cases]
+        real_eigh, real_kkt = np.linalg.eigh, solver._support_kkt
+        eighs, kkt_rows = [], []
+
+        def eigh(a):
+            eighs.append(a.shape)
+            return real_eigh(a)
+
+        def kkt(b_s, *args):
+            kkt_rows.append(len(b_s))
+            return real_kkt(b_s, *args)
+
+        monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", eigh)
+        monkeypatch.setattr(solver, "_support_kkt", kkt)
+        sols = solver.solve_many(*zip(*cases))
+        assert [full_bits(sol) for sol in sols] == single
+        assert {sol.status for sol in sols} == {"converged"}
+        assert eighs == [(4, 16, 16), (4, 16, 16)]
+        assert max(kkt_rows) >= 2
+
+    def test_non_integer_max_iters_rejected(self, monkeypatch):
+        b, y = repeated_blocks_instance(0, 1)
+        monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", lambda a: pytest.fail("factored"))
+        for bad in (2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                solver.solve_many([b], [y], [0.0], max_iters=bad)
+        monkeypatch.undo()
+        assert solver.solve_many([b], [y], [0.0], max_iters=np.int64(50))[0].status == "converged"
 
     def test_inputs_checked(self):
         b, y = repeated_blocks_instance(0, 1)
@@ -693,6 +770,13 @@ class TestOracle:
         rec, unique = oracle_recover_exhaustive(b, y, 1)
         assert rec is None
         assert type(unique) is bool and not unique
+
+    def test_negative_sparsity_rejected(self):
+        coll = random_collection(4, 2, 6, seed=2)
+        b, _, y = planted_instance(coll, 2, 4, seed=3)
+        with pytest.raises(InvalidSparsityError, match="s=-1"):
+            oracle_recover_exhaustive(b, y, -1)
+        assert oracle_recover_exhaustive(b, y, 0) == (None, False)
 
     @staticmethod
     def dense_blocks(*blocks):
