@@ -128,6 +128,16 @@ def require_fields(doc, names) -> None:
             raise SchemaError(name, "missing field")
 
 
+def positive_ints(doc, names) -> list[int]:
+    """The named fields of doc, each a positive integer; SchemaError
+    otherwise. JSON's true and false are not integers here."""
+    values = [doc[name] for name in names]
+    for name, v in zip(names, values):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise SchemaError(name, "must be a positive integer")
+    return values
+
+
 def float_list(value, field: str, what: str) -> np.ndarray:
     """value, a JSON list of numbers, as a float array; SchemaError otherwise."""
     if isinstance(value, list):

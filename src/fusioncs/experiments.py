@@ -130,13 +130,22 @@ class ExperimentConfig:
     epsilon: float = 0.01
 
 
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}
+
+
 def _json_type(f):
-    """The JSON types a config field accepts, read off its annotation."""
+    """The JSON types a config field accepts, and those of its entries for
+    a list, read off its annotation."""
     if f.name == "ensemble":
-        return (str, dict)  # a distribution name, or {"distribution": name}
+        return (str, dict), None  # a distribution name, or {"distribution": name}
     if f.type.startswith("tuple"):
-        return list
-    return {"str": str, "int": int, "float": (int, float)}[f.type]
+        return list, _JSON_TYPES[f.type.removeprefix("tuple[").removesuffix(", ...]")]
+    return _JSON_TYPES[f.type], None
+
+
+def _has_json_type(value, types) -> bool:
+    # JSON's true and false parse as bool, a subclass of int
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 _CONFIG_FIELDS = {f.name: _json_type(f) for f in fields(ExperimentConfig)}
@@ -148,9 +157,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for name in doc:
         if name not in _CONFIG_FIELDS:
             raise SchemaError(name, "unknown field")
-    for name, expected in _CONFIG_FIELDS.items():
-        if name in doc and not isinstance(doc[name], expected):
+    for name, (expected, entries) in _CONFIG_FIELDS.items():
+        if name not in doc:
+            continue
+        if not _has_json_type(doc[name], expected):
             raise SchemaError(name, f"expected {expected}, got {type(doc[name]).__name__}")
+        if entries is not None and not all(_has_json_type(v, entries) for v in doc[name]):
+            raise SchemaError(name, f"expected a list of {'integers' if entries is int else 'numbers'}")
     ensemble = doc.get("ensemble", "gaussian")
     if isinstance(ensemble, dict):
         if "distribution" not in ensemble:

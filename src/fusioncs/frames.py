@@ -28,6 +28,7 @@ from .errors import (
     SingleSubspaceError,
     TooManySubspacesError,
     float_list,
+    positive_ints,
     read_json,
     require_fields,
 )
@@ -359,10 +360,7 @@ def collection_from_dict(doc: dict) -> SubspaceCollection:
     require_fields(doc, ("version", "d", "k", "N", "bases"))
     if doc["version"] != 1:
         raise SchemaError("version", f"unsupported version {doc['version']!r}")
-    d, k, n = doc["d"], doc["k"], doc["N"]
-    for name, v in (("d", d), ("k", k), ("N", n)):
-        if not isinstance(v, int) or v < 1:
-            raise SchemaError(name, "must be a positive integer")
+    d, k, n = positive_ints(doc, ("d", "k", "N"))
     raw = doc["bases"]
     if not isinstance(raw, list) or len(raw) != n:
         raise SchemaError("bases", f"expected {n} bases")

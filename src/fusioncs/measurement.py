@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     ZeroColumnError,
     float_list,
+    positive_ints,
     read_json,
     require_fields,
 )
@@ -368,10 +369,7 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
     require_fields(doc, ("version", "rows", "cols", "data"))
     if doc["version"] != 1:
         raise SchemaError("version", f"unsupported version {doc['version']!r}")
-    rows, cols = doc["rows"], doc["cols"]
-    for name, v in (("rows", rows), ("cols", cols)):
-        if not isinstance(v, int) or v < 1:
-            raise SchemaError(name, "must be a positive integer")
+    rows, cols = positive_ints(doc, ("rows", "cols"))
     data = float_list(doc["data"], "data", "data")
     if data.ndim != 1:
         raise SchemaError("data", "must be a flat list of rows * cols numbers")

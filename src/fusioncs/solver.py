@@ -40,22 +40,22 @@ early (a singular Newton matrix, or an iterate off the cone interior) ends
 as "stalled".
 
 Solves run in stacks, and :func:`solve_many` is their one entry point. It
-takes many (B, y, eta) triples and works on stacks at every stage: one
-product B^T B and one ``eigh`` per matrix shape over the distinct operators
-(:func:`_factor`), the least-squares probe per shape and rank
-(:func:`_probe`), which settles each program it can, and one
-interior-point loop per shape of the remaining programs (program, cone
-dims and null-space width; :func:`_newton`), whose steps find their duals,
-complementarity supports and support systems (:func:`_support_kkt`, per
-block structure of the support) for the whole stack; a program leaves the
-stack at the step that ends it. Every stacked operation acts slice by
-slice on stacks whose slices have the layout of the 2-D arrays they stack
-(elementwise arithmetic, ``reduceat``, stacked ``matmul``, ``solve`` and
-``eigh``), and the 1-D dots and norms, whose stacked forms round
-differently, stay per program, as do the ``lstsq`` fits, the stop tests
-and the solutions. Each solution therefore equals the solve of its triple
-alone bit for bit, whatever else the stack holds; :func:`solve_equality`
-and :func:`solve_noisy` are stacks of one.
+takes many (B, y, eta) triples, factors B^T B by one product and one
+``eigh`` per matrix shape over the distinct operators (:func:`_factor`),
+and stacks the programs of one shape (program, block dims, rows and rank
+of B). Each stack runs from probe to exit in one function
+(:func:`_solve_stack`): the least-squares probe settles each program it
+can, and the rest go through one interior-point loop, whose steps find
+their duals, complementarity supports and support systems
+(:func:`_support_kkt`, per block structure of the support) for the whole
+stack; a program leaves the stack at the step that ends it. Every stacked
+operation acts slice by slice on stacks whose slices have the layout of
+the 2-D arrays they stack (elementwise arithmetic, ``reduceat``, stacked
+``matmul``, ``solve`` and ``eigh``), and the 1-D dots and norms, whose
+stacked forms round differently, stay per program, as do the ``lstsq``
+fits, the stop tests and the solutions. Each solution therefore equals the
+solve of its triple alone bit for bit, whatever else the stack holds;
+:func:`solve_equality` and :func:`solve_noisy` are stacks of one.
 
 The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens its
 supports S by one stacked QR of [B_S | y] per batch, whose residual never
@@ -329,9 +329,8 @@ def _newton_solve(hessian, rhs, ok):
 
 
 class _Stack:
-    """The matrices B of programs of one shape and, for programs of one
-    rank too, their factors (V_r^T, L_r) of B^T B = V_r L_r V_r^T, one row
-    per program.
+    """The matrices B of programs of one shape and rank, and their factors
+    (V_r^T, L_r) of B^T B = V_r L_r V_r^T, one row per program.
 
     ``np.stack`` keeps the layout of what it stacks, so each slice has the
     layout of a program's own B and V_r^T (both C-contiguous), and every
@@ -342,15 +341,8 @@ class _Stack:
     def __init__(self, b, vt=None, l_r=None):
         self.b, self.vt, self.l_r = b, vt, l_r
 
-    @classmethod
-    def of(cls, progs, factor=True):
-        b = np.stack([p.B for p in progs])
-        if not factor:
-            return cls(b)
-        return cls(b, np.stack([p.v_r.T for p in progs]), np.stack([p.l_r for p in progs]))
-
     def take(self, rows):
-        return _Stack(*(None if a is None else a[rows] for a in (self.b, self.vt, self.l_r)))
+        return _Stack(self.b[rows], self.vt[rows], self.l_r[rows])
 
     def in_ball(self, nu, starts):
         """Each nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
@@ -375,9 +367,9 @@ class _Stack:
 
 class _Program:
     """One solve: its data, its factor of B^T B (shared by every program on
-    the same operator, :func:`_factor`) and, unless the stacked
-    least-squares probe settles the solve (:func:`_probe`), its cone
-    program (see :func:`_newton`).
+    the same operator, :func:`_factor`), and the per-program ends of its
+    stack's solve (:func:`_solve_stack`): the certificate tests of each
+    Newton step, the support refinement and the solution.
     """
 
     def __init__(self, op: CoefficientOperator, y, eta: float):
@@ -411,19 +403,6 @@ class _Program:
     def subgradient(self, vec):
         norms = np.maximum(_block_norms_flat(vec, self.starts), np.finfo(float).tiny)
         return vec / np.repeat(norms, self.lengths)
-
-    def setup(self, c0, range_dist):
-        """Set up the cone program from the probe point c0, at distance
-        range_dist from y."""
-        # the equality program runs over c0 + Z w, the ball program over c0 + w
-        self.basis = self.null if self.eta == 0.0 else np.eye(len(c0))
-        # the probe must lie strictly inside the ball: a radius within the
-        # infeasibility tolerance of range_dist is widened to admit it
-        self.radius = max(self.eta, range_dist * (1.0 + 1e-12) + 1e-300)
-        norms = _block_norms_flat(c0, self.starts)
-        self.t0 = norms + max(float(norms.mean()), np.finfo(float).tiny)
-        self.c0 = c0
-        self.last = (c0, np.zeros(len(self.y)))  # (c, nu) of the last Newton step
 
     def step(self, c, nu, candidate, it):
         """The solution when Newton step ``it`` (estimate c, dual nu scaled
@@ -489,34 +468,6 @@ def _factor(progs: list[_Program]) -> None:
                 prog.l_r, prog.v_r, prog.null = l_r, v_r, null
 
 
-def _probe(progs: list[_Program]) -> list[RecoverySolution | None]:
-    """The least-squares probe c0 = pinv(B) y, stacked over programs of one
-    shape and rank: feasibility check and starting point.
-
-    Per program, the solution when the probe settles the solve (y out of
-    reach, or an injective B, whose probe point is the only feasible
-    point), or None after setting up its cone program.
-    """
-    stack = _Stack.of(progs)
-    ys = np.stack([p.y for p in progs])
-    c0 = stack.pinv(ys)
-    residual = _mv(stack.b, c0) - ys
-    out, exact = [None] * len(progs), []
-    for i, (prog, c, res) in enumerate(zip(progs, c0, residual)):
-        range_dist = float(np.linalg.norm(res))
-        if range_dist > prog.eta + 10 * TOL_PRIMAL * (1.0 + prog.ynorm):
-            out[i] = prog.solution(c, "infeasible", 0, np.zeros(len(prog.y)))
-        elif prog.eta == 0.0 and prog.null.shape[1] == 0:
-            exact.append(i)
-        else:
-            prog.setup(c, range_dist)
-    if exact:
-        duals = stack.take(exact).dual_ls(np.stack([progs[i].subgradient(c0[i]) for i in exact]))
-        for i, nu in zip(exact, duals):
-            out[i] = progs[i].solution(c0[i], "converged", 0, progs[i].in_ball(nu))
-    return out
-
-
 def _candidates(b, ys, lengths, support, c) -> list:
     """The candidate of each equality step of a stack on its support, for
     :meth:`_Program.refine`; ``support`` flags each step's blocks.
@@ -543,54 +494,78 @@ def _candidates(b, ys, lengths, support, c) -> list:
     return out
 
 
-def _newton(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
-    """Solve a stack of programs of one shape by one interior-point loop.
+def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
+    """Solve a stack of programs of one shape (program, block dims, rows and
+    rank of B) from the least-squares probe to the step that ends each.
 
-    The cone program of each is min cost^T x s.t. G x + s = h, s in the cone
-    product: min sum_j t_j over x = (w, t), with rows (t_j, c0_j + Z_j w)
-    per block, then (eta, y - B c) for the ball. Each step is a primal-dual
-    Newton step with Nesterov-Todd scaling and a Mehrotra corrector that
-    keeps x strictly feasible and G x + s = h. The duals of the steps and
-    the equality steps' supports and support systems are found for the
-    whole stack; the certificate is tested per program. A program leaves
-    the stack at the step that certifies it, the step rounding stops (a
-    singular Newton matrix, or an iterate off the cone interior: status
-    "stalled", with the previous step's iterate) or step ``max_iters``;
-    every stacked array is then compacted to the programs that step on.
+    The probe c0 = pinv(B) y checks feasibility and gives the starting
+    point. It settles a program whose y is out of reach, and every
+    equality program of an injective B, whose probe point is the only
+    feasible point. The cone program of each other one is min cost^T x
+    s.t. G x + s = h, s in the cone product: min sum_j t_j over x = (w, t),
+    with rows (t_j, c0_j + Z_j w) per block, then (eta, y - B c) for the
+    ball. Each step is a primal-dual Newton step with Nesterov-Todd scaling
+    and a Mehrotra corrector that keeps x strictly feasible and G x + s = h.
+    The duals of the steps and the equality steps' supports and support
+    systems are found for the whole stack; the certificate is tested per
+    program. A program leaves the stack at the step that certifies it, the
+    step rounding stops (a singular Newton matrix, or an iterate off the
+    cone interior: status "stalled", with the previous step's iterate) or
+    step ``max_iters``; every stacked array is then compacted to the
+    programs that step on.
     """
     first = progs[0]
-    n, nb, p, r = len(first.c0), len(first.lengths), len(first.y), first.basis.shape[1]
-    ball = first.eta > 0.0
+    (p, n), nb, ball = first.B.shape, len(first.lengths), first.eta > 0.0
+    stack = _Stack(np.stack([prog.B for prog in progs]), np.stack([prog.v_r.T for prog in progs]),
+                   np.stack([prog.l_r for prog in progs]))
+    ys = np.stack([prog.y for prog in progs])
+    c0 = stack.pinv(ys)
+    residual = _mv(stack.b, c0) - ys
+    dist = np.array([float(np.linalg.norm(res)) for res in residual])
+    out = [prog.solution(c, "infeasible", 0, np.zeros(p))
+           if d > prog.eta + 10 * TOL_PRIMAL * (1.0 + prog.ynorm) else None
+           for prog, c, d in zip(progs, c0, dist.tolist())]
+    live = np.array([i for i, sol in enumerate(out) if sol is None], dtype=int)
+    if len(live) == 0:
+        return out
+    if len(live) < len(progs):
+        stack, ys, c0, residual, dist = stack.take(live), ys[live], c0[live], residual[live], dist[live]
+    # the equality program runs over c0 + Z w, the ball program over c0 + w
+    r = n if ball else n - stack.l_r.shape[1]
+    if r == 0:
+        nus = stack.in_ball(stack.dual_ls(np.stack([progs[i].subgradient(c) for i, c in zip(live, c0)])),
+                            first.starts)
+        for i, c, nu in zip(live, c0, nus):
+            out[i] = progs[i].solution(c, "converged", 0, nu)
+        return out
+    basis = np.repeat(np.eye(n)[None], len(live), axis=0) if ball else np.stack([progs[i].null for i in live])
     dims = list(first.lengths + 1) + ([p + 1] if ball else [])
     cones = _Cones(dims)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
     # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
     heads = cones.heads[:nb]
     tails = np.delete(np.arange(n + nb), heads)
-    live = np.arange(len(progs))
-    stack = _Stack.of(progs, factor=not ball)
-    ys = np.stack([prog.y for prog in progs])
-    c0 = np.stack([prog.c0 for prog in progs])
-    basis = np.stack([prog.basis for prog in progs])
-    G = np.zeros((len(progs), sum(dims), r + nb))
+    G = np.zeros((len(live), sum(dims), r + nb))
     h = np.zeros(G.shape[:2])
     G[:, heads, r + np.arange(nb)] = -1.0
     G[:, tails, :r] = -basis
     h[:, tails] = c0
     if ball:
         G[:, n + nb + 1:, :r] = stack.b @ basis
-        h[:, n + nb] = [prog.radius for prog in progs]
-        h[:, n + nb + 1:] = ys - _mv(stack.b, c0)
-    x = np.concatenate([np.zeros((len(progs), r)), np.stack([prog.t0 for prog in progs])], axis=1)
-    # from here on the stacks hold the factors
-    for prog in progs:
-        del prog.v_r, prog.l_r, prog.null, prog.basis
+        # the probe must lie strictly inside the ball: a radius within the
+        # infeasibility tolerance of its distance from y is widened to admit it
+        h[:, n + nb] = np.fmax([progs[i].eta for i in live], dist * (1.0 + 1e-12) + 1e-300)
+        h[:, n + nb + 1:] = -residual
+    norms = _block_norms_flat(c0, first.starts)
+    t0 = norms + np.fmax(norms.mean(axis=1), np.finfo(float).tiny)[:, None]
+    x = np.concatenate([np.zeros((len(live), r)), t0], axis=1)
+    for i, c in zip(live, c0):
+        progs[i].last = (c, np.zeros(p))  # (c, nu) of the last Newton step
     cost = np.concatenate([np.zeros(r), np.ones(nb)])
     s = h - _mv(G, x)
     z = np.tile(cones.e, (len(x), 1))
     sz = np.concatenate([s, z], axis=1)
     sz_sq = cones.jdot2(sz, sz)
-    out = [None] * len(progs)
     for it in range(1, max_iters + 1):
         nt = cones.scaling(s, z, sz_sq)
         lam = cones.scale(nt, s)
@@ -660,11 +635,10 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     for bit to the solution of its triple alone.
 
     After the zero exits (||y|| <= eta), B^T B is factored once per distinct
-    operator (:func:`_factor`) and the least-squares probe runs stacked over
-    programs of one shape and rank (:func:`_probe`). Programs the probe
-    does not settle are stacked by shape (program, cone dims and null-space
-    width), and each stack goes through one interior-point loop
-    (:func:`_newton`). ``max_iters`` must be a positive integer.
+    operator (:func:`_factor`). The programs are then stacked once, by
+    program, block dims, rows and rank of B, and each stack is solved from
+    the least-squares probe to its last exit (:func:`_solve_stack`).
+    ``max_iters`` must be a positive integer.
     """
     etas = [float(eta) for eta in etas]
     if any(eta < 0 for eta in etas):
@@ -677,26 +651,20 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
         raise ValueError("max_iters must be positive")
     if not len(ops) == len(ys) == len(etas):
         raise ValueError("expected as many operators, y and eta")
-    progs = [_Program(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
-    # zero is feasible and has minimal objective
+    # each entry is a program until its solution replaces it, so a solved
+    # stack's programs and factors are not kept; zero is feasible and has
+    # minimal objective
+    out = [_Program(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
     out = [prog.solution(np.zeros(prog.op.in_dim), "converged", 0, np.zeros(len(prog.y)))
-           if prog.ynorm <= prog.eta else None for prog in progs]
-    rest = [i for i, sol in enumerate(out) if sol is None]
-    _factor([progs[i] for i in rest])
-    probes, stacks = {}, {}
+           if prog.ynorm <= prog.eta else prog for prog in out]
+    rest = [i for i, prog in enumerate(out) if isinstance(prog, _Program)]
+    _factor([out[i] for i in rest])
+    stacks = {}
     for i in rest:
-        probes.setdefault((progs[i].B.shape, len(progs[i].l_r)), []).append(i)
-    for rows in probes.values():
-        for i, sol in zip(rows, _probe([progs[i] for i in rows])):
-            out[i] = sol
-            if sol is None:
-                prog = progs[i]
-                key = (prog.eta > 0.0, tuple(prog.lengths), len(prog.y), prog.basis.shape[1])
-                stacks.setdefault(key, []).append((i, prog))
-    # the programs the probe settled, and their factors, are not kept
-    del progs
+        prog = out[i]
+        stacks.setdefault((prog.eta > 0.0, tuple(prog.lengths), len(prog.y), len(prog.l_r)), []).append(i)
     for rows in stacks.values():
-        for (i, _), sol in zip(rows, _newton([prog for _, prog in rows], max_iters)):
+        for i, sol in zip(rows, _solve_stack([out[i] for i in rows], max_iters)):
             out[i] = sol
     return out
 

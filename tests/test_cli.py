@@ -304,6 +304,33 @@ def test_malformed_json_exits_2(workspace, capsys, loader):
     )
 
 
+# case -> (the loader of the document, its fields set to true): the first is
+# named in the error; "d" and "k" both true make the dimensions consistent,
+# and so does "rows" true for the one-row matrix
+BOOLEAN_DIMENSIONS = {
+    "collection_d_k": ("collection", ("d", "k")),
+    "collection_k": ("collection", ("k",)),
+    "matrix_rows": ("matrix", ("rows",)),
+    "matrix_cols": ("matrix", ("cols",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_DIMENSIONS))
+def test_boolean_dimension_exits_2(workspace, capsys, case):
+    # JSON's true is not a positive integer, though Python's bool is an int
+    tmp, coll = workspace
+    mat = tmp / "A1.json"
+    assert run("measure", "sample", "--rows", 1, "--cols", 4, "--out", mat) == 0
+    loader, names = BOOLEAN_DIMENSIONS[case]
+    doc = json.loads({"collection": coll, "matrix": mat}[loader].read_text())
+    doc.update(dict.fromkeys(names, True))
+    (tmp / "bad.json").write_text(json.dumps(doc))
+    files = {"bad": tmp / "bad.json", "mat": mat, "coll": coll, "y": tmp / "y.json"}
+    capsys.readouterr()
+    assert run(*(files.get(a, a) for a in MALFORMED_JSON[loader])) == 2
+    assert capsys.readouterr().err == f"error: {names[0]}: must be a positive integer\n"
+
+
 @pytest.mark.parametrize("loader", sorted(MALFORMED_JSON))
 def test_non_utf8_json_exits_2(workspace, capsys, loader):
     # a UTF-16 byte order mark is not UTF-8: the same schema error as any
@@ -404,6 +431,26 @@ class TestExperimentCommand:
         assert run("experiment", kind, "--config", cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ")
+        assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials_per_cell", True),
+        ("max_iters", True),
+        ("success_tol", False),
+        ("measurement_grid", ["a"]),
+        ("measurement_grid", [True]),
+        ("sparsity_grid", [1.5]),
+        ("eta_grid", ["x"]),
+        ("theta_grid", [True]),
+    ])
+    def test_wrongly_typed_config_exits_2(self, tmp_path, capsys, field, value):
+        # booleans are not numbers, and grid entries are checked: a schema
+        # error naming the field, before any trial runs
+        cfg = self.make_config(tmp_path, **{field: value})
+        assert run("experiment", "phase", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
         assert not (tmp_path / "rows.csv").exists()
 
     def test_no_output_path_exits_2(self, tmp_path, capsys):

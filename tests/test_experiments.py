@@ -100,7 +100,11 @@ class TestConfig:
     def test_every_field_checked(self, name):
         doc = config_to_dict(phase_config())
         value = doc[name]
-        for wrong in (None, 1 if isinstance(value, (str, dict)) else "1"):
+        # JSON booleans are not numbers, and list entries are typed too
+        wrongs = [None, True, 1 if isinstance(value, (str, dict)) else "1"]
+        if isinstance(value, list):
+            wrongs += [["x"], [True]] + ([[1.5]] if name in ("sparsity_grid", "measurement_grid") else [])
+        for wrong in wrongs:
             with pytest.raises(SchemaError) as err:
                 config_from_dict({**doc, name: wrong})
             assert err.value.field == name

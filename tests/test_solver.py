@@ -661,6 +661,28 @@ class TestSolveMany:
         assert eighs == [(4, 16, 16), (4, 16, 16)]
         assert max(kkt_rows) >= 2
 
+    def test_probe_exits_leave_their_stack_independent(self):
+        # on criterion 9's injective 48 x 12 shape, one call holds ball
+        # programs the probe finds infeasible (eta below the distance from
+        # y to B's range), zero exits (eta = ||y||) and ball programs that
+        # step, and an infeasible equality program among equality programs
+        # the probe settles exactly: each leaves its stack with the bits
+        # of its solve alone
+        coll = orthogonal_collection(12, 2, 6)
+        cases = []
+        for i, eta in enumerate((1e-3, 1e-2, 1e-1)):
+            b, _, clean = planted_instance(coll, 2, 4, seed=40 + i, scale=0.5)
+            y = add_noise(clean, eta, seed=60 + i)
+            dist = float(np.linalg.norm(y - b.matrix @ np.linalg.lstsq(b.matrix, y, rcond=None)[0]))
+            cases += [(b, y, 0.5 * dist), (b, y, eta), (b, y, float(np.linalg.norm(y))), (b, clean, 0.0)]
+        cases.insert(5, (b, y, 0.0))  # a noisy y is out of B's range
+        single = [full_bits(solve_noisy(*case)) for case in cases]
+        sols = solver.solve_many(*zip(*cases))
+        assert [full_bits(sol) for sol in sols] == single
+        assert {sol.status for sol in sols} == {"infeasible", "converged"}
+        assert [i for i, sol in enumerate(sols) if sol.status == "infeasible"] == [0, 4, 5, 9]
+        assert [i for i, sol in enumerate(sols) if sol.iterations > 0] == [1, 6, 10]
+
     def test_non_integer_max_iters_rejected(self, monkeypatch):
         b, y = repeated_blocks_instance(0, 1)
         monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", lambda a: pytest.fail("factored"))
