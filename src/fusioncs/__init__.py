@@ -20,7 +20,6 @@ from .measurement import (
     EnsembleSpec,
     MeasurementOperator,
     add_noise,
-    adjoint,
     apply,
     compose_with_bases,
     matrix_coherences,

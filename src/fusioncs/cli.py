@@ -8,6 +8,7 @@ reruns reproduce files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -167,6 +168,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fusioncs")
     matrix_opts = argparse.ArgumentParser(add_help=False)

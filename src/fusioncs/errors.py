@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one reader of JSON
-documents, and the schema checks of a document's root and of its lists of
-numbers."""
+"""Exception types shared across the package, the one reader and the one
+writer of JSON documents, and the schema checks of a document's root, its
+header and its lists of numbers."""
 
 import json
 
@@ -119,6 +119,15 @@ def read_json(path):
             raise SchemaError("<json>", f"line {exc.lineno}: {exc.msg}") from exc
 
 
+def write_json(doc, path, indent=None) -> None:
+    """Write doc as JSON to the file at path; an indented document ends with
+    a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent)
+        if indent is not None:
+            fh.write("\n")
+
+
 def require_fields(doc, names) -> None:
     """Raise SchemaError unless doc is a JSON object holding every named field."""
     if not isinstance(doc, dict):
@@ -126,6 +135,15 @@ def require_fields(doc, names) -> None:
     for name in names:
         if name not in doc:
             raise SchemaError(name, "missing field")
+
+
+def require_header(doc, names) -> None:
+    """require_fields for "version" and the named fields, and SchemaError
+    unless the version is the integer 1: JSON's true and 1.0 are not."""
+    require_fields(doc, ("version", *names))
+    version = doc["version"]
+    if not (type(version) is int and version == 1):
+        raise SchemaError("version", f"unsupported version {version!r}")
 
 
 def positive_ints(doc, names) -> list[int]:

@@ -18,7 +18,6 @@ trial.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
@@ -27,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import ConfigError, SchemaError, read_json, require_fields
+from .errors import ConfigError, SchemaError, read_json, require_fields, write_json
 from .frames import (
     SubspaceCollection,
     angle_family,
@@ -75,13 +74,17 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _fold(x: int, parts) -> int:
+    """SplitMix64 fold of the 64-bit parts into x, in order."""
+    for part in parts:
+        x = _splitmix64(x ^ (part & _MASK64))
+    return x
+
+
 def derive_seed(base_seed: int, cell_key: int, trial_index: int, stream: int) -> int:
     """64-bit SplitMix64 fold of the trial coordinates; the published mixing
     function behind every random draw of a sweep."""
-    x = base_seed & _MASK64
-    for part in (cell_key, trial_index, stream):
-        x = _splitmix64(x ^ (part & _MASK64))
-    return x
+    return _fold(base_seed & _MASK64, (cell_key, trial_index, stream))
 
 
 def _float_bits(x: float) -> int:
@@ -94,16 +97,8 @@ def cell_key(family: str, theta: float | None, s: int, m: int, eta: float | None
     Independent of the cell's position in the sweep, so sub-grids of a
     configuration reproduce the identical trials cell by cell.
     """
-    x = list(FAMILIES).index(family) + 1
-    parts = (
-        _float_bits(theta if theta is not None else -1.0),
-        s,
-        m,
-        _float_bits(eta if eta is not None else -1.0),
-    )
-    for part in parts:
-        x = _splitmix64(x ^ (part & _MASK64))
-    return x
+    parts = (_float_bits(-1.0 if theta is None else theta), s, m, _float_bits(-1.0 if eta is None else eta))
+    return _fold(list(FAMILIES).index(family) + 1, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +186,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    write_json(config_to_dict(cfg), path, indent=2)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -293,26 +286,19 @@ CSV_COLUMNS = tuple(_column(f.name) for f in fields(CellResult))
 FRIP_CSV_COLUMNS = tuple(_column(f.name) for f in fields(FripCell))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _write_rows(rows, columns, path, format: str) -> None:
     if format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {format!r}")
     dicts = [_row(r) for r in rows]
     if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dicts, fh, indent=2)
-            fh.write("\n")
+        write_json(dicts, path, indent=2)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in dicts:
-            writer.writerow([_csv_cell(row[c]) for c in columns])
+            # csv writes None as an empty field and a float by repr
+            writer.writerow([row[c] for c in columns])
 
 
 def write_results(rows, path, format: str = "csv") -> None:

@@ -1,14 +1,13 @@
 """Collections of subspaces of R^d and their pairwise geometry.
 
 A collection holds N subspaces, each represented by a d x k matrix with
-orthonormal columns. Projections P_j = U_j U_j^T are materialized only on
-demand; everything pairwise (coherence, principal angles, spectral distance,
-packing diameter) is computed from the small k x k products U_i^T U_j.
+orthonormal columns. Projections P_j = U_j U_j^T are formed only for
+the frame bounds; everything pairwise (coherence, principal angles, spectral
+distance, packing diameter) is computed from the small k x k products U_i^T U_j.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,7 +29,8 @@ from .errors import (
     float_list,
     positive_ints,
     read_json,
-    require_fields,
+    require_header,
+    write_json,
 )
 
 ORTHONORMALITY_TOL = 1e-10
@@ -100,14 +100,6 @@ class SubspaceCollection:
 
     @property
     def size(self) -> int:
-        return len(self.bases)
-
-    def projection(self, j: int) -> np.ndarray:
-        """Orthogonal projection onto subspace j, materialized as d x d."""
-        u = self.bases[j]
-        return u @ u.T
-
-    def __len__(self) -> int:
         return len(self.bases)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -357,9 +349,7 @@ def collection_to_dict(collection: SubspaceCollection) -> dict:
 
 def collection_from_dict(doc: dict) -> SubspaceCollection:
     """Rebuild a collection from its JSON dict, re-validating orthonormality."""
-    require_fields(doc, ("version", "d", "k", "N", "bases"))
-    if doc["version"] != 1:
-        raise SchemaError("version", f"unsupported version {doc['version']!r}")
+    require_header(doc, ("d", "k", "N", "bases"))
     d, k, n = positive_ints(doc, ("d", "k", "N"))
     raw = doc["bases"]
     if not isinstance(raw, list) or len(raw) != n:
@@ -374,8 +364,7 @@ def collection_from_dict(doc: dict) -> SubspaceCollection:
 
 
 def save_collection(collection: SubspaceCollection, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(collection_to_dict(collection), fh)
+    write_json(collection_to_dict(collection), path)
 
 
 def load_collection(path) -> SubspaceCollection:

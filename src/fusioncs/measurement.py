@@ -10,7 +10,6 @@ solver, the isometry constants and the oracle all read.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,8 @@ from .errors import (
     float_list,
     positive_ints,
     read_json,
-    require_fields,
+    require_header,
+    write_json,
 )
 from .frames import SubspaceCollection, coherence
 from .signals import BlockSignal, to_ambient
@@ -138,12 +138,6 @@ class MeasurementOperator:
                 raise InvalidDimsError("vector operators need a positive block_dim")
 
     @property
-    def output_dim(self) -> int:
-        if self.kind == "scalar":
-            return self.matrix.shape[0]
-        return self.matrix.shape[0] * self.block_dim
-
-    @property
     def ambient_dim(self) -> int:
         if self.kind == "scalar":
             return self.matrix.shape[1]
@@ -175,18 +169,6 @@ def apply(op: MeasurementOperator, x) -> np.ndarray:
     n = op.matrix.shape[1]
     blocks = x.reshape(n, op.block_dim)
     return (op.scale * (op.matrix @ blocks)).ravel()
-
-
-def adjoint(op: MeasurementOperator, y) -> np.ndarray:
-    """Exact transpose action of :func:`apply`."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.output_dim,):
-        raise DimMismatchError(f"expected output length {op.output_dim}, got {y.shape}")
-    if op.kind == "scalar":
-        return op.scale * (op.matrix.T @ y)
-    m = op.matrix.shape[0]
-    blocks = y.reshape(m, op.block_dim)
-    return (op.scale * (op.matrix.T @ blocks)).ravel()
 
 
 class CoefficientOperator:
@@ -366,9 +348,7 @@ def matrix_to_dict(mat: np.ndarray) -> dict:
 
 
 def matrix_from_dict(doc: dict) -> np.ndarray:
-    require_fields(doc, ("version", "rows", "cols", "data"))
-    if doc["version"] != 1:
-        raise SchemaError("version", f"unsupported version {doc['version']!r}")
+    require_header(doc, ("rows", "cols", "data"))
     rows, cols = positive_ints(doc, ("rows", "cols"))
     data = float_list(doc["data"], "data", "data")
     if data.ndim != 1:
@@ -379,8 +359,7 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
 
 
 def save_matrix(mat: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_dict(mat), fh)
+    write_json(matrix_to_dict(mat), path)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -141,7 +141,8 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
     rest of its batch, so the value and the first support attaining it are
     those of evaluating every support. The count covers every support.
     """
-    gram = op.matrix.T @ op.matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # fails once, below
+        gram = op.matrix.T @ op.matrix
     if not np.isfinite(gram).all():
         raise ValueError("the operator has non-finite entries")
     norms = _block_norms(op, gram)

@@ -10,12 +10,19 @@ blocks are views of it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidSparsityError, SchemaError, float_list, read_json, require_fields
+from .errors import (
+    DimMismatchError,
+    InvalidSparsityError,
+    SchemaError,
+    float_list,
+    read_json,
+    require_header,
+    write_json,
+)
 from .frames import SubspaceCollection
 
 DEFAULT_SUPPORT_TOL = 1e-9
@@ -167,23 +174,6 @@ def to_ambient(x: BlockSignal) -> np.ndarray:
     return np.concatenate([u @ c for u, c in zip(x.collection.bases, x.coeffs)])
 
 
-def from_ambient(collection: SubspaceCollection, v: np.ndarray) -> BlockSignal:
-    """Project a stacked ambient vector blockwise onto the collection.
-
-    Components orthogonal to the subspaces are discarded, so this is the
-    inverse of :func:`to_ambient` only on vectors whose blocks already lie in
-    their subspaces.
-    """
-    v = np.asarray(v, dtype=float)
-    d, n = collection.ambient_dim, collection.size
-    if v.shape != (d * n,):
-        raise DimMismatchError(f"expected length {d * n}, got shape {v.shape}")
-    blocks = v.reshape(n, d)
-    return BlockSignal(
-        tuple(u.T @ b for u, b in zip(collection.bases, blocks)), collection
-    )
-
-
 def coeff_vector(x: BlockSignal) -> np.ndarray:
     """A writable copy of the coefficient vector, the blocks end to end."""
     return x._vector.copy()
@@ -215,9 +205,7 @@ def signal_to_dict(x: BlockSignal) -> dict:
 
 
 def signal_from_dict(doc: dict, collection: SubspaceCollection) -> BlockSignal:
-    require_fields(doc, ("version", "collection", "k", "N", "coeffs"))
-    if doc["version"] != 1:
-        raise SchemaError("version", f"unsupported version {doc['version']!r}")
+    require_header(doc, ("collection", "k", "N", "coeffs"))
     if doc["N"] != collection.size or doc["k"] != collection.block_dim:
         raise SchemaError("N", "document does not match the supplied collection")
     raw = doc["coeffs"]
@@ -228,8 +216,7 @@ def signal_from_dict(doc: dict, collection: SubspaceCollection) -> BlockSignal:
 
 
 def save_signal(x: BlockSignal, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(signal_to_dict(x), fh)
+    write_json(signal_to_dict(x), path)
 
 
 def load_signal(path, collection: SubspaceCollection) -> BlockSignal:

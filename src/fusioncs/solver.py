@@ -111,8 +111,8 @@ class RecoverySolution:
     dual_residual: float  # max(0, max_j ||(B^T nu)_j|| - 1)
     duality_gap: float
     objective: float
-    dual_vector: np.ndarray = field(repr=False, default=None)
-    eta: float = 0.0
+    dual_vector: np.ndarray = field(repr=False)
+    eta: float
 
 
 def diagnostics(solution: RecoverySolution) -> dict:
@@ -342,7 +342,7 @@ class _Stack:
         self.b, self.vt, self.l_r = b, vt, l_r
 
     def take(self, rows):
-        return _Stack(self.b[rows], self.vt[rows], self.l_r[rows])
+        return _Stack(self.b[rows], *(None if f is None else f[rows] for f in (self.vt, self.l_r)))
 
     def in_ball(self, nu, starts):
         """Each nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
@@ -532,6 +532,8 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         stack, ys, c0, residual, dist = stack.take(live), ys[live], c0[live], residual[live], dist[live]
     # the equality program runs over c0 + Z w, the ball program over c0 + w
     r = n if ball else n - stack.l_r.shape[1]
+    if ball:  # only the probe reads a ball stack's factor
+        stack = _Stack(stack.b)
     if r == 0:
         nus = stack.in_ball(stack.dual_ls(np.stack([progs[i].subgradient(c) for i, c in zip(live, c0)])),
                             first.starts)

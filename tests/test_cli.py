@@ -331,6 +331,23 @@ def test_boolean_dimension_exits_2(workspace, capsys, case):
     assert capsys.readouterr().err == f"error: {names[0]}: must be a positive integer\n"
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("loader", ["collection", "matrix", "signal"])
+def test_non_integer_version_exits_2(workspace, capsys, loader, version):
+    # JSON's true and 1.0 compare equal to 1 in Python, but neither is version 1
+    tmp, coll = workspace
+    mat, sig = tmp / "A4.json", tmp / "x.json"
+    assert run("measure", "sample", "--rows", 3, "--cols", 4, "--out", mat) == 0
+    assert run("signal", "gen", "--collection", coll, "--s", 1, "--seed", 1, "--out", sig) == 0
+    doc = json.loads({"collection": coll, "matrix": mat, "signal": sig}[loader].read_text())
+    doc["version"] = version
+    (tmp / "bad.json").write_text(json.dumps(doc))
+    files = {"bad": tmp / "bad.json", "mat": mat, "coll": coll, "y": tmp / "y.json"}
+    capsys.readouterr()
+    assert run(*(files.get(a, a) for a in MALFORMED_JSON[loader])) == 2
+    assert capsys.readouterr().err == f"error: version: unsupported version {version!r}\n"
+
+
 @pytest.mark.parametrize("loader", sorted(MALFORMED_JSON))
 def test_non_utf8_json_exits_2(workspace, capsys, loader):
     # a UTF-16 byte order mark is not UTF-8: the same schema error as any

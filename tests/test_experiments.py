@@ -130,6 +130,17 @@ class TestConfig:
             config_from_dict(doc)
         assert err.value.field == "bogus"
 
+    @pytest.mark.parametrize("ensemble, message", [
+        ({}, "ensemble.distribution: missing field"),
+        ({"distribution": 3}, "ensemble.distribution: expected a string"),
+    ])
+    def test_ensemble_object_needs_a_distribution_name(self, ensemble, message):
+        doc = config_to_dict(phase_config())
+        doc["ensemble"] = ensemble
+        with pytest.raises(SchemaError) as err:
+            config_from_dict(doc)
+        assert str(err.value) == message
+
     def test_missing_field_rejected(self):
         doc = config_to_dict(phase_config())
         del doc["experiment"]
@@ -203,6 +214,12 @@ class TestPhaseTransition:
                 assert row.solver_failures == 0
             assert row.lambda_ == 0.0
             assert row.experiment == "phase_transition"
+
+    def test_single_subspace_has_lambda_zero(self):
+        # coherence needs two subspaces: a one-subspace cell reports lambda 0
+        rows = run_phase_transition(phase_config(family="random", d=3, k=1, N=1, sparsity_grid=(1,),
+                                                 measurement_grid=(1,), trials_per_cell=2))
+        assert [(row.lambda_, row.N, row.successes) for row in rows] == [(0.0, 1, 2)]
 
     def test_lambda_cross_check(self):
         cfg = phase_config(family="angle", theta_grid=(0.4,), d=1, k=1, N=4,

@@ -350,3 +350,52 @@ class TestSerialization:
         doc["bases"][0] = doc["bases"][0][:-1]
         with pytest.raises(SchemaError):
             collection_from_dict(doc)
+
+
+def _ragged_collection():
+    return SubspaceCollection((np.eye(3)[:, :1], np.eye(3)[:, :2]))
+
+
+def _bases_short_by_one():
+    doc = collection_to_dict(random_collection(3, 1, 2, seed=0))
+    doc["bases"] = doc["bases"][:1]
+    return collection_from_dict(doc)
+
+
+# case -> (the call, the error it raises, the error's message)
+INPUT_CHECKS = {
+    "collection_no_bases": (lambda: SubspaceCollection(()), InvalidDimsError,
+                            "a collection needs at least one subspace"),
+    "collection_vector_basis": (lambda: SubspaceCollection((np.ones(3),)), InvalidDimsError,
+                                "basis 0 is not a matrix"),
+    "collection_ambient_mismatch": (lambda: SubspaceCollection((np.eye(4)[:, :2], np.eye(3)[:, :2])),
+                                    ShapeMismatchError, "basis 1 has ambient dimension 3, expected 4"),
+    "collection_no_columns": (lambda: SubspaceCollection((np.zeros((3, 0)),)), InvalidDimsError,
+                              "basis 0 has 0 columns, ambient 3"),
+    "collection_more_columns_than_rows": (lambda: SubspaceCollection((np.ones((2, 3)),)), InvalidDimsError,
+                                          "basis 0 has 3 columns, ambient 2"),
+    "build_no_bases": (lambda: build_collection([]), InvalidDimsError, "need at least one basis"),
+    "build_vector_basis": (lambda: build_collection([np.ones(3)]), InvalidDimsError, "basis 0 is not a matrix"),
+    "random_no_subspaces": (lambda: random_collection(3, 2, 0, seed=0), InvalidDimsError,
+                            "need N >= 1 and k >= 1"),
+    "random_no_columns": (lambda: random_collection(3, 0, 2, seed=0), InvalidDimsError,
+                          "need N >= 1 and k >= 1"),
+    "orthogonal_no_columns": (lambda: orthogonal_collection(4, 0, 2), InvalidDimsError,
+                              "invalid dimensions d=4, k=0, N=2"),
+    "orthogonal_k_above_d": (lambda: orthogonal_collection(2, 3, 1), InvalidDimsError,
+                             "invalid dimensions d=2, k=3, N=1"),
+    "angle_no_subspaces": (lambda: angle_family(2, 0, 0.3), InvalidDimsError, "need N >= 1 and k >= 1"),
+    "packing_one_subspace": (lambda: packing_diameter(random_collection(3, 1, 1, seed=0)),
+                             SingleSubspaceError, "packing diameter needs at least two subspaces"),
+    "to_dict_ragged": (lambda: collection_to_dict(_ragged_collection()), InvalidDimsError,
+                       "only equal-dimension collections serialize to JSON"),
+    "from_dict_bases_count": (_bases_short_by_one, SchemaError, "bases: expected 2 bases"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

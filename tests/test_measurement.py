@@ -24,8 +24,8 @@ from fusioncs.frames import (
 )
 from fusioncs.measurement import (
     EnsembleSpec,
+    MeasurementOperator,
     add_noise,
-    adjoint,
     apply,
     compose_with_bases,
     matrix_coherences,
@@ -134,39 +134,10 @@ class TestApplyAdjoint:
             oracle = scale * (np.kron(a, np.eye(d)) @ x)
             assert np.allclose(apply(op, x), oracle, atol=1e-12)
 
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(9)
-        coll = random_collection(4, 2, 5, seed=2)
-        a = sample_ensemble(EnsembleSpec("gaussian", 3, 5, seed=3))
-        vec_op = vector_operator(a, 4, scale=0.7)
-        phi = sample_ensemble(EnsembleSpec("gaussian", 6, 20, seed=4))
-        sc_op = scalar_operator(phi, scale=1.3)
-        for op in (vec_op, sc_op):
-            for _ in range(100):
-                x = rng.standard_normal(op.ambient_dim)
-                y = rng.standard_normal(op.output_dim)
-                assert apply(op, x) @ y == pytest.approx(x @ adjoint(op, y), abs=1e-10)
-
-    def test_adjoint_zero(self):
-        op = vector_operator(np.ones((2, 3)), 4)
-        assert np.all(adjoint(op, np.zeros(8)) == 0.0)
-
-    def test_adjoint_e1_row(self):
-        d, n = 3, 4
-        a = np.zeros((1, n))
-        a[0, 0] = 1.0
-        op = vector_operator(a, d)
-        y = np.arange(1.0, d + 1)
-        out = adjoint(op, y)
-        assert np.allclose(out[:d], y)
-        assert np.all(out[d:] == 0.0)
-
     def test_dim_mismatch(self):
         op = vector_operator(np.ones((2, 3)), 4)
         with pytest.raises(DimMismatchError):
             apply(op, np.zeros(5))
-        with pytest.raises(DimMismatchError):
-            adjoint(op, np.zeros(5))
 
     def test_accepts_block_signal(self):
         coll = random_collection(4, 2, 5, seed=2)
@@ -431,3 +402,41 @@ class TestUnequalBlockDimensions:
         assert sol.status == "converged"
         err = np.linalg.norm(coeff_vector(sol.estimate) - coeff_vector(x))
         assert err <= 1e-6
+
+
+def _coefficient_operator():
+    # B is (2 * 4) x 3: one column per block of the three 1-dimensional subspaces
+    return compose_with_bases(vector_operator(np.ones((2, 3)), 4), orthogonal_collection(4, 1, 3))
+
+
+# case -> (the call, the error it raises, the error's message)
+INPUT_CHECKS = {
+    "alpha_unknown_law": (lambda: subgaussian_alpha("cauchy"), ValueError, "unknown distribution 'cauchy'"),
+    "psi2_unknown_law": (lambda: psi2_norm("cauchy"), ValueError, "unknown distribution 'cauchy'"),
+    "operator_unknown_kind": (lambda: MeasurementOperator("matrix", np.eye(2)), ValueError,
+                              "unknown operator kind 'matrix'"),
+    "operator_vector_matrix": (lambda: scalar_operator(np.ones(3)), InvalidDimsError,
+                               "operator matrix must be two-dimensional"),
+    "operator_no_block_dim": (lambda: MeasurementOperator("vector", np.eye(2)), InvalidDimsError,
+                              "vector operators need a positive block_dim"),
+    "operator_zero_block_dim": (lambda: vector_operator(np.eye(2), 0), InvalidDimsError,
+                                "vector operators need a positive block_dim"),
+    "matvec_length": (lambda: _coefficient_operator().matvec(np.zeros(4)), DimMismatchError,
+                      "expected length 3, got (4,)"),
+    "rmatvec_length": (lambda: _coefficient_operator().rmatvec(np.zeros(3)), DimMismatchError,
+                       "expected length 8, got (3,)"),
+    "noise_negative_eta": (lambda: add_noise(np.ones(3), -1.0, seed=0), ValueError, "eta must be nonnegative"),
+    "coherences_vector": (lambda: matrix_coherences(np.ones(3), orthogonal_collection(4, 1, 3)),
+                          InvalidDimsError, "A must be a matrix"),
+    "coherences_columns": (lambda: matrix_coherences(np.ones((2, 2)), orthogonal_collection(4, 1, 3)),
+                           DimMismatchError, "A has 2 columns for 3 subspaces"),
+    "to_dict_vector": (lambda: matrix_to_dict(np.ones(3)), InvalidDimsError, "only matrices serialize to JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

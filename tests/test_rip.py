@@ -337,3 +337,23 @@ class TestConcentration:
                 deltas.append(exact_frip(a, coll, s, scale=1.0 / math.sqrt(m)).value)
             medians.append(float(np.median(deltas)))
         assert medians[0] > medians[1] > medians[2]
+
+
+# case -> (the call, the error it raises, the error's message)
+INPUT_CHECKS = {
+    # finite entries, but the Gram entry 2e400 overflows
+    "gram_overflow": (lambda: exact_frip(np.full((1, 2), 1e200), SubspaceCollection((np.ones((1, 1)),) * 2), 1),
+                      ValueError, "the operator has non-finite entries"),
+    "mc_no_blocks": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 0, trials=5, seed=0),
+                     ValueError, "s=0 outside [1, 3]"),
+    "mc_too_many_blocks": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 4, trials=5, seed=0),
+                           ValueError, "s=4 outside [1, 3]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

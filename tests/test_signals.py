@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusioncs.errors import DimMismatchError, InvalidSparsityError, SchemaError
-from fusioncs.frames import orthogonal_collection, random_collection
+from fusioncs.frames import SubspaceCollection, orthogonal_collection, random_collection
 from fusioncs.signals import (
     BlockSignal,
     best_s_term,
     block_norms,
     coeff_vector,
-    from_ambient,
     from_coeff_vector,
     norm_2,
     norm_21,
@@ -190,12 +189,6 @@ class TestSupportAndConversions:
         with pytest.raises(ValueError, match="tol"):
             support(x, math.nan)
 
-    def test_ambient_round_trip(self):
-        coll = random_collection(6, 2, 4, seed=5)
-        x = random_sparse_signal(coll, 2, seed=6, amplitude_law="gaussian_blocks")
-        back = from_ambient(coll, to_ambient(x))
-        assert np.allclose(coeff_vector(back), coeff_vector(x), atol=1e-12)
-
     def test_coeff_vector_round_trip(self):
         coll = random_collection(6, 2, 4, seed=5)
         x = random_sparse_signal(coll, 3, seed=7)
@@ -260,3 +253,35 @@ class TestSerialization:
         del doc["coeffs"]
         with pytest.raises(SchemaError):
             signal_from_dict(doc, coll)
+
+
+def _signal_pair(op):
+    # two signals on equal but distinct collections
+    x, y = (random_sparse_signal(orthogonal_collection(4, 2, 2), 1, seed=0) for _ in range(2))
+    return op(x, y)
+
+
+# case -> (the call, the error it raises, the error's message)
+INPUT_CHECKS = {
+    "block_count": (lambda: BlockSignal((np.ones(2),), orthogonal_collection(4, 2, 2)), DimMismatchError,
+                    "1 blocks for a collection of 2 subspaces"),
+    "add_across_collections": (lambda: _signal_pair(lambda x, y: x + y), DimMismatchError,
+                               "signals bound to different collections"),
+    "subtract_across_collections": (lambda: _signal_pair(lambda x, y: x - y), DimMismatchError,
+                                    "signals bound to different collections"),
+    "unknown_amplitude_law": (lambda: random_sparse_signal(orthogonal_collection(4, 2, 2), 1, seed=0,
+                                                           amplitude_law="laplace"),
+                              ValueError, "unknown amplitude law 'laplace'"),
+    "coeff_vector_length": (lambda: from_coeff_vector(orthogonal_collection(4, 2, 2), np.zeros(3)),
+                            DimMismatchError, "expected length 4, got shape (3,)"),
+    "to_dict_ragged": (lambda: signal_to_dict(zero_signal(SubspaceCollection((np.eye(3)[:, :1], np.eye(3)[:, :2])))),
+                       DimMismatchError, "only equal-dimension signals serialize to JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

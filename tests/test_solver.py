@@ -760,6 +760,15 @@ class TestClosedFormOrthogonal:
         with pytest.raises(ZeroCoefficientError):
             closed_form_orthogonal(np.zeros(6), np.array([1.0, 0.0, 1.0]), coll)
 
+    @pytest.mark.parametrize("y_len, a_len, message", [
+        (6, 2, "expected 3 coefficients, got (2,)"),
+        (5, 3, "expected y of length 6, got (5,)"),
+    ])
+    def test_shapes_checked(self, y_len, a_len, message):
+        with pytest.raises(ValueError) as err:
+            closed_form_orthogonal(np.zeros(y_len), np.ones(a_len), orthogonal_collection(6, 2, 3))
+        assert str(err.value) == message
+
     def test_not_orthogonal_rejected(self):
         coll = angle_family(2, 3, 0.5)
         with pytest.raises(NotOrthogonalError):
