@@ -27,21 +27,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .errors import ConfigError, SchemaError, read_json, require_fields, write_json
-from .frames import (
-    SubspaceCollection,
-    angle_family,
-    coherence,
-    orthogonal_collection,
-    random_collection,
-)
-from .measurement import (
-    DISTRIBUTIONS,
-    EnsembleSpec,
-    add_noise,
-    compose_with_bases,
-    sample_ensemble,
-    vector_operator,
-)
+from .frames import SubspaceCollection, angle_family, coherence, orthogonal_collection, random_collection
+from .measurement import DISTRIBUTIONS, EnsembleSpec, add_noise, coefficient_operators, sample_ensemble
 from .rip import enumerable, exact_frip, mc_frip
 from .signals import coeff_vector, random_sparse_signal
 from .solver import MAX_ITERS, solve_many
@@ -349,12 +336,6 @@ def _cells(config: ExperimentConfig, grid):
         )
 
 
-def _ensemble(config: ExperimentConfig, key: int, trial: int, m: int, n: int) -> np.ndarray:
-    """The m x n measurement matrix of one trial of a cell."""
-    seed = derive_seed(config.base_seed, key, trial, STREAM_ENSEMBLE)
-    return sample_ensemble(EnsembleSpec(config.ensemble, m, n, seed))
-
-
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -410,18 +391,16 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
     trials = range(config.trials_per_cell)
     cells, ops, ys = [], [], []
     for key, coll, cell in _cells(config, grid):
-        cell_ops, truths = [], []
-        for t in trials:
-            x = random_sparse_signal(
-                coll, cell.s, derive_seed(config.base_seed, key, t, STREAM_SIGNAL)
-            )
-            a = _ensemble(config, key, t, cell.m, coll.size)
-            cell_ops.append(compose_with_bases(vector_operator(a, coll.ambient_dim, scale=scale), coll))
-            truths.append(coeff_vector(x))
-        ys += [
-            add_noise(b.matvec(truth), eta or 0.0, derive_seed(config.base_seed, key, t, STREAM_NOISE))
-            for eta in etas for t, b, truth in zip(trials, cell_ops, truths)
-        ]
+        # _splitmix64(prefix ^ stream) is derive_seed(base_seed, key, t, stream)
+        prefixes = [_fold(config.base_seed & _MASK64, (key, t)) for t in trials]
+        truths = [coeff_vector(random_sparse_signal(coll, cell.s, _splitmix64(p ^ STREAM_SIGNAL)))
+                  for p in prefixes]
+        a = [sample_ensemble(EnsembleSpec(config.ensemble, cell.m, coll.size, _splitmix64(p ^ STREAM_ENSEMBLE)))
+             for p in prefixes]
+        cell_ops = coefficient_operators("vector", a, scale, coll)
+        clean = [b.matrix @ truth for b, truth in zip(cell_ops, truths)]
+        ys += [add_noise(y, eta, _splitmix64(p ^ STREAM_NOISE)) if eta else y
+               for eta in etas for p, y in zip(prefixes, clean)]
         ops += cell_ops * len(etas)
         cells.append((cell, truths))
     sols = iter(solve_many(ops, ys, [eta or 0.0 for _ in cells for eta in etas for _ in trials],
@@ -474,7 +453,8 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
         exact = enumerable(coll.block_dims, s)
 
         def delta(t: int) -> float:
-            a = _ensemble(config, key, t, cell.m, coll.size)
+            a = sample_ensemble(EnsembleSpec(config.ensemble, cell.m, coll.size,
+                                             derive_seed(config.base_seed, key, t, STREAM_ENSEMBLE)))
             if exact:
                 return exact_frip(a, coll, s, scale).value
             seed = derive_seed(config.base_seed, key, t, STREAM_MC_SUPPORTS)

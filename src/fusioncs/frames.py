@@ -45,19 +45,15 @@ def _orthonormalize(basis: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class SubspaceCollection:
     """N subspaces of R^d, each stored as a basis with orthonormal columns.
 
     Direct construction validates orthonormality but does not repair it; use
     :func:`build_collection` to orthonormalize arbitrary full-rank input.
-    Subspace dimensions may differ; ``block_dim`` reports the largest.
+    Subspace dimensions may differ; ``block_dim`` reports the largest,
+    ``block_dims`` each one and ``block_starts`` where each block begins in
+    a coefficient vector.
     """
 
     bases: tuple[np.ndarray, ...]
@@ -66,25 +62,33 @@ class SubspaceCollection:
     def __post_init__(self):
         if len(self.bases) < 1:
             raise InvalidDimsError("a collection needs at least one subspace")
-        bases = tuple(_freeze(u) for u in self.bases)
-        object.__setattr__(self, "bases", bases)
-        d = bases[0].shape[0]
-        for j, u in enumerate(bases):
+        mats = [np.asarray(u, dtype=float) for u in self.bases]
+        for j, u in enumerate(mats):
             if u.ndim != 2:
                 raise InvalidDimsError(f"basis {j} is not a matrix")
+            d = mats[0].shape[0]
             if u.shape[0] != d:
-                raise ShapeMismatchError(
-                    f"basis {j} has ambient dimension {u.shape[0]}, expected {d}"
-                )
-            k_j = u.shape[1]
-            if not 1 <= k_j <= d:
-                raise InvalidDimsError(f"basis {j} has {k_j} columns, ambient {d}")
-            gram = u.T @ u
-            err = np.max(np.abs(gram - np.eye(k_j)))
-            if not err <= ORTHONORMALITY_TOL:  # NaN fails every comparison
-                raise OrthonormalityError(
-                    f"basis {j} deviates from orthonormality by {err:.3e}"
-                )
+                raise ShapeMismatchError(f"basis {j} has ambient dimension {u.shape[0]}, expected {d}")
+            if not 1 <= u.shape[1] <= d:
+                raise InvalidDimsError(f"basis {j} has {u.shape[1]} columns, ambient {d}")
+        # per block dim, one read-only copy of the bases and one Gram product
+        dims = tuple(u.shape[1] for u in mats)
+        bases, err = list(mats), np.empty(len(mats))
+        for k in sorted(set(dims)):
+            members = [j for j, k_j in enumerate(dims) if k_j == k]
+            stack = np.stack([mats[j] for j in members])
+            stack.flags.writeable = False
+            err[members] = np.abs(np.swapaxes(stack, 1, 2) @ stack - np.eye(k)).max(axis=(1, 2))
+            for j, u in zip(members, stack):
+                bases[j] = u
+        bad = np.flatnonzero(~(err <= ORTHONORMALITY_TOL))  # NaN fails every comparison
+        if bad.size:
+            raise OrthonormalityError(f"basis {bad[0]} deviates from orthonormality by {err[bad[0]]:.3e}")
+        starts = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
+        starts.flags.writeable = False
+        object.__setattr__(self, "bases", tuple(bases))
+        object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "block_starts", starts)
 
     @property
     def ambient_dim(self) -> int:
@@ -92,11 +96,7 @@ class SubspaceCollection:
 
     @property
     def block_dim(self) -> int:
-        return max(u.shape[1] for u in self.bases)
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(u.shape[1] for u in self.bases)
+        return max(self.block_dims)
 
     @property
     def size(self) -> int:

@@ -180,48 +180,19 @@ class CoefficientOperator:
     ``matrix`` (out_dim x in_dim), whose columns for block j are
     scale * (A[:, j] (x) U_j) for a vector operator and scale * Phi_j U_j
     for a scalar one, Phi_j being the d columns of Phi that act on block j.
-    The vector matrix is one broadcast product of A, its columns repeated
-    over their blocks' columns, with the bases side by side: one product
-    per entry as in ``np.kron``, so both give the same bits, and ragged
-    block dims take the same line. A matrix with a non-finite
-    entry raises ValueError, so no solve, isometry constant or oracle ever
-    sees one.
+    An operator is the stack of one of :func:`coefficient_operators`.
     """
 
     def __init__(self, op: MeasurementOperator, collection: SubspaceCollection):
-        d = collection.ambient_dim
-        if op.kind == "vector":
-            if op.matrix.shape[1] != collection.size:
-                raise DimMismatchError(
-                    f"operator has {op.matrix.shape[1]} columns for "
-                    f"{collection.size} subspaces"
-                )
-            if op.block_dim != d:
-                raise DimMismatchError(f"operator block_dim {op.block_dim} != ambient {d}")
-        elif op.matrix.shape[1] != d * collection.size:
-            raise DimMismatchError(
-                f"operator has {op.matrix.shape[1]} columns for ambient "
-                f"dimension {d * collection.size}"
-            )
-        dims = collection.block_dims
-        # a non-finite entry (inf * 0 is NaN) or an overflow fails once, below
-        with np.errstate(invalid="ignore", over="ignore"):
-            if op.kind == "vector":
-                # column t of block j is A[:, j] (x) U_j[:, t]: row i*d + r
-                # holds A[i, j] * U_j[r, t], with j = owner[t]
-                owner = np.repeat(np.arange(collection.size), dims)
-                bases = np.hstack(collection.bases)
-                self.matrix = op.scale * (op.matrix[:, None, owner] * bases).reshape(-1, bases.shape[1])
-            else:
-                self.matrix = op.scale * np.hstack(
-                    [op.matrix[:, j * d : (j + 1) * d] @ u for j, u in enumerate(collection.bases)])
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("the operator has non-finite entries")
-        self.matrix.flags.writeable = False
-        self.collection = collection
-        self.block_starts = np.concatenate([[0], np.cumsum(dims)])[:-1].astype(int)
-        self.block_dims = dims
-        self.out_dim, self.in_dim = self.matrix.shape
+        if op.kind == "vector" and op.block_dim != collection.ambient_dim:
+            raise DimMismatchError(f"operator block_dim {op.block_dim} != ambient {collection.ambient_dim}")
+        self._bind(collection, coefficient_operators(op.kind, op.matrix[None], op.scale, collection)[0].matrix)
+
+    def _bind(self, collection: SubspaceCollection, matrix: np.ndarray) -> "CoefficientOperator":
+        self.matrix, self.collection = matrix, collection
+        self.block_starts, self.block_dims = collection.block_starts, collection.block_dims
+        self.out_dim, self.in_dim = matrix.shape
+        return self
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
@@ -279,6 +250,39 @@ def stacked_columns(block_starts, block_dims, supports):
         ends = np.cumsum(sizes)
         cols = np.repeat(block_starts[blocks] - (ends - sizes), sizes) + np.arange(count * len(rows))
         yield rows, cols.reshape(len(rows), count)
+
+
+def coefficient_operators(kind: str, mats, scale: float, collection: SubspaceCollection) -> list:
+    """One :class:`CoefficientOperator` per matrix of the stack ``mats`` (a
+    vector operator's A, of block dim the ambient dimension, or a scalar
+    operator's Phi), all of one scale on one collection, built in one
+    broadcast: the vector matrix multiplies A, its columns repeated over
+    their blocks' columns, by the bases side by side, one product per entry
+    as in ``np.kron``, so both give the same bits. Each operator equals the
+    one built from its matrix alone, bit for bit. A non-finite entry raises
+    ValueError, so no solve, isometry constant or oracle ever sees one.
+    """
+    mats = np.asarray(mats, dtype=float)
+    d, n = collection.ambient_dim, collection.size
+    if kind == "vector" and mats.shape[2] != n:
+        raise DimMismatchError(f"operator has {mats.shape[2]} columns for {n} subspaces")
+    if kind == "scalar" and mats.shape[2] != d * n:
+        raise DimMismatchError(f"operator has {mats.shape[2]} columns for ambient dimension {d * n}")
+    # a non-finite entry (inf * 0 is NaN) or an overflow fails once, below
+    with np.errstate(invalid="ignore", over="ignore"):
+        if kind == "vector":
+            # column t of block j is A[:, j] (x) U_j[:, t]: row i*d + r
+            # holds A[i, j] * U_j[r, t], with j = owner[t]
+            owner = np.repeat(np.arange(n), collection.block_dims)
+            bases = np.hstack(collection.bases)
+            out = scale * (mats[:, :, None, owner] * bases).reshape(len(mats), -1, bases.shape[1])
+        else:
+            out = scale * np.concatenate(
+                [mats[:, :, j * d:(j + 1) * d] @ u for j, u in enumerate(collection.bases)], axis=2)
+    if not np.isfinite(out).all():
+        raise ValueError("the operator has non-finite entries")
+    out.flags.writeable = False
+    return [CoefficientOperator.__new__(CoefficientOperator)._bind(collection, matrix) for matrix in out]
 
 
 def compose_with_bases(op: MeasurementOperator, collection: SubspaceCollection) -> CoefficientOperator:

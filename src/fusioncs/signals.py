@@ -10,6 +10,7 @@ blocks are views of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     InvalidSparsityError,
     SchemaError,
     float_list,
+    positive_ints,
     read_json,
     require_header,
     write_json,
@@ -110,14 +112,13 @@ def random_sparse_signal(
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
     rng = np.random.default_rng(seed)
     support_idx = np.sort(rng.choice(n, size=s, replace=False))
-    dims = collection.block_dims
-    starts = np.cumsum((0,) + dims)
-    vec = np.zeros(starts[-1])
+    dims, starts = collection.block_dims, collection.block_starts.tolist()
+    vec = np.zeros(starts[-1] + dims[-1])
     for j in support_idx.tolist():
         g = rng.standard_normal(dims[j])
         if amplitude_law == "unit_norm_blocks":
-            g = g / np.linalg.norm(g)
-        vec[starts[j]:starts[j + 1]] = g
+            g /= math.sqrt(g @ g)  # the value np.linalg.norm gives a 1-D float vector
+        vec[starts[j]:starts[j] + dims[j]] = g
     return BlockSignal._owning(collection, vec)
 
 
@@ -206,7 +207,8 @@ def signal_to_dict(x: BlockSignal) -> dict:
 
 def signal_from_dict(doc: dict, collection: SubspaceCollection) -> BlockSignal:
     require_header(doc, ("collection", "k", "N", "coeffs"))
-    if doc["N"] != collection.size or doc["k"] != collection.block_dim:
+    k, n = positive_ints(doc, ("k", "N"))
+    if n != collection.size or k != collection.block_dim:
         raise SchemaError("N", "document does not match the supplied collection")
     raw = doc["coeffs"]
     if not isinstance(raw, list) or len(raw) != collection.size:

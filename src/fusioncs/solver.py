@@ -5,10 +5,10 @@ Two constrained programs over coefficient vectors c (blocks c_j):
     equality:  min sum_j ||c_j||_2   s.t.  B c = y
     ball:      min sum_j ||c_j||_2   s.t.  ||B c - y||_2 <= eta
 
-Each solve reads the operator's dense matrix B, and each distinct operator
-is factored once, by one eigendecomposition of B^T B, which gives the
-least-squares probe (feasibility and a starting point), the null space
-basis Z of B, and every least-squares solve after. An injective B has a single feasible point,
+Each distinct operator's dense matrix B is factored once, by one
+eigendecomposition of B^T B, which gives the least-squares probe
+(feasibility and a starting point), the null space basis Z of B, and the
+least-squares solves after. An injective B has a single feasible point,
 certified without iterating. Otherwise both programs run as second-order
 cone programs,
 
@@ -21,41 +21,32 @@ the negated ball multiplier, or the least-squares solution of
 B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
 nu bounds the distance to the optimum by the gap
 ||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
-at most ``TOL_GAP``, returning the Newton iterate that the test certified,
-or after ``max_iters`` Newton steps (default ``MAX_ITERS``). The
-tolerances are module constants, which :func:`certify` applies to the same
-residuals (:func:`_residuals`). After each equality
-step the support is read off primal-dual complementarity: block j is in it
-when its cone head t_j exceeds its dual cone's slack z0_j - ||z1_j||. One
-rule gives that support S its candidate: c_S is the least-squares fit on
-S, or, when S has more coefficients than B has rows (B_S c = y is then
-underdetermined, and the minimum-norm fit is not the l2,1 optimum),
-``KKT_ITERS`` Newton iterations on the support's optimality system
-g_j(c) = B_j^T nu (j in S), B_S c = y from the step's c_S
-(:func:`_support_kkt`); the dual is the step's nu projected onto
-B_S^T nu = g_S (g the subgradient of c) by one least-squares solve. The
-pair is returned when it passes the same test; a wrong support costs one
-candidate, never a wrong answer. A solve whose Newton steps rounding stops
-early (a singular Newton matrix, or an iterate off the cone interior) ends
-as "stalled".
+at most ``TOL_GAP``, with the iterate the test certified, or after
+``max_iters`` Newton steps (default ``MAX_ITERS``); :func:`certify`
+applies the same tolerances to the same residuals (:func:`_residuals`).
+After each equality step the support S is read off complementarity (block
+j is in it when its cone head t_j exceeds its dual cone's slack z0_j -
+||z1_j||), and S's candidate is returned when it passes the same test
+(:func:`_support_exits`): a masked least-squares fit, or, on a support
+wider than B, Newton's iterate on the support's optimality system, with
+the step's dual projected onto the support's optimality equations through
+one masked system. A wrong support costs one attempt, never a wrong
+answer. A solve whose Newton steps rounding stops early (a singular Newton
+matrix, or an iterate off the cone interior) ends as "stalled".
 
 Solves run in stacks, and :func:`solve_many` is their one entry point. It
-takes many (B, y, eta) triples, factors B^T B by one product and one
-``eigh`` per matrix shape over the distinct operators (:func:`_factor`),
-and stacks the programs of one shape (program, block dims, rows and rank
-of B). Each stack runs from probe to exit in one function
-(:func:`_solve_stack`): the least-squares probe settles each program it
-can, and the rest go through one interior-point loop, whose steps find
-their duals, complementarity supports and support systems
-(:func:`_support_kkt`, per block structure of the support) for the whole
-stack; a program leaves the stack at the step that ends it. Every stacked
-operation acts slice by slice on stacks whose slices have the layout of
-the 2-D arrays they stack (elementwise arithmetic, ``reduceat``, stacked
-``matmul``, ``solve`` and ``eigh``), and the 1-D dots and norms, whose
-stacked forms round differently, stay per program, as do the ``lstsq``
-fits, the stop tests and the solutions. Each solution therefore equals the
-solve of its triple alone bit for bit, whatever else the stack holds;
-:func:`solve_equality` and :func:`solve_noisy` are stacks of one.
+factors B^T B by one product and one ``eigh`` per matrix shape over the
+distinct operators (:func:`_factor`) and stacks the programs of one shape
+(program, block dims, rows and rank of B). Each stack runs from probe to
+exit in :func:`_solve_stack`, and a program leaves it at the step that
+ends it. Every step of a stack, its support fits, stop tests and
+solutions included, acts on arrays slice by slice, on slices with the
+layout of the 2-D arrays they stack: elementwise arithmetic, ``reduceat``,
+stacked ``matmul`` (a dot as one BLAS dot per row, :func:`_dots`),
+``solve`` and ``eigh``. Each solution therefore equals the solve of its
+triple alone bit for bit, whatever else the stack holds;
+:func:`solve_equality`, :func:`solve_noisy` and :func:`certify` work on
+stacks of one.
 
 The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens its
 supports S by one stacked QR of [B_S | y] per batch, whose residual never
@@ -135,22 +126,39 @@ def _block_norms_flat(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduceat(v * v, starts, axis=-1))
 
 
-def _norm21_flat(v: np.ndarray, starts: np.ndarray) -> float:
-    return float(np.sum(_block_norms_flat(v, starts)))
+def _norm21_flat(v: np.ndarray, starts: np.ndarray):
+    return _block_norms_flat(v, starts).sum(axis=-1)
 
 
-def _dual_gap(vec, nu, y, eta, starts) -> float:
-    """||c||_{2,1} - (<y, nu> - eta ||nu||), which bounds the distance to the
-    optimum when max_j ||(B^T nu)_j|| <= 1."""
-    return _norm21_flat(vec, starts) - (float(y @ nu) - eta * float(np.linalg.norm(nu)))
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i . v_i for two stacks of vectors, one BLAS dot per row: each entry
+    has the bits of the 1-D product of its rows, whatever the stack."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _residuals(op: CoefficientOperator, y, eta, vec, nu) -> tuple[float, float, float]:
-    """The primal violation max(0, ||B c - y|| - eta), max_j ||(B^T nu)_j|| and
-    the duality gap of c against nu as given."""
-    violation = max(0.0, float(np.linalg.norm(op.matrix @ vec - y)) - eta)
-    dual_norm = float(np.max(_block_norms_flat(op.matrix.T @ nu, op.block_starts)))
-    return violation, dual_norm, _dual_gap(vec, nu, y, eta, op.block_starts)
+def _norms(v: np.ndarray) -> np.ndarray:
+    """||v_i|| per row, with the bits of ``np.linalg.norm`` of the row."""
+    return np.sqrt(_dots(v, v))
+
+
+def _dual_gaps(vecs, nus, ys, etas, starts) -> np.ndarray:
+    """||c||_{2,1} - (<y, nu> - eta ||nu||) per row of a stack, which bounds
+    the distance to the optimum when max_j ||(B^T nu)_j|| <= 1."""
+    return _norm21_flat(vecs, starts) - (_dots(ys, nus) - etas * _norms(nus))
+
+
+def _residuals(b, ys, etas, vecs, nus, starts):
+    """Per row of a stack: the primal violation max(0, ||B c - y|| - eta),
+    max_j ||(B^T nu)_j|| and the duality gap of c against nu as given."""
+    violation = np.fmax(0.0, _norms(_mv(b, vecs) - ys) - etas)
+    dual_norm = _block_norms_flat(_mv(np.swapaxes(b, 1, 2), nus), starts).max(axis=1)
+    return violation, dual_norm, _dual_gaps(vecs, nus, ys, etas, starts)
+
+
+def _subgradients(vecs, starts, lengths) -> np.ndarray:
+    """c_j / ||c_j|| per block of each row, 0 on a zero block."""
+    norms = np.maximum(_block_norms_flat(vecs, starts), np.finfo(float).tiny)
+    return vecs / np.repeat(norms, lengths, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,51 +267,49 @@ def _check_y(op: CoefficientOperator, y, eta=0.0) -> np.ndarray:
     return y
 
 
-def _support_kkt(b_s, y, lengths, c_s):
-    """Newton's method on the optimality system of min sum_j ||c_j||
-    s.t. B_S c = y, from c_s, for a stack of supports S of one block
-    structure (block dims ``lengths``), one support per row of ``b_s``,
-    ``y`` and ``c_s``:
+def _support_kkt(b, y, support, lengths, c):
+    """Newton's method on the optimality system of min sum_j ||c_j|| s.t.
+    B_S c = y from c, for a stack of supports S (``support`` flags each
+    row's blocks, of dims ``lengths``), each masked to all n coefficients:
 
-        g_j(c) - B_j^T nu = 0 (j in S),   B_S c = y,   g_j = c_j / ||c_j||.
+        g_j(c) - B_j^T nu = 0 (j in S),   c_j = 0 (j not in S),   B D c = y,
 
-    Its Jacobian is K = [[H, -B_S^T], [B_S, 0]], H = blockdiag((I - g_j
-    g_j^T) / ||c_j||). As H c = 0, a Newton step from (c, nu) lands on the
-    solution of K (c', nu') = (-g, y), whatever nu, so nu stays inside the
-    solves. Each iteration is one stacked solve, solved slice by slice when
-    a K is singular (:func:`_newton_solve`). Returns per support c after
-    ``KKT_ITERS`` iterations, or None on a zero block, a singular K or a
-    non-finite result.
+    g_j = c_j / ||c_j||, D the diagonal mask of S's columns. Its Jacobian is
+    K = [[H + I - D, -D B^T], [B D, 0]], H = blockdiag over S of (I - g_j
+    g_j^T) / ||c_j||; as H c = 0, a Newton step from (c, nu) solves
+    K (c', nu') = (-g, y) whatever nu. Returns c after ``KKT_ITERS``
+    iterations, and per row whether the attempt held (no zero block of S,
+    singular K or non-finite result).
     """
-    count, p, w = b_s.shape
+    count, p, n = b.shape
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     owner = np.repeat(np.arange(len(lengths)), lengths)
     same = owner[:, None] == owner[None, :]
-    diag = np.arange(w)
-    kkt = np.zeros((count, w + p, w + p))
-    kkt[:, :w, w:] = -np.swapaxes(b_s, 1, 2)
-    kkt[:, w:, :w] = b_s
-    rhs = np.zeros((count, w + p))
-    rhs[:, w:] = y
+    mask = np.repeat(support, lengths, axis=1).astype(float)
+    diag = np.arange(n)
+    kkt = np.zeros((count, n + p, n + p))
+    kkt[:, n:, :n] = b * mask[:, None, :]
+    kkt[:, :n, n:] = -np.swapaxes(kkt[:, n:, :n], 1, 2)
+    rhs = np.concatenate([np.zeros((count, n)), y], axis=1)
+    c = c * mask
     # a support whose attempt has ended stays in the stack, and its entry
     # of ``alive`` is cleared; the slices of a stacked solve are independent
     alive = np.ones(count, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(KKT_ITERS):
-            norms = _block_norms_flat(c_s, starts)
-            alive &= norms.min(axis=1) > 0.0
-            inv = 1.0 / norms[:, owner]
-            g = c_s * inv
-            # H = diag(inv) - same * (g inv) g^T, as its 2-D form rounds it
-            hess = kkt[:, :w, :w]
+            norms = _block_norms_flat(c, starts)
+            alive &= np.where(support, norms, np.inf).min(axis=1) > 0.0
+            inv = np.where(support, 1.0 / norms, 0.0)[:, owner]
+            g = c * inv
+            # H + I - D = diag(inv + 1 - D) - same * (g inv) g^T
+            hess = kkt[:, :n, :n]
             hess[...] = 0.0
-            hess[:, diag, diag] = inv
+            hess[:, diag, diag] = inv + (1.0 - mask)
             hess -= same * ((g * inv)[:, :, None] * g[:, None, :])
-            rhs[:, :w] = -g
-            sol = _newton_solve(kkt, rhs, alive)
-            c_s = sol[:, :w]
-    # a diverging attempt is rejected by the finiteness test
-    return [row[:w] if ok and np.all(np.isfinite(row)) else None for ok, row in zip(alive.tolist(), sol)]
+            rhs[:, :n] = -g
+            sol = _stacked_solve(kkt, rhs, alive)
+            c = sol[:, :n]
+    return c * mask, alive & np.isfinite(sol).all(axis=1)  # a diverging attempt fails here
 
 
 def _mv(a, v):
@@ -311,26 +317,30 @@ def _mv(a, v):
     return (a @ v[:, :, None])[:, :, 0]
 
 
-def _newton_solve(hessian, rhs, ok):
-    """The solutions of a stack of Newton systems. One singular system makes
-    the stacked solve raise; the stack is then solved slice by slice, and a
-    singular slice clears its entry of ``ok`` and gets a zero direction."""
+def _stacked_solve(a, rhs, ok):
+    """The solutions of a stack of linear systems, for right-hand sides that
+    are a stack of vectors (count, n) or of matrices (count, n, k). One
+    singular system makes the stacked solve raise; the stack is then solved
+    slice by slice, and a singular slice clears its ``ok`` and gets zeros."""
+    vectors = rhs.ndim == 2
+    if vectors:
+        rhs = rhs[:, :, None]
     try:
-        return np.linalg.solve(hessian, rhs[:, :, None])[:, :, 0]
+        out = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        pass
-    out = np.zeros_like(rhs)
-    for i, (a, b) in enumerate(zip(hessian, rhs)):
-        try:
-            out[i] = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return out
+        out = np.zeros(rhs.shape)
+        for i, (a_i, rhs_i) in enumerate(zip(a, rhs)):
+            try:
+                out[i] = np.linalg.solve(a_i, rhs_i)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return out[:, :, 0] if vectors else out
 
 
 class _Stack:
-    """The matrices B of programs of one shape and rank, and their factors
-    (V_r^T, L_r) of B^T B = V_r L_r V_r^T, one row per program.
+    """The data of programs of one shape, one row per program: B, y, eta and
+    ||y||, and, once given, the factors (V_r^T, L_r) of B^T B = V_r L_r V_r^T
+    and B^T B itself.
 
     ``np.stack`` keeps the layout of what it stacks, so each slice has the
     layout of a program's own B and V_r^T (both C-contiguous), and every
@@ -338,11 +348,17 @@ class _Stack:
     2-D product of its slice bit for bit.
     """
 
-    def __init__(self, b, vt=None, l_r=None):
-        self.b, self.vt, self.l_r = b, vt, l_r
+    def __init__(self, **arrays):
+        self.vt = self.l_r = self.gram = None
+        self.__dict__.update(arrays)
+
+    @classmethod
+    def of(cls, progs):
+        return cls(b=np.stack([prog.B for prog in progs]), y=np.stack([prog.y for prog in progs]),
+                   eta=np.array([prog.eta for prog in progs]), ynorm=np.array([prog.ynorm for prog in progs]))
 
     def take(self, rows):
-        return _Stack(self.b[rows], *(None if f is None else f[rows] for f in (self.vt, self.l_r)))
+        return _Stack(**{name: a[rows] for name, a in vars(self).items() if a is not None})
 
     def in_ball(self, nu, starts):
         """Each nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
@@ -366,83 +382,29 @@ class _Stack:
 
 
 class _Program:
-    """One solve: its data, its factor of B^T B (shared by every program on
-    the same operator, :func:`_factor`), and the per-program ends of its
-    stack's solve (:func:`_solve_stack`): the certificate tests of each
-    Newton step, the support refinement and the solution.
-    """
+    """One solve's data, and its factor of B^T B, shared by every program on
+    the same operator (:func:`_factor`)."""
 
     def __init__(self, op: CoefficientOperator, y, eta: float):
         self.op, self.B, self.eta = op, op.matrix, eta
         self.y = _check_y(op, y, eta)
         self.ynorm = float(np.linalg.norm(self.y))
-        self.starts = op.block_starts
-        self.lengths = np.asarray(op.block_dims, dtype=int)
 
-    def solution(self, vec, status, iters, nu):
-        violation, dual_norm, gap = _residuals(self.op, self.y, self.eta, vec, nu)
-        if status == "infeasible":
-            dual_norm = gap = math.inf
-        return RecoverySolution(
-            estimate=from_coeff_vector(self.op.collection, vec),
-            status=status,
-            iterations=iters,
-            primal_residual=violation / (1.0 + self.ynorm),
-            dual_residual=max(0.0, dual_norm - 1.0),
-            duality_gap=gap,
-            objective=_norm21_flat(vec, self.starts),
-            # a copy: nu may be a row of a stack that must not outlive the solve
-            dual_vector=nu.copy(),
-            eta=self.eta,
-        )
 
-    def in_ball(self, nu):
-        """nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
-        return _Stack(self.B[None]).in_ball(nu[None], self.starts)[0]
-
-    def subgradient(self, vec):
-        norms = np.maximum(_block_norms_flat(vec, self.starts), np.finfo(float).tiny)
-        return vec / np.repeat(norms, self.lengths)
-
-    def step(self, c, nu, candidate, it):
-        """The solution when Newton step ``it`` (estimate c, dual nu scaled
-        into the dual ball) passes the certificate, or None. An equality
-        step's support ``candidate`` (:func:`_candidates`) is tried first."""
-        self.last = (c, nu)
-        if candidate is not None:
-            refined = self.refine(*candidate, nu)
-            if refined is not None:
-                return self.solution(refined[0], "converged", it, refined[1])
-        if _dual_gap(c, nu, self.y, self.eta, self.starts) <= TOL_GAP:
-            return self.solution(c, "converged", it, nu)
-        return None
-
-    def stop(self, status, it):
-        """The last Newton step's solution, with the status it stopped at."""
-        c, nu = self.last
-        return self.solution(c, status, it, nu)
-
-    def refine(self, cols, c_s, nu):
-        """The optimum on the support whose columns are ``cols``, if it passes
-        the certificate.
-
-        The candidate c_S is the support system's iterate c_s when given,
-        else the least-squares fit on S. Either way the candidate dual is
-        the step's nu projected onto the optimality equations B_S^T nu =
-        g_S, g the subgradient of the candidate, by one least-squares
-        solve, then scaled into the dual ball.
-        """
-        B, y = self.B, self.y
-        b_s = B[:, cols]
-        if c_s is None:
-            c_s = np.linalg.lstsq(b_s, y, rcond=None)[0]
-        out = np.zeros(len(cols))
-        out[cols] = c_s
-        if np.linalg.norm(B @ out - y) > TOL_PRIMAL * (1.0 + self.ynorm):
-            return None
-        g = self.subgradient(out)[cols]
-        cand = self.in_ball(nu + np.linalg.lstsq(b_s.T, g - b_s.T @ nu, rcond=None)[0])
-        return (out, cand) if _dual_gap(out, cand, y, self.eta, self.starts) <= TOL_GAP else None
+def _solutions(progs, stack: _Stack, vecs, nus, status: str, iters: int) -> list[RecoverySolution]:
+    """The solutions of the programs of a stack's rows, from their estimates
+    and duals; the residuals of all come from one :func:`_residuals` call,
+    which :func:`certify` makes for a stack of one."""
+    starts = progs[0].op.block_starts
+    violation, dual_norm, gap = _residuals(stack.b, stack.y, stack.eta, vecs, nus, starts)
+    if status == "infeasible":
+        dual_norm = gap = np.full(len(progs), math.inf)
+    ends = zip(progs, vecs, nus, (violation / (1.0 + stack.ynorm)).tolist(),
+               np.fmax(0.0, dual_norm - 1.0).tolist(), gap.tolist(), _norm21_flat(vecs, starts).tolist())
+    # nu is copied: it is a row of a stack that must not outlive the solve
+    return [RecoverySolution(from_coeff_vector(prog.op.collection, vec), status, iters, primal, dual, g,
+                             objective, nu.copy(), prog.eta)
+            for prog, vec, nu, primal, dual, g, objective in ends]
 
 
 def _factor(progs: list[_Program]) -> None:
@@ -468,80 +430,126 @@ def _factor(progs: list[_Program]) -> None:
                 prog.l_r, prog.v_r, prog.null = l_r, v_r, null
 
 
-def _candidates(b, ys, lengths, support, c) -> list:
-    """The candidate of each equality step of a stack on its support, for
-    :meth:`_Program.refine`; ``support`` flags each step's blocks.
+def _dual_maps(stack: _Stack, mask):
+    """Per row, the map P with P r the least-squares, minimum-norm solution
+    of B_S^T nu = r_S, S the columns ``mask`` flags and D their diagonal
+    mask: B M^-1 D, through the masked n x n system M = D B^T B D + (I - D),
+    when S has at most as many columns as B has rows, else (B D B^T)^-1 B D.
+    One stacked solve per width; a singular system clears its row's flag."""
+    count, p, n = stack.b.shape
+    d = mask.astype(float)
+    wide = mask.sum(axis=1) > p
+    ok = np.ones(count, dtype=bool)
+    maps = np.empty((count, p, n))
+    rows = np.flatnonzero(~wide)
+    if rows.size:
+        eye, held = np.eye(n), ok[rows]
+        inv = _stacked_solve(np.where(mask[rows, :, None] & mask[rows, None, :], stack.gram[rows], eye),
+                             np.broadcast_to(eye, (len(rows), n, n)), held)
+        maps[rows], ok[rows] = (stack.b[rows] @ inv) * d[rows, None, :], held
+    rows = np.flatnonzero(wide)
+    if rows.size:
+        b_d, held = stack.b[rows] * d[rows, None, :], ok[rows]
+        maps[rows] = _stacked_solve(b_d @ np.swapaxes(stack.b[rows], 1, 2), b_d, held)
+        ok[rows] = held
+    return maps, ok
 
-    When a support S has more coefficients than B has rows, B_S c = y is
-    underdetermined and its minimum-norm fit is not the l2,1 optimum, so
-    the candidate is (cols, c_s), c_s Newton's iterate on the support's
-    optimality system from the step's c_S (:func:`_support_kkt`, one stack
-    per block structure of S), or None when that gives up. Otherwise it is
-    (cols, None), for the least-squares fit on S.
+
+def _support_exits(stack: _Stack, starts, lengths, support, c, nu):
+    """The estimate and dual each equality step of a stack tests for its
+    exit, and their gap; ``support`` flags each step's support S.
+
+    S's candidate is its least-squares fit P^T y, P its dual map
+    (:func:`_dual_maps`), with one refinement step, or, when S has more
+    coefficients than B has rows, Newton's iterate on S's optimality
+    system (:func:`_support_kkt`). A block fitted below TOL_PRIMAL times the
+    largest is rounding, its subgradient noise, and leaves S. The dual is
+    nu + P (g - B^T nu), the step's nu projected onto B_S^T nu = g_S (g the
+    candidate's subgradient), refined once and scaled into the dual ball.
+    The candidate is taken when it fits y to TOL_PRIMAL and passes the gap
+    test, else the step's c and nu are.
     """
-    cols = np.repeat(support, lengths, axis=1)
-    out = [(row, None) for row in cols]
-    wide = {}
-    for i in np.flatnonzero(cols.sum(axis=1) > ys.shape[1]).tolist():
-        wide.setdefault(tuple(lengths[support[i]].tolist()), []).append(i)
-    for dims, rows in wide.items():
-        idx = cols[rows].nonzero()[1].reshape(len(rows), -1)
-        at = np.array(rows)[:, None]
-        # b[at, :, idx] stacks the B_S^T
-        fits = _support_kkt(np.swapaxes(b[at, :, idx], 1, 2), ys[rows], np.array(dims), c[at, idx])
-        for i, c_s in zip(rows, fits):
-            out[i] = None if c_s is None else (cols[i], c_s)
-    return out
+    mask = np.repeat(support, lengths, axis=1)
+    bt = np.swapaxes(stack.b, 1, 2)
+    with np.errstate(all="ignore"):
+        maps, ok = _dual_maps(stack, mask)
+        lsq = np.swapaxes(maps, 1, 2)
+        fit = _mv(lsq, stack.y)
+        fit += _mv(lsq, stack.y - _mv(stack.b, fit))
+        rows = np.flatnonzero(mask.sum(axis=1) > stack.b.shape[1])
+        if rows.size:
+            fit[rows], fitted = _support_kkt(stack.b[rows], stack.y[rows], support[rows], lengths, c[rows])
+            ok[rows] &= fitted
+        norms = _block_norms_flat(fit, starts)
+        kept = support & (norms > TOL_PRIMAL * norms.max(axis=1, keepdims=True))
+        rows = np.flatnonzero((kept != support).any(axis=1))
+        if rows.size:
+            mask[rows] = np.repeat(kept[rows], lengths, axis=1)
+            maps[rows], held = _dual_maps(stack.take(rows), mask[rows])
+            ok[rows] &= held
+        fit *= mask
+        ok &= _norms(_mv(stack.b, fit) - stack.y) <= TOL_PRIMAL * (1.0 + stack.ynorm)
+        r = mask * (_subgradients(fit, starts, lengths) - _mv(bt, nu))
+        step = _mv(maps, r)
+        cand = stack.in_ball(nu + step + _mv(maps, r - _mv(bt, step)), starts)
+        cand_gap = _dual_gaps(fit, cand, stack.y, stack.eta, starts)
+    take = ok & (cand_gap <= TOL_GAP)
+    gap = np.where(take, cand_gap, _dual_gaps(c, nu, stack.y, stack.eta, starts))
+    return np.where(take[:, None], fit, c), np.where(take[:, None], cand, nu), gap
 
 
 def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
     """Solve a stack of programs of one shape (program, block dims, rows and
     rank of B) from the least-squares probe to the step that ends each.
 
-    The probe c0 = pinv(B) y checks feasibility and gives the starting
-    point. It settles a program whose y is out of reach, and every
-    equality program of an injective B, whose probe point is the only
+    The probe c0 = pinv(B) y settles a program whose y is out of reach, and
+    every equality program of an injective B, whose probe point is the only
     feasible point. The cone program of each other one is min cost^T x
     s.t. G x + s = h, s in the cone product: min sum_j t_j over x = (w, t),
     with rows (t_j, c0_j + Z_j w) per block, then (eta, y - B c) for the
     ball. Each step is a primal-dual Newton step with Nesterov-Todd scaling
     and a Mehrotra corrector that keeps x strictly feasible and G x + s = h.
-    The duals of the steps and the equality steps' supports and support
-    systems are found for the whole stack; the certificate is tested per
-    program. A program leaves the stack at the step that certifies it, the
-    step rounding stops (a singular Newton matrix, or an iterate off the
-    cone interior: status "stalled", with the previous step's iterate) or
-    step ``max_iters``; every stacked array is then compacted to the
-    programs that step on.
+    A program leaves the stack at the step that certifies it, the step
+    rounding stops (a singular Newton matrix, or an iterate off the cone
+    interior: "stalled", with the previous step's iterate) or step
+    ``max_iters``; the stack is then compacted to the programs that step on.
     """
     first = progs[0]
-    (p, n), nb, ball = first.B.shape, len(first.lengths), first.eta > 0.0
-    stack = _Stack(np.stack([prog.B for prog in progs]), np.stack([prog.v_r.T for prog in progs]),
-                   np.stack([prog.l_r for prog in progs]))
-    ys = np.stack([prog.y for prog in progs])
-    c0 = stack.pinv(ys)
-    residual = _mv(stack.b, c0) - ys
-    dist = np.array([float(np.linalg.norm(res)) for res in residual])
-    out = [prog.solution(c, "infeasible", 0, np.zeros(p))
-           if d > prog.eta + 10 * TOL_PRIMAL * (1.0 + prog.ynorm) else None
-           for prog, c, d in zip(progs, c0, dist.tolist())]
-    live = np.array([i for i, sol in enumerate(out) if sol is None], dtype=int)
-    if len(live) == 0:
-        return out
-    if len(live) < len(progs):
-        stack, ys, c0, residual, dist = stack.take(live), ys[live], c0[live], residual[live], dist[live]
+    starts, lengths = first.op.block_starts, first.op.block_dims
+    (p, n), nb, ball = first.B.shape, len(lengths), first.eta > 0.0
+    stack = _Stack.of(progs)
+    stack.vt, stack.l_r = np.stack([prog.v_r.T for prog in progs]), np.stack([prog.l_r for prog in progs])
+    out = [None] * len(progs)
+    live = np.arange(len(progs))
+
+    def leave(rows, vecs, nus, status, iters):
+        # the programs of the live rows flagged by ``rows`` end here
+        ended = live[rows].tolist()
+        for i, sol in zip(ended, _solutions([progs[i] for i in ended], stack.take(rows), vecs, nus, status, iters)):
+            out[i] = sol
+
+    c0 = stack.pinv(stack.y)
+    residual = _mv(stack.b, c0) - stack.y
+    dist = _norms(residual)
+    infeasible = dist > stack.eta + 10 * TOL_PRIMAL * (1.0 + stack.ynorm)
+    if infeasible.any():
+        leave(infeasible, c0[infeasible], np.zeros((int(infeasible.sum()), p)), "infeasible", 0)
+        if infeasible.all():
+            return out
+        keep = ~infeasible
+        live, stack, c0, residual, dist = live[keep], stack.take(keep), c0[keep], residual[keep], dist[keep]
     # the equality program runs over c0 + Z w, the ball program over c0 + w
     r = n if ball else n - stack.l_r.shape[1]
-    if ball:  # only the probe reads a ball stack's factor
-        stack = _Stack(stack.b)
     if r == 0:
-        nus = stack.in_ball(stack.dual_ls(np.stack([progs[i].subgradient(c) for i, c in zip(live, c0)])),
-                            first.starts)
-        for i, c, nu in zip(live, c0, nus):
-            out[i] = progs[i].solution(c, "converged", 0, nu)
+        nus = stack.in_ball(stack.dual_ls(_subgradients(c0, starts, lengths)), starts)
+        leave(np.ones(len(live), dtype=bool), c0, nus, "converged", 0)
         return out
+    if ball:  # only the probe reads a ball stack's factor
+        stack.vt = stack.l_r = None
+    else:  # the support fits read B^T B
+        stack.gram = np.swapaxes(stack.b, 1, 2) @ stack.b
     basis = np.repeat(np.eye(n)[None], len(live), axis=0) if ball else np.stack([progs[i].null for i in live])
-    dims = list(first.lengths + 1) + ([p + 1] if ball else [])
+    dims = [k + 1 for k in lengths] + ([p + 1] if ball else [])
     cones = _Cones(dims)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
     # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
@@ -556,13 +564,13 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         G[:, n + nb + 1:, :r] = stack.b @ basis
         # the probe must lie strictly inside the ball: a radius within the
         # infeasibility tolerance of its distance from y is widened to admit it
-        h[:, n + nb] = np.fmax([progs[i].eta for i in live], dist * (1.0 + 1e-12) + 1e-300)
+        h[:, n + nb] = np.fmax(stack.eta, dist * (1.0 + 1e-12) + 1e-300)
         h[:, n + nb + 1:] = -residual
-    norms = _block_norms_flat(c0, first.starts)
+    norms = _block_norms_flat(c0, starts)
     t0 = norms + np.fmax(norms.mean(axis=1), np.finfo(float).tiny)[:, None]
     x = np.concatenate([np.zeros((len(live), r)), t0], axis=1)
-    for i, c in zip(live, c0):
-        progs[i].last = (c, np.zeros(p))  # (c, nu) of the last Newton step
+    # the estimate and dual of each program's last Newton step
+    last_c, last_nu = c0, np.zeros((len(live), p))
     cost = np.concatenate([np.zeros(r), np.ones(nb)])
     s = h - _mv(G, x)
     z = np.tile(cones.e, (len(x), 1))
@@ -579,7 +587,7 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
 
         def direction(q):
             # Newton system G^T W^2 G dx = -rd - (W G)^T q; steps scaled by W
-            dx = _newton_solve(hessian, -rd - _mv(wgt, q), ok)
+            dx = _stacked_solve(hessian, -rd - _mv(wgt, q), ok)
             dz = _mv(wg, dx) + q
             return dx, q - dz, dz
 
@@ -589,9 +597,9 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         dx, ds, dz = direction(-lam)
         alpha = np.minimum(1.0, cones.max_step(lam2_sq, lam2, np.concatenate([ds, dz], axis=1)))
         # Mehrotra: second-order correction and centering at (1 - alpha)^3 mu;
-        # the 1-D dots and the powers run per program, as stacked forms of
-        # them may round differently
-        sigma_mu = [(1.0 - a) ** 3 * (float(si @ zi) / degree) for a, si, zi in zip(alpha.tolist(), s, z)]
+        # the powers run per program, as a stacked power may round differently
+        mu = _dots(s, z) / degree
+        sigma_mu = [(1.0 - a) ** 3 * m for a, m in zip(alpha.tolist(), mu.tolist())]
         q = cones.div(lam, lam2_sq[:, :degree], np.multiply.outer(sigma_mu, cones.e)
                       - cones.prod(lam, lam) - cones.prod(ds, dz))
         dx, ds, dz = direction(q)
@@ -605,30 +613,35 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         # rounding may have carried an iterate to the boundary
         ok &= np.all(sz[:, cones.heads2] > 0.0, axis=1) & np.all(sz_sq > 0.0, axis=1)
         c = c0 + _mv(basis, x[:, :r])
+        if not ok.all():
+            leave(~ok, last_c[~ok], last_nu[~ok], "stalled", it - 1)
         # the duals of the programs that step on: the ball cone (eta, y - B c)
         # comes last, and its multiplier is -nu; an equality step's nu is the
         # least-squares solution of B^T nu = -z1, its support the blocks
         # whose cone head t_j exceeds the slack z0_j - ||z1_j|| of their dual
         # cone (primal-dual complementarity)
-        at, yg, xg, zg, cg = (stack, ys, x, z, c) if ok.all() else (
-            stack.take(ok), ys[ok], x[ok], z[ok], c[ok])
+        at, xg, zg, cg = (stack, x, z, c) if ok.all() else (stack.take(ok), x[ok], z[ok], c[ok])
         if ball:
-            nus, cands = at.in_ball(-zg[:, -p:], first.starts), [None] * len(zg)
+            nus = at.in_ball(-zg[:, -p:], starts)
+            vecs, duals, gap = cg, nus, _dual_gaps(cg, nus, at.y, at.eta, starts)
         else:
             z1 = np.take(zg, tails, axis=1)
-            nus = at.in_ball(at.dual_ls(-z1), first.starts)
-            support = xg[:, r:] > zg[:, heads] - _block_norms_flat(z1, first.starts)
-            cands = _candidates(at.b, yg, first.lengths, support, cg)
-        steps = iter(zip(nus, cands))
-        for row, i in enumerate(live):
-            out[i] = progs[i].step(c[row], *next(steps), it) if ok[row] else progs[i].stop("stalled", it - 1)
-        keep = np.array([out[i] is None for i in live])
-        if not keep.any():
-            break
+            nus = at.in_ball(at.dual_ls(-z1), starts)
+            support = xg[:, r:] > zg[:, heads] - _block_norms_flat(z1, starts)
+            vecs, duals, gap = _support_exits(at, starts, lengths, support, cg, nus)
+        done = gap <= TOL_GAP
+        keep = ok.copy()
+        keep[ok] = ~done
+        if done.any():
+            leave(ok & ~keep, vecs[done], duals[done], "converged", it)
+        last_c, last_nu = cg[~done], nus[~done]
         if not keep.all():
-            live, ys, c0, basis, G, x, s, z, sz_sq = (a[keep] for a in (live, ys, c0, basis, G, x, s, z, sz_sq))
+            live, c0, basis, G, x, s, z, sz_sq = (a[keep] for a in (live, c0, basis, G, x, s, z, sz_sq))
             stack = stack.take(keep)
-    return [sol or prog.stop("max_iters", max_iters) for sol, prog in zip(out, progs)]
+        if len(live) == 0:
+            return out
+    leave(np.ones(len(live), dtype=bool), last_c, last_nu, "max_iters", max_iters)
+    return out
 
 
 def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySolution]:
@@ -657,14 +670,14 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     # stack's programs and factors are not kept; zero is feasible and has
     # minimal objective
     out = [_Program(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
-    out = [prog.solution(np.zeros(prog.op.in_dim), "converged", 0, np.zeros(len(prog.y)))
-           if prog.ynorm <= prog.eta else prog for prog in out]
+    out = [_solutions([prog], _Stack.of([prog]), np.zeros((1, prog.op.in_dim)), np.zeros((1, len(prog.y))),
+                      "converged", 0)[0] if prog.ynorm <= prog.eta else prog for prog in out]
     rest = [i for i, prog in enumerate(out) if isinstance(prog, _Program)]
     _factor([out[i] for i in rest])
     stacks = {}
     for i in rest:
         prog = out[i]
-        stacks.setdefault((prog.eta > 0.0, tuple(prog.lengths), len(prog.y), len(prog.l_r)), []).append(i)
+        stacks.setdefault((prog.eta > 0.0, prog.op.block_dims, len(prog.y), len(prog.l_r)), []).append(i)
     for rows in stacks.values():
         for i, sol in zip(rows, _solve_stack([out[i] for i in rows], max_iters)):
             out[i] = sol
@@ -811,7 +824,8 @@ def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -
     vec, nu = coeff_vector(solution.estimate), solution.dual_vector
     if vec.shape != (B.in_dim,) or nu.shape != (B.out_dim,):
         raise DimMismatchError(f"a solution with {vec.size} coefficients and {nu.size} duals does not fit B")
-    violation, dual_feas, gap = _residuals(B, y, solution.eta, vec, nu)
+    violation, dual_feas, gap = (float(v[0]) for v in _residuals(
+        B.matrix[None], y[None], np.array([solution.eta]), vec[None], nu[None], B.block_starts))
     ynorm = float(np.linalg.norm(y))
     return CertificateReport(
         primal_violation=violation,

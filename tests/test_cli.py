@@ -280,6 +280,23 @@ def test_nan_basis_exits_2(workspace, capsys):
     assert capsys.readouterr().err == "error: basis 0 deviates from orthonormality by nan\n"
 
 
+@pytest.mark.parametrize("field, value", [("k", True), ("N", 2.0)])
+def test_signal_dims_not_integers_exit_2(tmp_path, capsys, field, value):
+    # on a k = 1, N = 2 collection, "k": true and "N": 2.0 equal the
+    # collection's dims by value, but they are not integers
+    coll, mat, sig, y = (tmp_path / f"{name}.json" for name in ("coll", "A", "sig", "y"))
+    assert run("frames", "gen", "--family", "orthogonal", "--d", 4, "--k", 1, "--N", 2, "--out", coll) == 0
+    assert run("measure", "sample", "--rows", 2, "--cols", 2, "--out", mat) == 0
+    assert run("signal", "gen", "--collection", coll, "--s", 1, "--out", sig) == 0
+    assert run("measure", "apply", "--matrix", mat, "--collection", coll, "--signal", sig, "--out", y) == 0
+    doc = json.loads(sig.read_text())
+    doc[field] = value
+    sig.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("measure", "apply", "--matrix", mat, "--collection", coll, "--signal", sig, "--out", y) == 2
+    assert capsys.readouterr().err == f"error: {field}: must be a positive integer\n"
+
+
 # loader -> the command that reads the malformed file, named "bad"
 MALFORMED_JSON = {
     "collection": ("frames", "coherence", "--collection", "bad"),

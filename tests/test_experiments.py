@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from fusioncs import experiments, solver
 from fusioncs.errors import ConfigError, SchemaError
 from fusioncs.experiments import (
     CSV_COLUMNS,
+    STREAM_COLLECTION,
+    STREAM_ENSEMBLE,
+    STREAM_NOISE,
+    STREAM_SIGNAL,
     ExperimentConfig,
     cell_key,
     config_from_dict,
@@ -26,10 +31,10 @@ from fusioncs.experiments import (
     write_frip_results,
     write_results,
 )
-from fusioncs.frames import coherence, random_collection
-from fusioncs.measurement import EnsembleSpec, sample_ensemble
+from fusioncs.frames import SubspaceCollection, _orthonormalize, coherence, random_collection
+from fusioncs.measurement import EnsembleSpec, add_noise, compose_with_bases, sample_ensemble, vector_operator
 from fusioncs.rip import mc_frip
-from fusioncs.signals import coeff_vector
+from fusioncs.signals import coeff_vector, random_sparse_signal
 
 
 REQUIRED_CONFIG_FIELDS = ("experiment", "family", "d", "k", "N", "sparsity_grid", "measurement_grid")
@@ -344,6 +349,39 @@ class TestStackedTrials:
         assert len(converged) >= 30
         for b, y, _, sol in converged:
             assert solver.certify(sol, b, y).ok
+
+
+    @pytest.mark.parametrize("kind", sorted(STACKED_CONFIGS) + ["ragged"])
+    def test_cell_setup_matches_per_trial_construction_independent(self, kind, recorded_solves, monkeypatch):
+        # a cell's seeds come from one prefix per trial and its operators
+        # from one broadcast: every (B, y) equals the trial's own
+        # derive_seed, random_sparse_signal, compose_with_bases and
+        # add_noise, bit for bit, on ragged block dims too
+        if kind == "ragged":
+            dims = (1, 2, 2, 1, 2, 2, 1, 2)
+            monkeypatch.setitem(experiments.FAMILIES, "random", lambda d, k, N, theta, seed: SubspaceCollection(
+                tuple(_orthonormalize(np.random.default_rng([seed, j]).standard_normal((d, k_j)))
+                      for j, k_j in enumerate(dims))))
+        cfg = ExperimentConfig(**STACKED_CONFIGS["phase" if kind == "ragged" else kind], trials_per_cell=4)
+        noise = cfg.experiment == "noise_robustness"
+        (run_noise_robustness if noise else run_phase_transition)(cfg)
+        expected = []
+        for s, m in product(cfg.sparsity_grid[:1] if noise else cfg.sparsity_grid,
+                            cfg.measurement_grid[:1] if noise else cfg.measurement_grid):
+            key = cell_key(cfg.family, None, s, m, None)
+            coll = experiments.FAMILIES[cfg.family](
+                cfg.d, cfg.k, cfg.N, None, derive_seed(cfg.base_seed, key, 0, STREAM_COLLECTION))
+            for eta in cfg.eta_grid or (0.0,):
+                for t in range(cfg.trials_per_cell):
+                    seed = lambda stream: derive_seed(cfg.base_seed, key, t, stream)  # noqa: E731
+                    x = random_sparse_signal(coll, s, seed(STREAM_SIGNAL))
+                    a = sample_ensemble(EnsembleSpec(cfg.ensemble, m, cfg.N, seed(STREAM_ENSEMBLE)))
+                    b = compose_with_bases(vector_operator(a, cfg.d, 1.0 / math.sqrt(m) if noise else 1.0), coll)
+                    y = add_noise(b.matvec(coeff_vector(x)), eta, seed(STREAM_NOISE))
+                    expected.append((b.matrix.tobytes(), y.tobytes(), eta))
+        (call,) = recorded_solves
+        assert [(b.matrix.tobytes(), np.asarray(y).tobytes(), eta) for b, y, eta, _ in call] == expected
+        assert kind != "ragged" or call[0][0].block_dims == dims
 
 
 class TestFripSweep:

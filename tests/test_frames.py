@@ -70,6 +70,24 @@ class TestBuildCollection:
         bad = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(OrthonormalityError):
             SubspaceCollection((bad,))
+        # the first basis off orthonormality is named, among ragged dims
+        with pytest.raises(OrthonormalityError, match="^basis 2 deviates"):
+            SubspaceCollection((np.eye(3)[:, :1], np.eye(3)[:, 1:], bad, 2.0 * np.eye(3)[:, :1]))
+
+    def test_ragged_bases_kept_read_only_independent(self):
+        # the bases are checked in one stacked Gram product per block dim
+        # and kept as read-only copies with their input bits, in input order
+        rng = np.random.default_rng(4)
+        dims = (1, 2, 2, 1, 3, 2)
+        mats = [_orthonormalize(rng.standard_normal((5, k))) for k in dims]
+        coll = SubspaceCollection(tuple(mats))
+        assert coll.block_dims == dims and coll.block_dim == 3
+        assert coll.block_starts.tolist() == [0, 1, 3, 5, 6, 9]
+        for u, m in zip(coll.bases, mats):
+            assert u.tobytes() == m.tobytes() and not u.flags.writeable
+        mats[0][0, 0] = 7.0
+        assert coll.bases[0][0, 0] != 7.0
+        assert not coll.block_starts.flags.writeable
 
 
 class TestConstructors:
@@ -368,6 +386,10 @@ INPUT_CHECKS = {
                             "a collection needs at least one subspace"),
     "collection_vector_basis": (lambda: SubspaceCollection((np.ones(3),)), InvalidDimsError,
                                 "basis 0 is not a matrix"),
+    "collection_scalar_basis": (lambda: SubspaceCollection((1.0,)), InvalidDimsError,
+                                "basis 0 is not a matrix"),
+    "collection_later_scalar_basis": (lambda: SubspaceCollection((np.eye(2), 1.0)), InvalidDimsError,
+                                      "basis 1 is not a matrix"),
     "collection_ambient_mismatch": (lambda: SubspaceCollection((np.eye(4)[:, :2], np.eye(3)[:, :2])),
                                     ShapeMismatchError, "basis 1 has ambient dimension 3, expected 4"),
     "collection_no_columns": (lambda: SubspaceCollection((np.zeros((3, 0)),)), InvalidDimsError,

@@ -27,6 +27,7 @@ from fusioncs.measurement import (
     MeasurementOperator,
     add_noise,
     apply,
+    coefficient_operators,
     compose_with_bases,
     matrix_coherences,
     matrix_from_dict,
@@ -236,6 +237,26 @@ class TestCoefficientOperator:
             b = compose_with_bases(vector_operator(a, 4, scale=1.0 / math.sqrt(m)), SubspaceCollection(bases))
             blocks = [np.kron(a[:, j:j + 1], u) for j, u in enumerate(bases)]
             assert np.array_equal(b.matrix, 1.0 / math.sqrt(m) * np.hstack(blocks))
+
+    @pytest.mark.parametrize("kind", ["vector", "scalar"])
+    @pytest.mark.parametrize("dims", [(2,) * 8, (1, 2, 2, 1)])
+    def test_stacked_operators_match_each_alone_independent(self, kind, dims):
+        # one broadcast over a stack of measurement matrices gives each
+        # operator the bits of compose_with_bases on its matrix alone, and
+        # one non-finite entry anywhere in the stack fails the whole build
+        rng = np.random.default_rng(len(dims))
+        coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
+        mats = rng.standard_normal((5, 3, len(dims)) if kind == "vector" else (5, 12, 4 * len(dims)))
+        ops = coefficient_operators(kind, mats, 0.7, coll)
+        make = {"vector": lambda m: vector_operator(m, 4, scale=0.7), "scalar": lambda m: scalar_operator(m, 0.7)}[kind]
+        for op, m in zip(ops, mats):
+            alone = compose_with_bases(make(m), coll)
+            assert op.matrix.tobytes() == alone.matrix.tobytes() and not op.matrix.flags.writeable
+            assert (op.out_dim, op.in_dim, op.block_dims, op.collection) == (
+                alone.out_dim, alone.in_dim, alone.block_dims, coll)
+        mats[3, 1, 0] = math.inf
+        with pytest.raises(ValueError, match="the operator has non-finite entries"):
+            coefficient_operators(kind, mats, 0.7, coll)
 
     def test_isometry_in_expectation(self):
         coll = random_collection(6, 2, 4, seed=8)

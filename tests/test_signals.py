@@ -46,6 +46,21 @@ class TestRandomSparseSignal:
         for u, v in zip(a.coeffs, b.coeffs):
             assert np.array_equal(u, v)
 
+    def test_draws_unchanged_on_ragged_dims_independent(self):
+        # the same generator calls in the same order, each unit block
+        # normalized by np.linalg.norm's value, bit for bit
+        rng = np.random.default_rng(6)
+        dims = (1, 3, 2, 2, 1)
+        coll = SubspaceCollection(tuple(np.linalg.qr(rng.standard_normal((4, k)))[0] for k in dims))
+        starts = np.cumsum((0,) + dims)
+        for seed, s in ((1, 1), (2, 3), (3, 5)):
+            gen = np.random.default_rng(seed)
+            expected = np.zeros(starts[-1])
+            for j in np.sort(gen.choice(5, size=s, replace=False)).tolist():
+                g = gen.standard_normal(dims[j])
+                expected[starts[j]:starts[j + 1]] = g / np.linalg.norm(g)
+            assert coeff_vector(random_sparse_signal(coll, s, seed)).tobytes() == expected.tobytes()
+
     def test_unit_norm_blocks_l21(self):
         coll = random_collection(6, 3, 8, seed=0)
         for s in (1, 3, 8):
@@ -252,6 +267,16 @@ class TestSerialization:
             signal_from_dict(doc, other)
         del doc["coeffs"]
         with pytest.raises(SchemaError):
+            signal_from_dict(doc, coll)
+
+    @pytest.mark.parametrize("field, value", [("k", True), ("N", 2.0), ("N", 0), ("k", "1")])
+    def test_dims_must_be_positive_integers(self, field, value):
+        # JSON's true equals 1 and 2.0 equals 2, but neither is an integer
+        coll = orthogonal_collection(4, 1, 2)
+        doc = signal_to_dict(random_sparse_signal(coll, 1, seed=0))
+        assert signal_from_dict(doc, coll).num_blocks == 2
+        doc[field] = value
+        with pytest.raises(SchemaError, match=f"^{field}: must be a positive integer$"):
             signal_from_dict(doc, coll)
 
 

@@ -89,6 +89,11 @@ def assert_support_dual(b, sol):
     assert np.all(off <= 1.0 + solver.TOL_DUAL)
 
 
+def kkt_gives_up(b, y, support, lengths, c):
+    """A support system that gives up on every support of its stack."""
+    return c, np.zeros(len(b), dtype=bool)
+
+
 class TestSolveEquality:
     def test_zero_rhs(self):
         coll = random_collection(4, 2, 5, seed=0)
@@ -186,8 +191,8 @@ class TestSolveEquality:
     def test_max_iters_status(self):
         # underdetermined planted instance: no single-point shortcut applies,
         # and the first step's support does not yet pass the certificate
-        coll = random_collection(4, 2, 8, seed=2)
-        b, truth, y = planted_instance(coll, 2, 3, seed=3)
+        coll = random_collection(4, 2, 8, seed=5)
+        b, truth, y = planted_instance(coll, 2, 3, seed=5)
         sol = solve_equality(b, y, max_iters=1)
         assert sol.status == "max_iters"
         assert sol.iterations == 1
@@ -220,7 +225,8 @@ class TestSolveEquality:
             assert certify(sol, b, y).ok
             est = coeff_vector(sol.estimate)
             cols = est != 0.0
-            assert np.array_equal(est[cols], np.linalg.lstsq(b.matrix[:, cols], y, rcond=None)[0])
+            fit = np.linalg.lstsq(b.matrix[:, cols], y, rcond=None)[0]
+            assert np.linalg.norm(est[cols] - fit) <= 1e-12 * np.linalg.norm(fit)
             assert np.linalg.norm(est - scale * truth) <= 1e-9 * scale
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -242,17 +248,17 @@ class TestSolveEquality:
         assert certify(sol, b, y).ok
         assert np.count_nonzero(coeff_vector(sol.estimate)) > b.out_dim
         assert_support_dual(b, sol)
-        monkeypatch.setattr(solver, "_support_kkt", lambda b_s, *args: [None] * len(b_s))
+        monkeypatch.setattr(solver, "_support_kkt", kkt_gives_up)
         gap_exit = solve_equality(b, y)
         assert gap_exit.status == "converged"
         assert sol.iterations < gap_exit.iterations
         assert abs(sol.objective - gap_exit.objective) <= 10 * solver.TOL_GAP
 
     def test_stalled_status(self, monkeypatch):
-        # a singular Newton matrix from the third solve on (the second step's
-        # predictor) ends the steps early: that is not max_iters. The
-        # instance never reaches the support system, whose solves would
-        # count too
+        # a singular matrix from the third solve on (the first step's
+        # support fit, then the second step's predictor) ends the steps
+        # early: that is not max_iters. The instance never reaches the
+        # support system, whose solves would count too
         coll = random_collection(4, 2, 8, seed=2)
         b, truth, y = planted_instance(coll, 2, 3, seed=3)
         monkeypatch.setattr(solver, "_support_kkt", lambda *args: pytest.fail("support system reached"))
@@ -360,7 +366,7 @@ def test_support_system_never_adds_steps(seed, dims, d, rows, s, kind, log_scale
     # interior-point gap (or a support no wider than B)
     b, y = random_instance(seed, dims, d, rows, s, kind, 10.0**log_scale)
     sol = solve_equality(b, y)
-    with mock.patch.object(solver, "_support_kkt", lambda b_s, *args: [None] * len(b_s)):
+    with mock.patch.object(solver, "_support_kkt", kkt_gives_up):
         gap_exit = solve_equality(b, y)
     assert gap_exit.status == "converged"
     assert sol.status == "converged"
@@ -371,27 +377,26 @@ def test_support_system_never_adds_steps(seed, dims, d, rows, s, kind, log_scale
 
 @pytest.mark.parametrize("kind", ["vector", "scalar"])
 def test_gap_exit_returns_the_certified_iterate(monkeypatch, kind):
-    # with the support refinement giving up, every equality solve that
-    # steps ends on the interior-point gap test: its estimate is the Newton
-    # iterate that test certified, feasible to TOL_PRIMAL as it stands
-    monkeypatch.setattr(solver._Program, "refine", lambda *args: None)
-    real_step = solver._Program.step
-    exits = []
+    # with every step's support emptied, no support fit passes, and every
+    # equality solve that steps ends on the interior-point gap test: its
+    # estimate is the Newton iterate that test certified, feasible to
+    # TOL_PRIMAL as it stands
+    real_exits = solver._support_exits
+    iterates = []
 
-    def step(prog, c, *args):
-        sol = real_step(prog, c, *args)
-        if sol is not None:
-            exits.append(c)
-        return sol
+    def empty_support(stack, starts, lengths, support, c, nu):
+        iterates.append(c[0].copy())
+        return real_exits(stack, starts, lengths, np.zeros_like(support), c, nu)
 
-    monkeypatch.setattr(solver._Program, "step", step)
+    monkeypatch.setattr(solver, "_support_exits", empty_support)
     for seed in range(12):
         dims = ((2,) * 6, (1, 2, 2, 1, 2, 1))[seed % 2]
         b, y = random_instance(seed, dims, 4, 1, 2, kind, 10.0 ** (seed % 5 - 2))
-        exits.clear()
+        iterates.clear()
         sol = solve_equality(b, y)
         assert sol.status == "converged" and sol.iterations > 0
-        assert len(exits) == 1 and np.array_equal(coeff_vector(sol.estimate), exits[0])
+        assert len(iterates) == sol.iterations
+        assert np.array_equal(coeff_vector(sol.estimate), iterates[-1])
         assert certify(sol, b, y).ok
         assert sol.primal_residual <= solver.TOL_PRIMAL
 
@@ -408,9 +413,27 @@ class TestSupportKKT:
         return b_s, b_s @ x, np.array([1, 2]), x + 0.1 * rng.standard_normal(3)
 
     @staticmethod
-    def alone(b_s, y, lengths, c_s):
-        (c,) = solver._support_kkt(b_s[None], y[None], lengths, c_s[None])
-        return c
+    def fits(b_s, y, lengths, c_s):
+        # each support spans all of its B's columns
+        c, held = solver._support_kkt(b_s, y, np.ones((len(b_s), len(lengths)), dtype=bool), lengths, c_s)
+        return [c_i if ok else None for c_i, ok in zip(c, held)]
+
+    def alone(self, b_s, y, lengths, c_s):
+        return self.fits(b_s[None], y[None], lengths, c_s[None])[0]
+
+    def test_masked_support_matches_its_columns_alone(self):
+        # blocks 1 and 3 of four (3 of B's 6 columns, against 2 rows):
+        # Newton's iterates on the masked system equal those on B_S alone
+        # but for rounding, and stay zero off S
+        rng = np.random.default_rng(3)
+        lengths, support = (1, 2, 2, 1), np.array([False, True, False, True])
+        cols = np.repeat(support, lengths)
+        b, x = rng.standard_normal((2, 6)), np.where(cols, rng.standard_normal(6), 0.0)
+        start = x + 0.1 * rng.standard_normal(6)
+        (c,), (held,) = solver._support_kkt(b[None], (b @ x)[None], support[None], lengths, start[None])
+        alone = self.alone(b[:, cols], b @ x, np.array([2, 1]), start[cols])
+        assert held and alone is not None and np.all(c[~cols] == 0.0)
+        assert np.linalg.norm(c[cols] - alone) <= 1e-12 * np.linalg.norm(alone)
 
     def test_zero_block(self):
         b_s, y, lengths, _ = self.wide_support()
@@ -452,12 +475,71 @@ class TestSupportKKT:
         c_s[1, 0] = 0.0
         alone = [self.alone(b, yi, lengths, c) for b, yi, c in zip(b_s, y, c_s)]
         assert [c is None for c in alone] == [False, True, False, True, False]
-        for fits in (solver._support_kkt(b_s, y, lengths, c_s),
-                     solver._support_kkt(b_s[[0, 2, 4]], y[[0, 2, 4]], lengths, c_s[[0, 2, 4]])):
+        for fits in (self.fits(b_s, y, lengths, c_s),
+                     self.fits(b_s[[0, 2, 4]], y[[0, 2, 4]], lengths, c_s[[0, 2, 4]])):
             kept = fits if len(fits) == 5 else [fits[0], None, fits[1], None, fits[2]]
             for fit, one in zip(kept, alone):
                 assert (fit is None) == (one is None)
                 assert fit is None or fit.tobytes() == one.tobytes()
+
+
+class TestSupportExits:
+    """The masked support fits of an equality step's exit, against lstsq on
+    each support, and the stacks that mix support widths."""
+
+    @staticmethod
+    def stack(b, y):
+        stack = solver._Stack(b=b, y=y, eta=np.zeros(len(b)), ynorm=solver._norms(y))
+        stack.gram = np.swapaxes(b, 1, 2) @ b
+        return stack
+
+    def test_fit_and_dual_match_lstsq_independent(self):
+        # full-rank supports on ragged blocks, narrower than, as wide as and
+        # wider than B's 6 rows, in one stack: with one refinement step,
+        # P^T y is the least-squares fit on S (the minimum-norm one when S
+        # is wide) and P r the minimum-norm solution of B_S^T nu = r_S (the
+        # least-squares one when S is wide), as lstsq gives them; each row
+        # has the bits of its stack of one
+        rng = np.random.default_rng(5)
+        lengths = (1, 2, 2, 1, 2, 2, 1, 2)
+        supports = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 1], [1, 1, 0, 1, 0, 1, 0, 0],
+                             [0, 1, 1, 0, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1]], dtype=bool)
+        mask = np.repeat(supports, lengths, axis=1)
+        assert mask.sum(axis=1).tolist() == [2, 5, 6, 7, 13, 8]
+        b, y, r = rng.standard_normal((6, 6, 13)), rng.standard_normal((6, 6)), rng.standard_normal((6, 13))
+        maps, ok = solver._dual_maps(self.stack(b, y), mask)
+        assert ok.all()
+        for i, (b_i, y_i, r_i, cols) in enumerate(zip(b, y, r, mask)):
+            fit, nu = np.zeros(13), np.linalg.lstsq(b_i[:, cols].T, r_i[cols], rcond=None)[0]
+            fit[cols] = np.linalg.lstsq(b_i[:, cols], y_i, rcond=None)[0]
+            c = maps[i].T @ y_i
+            c += maps[i].T @ (y_i - b_i @ c)
+            step = maps[i] @ r_i
+            step += maps[i] @ (r_i - b_i.T @ step)
+            assert np.linalg.norm(c - fit) <= 1e-12 * np.linalg.norm(fit)
+            assert np.linalg.norm(step - nu) <= 1e-12 * np.linalg.norm(nu)
+            alone, _ = solver._dual_maps(self.stack(b[i:i + 1], y[i:i + 1]), mask[i:i + 1])
+            assert alone.tobytes() == maps[i:i + 1].tobytes()
+
+    def test_mixed_width_stack_matches_solves_alone_independent(self, monkeypatch):
+        # B is 4 x 16 (m = 1): a one-block support is narrower than B, a
+        # three-block one wider, and one step of the stack holds both; each
+        # solution equals its solve alone bit for bit
+        coll = random_collection(4, 2, 8, seed=0)
+        cases = [planted_instance(coll, s, 1, seed=40 + 3 * i + s)[::2] for i in range(4) for s in (1, 2, 3)]
+        single = [full_bits(solve_equality(b, y)) for b, y in cases]
+        real_exits, widths = solver._support_exits, []
+
+        def exits(stack, starts, lengths, support, c, nu):
+            widths.append(set((np.repeat(support, lengths, axis=1).sum(axis=1) > stack.b.shape[1]).tolist()))
+            return real_exits(stack, starts, lengths, support, c, nu)
+
+        monkeypatch.setattr(solver, "_support_exits", exits)
+        sols = solver.solve_many(*zip(*cases), [0.0] * len(cases))
+        assert [full_bits(sol) for sol in sols] == single
+        assert {False, True} in widths
+        for (b, y), sol in zip(cases, sols):
+            assert sol.status == "converged" and certify(sol, b, y).ok
 
 
 class TestSolveNoisy:
