@@ -5,7 +5,9 @@ m' x (d*N) matrix. Vector operators take m linear combinations of the
 ambient blocks, y_i = sum_j A[i, j] x_j, which is the action of A (x) I_d.
 Composed with the subspace bases, either operator becomes one dense matrix
 over the coefficient vector (:class:`CoefficientOperator`), which the
-solver, the isometry constants and the oracle all read.
+solver, the isometry constants and the oracle all read. Exhaustive support
+enumerations share read-only tables of supports and their columns, built
+on first use (:func:`support_groups`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -35,6 +37,7 @@ DISTRIBUTIONS = ("gaussian", "bernoulli", "uniform_scaled")
 OPERATOR_KINDS = ("vector", "scalar")
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # variance one on [-sqrt(3), sqrt(3)]
 _CHUNK_ENTRIES = 2**15  # stacked matrix entries per chunk of supports
+_TABLE_ENTRIES = 2**18  # index entries of the largest shared support table (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,58 @@ def support_chunks(supports, s: int, entries: int):
     size = max(1, _CHUNK_ENTRIES // entries)
     while chunk := list(islice(supports, size)):
         yield np.array(chunk, dtype=int).reshape(len(chunk), s)
+
+
+class AllSupports:
+    """Every s-subset of range(n), in lexicographic order.
+
+    Iterates as ``itertools.combinations(range(n), s)``; passed to
+    :func:`support_groups`, it lets a shared table stand in for the
+    enumeration.
+    """
+
+    def __init__(self, n: int, s: int):
+        self.n, self.s = n, s
+
+    def __iter__(self):
+        return combinations(range(self.n), self.s)
+
+
+def support_groups(supports, block_starts, block_dims, s: int, entries: int):
+    """(chunk, groups) for each chunk of ``support_chunks(supports, s,
+    entries)``, groups being the chunk's :func:`stacked_columns` pairs.
+
+    When ``supports`` is :class:`AllSupports` over every block and its
+    table holds at most _TABLE_ENTRIES indices, the chunks and groups come
+    from a table built on first use and kept for the process (the 32 last
+    used), keyed by the block dims, s, ``entries`` and the _CHUNK_ENTRIES in
+    force; its arrays are read-only. Any other enumeration streams, with the
+    same values.
+    """
+    dims = tuple(block_dims)
+    if (isinstance(supports, AllSupports) and supports.n == len(dims)
+            and math.comb(len(dims), s) * (s + 1 + widest_support(dims, s)) <= _TABLE_ENTRIES):
+        return _support_table(dims, s, entries, _CHUNK_ENTRIES)
+    return ((chunk, tuple(stacked_columns(block_starts, block_dims, chunk)))
+            for chunk in support_chunks(supports, s, entries))
+
+
+@lru_cache(maxsize=32)
+def _support_table(block_dims: tuple, s: int, entries: int, chunk_entries: int) -> tuple:
+    n = len(block_dims)
+    starts = np.concatenate([[0], np.cumsum(block_dims)[:-1]]).astype(int)
+    everything = np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=int,
+                             count=math.comb(n, s) * s).reshape(-1, s)
+    everything.flags.writeable = False
+    size = max(1, chunk_entries // entries)
+    table = []
+    for i in range(0, len(everything), size):
+        chunk = everything[i:i + size]
+        groups = tuple(stacked_columns(starts, block_dims, chunk))
+        for array in chain.from_iterable(groups):
+            array.flags.writeable = False
+        table.append((chunk, groups))
+    return tuple(table)
 
 
 def widest_support(block_dims, s: int) -> int:

@@ -12,32 +12,37 @@ are enumerated in stacked batches: the Gram matrix G of the whole operator
 is formed once per call, and each chunk of supports gathers its Gram
 blocks, grouped by column count, into one batched eigenvalue call.
 
-Most supports never reach that call. The constant of S is ||G_SS - I||_2,
-and the block Gershgorin theorem bounds it by the largest row sum over S
-of the matrix of block norms ||(G - I)_ij||_2, which is formed once per
-call. In each chunk the few supports of largest bound are evaluated first;
-a support whose bound, widened by a relative margin of 1e-9 and an
-absolute one of 1e-12 (far above rounding), stays below the running
-maximum cannot attain it and is skipped. Values, worst supports and counts
-are those of evaluating every support.
+Most supports never reach that call. The constant of S is ||G_SS - I||_2.
+With C the matrix of block norms ||(G - I)_ij||_2, formed once per call
+(one SVD per unordered pair of blocks, as C is symmetric), it is at most
+the spectral radius of C's submatrix C_S on S, and that radius is at most
+max_i (C_S x)_i / x_i for any positive x (Collatz-Wielandt). Each support
+is bounded at x = C_S C_S 1, which in exact arithmetic never exceeds the
+block-Gershgorin bound max_i (C_S 1)_i. In each chunk the few supports of
+largest bound are evaluated first; a support whose bound, widened by a
+relative margin of 1e-9 and an absolute one of 1e-12 (far above
+rounding), stays below the running maximum cannot attain it and is
+skipped. Values, worst supports and counts are those of evaluating every
+support. The exhaustive constants read their chunks and Gram columns from
+tables shared by every enumeration of one shape
+(:func:`fusioncs.measurement.support_groups`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ModeError, TooLargeError
 from .frames import SubspaceCollection
 from .measurement import (
+    AllSupports,
     CoefficientOperator,
     compose_with_bases,
     scalar_operator,
-    stacked_columns,
-    support_chunks,
+    support_groups,
     vector_operator,
     widest_support,
 )
@@ -46,6 +51,7 @@ MAX_SUPPORTS_EXACT = 10**6
 MAX_SUPPORT_COLUMNS = 200
 _SEEDS = 8  # supports per chunk sent to eigvalsh before any is pruned
 _MARGIN, _TINY = 1e-9, 1e-12  # relative and absolute slack on a support's bound
+_FLOOR = np.finfo(float).tiny  # keeps the Collatz-Wielandt vector positive
 
 
 @dataclass(frozen=True)
@@ -98,31 +104,49 @@ def _check_guards(block_dims, s: int) -> None:
 def _block_norms(op: CoefficientOperator, gram) -> np.ndarray:
     """N x N matrix C of the spectral norms of the blocks of G - I.
 
-    C_ii = ||G_ii - I||_2 and C_ij = ||G_ij||_2. Blocks are gathered per
-    pair of block dimensions, one batched norm per pair.
+    C_ii = ||G_ii - I||_2 and C_ij = ||G_ij||_2 = C_ji, so one norm per
+    unordered pair of blocks, gathered per pair of block dimensions into one
+    batched norm, fills both triangles.
     """
     h = gram - np.eye(len(gram))
     dims = np.asarray(op.block_dims)
     c = np.empty((len(dims), len(dims)))
     groups = [(k, np.flatnonzero(dims == k)) for k in sorted(set(dims.tolist()))]
     index = {k: op.block_starts[members][:, None] + np.arange(k) for k, members in groups}
-    for ka, ia in groups:
-        for kb, ib in groups:
-            blocks = h[index[ka][:, None, :, None], index[kb][None, :, None, :]]
-            c[np.ix_(ia, ib)] = np.linalg.norm(blocks, ord=2, axis=(2, 3))
+    for a, (ka, ia) in enumerate(groups):
+        for b, (kb, ib) in enumerate(groups[a:], a):
+            p, q = np.triu_indices(len(ia)) if a == b else np.indices((len(ia), len(ib))).reshape(2, -1)
+            blocks = h[index[ka][p][:, :, None], index[kb][q][:, None, :]]
+            c[ia[p], ib[q]] = c[ib[q], ia[p]] = np.linalg.norm(blocks, ord=2, axis=(1, 2))
     return c
 
 
-def _deltas(op: CoefficientOperator, gram, supports) -> np.ndarray:
-    """Per-support constants of an (n, s) array of supports, one batched
-    eigvalsh per column count. Rounding that pushes an eigenvalue of a
-    singular Gram block below zero counts as 0."""
-    deltas = np.empty(len(supports))
-    for rows, cols in stacked_columns(op.block_starts, op.block_dims, supports):
-        eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
-        smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
-        deltas[rows] = np.maximum(smax2 - 1.0, 1.0 - smin2)
-    return deltas
+def _bounds(norms, chunk) -> np.ndarray:
+    """Upper bounds on ||G_SS - I||_2 for an (n, s) array of supports: the
+    two-step Collatz-Wielandt bound max_i (C_S x)_i / x_i of C_S, the
+    supports' submatrices of :func:`_block_norms`, at x = C_S C_S 1 floored
+    at the smallest positive normal float, or the row-sum bound where that
+    is smaller or not a number (an overflow)."""
+    c = np.take(norms.ravel(), chunk[:, :, None] * len(norms) + chunk[:, None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.einsum("nij->ni", c)
+        x = np.maximum(np.einsum("nij,nj->ni", c, rows), _FLOOR)
+        return np.fmin((np.einsum("nij,nj->ni", c, x) / x).max(axis=1), rows.max(axis=1))
+
+
+def _fill_deltas(deltas, gram, groups, picked) -> None:
+    """Per-support constants of the supports of a chunk where ``picked`` is
+    true, written into ``deltas``, one batched eigvalsh per column count
+    (``groups`` are the chunk's :func:`stacked_columns` pairs). Rounding
+    that pushes an eigenvalue of a singular Gram block below zero counts
+    as 0."""
+    for rows, cols in groups:
+        take = picked[rows]
+        if take.any():
+            cols = cols[take]
+            eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
+            smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
+            deltas[rows[take]] = np.maximum(smax2 - 1.0, 1.0 - smin2)
 
 
 def _max_over_supports(op: CoefficientOperator, supports, s: int):
@@ -131,15 +155,23 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
     Returns (value, first support attaining it, number of supports). The
     Gram matrix G = B^T B is formed once; finite entries whose products
     overflow raise ValueError. The constant of a support S is
-    ||G_SS - I||_2, which the block Gershgorin theorem (Feingold and Varga,
-    Pacific J. Math. 12, 1962) bounds by max_{i in S} sum_{j in S} C_ij,
-    with C from :func:`_block_norms`. In each chunk the _SEEDS supports of
-    largest bound go through eigvalsh first, then only the supports whose
-    bound, widened by _MARGIN (relative) and _TINY (absolute), both far
-    above rounding, reaches the running maximum. A skipped support cannot
-    attain the maximum, and eigvalsh of one block does not depend on the
-    rest of its batch, so the value and the first support attaining it are
-    those of evaluating every support. The count covers every support.
+    ||G_SS - I||_2. With C_S the matrix of block norms of G_SS - I from
+    :func:`_block_norms`, ||G_SS - I||_2 <= ||C_S||_2 (Feingold and Varga,
+    Pacific J. Math. 12, 1962), which is rho(C_S) as C_S is symmetric and
+    nonnegative; and rho(C_S) <= max_i (C_S x)_i / x_i for every x > 0
+    (Collatz-Wielandt; Horn and Johnson, Matrix Analysis, 8.1). The
+    supports' bounds take x = C_S C_S 1 (:func:`_bounds`); in exact
+    arithmetic that bound never exceeds the row-sum bound max_i (C_S 1)_i,
+    since C^(t+1) 1 <= M C^t 1 implies C^(t+2) 1 <= M C^(t+1) 1 for
+    nonnegative C. In each chunk the _SEEDS supports of largest bound go
+    through eigvalsh first, then only the supports whose bound, widened by
+    _MARGIN (relative) and _TINY (absolute), both far above rounding,
+    reaches the running maximum. A skipped support cannot attain the
+    maximum, and eigvalsh of one block does not depend on the rest of its
+    batch, so the value and the first support attaining it are those of
+    evaluating every support. The count covers every support. Every
+    support of the blocks (:class:`AllSupports`) reads a shared table of
+    chunks and columns (:func:`support_groups`).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # fails once, below
         gram = op.matrix.T @ op.matrix
@@ -147,15 +179,15 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
         raise ValueError("the operator has non-finite entries")
     norms = _block_norms(op, gram)
     value, worst, count = -math.inf, None, 0
-    for chunk in support_chunks(supports, s, widest_support(op.block_dims, s) ** 2):
-        bounds = norms[chunk[:, :, None], chunk[:, None, :]].sum(axis=2).max(axis=1)
+    entries = widest_support(op.block_dims, s) ** 2
+    for chunk, groups in support_groups(supports, op.block_starts, op.block_dims, s, entries):
+        bounds = _bounds(norms, chunk)
         deltas = np.full(len(chunk), -math.inf)
-        seeds = np.argsort(bounds)[-_SEEDS:]
-        deltas[seeds] = _deltas(op, gram, chunk[seeds])
+        seeds = np.zeros(len(chunk), dtype=bool)
+        seeds[np.argsort(bounds)[-_SEEDS:]] = True
+        _fill_deltas(deltas, gram, groups, seeds)
         reach = bounds * (1.0 + _MARGIN) + _TINY
-        rest = reach >= max(value, float(deltas[seeds].max()))
-        rest[seeds] = False
-        deltas[rest] = _deltas(op, gram, chunk[rest])
+        _fill_deltas(deltas, gram, groups, (reach >= max(value, float(deltas.max()))) & ~seeds)
         i = int(np.argmax(deltas))
         if deltas[i] > value:
             value, worst = float(deltas[i]), tuple(int(j) for j in chunk[i])
@@ -165,7 +197,7 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
 
 def _exact_over_supports(op: CoefficientOperator, s: int) -> RipEstimate:
     _check_guards(op.block_dims, s)
-    value, worst, count = _max_over_supports(op, combinations(range(len(op.block_dims)), s), s)
+    value, worst, count = _max_over_supports(op, AllSupports(len(op.block_dims), s), s)
     return RipEstimate(
         s=s, value=value, mode="exact", supports_evaluated=count, worst_support=worst
     )

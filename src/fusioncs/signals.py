@@ -31,14 +31,15 @@ DEFAULT_SUPPORT_TOL = 1e-9
 AMPLITUDE_LAWS = ("unit_norm_blocks", "gaussian_blocks")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class BlockSignal:
     """Coefficient blocks c_j of a signal with x_j = U_j c_j.
 
     Built from one array per block, and stored as one read-only copy of
     their concatenation, the coefficient vector. :attr:`coeffs` gives the
     blocks back as read-only views of that vector. Signals compare and hash
-    by identity; compare coefficient vectors to compare values.
+    by identity; compare coefficient vectors to compare values. They hold
+    their two fields in slots, without a per-instance dict.
     """
 
     collection: SubspaceCollection

@@ -48,10 +48,12 @@ triple alone bit for bit, whatever else the stack holds;
 :func:`solve_equality`, :func:`solve_noisy` and :func:`certify` work on
 stacks of one.
 
-The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens its
-supports S by one stacked QR of [B_S | y] per batch, whose residual never
-exceeds the least-squares residual on S but for rounding, and decides each
-screened support by ``lstsq``.
+The exhaustive oracle (:func:`oracle_recover_exhaustive`) reads its
+supports S and their columns from the shared support tables, screens them
+by one stacked QR of [B_S | y] per batch, whose residual |R[w, w]| is read
+straight from the Householder array of ``np.linalg.qr(..., mode="raw")``
+and never exceeds the least-squares residual on S but for rounding, and
+decides each screened support by ``lstsq``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -71,7 +72,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .frames import SubspaceCollection, coherence
-from .measurement import CoefficientOperator, stacked_columns, support_chunks, widest_support
+from .measurement import AllSupports, CoefficientOperator, support_groups, widest_support
 from .signals import BlockSignal, coeff_vector, from_coeff_vector
 
 # the oracle's stacked QR residuals screen supports at this multiple of the
@@ -723,14 +724,18 @@ def _screen_residuals(matrix, y, cols) -> np.ndarray:
     the least-squares residual min_c ||B_S c - y|| but for rounding (see
     :func:`oracle_recover_exhaustive`).
 
-    ``cols`` holds one support's w columns of ``matrix`` per row.
+    ``cols`` holds one support's w columns of ``matrix`` per row. R is read
+    from the Householder array h of ``mode="raw"``, whose lower triangle
+    holds R^T (the same LAPACK ``geqrf`` as ``mode="r"``, without the
+    ``triu`` copy): h[w, w] = R[w, w] when B has more than w rows, nothing
+    otherwise.
     """
     w = cols.shape[1]
     aug = np.empty((len(cols), matrix.shape[0], w + 1))
     aug[:, :, :w] = np.moveaxis(matrix[:, cols], 0, 1)
     aug[:, :, w] = y
-    r = np.linalg.qr(aug, mode="r")
-    return np.linalg.norm(r[:, w:, w], axis=1)
+    h, _ = np.linalg.qr(aug, mode="raw")
+    return np.linalg.norm(h[:, w, w:w + 1], axis=1)
 
 
 def oracle_recover_exhaustive(
@@ -745,15 +750,19 @@ def oracle_recover_exhaustive(
     block norm sum. ``unique`` is True when exactly one support at that level
     fits and its column matrix has full rank.
 
-    Supports go through in chunks, screened at _SCREEN_FACTOR times the
-    accept tolerance by one stacked Householder QR of [B_S | y] = QR per
-    chunk (:func:`_screen_residuals`). For S of w columns, Q's first w
-    columns span a space that contains range(B_S), whatever the rank of
-    B_S, so ||R[w:, w]|| (|R[w, w]|, or 0 when B has at most w rows) is the
-    distance from y to that space: at most the least-squares residual on S
-    but for rounding, and no fitting support is screened out. Each screened
-    support is solved again by ``lstsq`` on its columns; that solution
-    decides acceptance and gives the estimate.
+    Supports go through in the chunks of the shared support table of
+    their level (:func:`fusioncs.measurement.support_groups`), screened at
+    _SCREEN_FACTOR times the accept tolerance by one stacked Householder
+    QR of [B_S | y] = QR per chunk (:func:`_screen_residuals`). For S of w
+    columns, Q's first w columns span a space that contains range(B_S),
+    whatever the rank of B_S, so ||R[w:, w]|| (|R[w, w]|, or 0 when B has
+    at most w rows) is the distance from y to that space: at most the
+    least-squares residual on S but for rounding, and no fitting support
+    is screened out. R[w, w] is read in place from the raw Householder
+    array, the output of the same LAPACK ``geqrf`` that ``mode="r"``
+    copies out, so the screen has the same bits. Each screened support is
+    solved again by ``lstsq`` on its columns; that solution decides
+    acceptance and gives the estimate.
     """
     y = _check_y(B, y)
     if s < 0:
@@ -769,9 +778,10 @@ def oracle_recover_exhaustive(
     for level in range(1, min(s, n) + 1):
         width = widest_support(B.block_dims, level)
         accepted = []
-        for chunk in support_chunks(combinations(range(n), level), level, B.out_dim * (width + 1)):
+        for _, groups in support_groups(AllSupports(n, level), B.block_starts, B.block_dims, level,
+                                        B.out_dim * (width + 1)):
             screened = []
-            for rows, cols in stacked_columns(B.block_starts, B.block_dims, chunk):
+            for rows, cols in groups:
                 fit = _screen_residuals(B.matrix, y, cols) <= _SCREEN_FACTOR * accept_tol
                 screened += zip(rows[fit], cols[fit])
             for _, cols in sorted(screened, key=lambda pair: pair[0]):

@@ -22,7 +22,9 @@ from fusioncs.frames import (
     orthogonal_collection,
     random_collection,
 )
+from fusioncs import measurement
 from fusioncs.measurement import (
+    AllSupports,
     EnsembleSpec,
     MeasurementOperator,
     add_noise,
@@ -36,6 +38,7 @@ from fusioncs.measurement import (
     sample_ensemble,
     scalar_operator,
     subgaussian_alpha,
+    support_groups,
     vector_operator,
 )
 from fusioncs.signals import coeff_vector, from_coeff_vector, random_sparse_signal, to_ambient
@@ -423,6 +426,82 @@ class TestUnequalBlockDimensions:
         assert sol.status == "converged"
         err = np.linalg.norm(coeff_vector(sol.estimate) - coeff_vector(x))
         assert err <= 1e-6
+
+
+class TestSupportTables:
+    """Every s-support of the blocks, as chunks with their stacked columns,
+    from a table shared by the enumerations of one shape."""
+
+    @staticmethod
+    def streamed(dims, s, entries):
+        starts = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
+        return list(support_groups(combinations(range(len(dims)), s), starts, dims, s, entries))
+
+    @staticmethod
+    def tabled(dims, s, entries):
+        starts = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
+        return support_groups(AllSupports(len(dims), s), starts, dims, s, entries)
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert len(got) == len(expected)
+        for (chunk, groups), (ref_chunk, ref_groups) in zip(got, expected):
+            assert np.array_equal(chunk, ref_chunk)
+            assert len(groups) == len(ref_groups)
+            for (rows, cols), (ref_rows, ref_cols) in zip(groups, ref_groups):
+                assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    @pytest.mark.parametrize("dims", [(2,) * 9, (1, 2, 2, 1, 2, 1, 2, 1, 1)])
+    def test_table_equals_streamed_enumeration(self, dims):
+        for s in (1, 2, 4, 9):
+            for entries in (1, 64, 2**15, 2**20):
+                got = self.tabled(dims, s, entries)
+                assert isinstance(got, tuple)
+                self.assert_same(got, self.streamed(dims, s, entries))
+                assert got is self.tabled(dims, s, entries)
+                assert np.array_equal(np.concatenate([chunk for chunk, _ in got]),
+                                      list(combinations(range(len(dims)), s)))
+
+    def test_chunk_size_in_force_keys_the_table(self, monkeypatch):
+        dims = (2,) * 8
+        before = self.tabled(dims, 3, 16)
+        monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 16 * 5)
+        after = self.tabled(dims, 3, 16)
+        assert [len(chunk) for chunk, _ in after] == [5] * 11 + [1]
+        assert len(before) != len(after)
+        self.assert_same(after, self.streamed(dims, 3, 16))
+
+    def test_table_arrays_read_only(self):
+        for chunk, groups in self.tabled((1, 2, 2, 1, 2, 1), 3, 9):
+            for array in (chunk, *(a for group in groups for a in group)):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_table_above_the_cap_streams(self, monkeypatch):
+        dims = (2,) * 7
+        cached = measurement._support_table.cache_info().currsize
+        monkeypatch.setattr(measurement, "_TABLE_ENTRIES", math.comb(7, 3) * (3 + 1 + 6) - 1)
+        got = self.tabled(dims, 3, 10)
+        assert not isinstance(got, tuple)
+        got = list(got)
+        assert measurement._support_table.cache_info().currsize == cached
+        assert got[0][0].flags.writeable
+        self.assert_same(got, self.streamed(dims, 3, 10))
+        monkeypatch.undo()
+        assert isinstance(self.tabled(dims, 3, 10), tuple)
+
+    def test_other_enumerations_stream(self):
+        dims = (2,) * 6
+        starts = np.arange(0, 12, 2)
+        subset = [(0, 1), (2, 5), (1, 4)]
+        got = list(support_groups(iter(subset), starts, dims, 2, 4))
+        assert np.array_equal(np.concatenate([chunk for chunk, _ in got]), subset)
+        # AllSupports over fewer blocks than the operator has is not the table
+        got = support_groups(AllSupports(5, 2), starts, dims, 2, 4)
+        assert not isinstance(got, tuple)
+        assert np.array_equal(np.concatenate([chunk for chunk, _ in got]),
+                              list(combinations(range(5), 2)))
 
 
 def _coefficient_operator():

@@ -6,6 +6,7 @@ import pytest
 
 from fusioncs import measurement, rip
 from fusioncs.errors import DimMismatchError, ModeError, TooLargeError
+from fusioncs.experiments import ExperimentConfig, run_frip_sweep
 from fusioncs.frames import SubspaceCollection, _orthonormalize, orthogonal_collection, random_collection
 from fusioncs.measurement import EnsembleSpec, compose_with_bases, sample_ensemble, vector_operator
 from fusioncs.rip import (
@@ -197,7 +198,7 @@ class TestStackedEnumeration:
 
     @pytest.mark.parametrize("per_chunk", [1, 7])
     @pytest.mark.parametrize("ragged", [False, True])
-    def test_chunk_size_does_not_change_results(self, monkeypatch, per_chunk, ragged):
+    def test_chunk_size_does_not_change_results_independent(self, monkeypatch, per_chunk, ragged):
         rng = np.random.default_rng(30)
         for n in (6, 10):
             if ragged:
@@ -266,8 +267,41 @@ class TestStackedEnumeration:
         assert est.supports_evaluated == trials
 
 
+def zero_row_instance(rng):
+    """B whose blocks 0 and 1 are exactly orthonormal and orthogonal to the
+    rest: coordinate bases under unit columns e_0, e_1 of A, so rows 0 and 1
+    of the block-norm matrix are exactly zero and the others are not."""
+    bases = (np.eye(4)[:, :2], np.eye(4)[:, 2:]) + tuple(
+        _orthonormalize(rng.standard_normal((4, 2))) for _ in range(8))
+    a = np.zeros((5, 10))
+    a[0, 0] = a[1, 1] = 1.0
+    a[2:, 2:] = rng.standard_normal((3, 8))
+    return compose_with_bases(vector_operator(a, 4), SubspaceCollection(bases))
+
+
 class TestPruning:
-    """The block-Gershgorin bound that lets a support skip eigvalsh."""
+    """The Collatz-Wielandt bound that lets a support skip eigvalsh."""
+
+    @staticmethod
+    def check_bounds(b):
+        """_block_norms against one norm per block, and on every support of
+        up to 4 blocks: the constant within the widened bound, and the
+        bound never above the row sums. Returns the block norms."""
+        gram = b.matrix.T @ b.matrix
+        h = gram - np.eye(b.in_dim)
+        blocks = [slice(int(j0), int(j0) + k) for j0, k in zip(b.block_starts, b.block_dims)]
+        c = np.array([[np.linalg.norm(h[bi, bj], 2) for bj in blocks] for bi in blocks])
+        norms = rip._block_norms(b, gram)
+        np.testing.assert_allclose(norms, c, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(norms, norms.T)
+        for s in (1, 2, 3, 4):
+            supports = np.array(list(combinations(range(len(blocks)), s)))
+            for supp, bound in zip(supports, rip._bounds(norms, supports)):
+                cols = np.concatenate([np.arange(b.in_dim)[blocks[j]] for j in supp])
+                delta = np.max(np.abs(np.linalg.eigvalsh(h[np.ix_(cols, cols)])))
+                assert delta <= bound * (1.0 + rip._MARGIN) + rip._TINY
+                assert bound <= max(sum(norms[i, j] for j in supp) for i in supp) * (1.0 + 1e-12)
+        return norms
 
     @pytest.mark.parametrize("ragged", [False, True])
     def test_bound_holds_on_every_support(self, ragged):
@@ -275,19 +309,33 @@ class TestPruning:
         for trial in range(6):
             coll = ragged_collection(rng) if ragged else random_collection(4, 2, 10, seed=trial)
             m = int(rng.integers(1, 7))
-            b = compose_with_bases(vector_operator(rng.standard_normal((m, 10)), 4, 1 / math.sqrt(m)), coll)
-            gram = b.matrix.T @ b.matrix
-            h = gram - np.eye(b.in_dim)
-            blocks = [slice(int(j0), int(j0) + k) for j0, k in zip(b.block_starts, b.block_dims)]
-            c = np.array([[np.linalg.norm(h[bi, bj], 2) for bj in blocks] for bi in blocks])
-            np.testing.assert_allclose(rip._block_norms(b, gram), c,
-                                       rtol=1e-12, atol=1e-14)
-            for s in (1, 2, 3, 4):
-                for supp in combinations(range(10), s):
-                    cols = np.concatenate([np.arange(b.in_dim)[blocks[j]] for j in supp])
-                    delta = np.max(np.abs(np.linalg.eigvalsh(h[np.ix_(cols, cols)])))
-                    bound = max(sum(c[i, j] for j in supp) for i in supp)
-                    assert delta <= bound * (1.0 + rip._MARGIN) + rip._TINY
+            self.check_bounds(compose_with_bases(
+                vector_operator(rng.standard_normal((m, 10)), 4, 1 / math.sqrt(m)), coll))
+
+    def test_bound_holds_with_zero_rows(self):
+        # an identity A on coordinate subspaces: every block norm is zero
+        norms = self.check_bounds(compose_with_bases(vector_operator(np.eye(10), 20),
+                                                     orthogonal_collection(20, 2, 10)))
+        assert not norms.any()
+        norms = self.check_bounds(zero_row_instance(np.random.default_rng(52)))
+        assert not norms[:2].any() and norms[2:].any(axis=1).all()
+
+    def test_overflowing_bound_falls_back_to_row_sums_independent(self):
+        # block norms near 1e200: C_S C_S 1 overflows, so the row sums bound
+        norms = np.full((5, 5), 1e200)
+        supports = np.array(list(combinations(range(5), 3)))
+        with np.errstate(all="raise"):
+            bounds = rip._bounds(norms, supports)
+        assert np.array_equal(bounds, np.full(len(supports), 3e200))
+        # an operator of such block norms gives the values of every support
+        rng = np.random.default_rng(56)
+        a, coll = 1e80 * rng.standard_normal((3, 6)), random_collection(4, 2, 6, seed=57)
+        b = compose_with_bases(vector_operator(a, 4), coll)
+        assert rip._block_norms(b, b.matrix.T @ b.matrix).min() > 1e155
+        for s in (2, 3):
+            got = exact_frip(a, coll, s)
+            value, worst, count = every_support_max(b, combinations(range(6), s), s)
+            assert (got.value.hex(), got.worst_support, got.supports_evaluated) == (value.hex(), worst, count)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_rejected(self, bad):
@@ -296,17 +344,18 @@ class TestPruning:
         with pytest.raises(ValueError, match="non-finite"):
             classical_rip(a, 2)
 
-    def test_fewer_than_half_the_supports_reach_eigvalsh(self, monkeypatch):
-        # the shape of the benchmark's exact sweep: d=4, k=2, N=16, s=4, m=4
+    def test_an_eighth_of_the_supports_reach_eigvalsh(self, monkeypatch):
+        # the exact cells of the benchmark's support enumeration, at its
+        # seeds 0, 1 and 2: d=4, k=2, N=16, s=4, m in {4, 8}, 2 trials each
         eigvalsh, sent = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sent.append(len(g)) or eigvalsh(g))
-        for seed in range(3):
+        for base_seed in (5, 6, 7):
             sent.clear()
-            coll = random_collection(4, 2, 16, seed=seed)
-            a = sample_ensemble(EnsembleSpec("gaussian", 4, 16, seed=seed + 70))
-            est = exact_frip(a, coll, 4, scale=0.5)
-            assert est.supports_evaluated == math.comb(16, 4)
-            assert sum(sent) < math.comb(16, 4) / 2
+            config = ExperimentConfig(experiment="frip_sweep", family="random", d=4, k=2, N=16,
+                                      sparsity_grid=(4,), measurement_grid=(4, 8), trials_per_cell=2,
+                                      base_seed=base_seed)
+            assert [cell.mode for cell in run_frip_sweep(config)] == ["exact", "exact"]
+            assert sum(sent) <= 4 * math.comb(16, 4) / 8, base_seed
 
 
 class TestRecoverySufficient:

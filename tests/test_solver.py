@@ -1009,6 +1009,7 @@ def reference_oracle(b, y, s):
 
 class TestOracleScreen:
     def test_screen_never_above_lstsq_residual(self):
+        wide = 0
         for name, b, y, s in oracle_instances():
             ynorm = float(np.linalg.norm(y))
             accept_tol = 1e-8 * (1.0 + ynorm)
@@ -1016,11 +1017,28 @@ class TestOracleScreen:
                 supports = np.array(list(combinations(range(b.collection.size), level)))
                 for _, cols in stacked_columns(b.block_starts, b.block_dims, supports):
                     screen = solver._screen_residuals(b.matrix, y, cols)
+                    if cols.shape[1] >= b.out_dim:
+                        # y lies in the span of Q's first w >= md columns
+                        assert np.all(screen == 0.0), (name, level)
+                        wide += len(cols)
                     lstsq = np.array([lstsq_residual(b.matrix[:, c], y) for c in cols])
                     assert np.all(screen <= lstsq + 1e-10 * (1.0 + ynorm)), (name, level)
                     # implied by the bound above at the shipped screen factor
                     accepted = lstsq <= accept_tol
                     assert np.all(screen[accepted] <= solver._SCREEN_FACTOR * accept_tol), (name, level)
+        assert wide > 0
+
+    def test_screen_reads_r_of_the_same_qr(self):
+        # the raw Householder array holds the R of mode="r", bit for bit
+        for name, b, y, s in oracle_instances():
+            supports = np.array(list(combinations(range(b.collection.size), s)))
+            for _, cols in stacked_columns(b.block_starts, b.block_dims, supports):
+                w = cols.shape[1]
+                aug = np.concatenate([np.moveaxis(b.matrix[:, cols], 0, 1),
+                                      np.broadcast_to(y[:, None], (len(cols), len(y), 1))], axis=2)
+                r = np.linalg.qr(aug, mode="r")
+                assert np.array_equal(solver._screen_residuals(b.matrix, y, cols),
+                                      np.linalg.norm(r[:, w:, w], axis=1)), name
 
     def test_oracle_equals_lstsq_enumeration(self):
         outcomes = set()
