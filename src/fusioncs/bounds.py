@@ -99,8 +99,8 @@ def equiisoclinic_cap(d: int, k: int) -> int:
 
 def mu_f_sparsity_cap(mu_f: float) -> float:
     """Sparsity levels below (1 + 1/mu_f)/2 are exactly recoverable."""
-    if mu_f < 0:
-        raise NegativeInputError("mu_f must be nonnegative")
+    if not 0 <= mu_f < math.inf:  # NaN fails every comparison
+        raise NegativeInputError("mu_f must be nonnegative and finite")
     if mu_f == 0.0:
         return math.inf
     return (1.0 + 1.0 / mu_f) / 2.0
@@ -126,10 +126,10 @@ def _check_lambda(lam: float):
 def _check_eps_c(epsilon: float, C: float, alpha: float):
     if not 0.0 < epsilon < 1.0:
         raise InvalidParamError(f"epsilon={epsilon} outside (0, 1)")
-    if C <= 0:
-        raise InvalidParamError("C must be positive")
-    if alpha <= 0:
-        raise InvalidParamError("alpha must be positive")
+    if not 0 < C < math.inf:  # NaN fails every comparison
+        raise InvalidParamError("C must be positive and finite")
+    if not 0 < alpha < math.inf:
+        raise InvalidParamError("alpha must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,14 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import ConfigError, SchemaError, read_json, require_fields, write_json
 from .frames import SubspaceCollection, angle_family, coherence, orthogonal_collection, random_collection
-from .measurement import DISTRIBUTIONS, EnsembleSpec, add_noise, coefficient_operators, sample_ensemble
+from .measurement import (
+    DISTRIBUTIONS,
+    EnsembleSpec,
+    add_noise,
+    coefficient_operators,
+    sample_ensemble,
+    subgaussian_alpha,
+)
 from .rip import enumerable, exact_frip, mc_frip
 from .signals import coeff_vector, random_sparse_signal
 from .solver import MAX_ITERS, solve_many
@@ -444,13 +451,14 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
 
     Uses the exhaustive constant whenever the enumeration guards allow and a
     500-support sampled lower bound otherwise; each row also carries the
-    closed-form sufficient measurement count at C = 1 for reference.
+    closed-form sufficient measurement count at C = 1 and the ensemble's
+    subgaussian parameter alpha for reference.
     """
     _check_experiment(config, "frip_sweep")
     results = []
     for key, coll, cell in _cells(config, product(config.sparsity_grid, config.measurement_grid)):
         s, scale = cell.s, 1.0 / math.sqrt(cell.m)
-        exact = enumerable(coll.block_dims, s)
+        exact = enumerable(coll.size, coll.block_dim, s)
 
         def delta(t: int) -> float:
             a = sample_ensemble(EnsembleSpec(config.ensemble, cell.m, coll.size,
@@ -469,7 +477,7 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
             delta_median=med,
             delta_q3=q3,
             bound_uniform=bounds_mod.sufficient_uniform_vector(
-                s, cell.N, cell.k, cell.lambda_, 1.0, config.epsilon, 1.0
+                s, cell.N, cell.k, cell.lambda_, subgaussian_alpha(config.ensemble), config.epsilon, 1.0
             ),
             base_seed=config.base_seed,
         ))

@@ -45,50 +45,46 @@ def _orthonormalize(basis: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
+def _stack_bases(bases) -> np.ndarray:
+    """The bases as one new (N, d, k) float stack, once they are at least
+    one and all d x k matrices of one shape with 1 <= k <= d."""
+    mats = [np.asarray(u, dtype=float) for u in bases]
+    if not mats:
+        raise InvalidDimsError("a collection needs at least one subspace")
+    for j, u in enumerate(mats):
+        if u.ndim != 2:
+            raise InvalidDimsError(f"basis {j} is not a matrix")
+        if u.shape != mats[0].shape:
+            raise ShapeMismatchError(f"basis {j} has shape {u.shape}, expected {mats[0].shape}")
+    d, k = mats[0].shape
+    if not 1 <= k <= d:
+        raise InvalidDimsError(f"basis 0 has {k} columns, ambient {d}")
+    return np.stack(mats)
+
+
 @dataclass(frozen=True)
 class SubspaceCollection:
-    """N subspaces of R^d, each stored as a basis with orthonormal columns.
+    """N subspaces of R^d, each stored as a d x k basis with orthonormal columns.
 
-    Direct construction validates orthonormality but does not repair it; use
+    Every basis has the same shape, so block j of a coefficient vector is
+    its entries j*k, ..., j*k + k - 1. Direct construction validates the
+    shapes and orthonormality but does not repair them; use
     :func:`build_collection` to orthonormalize arbitrary full-rank input.
-    Subspace dimensions may differ; ``block_dim`` reports the largest,
-    ``block_dims`` each one and ``block_starts`` where each block begins in
-    a coefficient vector.
+    The bases are read-only slices of one stack.
     """
 
     bases: tuple[np.ndarray, ...]
     label: str = ""
 
     def __post_init__(self):
-        if len(self.bases) < 1:
-            raise InvalidDimsError("a collection needs at least one subspace")
-        mats = [np.asarray(u, dtype=float) for u in self.bases]
-        for j, u in enumerate(mats):
-            if u.ndim != 2:
-                raise InvalidDimsError(f"basis {j} is not a matrix")
-            d = mats[0].shape[0]
-            if u.shape[0] != d:
-                raise ShapeMismatchError(f"basis {j} has ambient dimension {u.shape[0]}, expected {d}")
-            if not 1 <= u.shape[1] <= d:
-                raise InvalidDimsError(f"basis {j} has {u.shape[1]} columns, ambient {d}")
-        # per block dim, one read-only copy of the bases and one Gram product
-        dims = tuple(u.shape[1] for u in mats)
-        bases, err = list(mats), np.empty(len(mats))
-        for k in sorted(set(dims)):
-            members = [j for j, k_j in enumerate(dims) if k_j == k]
-            stack = np.stack([mats[j] for j in members])
-            stack.flags.writeable = False
-            err[members] = np.abs(np.swapaxes(stack, 1, 2) @ stack - np.eye(k)).max(axis=(1, 2))
-            for j, u in zip(members, stack):
-                bases[j] = u
+        stack = _stack_bases(self.bases)
+        k = stack.shape[2]
+        stack.flags.writeable = False
+        err = np.abs(np.swapaxes(stack, 1, 2) @ stack - np.eye(k)).max(axis=(1, 2))
         bad = np.flatnonzero(~(err <= ORTHONORMALITY_TOL))  # NaN fails every comparison
         if bad.size:
             raise OrthonormalityError(f"basis {bad[0]} deviates from orthonormality by {err[bad[0]]:.3e}")
-        starts = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
-        starts.flags.writeable = False
-        object.__setattr__(self, "bases", tuple(bases))
-        object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "block_starts", starts)
+        object.__setattr__(self, "bases", tuple(stack))
 
     @property
     def ambient_dim(self) -> int:
@@ -96,7 +92,7 @@ class SubspaceCollection:
 
     @property
     def block_dim(self) -> int:
-        return max(self.block_dims)
+        return self.bases[0].shape[1]
 
     @property
     def size(self) -> int:
@@ -147,17 +143,8 @@ def build_collection(bases, label: str = "") -> SubspaceCollection:
     RankDeficientError
         If some matrix has column rank below k.
     """
-    mats = [np.asarray(b, dtype=float) for b in bases]
-    if not mats:
-        raise InvalidDimsError("need at least one basis")
-    shape = mats[0].shape
-    for j, m in enumerate(mats):
-        if m.ndim != 2:
-            raise InvalidDimsError(f"basis {j} is not a matrix")
-        if m.shape != shape:
-            raise ShapeMismatchError(f"basis {j} has shape {m.shape}, expected {shape}")
-    stack = np.stack(mats)
-    deficient = np.flatnonzero(np.linalg.matrix_rank(stack) < shape[1])
+    stack = _stack_bases(bases)
+    deficient = np.flatnonzero(np.linalg.matrix_rank(stack) < stack.shape[2])
     if deficient.size:
         raise RankDeficientError(int(deficient[0]))
     return SubspaceCollection(tuple(_orthonormalize(stack)), label=label)
@@ -243,30 +230,16 @@ def coherence(collection: SubspaceCollection) -> CoherenceReport:
 
     Equals the operator norm of P_i P_j for the worst pair; 0 means all
     subspaces are mutually orthogonal, 1 means two of them intersect.
-    The products U_i^T U_j of every pair i < j go through one batched SVD
-    per shape, so ragged block dims work; ``argmax_pair`` is the first
-    maximum in row-major (i, j) order.
+    The products U_i^T U_j of every pair i < j go through one batched SVD;
+    ``argmax_pair`` is the first maximum in row-major (i, j) order.
     """
     n = collection.size
     if n < 2:
         raise SingleSubspaceError("coherence needs at least two subspaces")
-    # the bases stacked by block dim; pos[j] is basis j's place in its stack
-    dims = np.array(collection.block_dims)
-    pos = np.zeros(n, dtype=int)
-    stacks = {}
-    for k in sorted(set(collection.block_dims)):
-        members = np.nonzero(dims == k)[0]
-        pos[members] = np.arange(len(members))
-        stacks[k] = np.stack([collection.bases[j] for j in members])
+    stack = np.stack(collection.bases)
     rows, cols = np.array(list(combinations(range(n), 2))).T  # row-major pair order
-    pair_sigma = np.empty(len(rows))
-    for ki, u_i in stacks.items():
-        for kj, u_j in stacks.items():
-            idx = np.nonzero((dims[rows] == ki) & (dims[cols] == kj))[0]
-            if idx.size:
-                g = np.swapaxes(u_i[pos[rows[idx]]], 1, 2) @ u_j[pos[cols[idx]]]
-                sv = np.linalg.svd(g, compute_uv=False)
-                pair_sigma[idx] = np.clip(sv[:, 0], 0.0, 1.0)
+    sv = np.linalg.svd(np.swapaxes(stack[rows], 1, 2) @ stack[cols], compute_uv=False)
+    pair_sigma = np.clip(sv[:, 0], 0.0, 1.0)
     sigma = np.full((n, n), np.nan)
     sigma[rows, cols] = sigma[cols, rows] = pair_sigma
     sigma.flags.writeable = False
@@ -314,8 +287,8 @@ def fusion_frame_bounds(collection: SubspaceCollection, weights) -> FrameBounds:
         raise ShapeMismatchError(
             f"need {collection.size} weights, got shape {w.shape}"
         )
-    if np.any(w <= 0):
-        raise NonpositiveWeightError("weights must be strictly positive")
+    if not np.all((w > 0) & np.isfinite(w)):  # NaN fails every comparison
+        raise NonpositiveWeightError("weights must be strictly positive and finite")
     d = collection.ambient_dim
     s = np.zeros((d, d))
     for v, u in zip(w, collection.bases):
@@ -333,10 +306,7 @@ def fusion_frame_bounds(collection: SubspaceCollection, weights) -> FrameBounds:
 # ---------------------------------------------------------------------------
 
 def collection_to_dict(collection: SubspaceCollection) -> dict:
-    """JSON-ready dict; requires all subspaces to share one dimension k."""
-    dims = set(collection.block_dims)
-    if len(dims) != 1:
-        raise InvalidDimsError("only equal-dimension collections serialize to JSON")
+    """JSON-ready dict."""
     return {
         "version": 1,
         "d": collection.ambient_dim,

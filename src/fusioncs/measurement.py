@@ -193,7 +193,6 @@ class CoefficientOperator:
 
     def _bind(self, collection: SubspaceCollection, matrix: np.ndarray) -> "CoefficientOperator":
         self.matrix, self.collection = matrix, collection
-        self.block_starts, self.block_dims = collection.block_starts, collection.block_dims
         self.out_dim, self.in_dim = matrix.shape
         return self
 
@@ -213,8 +212,7 @@ class CoefficientOperator:
         """Dense matrix of the columns belonging to the given blocks, block
         by block in the given order."""
         supports = np.asarray(tuple(support), dtype=int).reshape(1, -1)
-        (_, cols), = stacked_columns(self.block_starts, self.block_dims, supports)
-        return self.matrix[:, cols[0]]
+        return self.matrix[:, support_columns(supports, self.collection.block_dim)[0]]
 
 
 def support_chunks(supports, s: int, entries: int):
@@ -245,66 +243,38 @@ class AllSupports:
         return combinations(range(self.n), self.s)
 
 
-def support_groups(supports, block_starts, block_dims, s: int, entries: int):
-    """(chunk, groups) for each chunk of ``support_chunks(supports, s,
-    entries)``, groups being the chunk's :func:`stacked_columns` pairs.
+def support_groups(supports, k: int, s: int, entries: int):
+    """(chunk, cols) for each chunk of ``support_chunks(supports, s,
+    entries)``, cols being the chunk's :func:`support_columns` for blocks
+    of k columns.
 
-    When ``supports`` is :class:`AllSupports` over every block and its
-    table holds at most _TABLE_ENTRIES indices, the chunks and groups come
-    from a table built on first use and kept for the process (the 32 last
-    used), keyed by the block dims, s, ``entries`` and the _CHUNK_ENTRIES in
-    force; its arrays are read-only. Any other enumeration streams, with the
-    same values.
+    When ``supports`` is :class:`AllSupports` and its table holds at most
+    _TABLE_ENTRIES indices, the chunks and columns come from a table built
+    on first use and kept for the process (the 32 last used), keyed by the
+    number of blocks, k, s, ``entries`` and the _CHUNK_ENTRIES in force;
+    its arrays are read-only. Any other enumeration streams, with the same
+    values.
     """
-    dims = tuple(block_dims)
-    if (isinstance(supports, AllSupports) and supports.n == len(dims)
-            and math.comb(len(dims), s) * (s + 1 + widest_support(dims, s)) <= _TABLE_ENTRIES):
-        return _support_table(dims, s, entries, _CHUNK_ENTRIES)
-    return ((chunk, tuple(stacked_columns(block_starts, block_dims, chunk)))
-            for chunk in support_chunks(supports, s, entries))
+    if isinstance(supports, AllSupports) and math.comb(supports.n, s) * s * (k + 1) <= _TABLE_ENTRIES:
+        return _support_table(supports.n, k, s, entries, _CHUNK_ENTRIES)
+    return ((chunk, support_columns(chunk, k)) for chunk in support_chunks(supports, s, entries))
 
 
 @lru_cache(maxsize=32)
-def _support_table(block_dims: tuple, s: int, entries: int, chunk_entries: int) -> tuple:
-    n = len(block_dims)
-    starts = np.concatenate([[0], np.cumsum(block_dims)[:-1]]).astype(int)
+def _support_table(n: int, k: int, s: int, entries: int, chunk_entries: int) -> tuple:
     everything = np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=int,
                              count=math.comb(n, s) * s).reshape(-1, s)
-    everything.flags.writeable = False
+    cols = support_columns(everything, k)
+    everything.flags.writeable = cols.flags.writeable = False
     size = max(1, chunk_entries // entries)
-    table = []
-    for i in range(0, len(everything), size):
-        chunk = everything[i:i + size]
-        groups = tuple(stacked_columns(starts, block_dims, chunk))
-        for array in chain.from_iterable(groups):
-            array.flags.writeable = False
-        table.append((chunk, groups))
-    return tuple(table)
+    return tuple((everything[i:i + size], cols[i:i + size]) for i in range(0, len(everything), size))
 
 
-def widest_support(block_dims, s: int) -> int:
-    """Column count of the widest s-support: the s largest block dims."""
-    return int(sum(sorted(block_dims)[-s:]))
-
-
-def stacked_columns(block_starts, block_dims, supports):
-    """Column index of each support, stacked by column count.
-
-    For each distinct column count among the rows of ``supports``, an
-    integer array of block indices, yields (rows, cols): the positions of
-    the supports with that count and their column indices, one row per
-    support, block by block in the order of the support.
-    """
-    lengths = np.asarray(block_dims)[supports]
-    counts = lengths.sum(axis=1)
-    # not np.unique: its first call in a process imports numpy.ma
-    for count in sorted(set(counts.tolist())):
-        rows = np.flatnonzero(counts == count)
-        blocks, sizes = supports[rows].ravel(), lengths[rows].ravel()
-        # column t of the flattened run lies in block b at offset t - (ends_b - size_b)
-        ends = np.cumsum(sizes)
-        cols = np.repeat(block_starts[blocks] - (ends - sizes), sizes) + np.arange(count * len(rows))
-        yield rows, cols.reshape(len(rows), count)
+def support_columns(supports, k: int) -> np.ndarray:
+    """Column indices of each row of an (n, s) array of supports over
+    blocks of k columns, block j being columns j*k, ..., j*k + k - 1: an
+    (n, s*k) array, block by block in the order of the support."""
+    return (supports[:, :, None] * k + np.arange(k)).reshape(len(supports), -1)
 
 
 def coefficient_operators(kind: str, mats, scale: float, collection: SubspaceCollection) -> list:
@@ -328,7 +298,7 @@ def coefficient_operators(kind: str, mats, scale: float, collection: SubspaceCol
         if kind == "vector":
             # column t of block j is A[:, j] (x) U_j[:, t]: row i*d + r
             # holds A[i, j] * U_j[r, t], with j = owner[t]
-            owner = np.repeat(np.arange(n), collection.block_dims)
+            owner = np.repeat(np.arange(n), collection.block_dim)
             bases = np.hstack(collection.bases)
             out = scale * (mats[:, :, None, owner] * bases).reshape(len(mats), -1, bases.shape[1])
         else:
@@ -351,8 +321,8 @@ def add_noise(y: np.ndarray, eta: float, seed: int) -> np.ndarray:
     Pinning the noise to the constraint boundary exercises the hardest
     feasible case of a noise-aware recovery program.
     """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if not 0 <= eta < math.inf:  # NaN fails every comparison
+        raise ValueError("eta must be nonnegative and finite")
     y = np.asarray(y, dtype=float)
     if eta == 0.0:
         return y.copy()

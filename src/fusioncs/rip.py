@@ -10,7 +10,7 @@ construction. Every constant reads one coefficient operator; the classical
 constant is the scalar one on N one-dimensional blocks of R^1. Supports
 are enumerated in stacked batches: the Gram matrix G of the whole operator
 is formed once per call, and each chunk of supports gathers its Gram
-blocks, grouped by column count, into one batched eigenvalue call.
+blocks into one batched eigenvalue call.
 
 Most supports never reach that call. The constant of S is ||G_SS - I||_2.
 With C the matrix of block norms ||(G - I)_ij||_2, formed once per call
@@ -44,7 +44,6 @@ from .measurement import (
     scalar_operator,
     support_groups,
     vector_operator,
-    widest_support,
 )
 
 MAX_SUPPORTS_EXACT = 10**6
@@ -80,44 +79,34 @@ class RipEstimate:
         }
 
 
-def enumerable(block_dims, s: int) -> bool:
-    """Whether the exhaustive constant at level s stays within the guards:
-    at most MAX_SUPPORTS_EXACT supports of at most MAX_SUPPORT_COLUMNS
-    columns each."""
-    return (
-        math.comb(len(block_dims), s) <= MAX_SUPPORTS_EXACT
-        and widest_support(block_dims, s) <= MAX_SUPPORT_COLUMNS
-    )
+def enumerable(n: int, k: int, s: int) -> bool:
+    """Whether the exhaustive constant at level s over n blocks of k columns
+    stays within the guards: at most MAX_SUPPORTS_EXACT supports of at most
+    MAX_SUPPORT_COLUMNS columns each."""
+    return math.comb(n, s) <= MAX_SUPPORTS_EXACT and s * k <= MAX_SUPPORT_COLUMNS
 
 
-def _check_guards(block_dims, s: int) -> None:
-    n = len(block_dims)
+def _check_guards(n: int, k: int, s: int) -> None:
     if not 1 <= s <= n:
         raise ValueError(f"s={s} outside [1, {n}]")
-    if not enumerable(block_dims, s):
+    if not enumerable(n, k, s):
         raise TooLargeError(
-            f"{math.comb(n, s)} supports of up to {widest_support(block_dims, s)} columns "
+            f"{math.comb(n, s)} supports of {s * k} columns "
             f"exceed the guards of {MAX_SUPPORTS_EXACT} supports and {MAX_SUPPORT_COLUMNS} columns"
         )
 
 
 def _block_norms(op: CoefficientOperator, gram) -> np.ndarray:
-    """N x N matrix C of the spectral norms of the blocks of G - I.
+    """N x N matrix C of the spectral norms of the k x k blocks of G - I.
 
-    C_ii = ||G_ii - I||_2 and C_ij = ||G_ij||_2 = C_ji, so one norm per
-    unordered pair of blocks, gathered per pair of block dimensions into one
-    batched norm, fills both triangles.
+    C_ii = ||G_ii - I||_2 and C_ij = ||G_ij||_2 = C_ji, so one batched norm
+    over the blocks of the upper triangle fills both triangles.
     """
-    h = gram - np.eye(len(gram))
-    dims = np.asarray(op.block_dims)
-    c = np.empty((len(dims), len(dims)))
-    groups = [(k, np.flatnonzero(dims == k)) for k in sorted(set(dims.tolist()))]
-    index = {k: op.block_starts[members][:, None] + np.arange(k) for k, members in groups}
-    for a, (ka, ia) in enumerate(groups):
-        for b, (kb, ib) in enumerate(groups[a:], a):
-            p, q = np.triu_indices(len(ia)) if a == b else np.indices((len(ia), len(ib))).reshape(2, -1)
-            blocks = h[index[ka][p][:, :, None], index[kb][q][:, None, :]]
-            c[ia[p], ib[q]] = c[ib[q], ia[p]] = np.linalg.norm(blocks, ord=2, axis=(1, 2))
+    n, k = op.collection.size, op.collection.block_dim
+    p, q = np.triu_indices(n)
+    c = np.empty((n, n))
+    blocks = (gram - np.eye(len(gram))).reshape(n, k, n, k)[p, :, q, :]
+    c[p, q] = c[q, p] = np.linalg.norm(blocks, ord=2, axis=(1, 2))
     return c
 
 
@@ -134,19 +123,16 @@ def _bounds(norms, chunk) -> np.ndarray:
         return np.fmin((np.einsum("nij,nj->ni", c, x) / x).max(axis=1), rows.max(axis=1))
 
 
-def _fill_deltas(deltas, gram, groups, picked) -> None:
+def _fill_deltas(deltas, gram, cols, picked) -> None:
     """Per-support constants of the supports of a chunk where ``picked`` is
-    true, written into ``deltas``, one batched eigvalsh per column count
-    (``groups`` are the chunk's :func:`stacked_columns` pairs). Rounding
-    that pushes an eigenvalue of a singular Gram block below zero counts
-    as 0."""
-    for rows, cols in groups:
-        take = picked[rows]
-        if take.any():
-            cols = cols[take]
-            eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
-            smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
-            deltas[rows[take]] = np.maximum(smax2 - 1.0, 1.0 - smin2)
+    true, written into ``deltas``, by one batched eigvalsh (``cols`` are
+    the chunk's :func:`support_columns`). Rounding that pushes an
+    eigenvalue of a singular Gram block below zero counts as 0."""
+    if picked.any():
+        cols = cols[picked]
+        eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
+        smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
+        deltas[picked] = np.maximum(smax2 - 1.0, 1.0 - smin2)
 
 
 def _max_over_supports(op: CoefficientOperator, supports, s: int):
@@ -179,15 +165,15 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
         raise ValueError("the operator has non-finite entries")
     norms = _block_norms(op, gram)
     value, worst, count = -math.inf, None, 0
-    entries = widest_support(op.block_dims, s) ** 2
-    for chunk, groups in support_groups(supports, op.block_starts, op.block_dims, s, entries):
+    k = op.collection.block_dim
+    for chunk, cols in support_groups(supports, k, s, (s * k) ** 2):
         bounds = _bounds(norms, chunk)
         deltas = np.full(len(chunk), -math.inf)
         seeds = np.zeros(len(chunk), dtype=bool)
         seeds[np.argsort(bounds)[-_SEEDS:]] = True
-        _fill_deltas(deltas, gram, groups, seeds)
+        _fill_deltas(deltas, gram, cols, seeds)
         reach = bounds * (1.0 + _MARGIN) + _TINY
-        _fill_deltas(deltas, gram, groups, (reach >= max(value, float(deltas.max()))) & ~seeds)
+        _fill_deltas(deltas, gram, cols, (reach >= max(value, float(deltas.max()))) & ~seeds)
         i = int(np.argmax(deltas))
         if deltas[i] > value:
             value, worst = float(deltas[i]), tuple(int(j) for j in chunk[i])
@@ -196,8 +182,9 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
 
 
 def _exact_over_supports(op: CoefficientOperator, s: int) -> RipEstimate:
-    _check_guards(op.block_dims, s)
-    value, worst, count = _max_over_supports(op, AllSupports(len(op.block_dims), s), s)
+    n, k = op.collection.size, op.collection.block_dim
+    _check_guards(n, k, s)
+    value, worst, count = _max_over_supports(op, AllSupports(n, s), s)
     return RipEstimate(
         s=s, value=value, mode="exact", supports_evaluated=count, worst_support=worst
     )

@@ -47,14 +47,12 @@ class BlockSignal:
 
     def __init__(self, coeffs, collection: SubspaceCollection):
         coeffs = [np.asarray(c, dtype=float) for c in coeffs]
-        dims = collection.block_dims
-        if len(coeffs) != len(dims):
-            raise DimMismatchError(
-                f"{len(coeffs)} blocks for a collection of {len(dims)} subspaces"
-            )
-        for j, (c, k_j) in enumerate(zip(coeffs, dims)):
-            if c.shape != (k_j,):
-                raise DimMismatchError(f"block {j} has shape {c.shape}, expected ({k_j},)")
+        n, k = collection.size, collection.block_dim
+        if len(coeffs) != n:
+            raise DimMismatchError(f"{len(coeffs)} blocks for a collection of {n} subspaces")
+        for j, c in enumerate(coeffs):
+            if c.shape != (k,):
+                raise DimMismatchError(f"block {j} has shape {c.shape}, expected ({k},)")
         self._set(collection, np.concatenate(coeffs))
 
     def _set(self, collection: SubspaceCollection, vector: np.ndarray) -> None:
@@ -72,7 +70,7 @@ class BlockSignal:
 
     @property
     def coeffs(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.split(self._vector, np.cumsum(self.collection.block_dims)[:-1]))
+        return tuple(self._vector.reshape(self.collection.size, self.collection.block_dim))
 
     @property
     def num_blocks(self) -> int:
@@ -91,7 +89,7 @@ class BlockSignal:
 
 
 def zero_signal(collection: SubspaceCollection) -> BlockSignal:
-    return BlockSignal._owning(collection, np.zeros(sum(collection.block_dims)))
+    return BlockSignal._owning(collection, np.zeros(collection.size * collection.block_dim))
 
 
 def random_sparse_signal(
@@ -113,13 +111,13 @@ def random_sparse_signal(
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
     rng = np.random.default_rng(seed)
     support_idx = np.sort(rng.choice(n, size=s, replace=False))
-    dims, starts = collection.block_dims, collection.block_starts.tolist()
-    vec = np.zeros(starts[-1] + dims[-1])
+    k = collection.block_dim
+    vec = np.zeros(n * k)
     for j in support_idx.tolist():
-        g = rng.standard_normal(dims[j])
+        g = rng.standard_normal(k)
         if amplitude_law == "unit_norm_blocks":
             g /= math.sqrt(g @ g)  # the value np.linalg.norm gives a 1-D float vector
-        vec[starts[j]:starts[j] + dims[j]] = g
+        vec[j * k:(j + 1) * k] = g
     return BlockSignal._owning(collection, vec)
 
 
@@ -183,7 +181,7 @@ def coeff_vector(x: BlockSignal) -> np.ndarray:
 
 def from_coeff_vector(collection: SubspaceCollection, vec: np.ndarray) -> BlockSignal:
     vec = np.array(vec, dtype=float)
-    total = sum(collection.block_dims)
+    total = collection.size * collection.block_dim
     if vec.shape != (total,):
         raise DimMismatchError(f"expected length {total}, got shape {vec.shape}")
     return BlockSignal._owning(collection, vec)
@@ -194,9 +192,6 @@ def from_coeff_vector(collection: SubspaceCollection, vec: np.ndarray) -> BlockS
 # ---------------------------------------------------------------------------
 
 def signal_to_dict(x: BlockSignal) -> dict:
-    dims = set(x.collection.block_dims)
-    if len(dims) != 1:
-        raise DimMismatchError("only equal-dimension signals serialize to JSON")
     return {
         "version": 1,
         "collection": x.collection.label,

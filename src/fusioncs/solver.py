@@ -37,7 +37,7 @@ matrix, or an iterate off the cone interior) ends as "stalled".
 Solves run in stacks, and :func:`solve_many` is their one entry point. It
 factors B^T B by one product and one ``eigh`` per matrix shape over the
 distinct operators (:func:`_factor`) and stacks the programs of one shape
-(program, block dims, rows and rank of B). Each stack runs from probe to
+(program, k, shape and rank of B). Each stack runs from probe to
 exit in :func:`_solve_stack`, and a program leaves it at the step that
 ends it. Every step of a stack, its support fits, stop tests and
 solutions included, acts on arrays slice by slice, on slices with the
@@ -72,7 +72,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .frames import SubspaceCollection, coherence
-from .measurement import AllSupports, CoefficientOperator, support_groups, widest_support
+from .measurement import AllSupports, CoefficientOperator, support_groups
 from .signals import BlockSignal, coeff_vector, from_coeff_vector
 
 # the oracle's stacked QR residuals screen supports at this multiple of the
@@ -120,15 +120,15 @@ def diagnostics(solution: RecoverySolution) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Flat-vector block helpers (blocks given by start offsets)
+# Flat-vector block helpers (blocks of k entries each)
 # ---------------------------------------------------------------------------
 
-def _block_norms_flat(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.add.reduceat(v * v, starts, axis=-1))
+def _block_norms_flat(v: np.ndarray, k: int) -> np.ndarray:
+    return np.sqrt(np.add.reduceat(v * v, np.arange(v.shape[-1] // k) * k, axis=-1))
 
 
-def _norm21_flat(v: np.ndarray, starts: np.ndarray):
-    return _block_norms_flat(v, starts).sum(axis=-1)
+def _norm21_flat(v: np.ndarray, k: int):
+    return _block_norms_flat(v, k).sum(axis=-1)
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -142,24 +142,24 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(v, v))
 
 
-def _dual_gaps(vecs, nus, ys, etas, starts) -> np.ndarray:
+def _dual_gaps(vecs, nus, ys, etas, k) -> np.ndarray:
     """||c||_{2,1} - (<y, nu> - eta ||nu||) per row of a stack, which bounds
     the distance to the optimum when max_j ||(B^T nu)_j|| <= 1."""
-    return _norm21_flat(vecs, starts) - (_dots(ys, nus) - etas * _norms(nus))
+    return _norm21_flat(vecs, k) - (_dots(ys, nus) - etas * _norms(nus))
 
 
-def _residuals(b, ys, etas, vecs, nus, starts):
+def _residuals(b, ys, etas, vecs, nus, k):
     """Per row of a stack: the primal violation max(0, ||B c - y|| - eta),
     max_j ||(B^T nu)_j|| and the duality gap of c against nu as given."""
     violation = np.fmax(0.0, _norms(_mv(b, vecs) - ys) - etas)
-    dual_norm = _block_norms_flat(_mv(np.swapaxes(b, 1, 2), nus), starts).max(axis=1)
-    return violation, dual_norm, _dual_gaps(vecs, nus, ys, etas, starts)
+    dual_norm = _block_norms_flat(_mv(np.swapaxes(b, 1, 2), nus), k).max(axis=1)
+    return violation, dual_norm, _dual_gaps(vecs, nus, ys, etas, k)
 
 
-def _subgradients(vecs, starts, lengths) -> np.ndarray:
+def _subgradients(vecs, k) -> np.ndarray:
     """c_j / ||c_j|| per block of each row, 0 on a zero block."""
-    norms = np.maximum(_block_norms_flat(vecs, starts), np.finfo(float).tiny)
-    return vecs / np.repeat(norms, lengths, axis=-1)
+    norms = np.maximum(_block_norms_flat(vecs, k), np.finfo(float).tiny)
+    return vecs / np.repeat(norms, k, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,10 @@ def _check_y(op: CoefficientOperator, y, eta=0.0) -> np.ndarray:
     return y
 
 
-def _support_kkt(b, y, support, lengths, c):
+def _support_kkt(b, y, support, k, c):
     """Newton's method on the optimality system of min sum_j ||c_j|| s.t.
     B_S c = y from c, for a stack of supports S (``support`` flags each
-    row's blocks, of dims ``lengths``), each masked to all n coefficients:
+    row's blocks, of k coefficients each), each masked to all n coefficients:
 
         g_j(c) - B_j^T nu = 0 (j in S),   c_j = 0 (j not in S),   B D c = y,
 
@@ -283,10 +283,9 @@ def _support_kkt(b, y, support, lengths, c):
     singular K or non-finite result).
     """
     count, p, n = b.shape
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    owner = np.repeat(np.arange(len(lengths)), lengths)
+    owner = np.repeat(np.arange(n // k), k)
     same = owner[:, None] == owner[None, :]
-    mask = np.repeat(support, lengths, axis=1).astype(float)
+    mask = np.repeat(support, k, axis=1).astype(float)
     diag = np.arange(n)
     kkt = np.zeros((count, n + p, n + p))
     kkt[:, n:, :n] = b * mask[:, None, :]
@@ -298,7 +297,7 @@ def _support_kkt(b, y, support, lengths, c):
     alive = np.ones(count, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(KKT_ITERS):
-            norms = _block_norms_flat(c, starts)
+            norms = _block_norms_flat(c, k)
             alive &= np.where(support, norms, np.inf).min(axis=1) > 0.0
             inv = np.where(support, 1.0 / norms, 0.0)[:, owner]
             g = c * inv
@@ -361,9 +360,9 @@ class _Stack:
     def take(self, rows):
         return _Stack(**{name: a[rows] for name, a in vars(self).items() if a is not None})
 
-    def in_ball(self, nu, starts):
+    def in_ball(self, nu, k):
         """Each nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
-        norms = _block_norms_flat(_mv(np.swapaxes(self.b, 1, 2), nu), starts)
+        norms = _block_norms_flat(_mv(np.swapaxes(self.b, 1, 2), nu), k)
         return nu / np.fmax(1.0, norms.max(axis=1))[:, None]
 
     def gram_pinv(self, v):
@@ -396,12 +395,12 @@ def _solutions(progs, stack: _Stack, vecs, nus, status: str, iters: int) -> list
     """The solutions of the programs of a stack's rows, from their estimates
     and duals; the residuals of all come from one :func:`_residuals` call,
     which :func:`certify` makes for a stack of one."""
-    starts = progs[0].op.block_starts
-    violation, dual_norm, gap = _residuals(stack.b, stack.y, stack.eta, vecs, nus, starts)
+    k = progs[0].op.collection.block_dim
+    violation, dual_norm, gap = _residuals(stack.b, stack.y, stack.eta, vecs, nus, k)
     if status == "infeasible":
         dual_norm = gap = np.full(len(progs), math.inf)
     ends = zip(progs, vecs, nus, (violation / (1.0 + stack.ynorm)).tolist(),
-               np.fmax(0.0, dual_norm - 1.0).tolist(), gap.tolist(), _norm21_flat(vecs, starts).tolist())
+               np.fmax(0.0, dual_norm - 1.0).tolist(), gap.tolist(), _norm21_flat(vecs, k).tolist())
     # nu is copied: it is a row of a stack that must not outlive the solve
     return [RecoverySolution(from_coeff_vector(prog.op.collection, vec), status, iters, primal, dual, g,
                              objective, nu.copy(), prog.eta)
@@ -456,7 +455,7 @@ def _dual_maps(stack: _Stack, mask):
     return maps, ok
 
 
-def _support_exits(stack: _Stack, starts, lengths, support, c, nu):
+def _support_exits(stack: _Stack, k, support, c, nu):
     """The estimate and dual each equality step of a stack tests for its
     exit, and their gap; ``support`` flags each step's support S.
 
@@ -470,7 +469,7 @@ def _support_exits(stack: _Stack, starts, lengths, support, c, nu):
     The candidate is taken when it fits y to TOL_PRIMAL and passes the gap
     test, else the step's c and nu are.
     """
-    mask = np.repeat(support, lengths, axis=1)
+    mask = np.repeat(support, k, axis=1)
     bt = np.swapaxes(stack.b, 1, 2)
     with np.errstate(all="ignore"):
         maps, ok = _dual_maps(stack, mask)
@@ -479,29 +478,29 @@ def _support_exits(stack: _Stack, starts, lengths, support, c, nu):
         fit += _mv(lsq, stack.y - _mv(stack.b, fit))
         rows = np.flatnonzero(mask.sum(axis=1) > stack.b.shape[1])
         if rows.size:
-            fit[rows], fitted = _support_kkt(stack.b[rows], stack.y[rows], support[rows], lengths, c[rows])
+            fit[rows], fitted = _support_kkt(stack.b[rows], stack.y[rows], support[rows], k, c[rows])
             ok[rows] &= fitted
-        norms = _block_norms_flat(fit, starts)
+        norms = _block_norms_flat(fit, k)
         kept = support & (norms > TOL_PRIMAL * norms.max(axis=1, keepdims=True))
         rows = np.flatnonzero((kept != support).any(axis=1))
         if rows.size:
-            mask[rows] = np.repeat(kept[rows], lengths, axis=1)
+            mask[rows] = np.repeat(kept[rows], k, axis=1)
             maps[rows], held = _dual_maps(stack.take(rows), mask[rows])
             ok[rows] &= held
         fit *= mask
         ok &= _norms(_mv(stack.b, fit) - stack.y) <= TOL_PRIMAL * (1.0 + stack.ynorm)
-        r = mask * (_subgradients(fit, starts, lengths) - _mv(bt, nu))
+        r = mask * (_subgradients(fit, k) - _mv(bt, nu))
         step = _mv(maps, r)
-        cand = stack.in_ball(nu + step + _mv(maps, r - _mv(bt, step)), starts)
-        cand_gap = _dual_gaps(fit, cand, stack.y, stack.eta, starts)
+        cand = stack.in_ball(nu + step + _mv(maps, r - _mv(bt, step)), k)
+        cand_gap = _dual_gaps(fit, cand, stack.y, stack.eta, k)
     take = ok & (cand_gap <= TOL_GAP)
-    gap = np.where(take, cand_gap, _dual_gaps(c, nu, stack.y, stack.eta, starts))
+    gap = np.where(take, cand_gap, _dual_gaps(c, nu, stack.y, stack.eta, k))
     return np.where(take[:, None], fit, c), np.where(take[:, None], cand, nu), gap
 
 
 def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
-    """Solve a stack of programs of one shape (program, block dims, rows and
-    rank of B) from the least-squares probe to the step that ends each.
+    """Solve a stack of programs of one shape (program, k, shape and rank of
+    B) from the least-squares probe to the step that ends each.
 
     The probe c0 = pinv(B) y settles a program whose y is out of reach, and
     every equality program of an injective B, whose probe point is the only
@@ -516,8 +515,8 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
     ``max_iters``; the stack is then compacted to the programs that step on.
     """
     first = progs[0]
-    starts, lengths = first.op.block_starts, first.op.block_dims
-    (p, n), nb, ball = first.B.shape, len(lengths), first.eta > 0.0
+    (p, n), k, ball = first.B.shape, first.op.collection.block_dim, first.eta > 0.0
+    nb = n // k
     stack = _Stack.of(progs)
     stack.vt, stack.l_r = np.stack([prog.v_r.T for prog in progs]), np.stack([prog.l_r for prog in progs])
     out = [None] * len(progs)
@@ -542,7 +541,7 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
     # the equality program runs over c0 + Z w, the ball program over c0 + w
     r = n if ball else n - stack.l_r.shape[1]
     if r == 0:
-        nus = stack.in_ball(stack.dual_ls(_subgradients(c0, starts, lengths)), starts)
+        nus = stack.in_ball(stack.dual_ls(_subgradients(c0, k)), k)
         leave(np.ones(len(live), dtype=bool), c0, nus, "converged", 0)
         return out
     if ball:  # only the probe reads a ball stack's factor
@@ -550,7 +549,7 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
     else:  # the support fits read B^T B
         stack.gram = np.swapaxes(stack.b, 1, 2) @ stack.b
     basis = np.repeat(np.eye(n)[None], len(live), axis=0) if ball else np.stack([progs[i].null for i in live])
-    dims = [k + 1 for k in lengths] + ([p + 1] if ball else [])
+    dims = [k + 1] * nb + ([p + 1] if ball else [])
     cones = _Cones(dims)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
     # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
@@ -567,7 +566,7 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         # infeasibility tolerance of its distance from y is widened to admit it
         h[:, n + nb] = np.fmax(stack.eta, dist * (1.0 + 1e-12) + 1e-300)
         h[:, n + nb + 1:] = -residual
-    norms = _block_norms_flat(c0, starts)
+    norms = _block_norms_flat(c0, k)
     t0 = norms + np.fmax(norms.mean(axis=1), np.finfo(float).tiny)[:, None]
     x = np.concatenate([np.zeros((len(live), r)), t0], axis=1)
     # the estimate and dual of each program's last Newton step
@@ -623,13 +622,13 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         # cone (primal-dual complementarity)
         at, xg, zg, cg = (stack, x, z, c) if ok.all() else (stack.take(ok), x[ok], z[ok], c[ok])
         if ball:
-            nus = at.in_ball(-zg[:, -p:], starts)
-            vecs, duals, gap = cg, nus, _dual_gaps(cg, nus, at.y, at.eta, starts)
+            nus = at.in_ball(-zg[:, -p:], k)
+            vecs, duals, gap = cg, nus, _dual_gaps(cg, nus, at.y, at.eta, k)
         else:
             z1 = np.take(zg, tails, axis=1)
-            nus = at.in_ball(at.dual_ls(-z1), starts)
-            support = xg[:, r:] > zg[:, heads] - _block_norms_flat(z1, starts)
-            vecs, duals, gap = _support_exits(at, starts, lengths, support, cg, nus)
+            nus = at.in_ball(at.dual_ls(-z1), k)
+            support = xg[:, r:] > zg[:, heads] - _block_norms_flat(z1, k)
+            vecs, duals, gap = _support_exits(at, k, support, cg, nus)
         done = gap <= TOL_GAP
         keep = ok.copy()
         keep[ok] = ~done
@@ -652,7 +651,7 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
 
     After the zero exits (||y|| <= eta), B^T B is factored once per distinct
     operator (:func:`_factor`). The programs are then stacked once, by
-    program, block dims, rows and rank of B, and each stack is solved from
+    program, k, shape and rank of B, and each stack is solved from
     the least-squares probe to its last exit (:func:`_solve_stack`).
     ``max_iters`` must be a positive integer.
     """
@@ -678,7 +677,7 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     stacks = {}
     for i in rest:
         prog = out[i]
-        stacks.setdefault((prog.eta > 0.0, prog.op.block_dims, len(prog.y), len(prog.l_r)), []).append(i)
+        stacks.setdefault((prog.eta > 0.0, prog.op.collection.block_dim, prog.B.shape, len(prog.l_r)), []).append(i)
     for rows in stacks.values():
         for i, sol in zip(rows, _solve_stack([out[i] for i in rows], max_iters)):
             out[i] = sol
@@ -776,15 +775,10 @@ def oracle_recover_exhaustive(
     if ynorm <= accept_tol:
         return from_coeff_vector(B.collection, np.zeros(B.in_dim)), True
     for level in range(1, min(s, n) + 1):
-        width = widest_support(B.block_dims, level)
         accepted = []
-        for _, groups in support_groups(AllSupports(n, level), B.block_starts, B.block_dims, level,
-                                        B.out_dim * (width + 1)):
-            screened = []
-            for rows, cols in groups:
-                fit = _screen_residuals(B.matrix, y, cols) <= _SCREEN_FACTOR * accept_tol
-                screened += zip(rows[fit], cols[fit])
-            for _, cols in sorted(screened, key=lambda pair: pair[0]):
+        for _, chunk_cols in support_groups(AllSupports(n, level), k, level, B.out_dim * (level * k + 1)):
+            fit = _screen_residuals(B.matrix, y, chunk_cols) <= _SCREEN_FACTOR * accept_tol
+            for cols in chunk_cols[fit]:
                 m_s = B.matrix[:, cols]
                 c_s, *_ = np.linalg.lstsq(m_s, y, rcond=None)
                 if float(np.linalg.norm(m_s @ c_s - y)) <= accept_tol:
@@ -795,7 +789,7 @@ def oracle_recover_exhaustive(
             for cols, c_s, m_s in accepted:
                 vec = np.zeros(B.in_dim)
                 vec[cols] = c_s
-                n21 = _norm21_flat(vec, B.block_starts)
+                n21 = _norm21_flat(vec, k)
                 if n21 < best_norm - 1e-15:
                     best_norm = n21
                     best = (vec, m_s)
@@ -835,7 +829,7 @@ def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -
     if vec.shape != (B.in_dim,) or nu.shape != (B.out_dim,):
         raise DimMismatchError(f"a solution with {vec.size} coefficients and {nu.size} duals does not fit B")
     violation, dual_feas, gap = (float(v[0]) for v in _residuals(
-        B.matrix[None], y[None], np.array([solution.eta]), vec[None], nu[None], B.block_starts))
+        B.matrix[None], y[None], np.array([solution.eta]), vec[None], nu[None], B.collection.block_dim))
     ynorm = float(np.linalg.norm(y))
     return CertificateReport(
         primal_violation=violation,

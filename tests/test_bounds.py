@@ -177,6 +177,19 @@ GUARDS = {
                             InvalidParamError, "C must be positive"),
     "sufficient_uniform_alpha": (sufficient_uniform_vector, (1, 8, 1, 0.5, 0.0, 0.01),
                                  InvalidParamError, "alpha must be positive"),
+    # NaN fails every comparison, and infinity is not a constant
+    "sufficient_scalar_C_nan": (sufficient_scalar_measurements, (1, 8, 1, 1.0, 0.4, 0.01, math.nan),
+                                InvalidParamError, "C must be positive and finite"),
+    "sufficient_uniform_C_inf": (sufficient_uniform_vector, (1, 8, 1, 0.5, 1.0, 0.01, math.inf),
+                                 InvalidParamError, "C must be positive and finite"),
+    "sufficient_nonuniform_C_nan": (sufficient_nonuniform_vector, (1, 8, 1, 0.5, 0.01, 1, math.nan),
+                                    InvalidParamError, "C must be positive and finite"),
+    "sufficient_scalar_alpha_inf": (sufficient_scalar_measurements, (1, 8, 1, math.inf, 0.4, 0.01),
+                                    InvalidParamError, "alpha must be positive and finite"),
+    "sufficient_uniform_alpha_nan": (sufficient_uniform_vector, (1, 8, 1, 0.5, math.nan, 0.01),
+                                     InvalidParamError, "alpha must be positive and finite"),
+    "mu_f_cap_nan": (mu_f_sparsity_cap, (math.nan,), NegativeInputError, "mu_f must be nonnegative and finite"),
+    "mu_f_cap_inf": (mu_f_sparsity_cap, (math.inf,), NegativeInputError, "mu_f must be nonnegative and finite"),
 }
 
 

@@ -132,6 +132,8 @@ BAD_NUMERIC_INPUT = {
                        "--trials", 0),
     "noisy_negative_eta": ("recover", "noisy", "--matrix", "A4", "--collection", "coll",
                            "--y", "y", "--eta", -1),
+    "bounds_nan_C": ("bounds", "eval", "--s", 2, "--N", 10, "--k", 2, "--d", 4, "--C", "nan"),
+    "bounds_inf_alpha": ("bounds", "eval", "--s", 2, "--N", 10, "--k", 2, "--d", 4, "--alpha", "inf"),
 }
 
 

@@ -31,8 +31,16 @@ from fusioncs.experiments import (
     write_frip_results,
     write_results,
 )
-from fusioncs.frames import SubspaceCollection, _orthonormalize, coherence, random_collection
-from fusioncs.measurement import EnsembleSpec, add_noise, compose_with_bases, sample_ensemble, vector_operator
+from fusioncs.frames import coherence, random_collection
+from fusioncs.bounds import sufficient_uniform_vector
+from fusioncs.measurement import (
+    EnsembleSpec,
+    add_noise,
+    compose_with_bases,
+    sample_ensemble,
+    subgaussian_alpha,
+    vector_operator,
+)
 from fusioncs.rip import mc_frip
 from fusioncs.signals import coeff_vector, random_sparse_signal
 
@@ -351,18 +359,13 @@ class TestStackedTrials:
             assert solver.certify(sol, b, y).ok
 
 
-    @pytest.mark.parametrize("kind", sorted(STACKED_CONFIGS) + ["ragged"])
-    def test_cell_setup_matches_per_trial_construction_independent(self, kind, recorded_solves, monkeypatch):
+    @pytest.mark.parametrize("kind", sorted(STACKED_CONFIGS))
+    def test_cell_setup_matches_per_trial_construction_independent(self, kind, recorded_solves):
         # a cell's seeds come from one prefix per trial and its operators
         # from one broadcast: every (B, y) equals the trial's own
         # derive_seed, random_sparse_signal, compose_with_bases and
-        # add_noise, bit for bit, on ragged block dims too
-        if kind == "ragged":
-            dims = (1, 2, 2, 1, 2, 2, 1, 2)
-            monkeypatch.setitem(experiments.FAMILIES, "random", lambda d, k, N, theta, seed: SubspaceCollection(
-                tuple(_orthonormalize(np.random.default_rng([seed, j]).standard_normal((d, k_j)))
-                      for j, k_j in enumerate(dims))))
-        cfg = ExperimentConfig(**STACKED_CONFIGS["phase" if kind == "ragged" else kind], trials_per_cell=4)
+        # add_noise, bit for bit
+        cfg = ExperimentConfig(**STACKED_CONFIGS[kind], trials_per_cell=4)
         noise = cfg.experiment == "noise_robustness"
         (run_noise_robustness if noise else run_phase_transition)(cfg)
         expected = []
@@ -381,7 +384,6 @@ class TestStackedTrials:
                     expected.append((b.matrix.tobytes(), y.tobytes(), eta))
         (call,) = recorded_solves
         assert [(b.matrix.tobytes(), np.asarray(y).tobytes(), eta) for b, y, eta, _ in call] == expected
-        assert kind != "ragged" or call[0][0].block_dims == dims
 
 
 class TestFripSweep:
@@ -405,8 +407,6 @@ class TestFripSweep:
         assert flat.delta_q1 <= flat.delta_median <= flat.delta_q3
         # the incoherent family point cannot have a larger typical constant
         assert flat.delta_median <= coherent.delta_median
-        from fusioncs.bounds import sufficient_uniform_vector
-
         assert coherent.bound_uniform == pytest.approx(
             sufficient_uniform_vector(2, 4, 1, coherent.lambda_, 1.0, cfg.epsilon, 1.0)
         )
@@ -433,6 +433,20 @@ class TestFripSweep:
                 deltas.append(mc_frip(a, coll, row.s, 500, seed, 1.0 / math.sqrt(row.m)).value)
             assert [row.delta_q1, row.delta_median, row.delta_q3] == experiments._quartiles(deltas)
         assert run_frip_sweep(replace(cfg, measurement_grid=(8,))) == rows[1:]
+
+    def test_bound_uniform_uses_the_ensembles_alpha(self):
+        # the scaled uniform law is subgaussian with alpha < 1, so its bound
+        # is smaller than the Gaussian one at the same cell
+        cfg = ExperimentConfig(
+            experiment="frip_sweep", family="random", d=4, k=2, N=6, sparsity_grid=(2,),
+            measurement_grid=(4,), trials_per_cell=2, ensemble="uniform_scaled", base_seed=3,
+        )
+        (row,) = run_frip_sweep(cfg)
+        alpha = subgaussian_alpha("uniform_scaled")
+        assert alpha < 1.0
+        assert row.bound_uniform == sufficient_uniform_vector(2, 6, 2, row.lambda_, alpha, cfg.epsilon, 1.0)
+        (gaussian,) = run_frip_sweep(replace(cfg, ensemble="gaussian"))
+        assert gaussian.bound_uniform == sufficient_uniform_vector(2, 6, 2, row.lambda_, 1.0, cfg.epsilon, 1.0)
 
     def test_quartiles_match_numpy_percentile(self):
         rng = np.random.default_rng(40)

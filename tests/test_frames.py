@@ -70,24 +70,21 @@ class TestBuildCollection:
         bad = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(OrthonormalityError):
             SubspaceCollection((bad,))
-        # the first basis off orthonormality is named, among ragged dims
+        # the first basis off orthonormality is named
         with pytest.raises(OrthonormalityError, match="^basis 2 deviates"):
-            SubspaceCollection((np.eye(3)[:, :1], np.eye(3)[:, 1:], bad, 2.0 * np.eye(3)[:, :1]))
+            SubspaceCollection((np.eye(3)[:, :2], np.eye(3)[:, 1:], bad, 2.0 * np.eye(3)[:, :2]))
 
-    def test_ragged_bases_kept_read_only_independent(self):
-        # the bases are checked in one stacked Gram product per block dim
-        # and kept as read-only copies with their input bits, in input order
+    def test_bases_kept_read_only_independent(self):
+        # the bases are checked in one stacked Gram product and kept as
+        # read-only copies with their input bits, in input order
         rng = np.random.default_rng(4)
-        dims = (1, 2, 2, 1, 3, 2)
-        mats = [_orthonormalize(rng.standard_normal((5, k))) for k in dims]
+        mats = [_orthonormalize(rng.standard_normal((5, 2))) for _ in range(6)]
         coll = SubspaceCollection(tuple(mats))
-        assert coll.block_dims == dims and coll.block_dim == 3
-        assert coll.block_starts.tolist() == [0, 1, 3, 5, 6, 9]
+        assert coll.block_dim == 2
         for u, m in zip(coll.bases, mats):
             assert u.tobytes() == m.tobytes() and not u.flags.writeable
         mats[0][0, 0] = 7.0
         assert coll.bases[0][0, 0] != 7.0
-        assert not coll.block_starts.flags.writeable
 
 
 class TestConstructors:
@@ -184,7 +181,7 @@ class TestCoherence:
         assert rep.min_principal_angle == pytest.approx(math.acos(rep.lambda_))
         assert np.isnan(rep.pairwise_sigma[0, 0])
 
-    @pytest.mark.parametrize("dims", [(2,) * 7, (3,) * 16, (1, 2, 2, 1, 3, 2)])
+    @pytest.mark.parametrize("dims", [(2,) * 7, (3,) * 16, (1,) * 6])
     def test_matches_pairwise_loop_bit_for_bit(self, dims):
         rng = np.random.default_rng(sum(dims))
         bases = tuple(_orthonormalize(rng.standard_normal((6, k))) for k in dims)
@@ -370,10 +367,6 @@ class TestSerialization:
             collection_from_dict(doc)
 
 
-def _ragged_collection():
-    return SubspaceCollection((np.eye(3)[:, :1], np.eye(3)[:, :2]))
-
-
 def _bases_short_by_one():
     doc = collection_to_dict(random_collection(3, 1, 2, seed=0))
     doc["bases"] = doc["bases"][:1]
@@ -391,12 +384,14 @@ INPUT_CHECKS = {
     "collection_later_scalar_basis": (lambda: SubspaceCollection((np.eye(2), 1.0)), InvalidDimsError,
                                       "basis 1 is not a matrix"),
     "collection_ambient_mismatch": (lambda: SubspaceCollection((np.eye(4)[:, :2], np.eye(3)[:, :2])),
-                                    ShapeMismatchError, "basis 1 has ambient dimension 3, expected 4"),
+                                    ShapeMismatchError, "basis 1 has shape (3, 2), expected (4, 2)"),
+    "collection_unequal_columns": (lambda: SubspaceCollection((np.eye(3)[:, :1], np.eye(3)[:, :2])),
+                                   ShapeMismatchError, "basis 1 has shape (3, 2), expected (3, 1)"),
     "collection_no_columns": (lambda: SubspaceCollection((np.zeros((3, 0)),)), InvalidDimsError,
                               "basis 0 has 0 columns, ambient 3"),
     "collection_more_columns_than_rows": (lambda: SubspaceCollection((np.ones((2, 3)),)), InvalidDimsError,
                                           "basis 0 has 3 columns, ambient 2"),
-    "build_no_bases": (lambda: build_collection([]), InvalidDimsError, "need at least one basis"),
+    "build_no_bases": (lambda: build_collection([]), InvalidDimsError, "a collection needs at least one subspace"),
     "build_vector_basis": (lambda: build_collection([np.ones(3)]), InvalidDimsError, "basis 0 is not a matrix"),
     "random_no_subspaces": (lambda: random_collection(3, 2, 0, seed=0), InvalidDimsError,
                             "need N >= 1 and k >= 1"),
@@ -409,8 +404,10 @@ INPUT_CHECKS = {
     "angle_no_subspaces": (lambda: angle_family(2, 0, 0.3), InvalidDimsError, "need N >= 1 and k >= 1"),
     "packing_one_subspace": (lambda: packing_diameter(random_collection(3, 1, 1, seed=0)),
                              SingleSubspaceError, "packing diameter needs at least two subspaces"),
-    "to_dict_ragged": (lambda: collection_to_dict(_ragged_collection()), InvalidDimsError,
-                       "only equal-dimension collections serialize to JSON"),
+    "frame_bounds_nan_weight": (lambda: fusion_frame_bounds(orthogonal_collection(4, 2, 2), [1.0, math.nan]),
+                                NonpositiveWeightError, "weights must be strictly positive and finite"),
+    "frame_bounds_inf_weight": (lambda: fusion_frame_bounds(orthogonal_collection(4, 2, 2), [math.inf, 1.0]),
+                                NonpositiveWeightError, "weights must be strictly positive and finite"),
     "from_dict_bases_count": (_bases_short_by_one, SchemaError, "bases: expected 2 bases"),
 }
 

@@ -209,7 +209,7 @@ class TestCoefficientOperator:
         with pytest.raises(DimMismatchError):
             compose_with_bases(scalar_operator(np.ones((2, 19))), coll)
 
-    @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 2), (1, 2, 2, 1)])
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2, 2), (1, 1, 1, 1)])
     @pytest.mark.parametrize("kind", ["vector", "scalar"])
     def test_matrix_is_definitional_product(self, kind, dims):
         # the same bits as the definition: scale * [A[:, j] (x) U_j]_j for a
@@ -229,7 +229,7 @@ class TestCoefficientOperator:
             blocks = [phi[:, j * d:(j + 1) * d] @ u for j, u in enumerate(bases)]
         assert np.array_equal(b.matrix, 0.7 * np.hstack(blocks))
 
-    @pytest.mark.parametrize("dims", [(2,) * 8, (1, 2, 2, 1)])
+    @pytest.mark.parametrize("dims", [(2,) * 8, (3, 3, 3, 3)])
     def test_vector_matrix_matches_kron_blocks_independent(self, dims):
         # the one-broadcast build against the per-block np.kron definition,
         # bit for bit, at the phase sweep's shapes (d = 4, m = 1..6)
@@ -242,7 +242,7 @@ class TestCoefficientOperator:
             assert np.array_equal(b.matrix, 1.0 / math.sqrt(m) * np.hstack(blocks))
 
     @pytest.mark.parametrize("kind", ["vector", "scalar"])
-    @pytest.mark.parametrize("dims", [(2,) * 8, (1, 2, 2, 1)])
+    @pytest.mark.parametrize("dims", [(2,) * 8, (3, 3, 3, 3)])
     def test_stacked_operators_match_each_alone_independent(self, kind, dims):
         # one broadcast over a stack of measurement matrices gives each
         # operator the bits of compose_with_bases on its matrix alone, and
@@ -255,8 +255,7 @@ class TestCoefficientOperator:
         for op, m in zip(ops, mats):
             alone = compose_with_bases(make(m), coll)
             assert op.matrix.tobytes() == alone.matrix.tobytes() and not op.matrix.flags.writeable
-            assert (op.out_dim, op.in_dim, op.block_dims, op.collection) == (
-                alone.out_dim, alone.in_dim, alone.block_dims, coll)
+            assert (op.out_dim, op.in_dim, op.collection) == (alone.out_dim, alone.in_dim, coll)
         mats[3, 1, 0] = math.inf
         with pytest.raises(ValueError, match="the operator has non-finite entries"):
             coefficient_operators(kind, mats, 0.7, coll)
@@ -339,169 +338,75 @@ class TestMatrixSerialization:
             matrix_from_dict({"version": 1, "rows": 2, "cols": 2})
 
 
-class TestUnequalBlockDimensions:
-    def make_ragged(self):
-        rng = np.random.default_rng(3)
-        from fusioncs.frames import SubspaceCollection, _orthonormalize
-
-        bases = tuple(
-            _orthonormalize(rng.standard_normal((5, k))) for k in (1, 2, 2, 1)
-        )
-        return SubspaceCollection(bases)
-
-    def test_collection_reports_max_dim(self):
-        coll = self.make_ragged()
-        assert coll.block_dim == 2
-        assert coll.block_dims == (1, 2, 2, 1)
-
-    def test_coefficient_operator_ragged(self):
-        from fusioncs.signals import BlockSignal, coeff_vector
-
-        coll = self.make_ragged()
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((3, 4))
-        b = compose_with_bases(vector_operator(a, 5), coll)
-        assert b.in_dim == 6
-        x = BlockSignal(tuple(rng.standard_normal(k) for k in (1, 2, 2, 1)), coll)
-        lhs = b.matvec(coeff_vector(x))
-        rhs = apply(vector_operator(a, 5), to_ambient(x))
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        dense = b.support_matrix(range(4))
-        assert dense.shape == (15, 6)
-        assert np.allclose(dense @ coeff_vector(x), lhs, atol=1e-12)
-        y = rng.standard_normal(15)
-        assert np.allclose(dense.T @ y, b.rmatvec(y), atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ["vector", "scalar"])
-    def test_every_support_against_unit_vector_columns(self, kind):
-        from fusioncs.rip import exact_frip, scalar_rip_on_H
-
-        coll = self.make_ragged()
-        rng = np.random.default_rng(6)
-        if kind == "vector":
-            op = vector_operator(rng.standard_normal((2, 4)), 5, scale=0.7)
-        else:
-            op = scalar_operator(rng.standard_normal((3, 20)))
-        b = compose_with_bases(op, coll)
-        # column i is the measurement of the signal with coefficient vector e_i
-        full = np.column_stack(
-            [apply(op, to_ambient(from_coeff_vector(coll, e))) for e in np.eye(6)]
-        )
-        edges = np.cumsum((0, 1, 2, 2, 1))
-
-        def reference(supp):
-            return np.hstack([full[:, edges[j] : edges[j + 1]] for j in supp])
-
-        def delta(m_s):
-            sv = np.linalg.svd(m_s, compute_uv=False)
-            smin = sv[-1] if len(sv) == m_s.shape[1] else 0.0
-            return max(sv[0] ** 2 - 1.0, 1.0 - smin**2)
-
-        for s in range(1, 5):
-            supports = list(combinations(range(4), s))
-            for supp in supports + [supp[::-1] for supp in supports]:
-                np.testing.assert_allclose(
-                    b.support_matrix(supp), reference(supp), rtol=0, atol=1e-12
-                )
-            expected = max(delta(reference(supp)) for supp in supports)
-            if kind == "vector":
-                got = exact_frip(op.matrix, coll, s, op.scale).value
-            else:
-                got = scalar_rip_on_H(op.matrix, coll, s).value
-            assert abs(got - expected) <= 1e-12
-
-    def test_ragged_solve_round_trip(self):
-        from fusioncs.signals import BlockSignal, coeff_vector
-        from fusioncs.solver import solve_equality
-
-        coll = self.make_ragged()
-        rng = np.random.default_rng(5)
-        coeffs = [np.zeros(k) for k in (1, 2, 2, 1)]
-        coeffs[1] = rng.standard_normal(2)
-        x = BlockSignal(tuple(coeffs), coll)
-        a = rng.standard_normal((2, 4))
-        b = compose_with_bases(vector_operator(a, 5), coll)
-        y = b.matvec(coeff_vector(x))
-        sol = solve_equality(b, y)
-        assert sol.status == "converged"
-        err = np.linalg.norm(coeff_vector(sol.estimate) - coeff_vector(x))
-        assert err <= 1e-6
-
-
 class TestSupportTables:
-    """Every s-support of the blocks, as chunks with their stacked columns,
-    from a table shared by the enumerations of one shape."""
+    """Every s-support of n blocks of k columns, as chunks with their
+    columns, from a table shared by the enumerations of one shape."""
 
     @staticmethod
-    def streamed(dims, s, entries):
-        starts = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
-        return list(support_groups(combinations(range(len(dims)), s), starts, dims, s, entries))
+    def streamed(n, k, s, entries):
+        return list(support_groups(combinations(range(n), s), k, s, entries))
 
     @staticmethod
-    def tabled(dims, s, entries):
-        starts = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
-        return support_groups(AllSupports(len(dims), s), starts, dims, s, entries)
+    def tabled(n, k, s, entries):
+        return support_groups(AllSupports(n, s), k, s, entries)
 
     @staticmethod
     def assert_same(got, expected):
         assert len(got) == len(expected)
-        for (chunk, groups), (ref_chunk, ref_groups) in zip(got, expected):
-            assert np.array_equal(chunk, ref_chunk)
-            assert len(groups) == len(ref_groups)
-            for (rows, cols), (ref_rows, ref_cols) in zip(groups, ref_groups):
-                assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+        for (chunk, cols), (ref_chunk, ref_cols) in zip(got, expected):
+            assert np.array_equal(chunk, ref_chunk) and np.array_equal(cols, ref_cols)
 
-    @pytest.mark.parametrize("dims", [(2,) * 9, (1, 2, 2, 1, 2, 1, 2, 1, 1)])
+    @pytest.mark.parametrize("dims", [(2,) * 9, (3,) * 9])
     def test_table_equals_streamed_enumeration(self, dims):
+        n, k = len(dims), dims[0]
         for s in (1, 2, 4, 9):
             for entries in (1, 64, 2**15, 2**20):
-                got = self.tabled(dims, s, entries)
+                got = self.tabled(n, k, s, entries)
                 assert isinstance(got, tuple)
-                self.assert_same(got, self.streamed(dims, s, entries))
-                assert got is self.tabled(dims, s, entries)
+                self.assert_same(got, self.streamed(n, k, s, entries))
+                assert got is self.tabled(n, k, s, entries)
                 assert np.array_equal(np.concatenate([chunk for chunk, _ in got]),
-                                      list(combinations(range(len(dims)), s)))
+                                      list(combinations(range(n), s)))
+                # block j is columns j*k, ..., j*k + k - 1, in the support's order
+                assert np.array_equal(np.concatenate([cols for _, cols in got]),
+                                      [np.hstack([range(j * k, j * k + k) for j in supp])
+                                       for supp in combinations(range(n), s)])
 
     def test_chunk_size_in_force_keys_the_table(self, monkeypatch):
-        dims = (2,) * 8
-        before = self.tabled(dims, 3, 16)
+        before = self.tabled(8, 2, 3, 16)
         monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 16 * 5)
-        after = self.tabled(dims, 3, 16)
+        after = self.tabled(8, 2, 3, 16)
         assert [len(chunk) for chunk, _ in after] == [5] * 11 + [1]
         assert len(before) != len(after)
-        self.assert_same(after, self.streamed(dims, 3, 16))
+        self.assert_same(after, self.streamed(8, 2, 3, 16))
 
     def test_table_arrays_read_only(self):
-        for chunk, groups in self.tabled((1, 2, 2, 1, 2, 1), 3, 9):
-            for array in (chunk, *(a for group in groups for a in group)):
+        for chunk, cols in self.tabled(6, 2, 3, 9):
+            for array in (chunk, cols):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
 
     def test_table_above_the_cap_streams(self, monkeypatch):
-        dims = (2,) * 7
         cached = measurement._support_table.cache_info().currsize
-        monkeypatch.setattr(measurement, "_TABLE_ENTRIES", math.comb(7, 3) * (3 + 1 + 6) - 1)
-        got = self.tabled(dims, 3, 10)
+        # each support takes s indices and s * k columns
+        monkeypatch.setattr(measurement, "_TABLE_ENTRIES", math.comb(7, 3) * (3 + 6) - 1)
+        got = self.tabled(7, 2, 3, 10)
         assert not isinstance(got, tuple)
         got = list(got)
         assert measurement._support_table.cache_info().currsize == cached
         assert got[0][0].flags.writeable
-        self.assert_same(got, self.streamed(dims, 3, 10))
+        self.assert_same(got, self.streamed(7, 2, 3, 10))
         monkeypatch.undo()
-        assert isinstance(self.tabled(dims, 3, 10), tuple)
+        assert isinstance(self.tabled(7, 2, 3, 10), tuple)
 
     def test_other_enumerations_stream(self):
-        dims = (2,) * 6
-        starts = np.arange(0, 12, 2)
         subset = [(0, 1), (2, 5), (1, 4)]
-        got = list(support_groups(iter(subset), starts, dims, 2, 4))
+        got = list(support_groups(iter(subset), 2, 2, 4))
         assert np.array_equal(np.concatenate([chunk for chunk, _ in got]), subset)
-        # AllSupports over fewer blocks than the operator has is not the table
-        got = support_groups(AllSupports(5, 2), starts, dims, 2, 4)
-        assert not isinstance(got, tuple)
-        assert np.array_equal(np.concatenate([chunk for chunk, _ in got]),
-                              list(combinations(range(5), 2)))
+        assert np.array_equal(np.concatenate([cols for _, cols in got]),
+                              [[0, 1, 2, 3], [4, 5, 10, 11], [2, 3, 8, 9]])
+        assert got[0][0].flags.writeable
 
 
 def _coefficient_operator():
@@ -525,7 +430,12 @@ INPUT_CHECKS = {
                       "expected length 3, got (4,)"),
     "rmatvec_length": (lambda: _coefficient_operator().rmatvec(np.zeros(3)), DimMismatchError,
                        "expected length 8, got (3,)"),
-    "noise_negative_eta": (lambda: add_noise(np.ones(3), -1.0, seed=0), ValueError, "eta must be nonnegative"),
+    "noise_negative_eta": (lambda: add_noise(np.ones(3), -1.0, seed=0), ValueError,
+                           "eta must be nonnegative and finite"),
+    "noise_nan_eta": (lambda: add_noise(np.ones(3), math.nan, seed=0), ValueError,
+                      "eta must be nonnegative and finite"),
+    "noise_inf_eta": (lambda: add_noise(np.ones(3), math.inf, seed=0), ValueError,
+                      "eta must be nonnegative and finite"),
     "coherences_vector": (lambda: matrix_coherences(np.ones(3), orthogonal_collection(4, 1, 3)),
                           InvalidDimsError, "A must be a matrix"),
     "coherences_columns": (lambda: matrix_coherences(np.ones((2, 2)), orthogonal_collection(4, 1, 3)),

@@ -28,21 +28,16 @@ def every_support_max(op, supports, s):
     the enumeration as it was before supports were pruned."""
     gram = op.matrix.T @ op.matrix
     value, worst, count = -math.inf, None, 0
-    for chunk in measurement.support_chunks(supports, s, measurement.widest_support(op.block_dims, s) ** 2):
-        deltas = np.empty(len(chunk))
-        for rows, cols in measurement.stacked_columns(op.block_starts, op.block_dims, chunk):
-            eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
-            smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
-            deltas[rows] = np.maximum(smax2 - 1.0, 1.0 - smin2)
+    k = op.collection.block_dim
+    for chunk, cols in measurement.support_groups(supports, k, s, (s * k) ** 2):
+        eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
+        smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
+        deltas = np.maximum(smax2 - 1.0, 1.0 - smin2)
         i = int(np.argmax(deltas))
         if deltas[i] > value:
             value, worst = float(deltas[i]), tuple(int(j) for j in chunk[i])
         count += len(chunk)
     return value, worst, count
-
-
-def ragged_collection(rng, dims=(1, 2, 2, 1, 2, 1, 2, 1, 1, 2)):
-    return SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
 
 
 class TestExactFrip:
@@ -197,20 +192,16 @@ class TestStackedEnumeration:
     equal evaluating every support, wherever the chunks break."""
 
     @pytest.mark.parametrize("per_chunk", [1, 7])
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_chunk_size_does_not_change_results_independent(self, monkeypatch, per_chunk, ragged):
+    @pytest.mark.parametrize("unit_blocks", [False, True])
+    def test_chunk_size_does_not_change_results_independent(self, monkeypatch, per_chunk, unit_blocks):
         rng = np.random.default_rng(30)
+        k = 1 if unit_blocks else 2
         for n in (6, 10):
-            if ragged:
-                dims = (1, 2, 2, 1, 2, 1, 2, 1, 1, 2)[:n]
-                coll = ragged_collection(rng, dims)
-            else:
-                dims = (2,) * n
-                coll = random_collection(4, 2, n, seed=31)
+            coll = random_collection(4, k, n, seed=31)
             s, m = 3, 3
             a = rng.standard_normal((m, n))
             phi = rng.standard_normal((10, 4 * n))
-            worst = sum(sorted(dims)[-s:])
+            worst = k * s
             calls = [
                 (lambda: exact_frip(a, coll, s, 0.6), worst),
                 (lambda: scalar_rip_on_H(phi, coll, s), worst),
@@ -289,7 +280,8 @@ class TestPruning:
         bound never above the row sums. Returns the block norms."""
         gram = b.matrix.T @ b.matrix
         h = gram - np.eye(b.in_dim)
-        blocks = [slice(int(j0), int(j0) + k) for j0, k in zip(b.block_starts, b.block_dims)]
+        k = b.collection.block_dim
+        blocks = [slice(j * k, j * k + k) for j in range(b.collection.size)]
         c = np.array([[np.linalg.norm(h[bi, bj], 2) for bj in blocks] for bi in blocks])
         norms = rip._block_norms(b, gram)
         np.testing.assert_allclose(norms, c, rtol=1e-12, atol=1e-14)
@@ -303,11 +295,11 @@ class TestPruning:
                 assert bound <= max(sum(norms[i, j] for j in supp) for i in supp) * (1.0 + 1e-12)
         return norms
 
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_bound_holds_on_every_support(self, ragged):
-        rng = np.random.default_rng(50 + ragged)
+    @pytest.mark.parametrize("unit_blocks", [False, True])
+    def test_bound_holds_on_every_support(self, unit_blocks):
+        rng = np.random.default_rng(50 + unit_blocks)
         for trial in range(6):
-            coll = ragged_collection(rng) if ragged else random_collection(4, 2, 10, seed=trial)
+            coll = random_collection(4, 1 if unit_blocks else 2, 10, seed=trial)
             m = int(rng.integers(1, 7))
             self.check_bounds(compose_with_bases(
                 vector_operator(rng.standard_normal((m, 10)), 4, 1 / math.sqrt(m)), coll))

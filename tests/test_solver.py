@@ -37,7 +37,7 @@ from fusioncs.measurement import (
     matrix_coherences,
     sample_ensemble,
     scalar_operator,
-    stacked_columns,
+    support_columns,
     vector_operator,
 )
 from fusioncs.signals import coeff_vector, norm_21, random_sparse_signal
@@ -64,15 +64,14 @@ def rel_err(sol, truth):
     return float(np.linalg.norm(est - truth) / np.linalg.norm(truth))
 
 
-def ragged_single_block_solves(scale):
-    """Equality solves of each one-block signal on ragged block dims
-    (1, 2, 2, 1) through a 5 x 6 B, as (b, truth, y, solution)."""
+def single_block_solves(scale):
+    """Equality solves of each one-block signal on three random planes of
+    R^5 through a 5 x 6 B, as (b, truth, y, solution)."""
     rng = np.random.default_rng(21)
-    dims = (1, 2, 2, 1)
-    coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((5, k))) for k in dims))
-    b = compose_with_bases(vector_operator(rng.standard_normal((1, 4)), 5), coll)
-    for j in range(len(dims)):
-        truth = np.concatenate([rng.standard_normal(k) if i == j else np.zeros(k) for i, k in enumerate(dims)])
+    coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((5, 2))) for _ in range(3)))
+    b = compose_with_bases(vector_operator(rng.standard_normal((1, 3)), 5), coll)
+    for j in range(3):
+        truth = np.concatenate([rng.standard_normal(2) if i == j else np.zeros(2) for i in range(3)])
         y = scale * b.matvec(truth)
         yield b, truth, y, solve_equality(b, y)
 
@@ -82,14 +81,15 @@ def assert_support_dual(b, sol):
     every block of B^T nu off S in the unit ball."""
     est = coeff_vector(sol.estimate)
     cols = est != 0.0
-    norms = solver._block_norms_flat(est, b.block_starts)
-    g = est / np.repeat(np.maximum(norms, 1e-300), b.block_dims)
+    k = b.collection.block_dim
+    norms = solver._block_norms_flat(est, k)
+    g = est / np.repeat(np.maximum(norms, 1e-300), k)
     np.testing.assert_allclose(b.matrix[:, cols].T @ sol.dual_vector, g[cols], rtol=0, atol=1e-9)
-    off = solver._block_norms_flat(b.matrix.T @ sol.dual_vector, b.block_starts)[norms == 0.0]
+    off = solver._block_norms_flat(b.matrix.T @ sol.dual_vector, k)[norms == 0.0]
     assert np.all(off <= 1.0 + solver.TOL_DUAL)
 
 
-def kkt_gives_up(b, y, support, lengths, c):
+def kkt_gives_up(b, y, support, k, c):
     """A support system that gives up on every support of its stack."""
     return c, np.zeros(len(b), dtype=bool)
 
@@ -215,11 +215,11 @@ class TestSolveEquality:
         assert rel_err(sol, truth) <= 1e-10
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_detected_support_exit_on_ragged_dims(self, scale):
-        # heads and tails of ragged cones: every solve must end through the
-        # support that complementarity detects, whose least-squares fit is
-        # the estimate, and not through the interior-point gap
-        for b, truth, y, sol in ragged_single_block_solves(scale):
+    def test_detected_support_exit(self, scale):
+        # every solve must end through the support that complementarity
+        # detects, whose least-squares fit is the estimate, and not through
+        # the interior-point gap
+        for b, truth, y, sol in single_block_solves(scale):
             assert sol.status == "converged"
             assert sol.iterations >= 1
             assert certify(sol, b, y).ok
@@ -231,9 +231,9 @@ class TestSolveEquality:
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_narrow_support_exit_dual_solves_optimality_equations(self, scale):
-        # each support has at most 2 coefficients against B's 5 rows: the
-        # dual is the step's nu projected onto B_S^T nu = g_S
-        for b, _, y, sol in ragged_single_block_solves(scale):
+        # each support has 2 coefficients against B's 5 rows: the dual is
+        # the step's nu projected onto B_S^T nu = g_S
+        for b, _, y, sol in single_block_solves(scale):
             cols = coeff_vector(sol.estimate) != 0.0
             assert 0 < np.count_nonzero(cols) <= b.out_dim
             assert_support_dual(b, sol)
@@ -336,8 +336,8 @@ class TestSolveEquality:
 
 
 def random_instance(seed, dims, d, rows, s, kind, scale):
-    """A planted s-sparse instance on random subspaces of the given block
-    dims, measured by a vector (rows of A, times d) or scalar operator."""
+    """A planted s-sparse instance on len(dims) random subspaces of dims[0]
+    dimensions, measured by a vector (rows of A, times d) or scalar operator."""
     rng = np.random.default_rng(seed)
     coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((d, k))) for k in dims))
     if kind == "vector":
@@ -353,7 +353,7 @@ def random_instance(seed, dims, d, rows, s, kind, scale):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dims=st.sampled_from([(1, 2, 2, 1), (1, 2, 2, 1, 2, 1), (2,) * 6, (2,) * 8, (1,) * 7, (3,) * 4]),
+    dims=st.sampled_from([(2,) * 6, (2,) * 8, (1,) * 7, (3,) * 4]),
     d=st.integers(3, 5),
     rows=st.integers(1, 2),
     s=st.integers(1, 3),
@@ -384,13 +384,13 @@ def test_gap_exit_returns_the_certified_iterate(monkeypatch, kind):
     real_exits = solver._support_exits
     iterates = []
 
-    def empty_support(stack, starts, lengths, support, c, nu):
+    def empty_support(stack, k, support, c, nu):
         iterates.append(c[0].copy())
-        return real_exits(stack, starts, lengths, np.zeros_like(support), c, nu)
+        return real_exits(stack, k, np.zeros_like(support), c, nu)
 
     monkeypatch.setattr(solver, "_support_exits", empty_support)
     for seed in range(12):
-        dims = ((2,) * 6, (1, 2, 2, 1, 2, 1))[seed % 2]
+        dims = ((2,) * 6, (1,) * 6)[seed % 2]
         b, y = random_instance(seed, dims, 4, 1, 2, kind, 10.0 ** (seed % 5 - 2))
         iterates.clear()
         sol = solve_equality(b, y)
@@ -406,49 +406,49 @@ class TestSupportKKT:
     system, alone and in a stack."""
 
     def wide_support(self):
-        # 3 coefficients in blocks of (1, 2) against 2 rows, started near a
+        # 4 coefficients in two blocks of 2 against 3 rows, started near a
         # point from which the iterations converge
         rng = np.random.default_rng(1)
-        b_s, x = rng.standard_normal((2, 3)), rng.standard_normal(3)
-        return b_s, b_s @ x, np.array([1, 2]), x + 0.1 * rng.standard_normal(3)
+        b_s, x = rng.standard_normal((3, 4)), rng.standard_normal(4)
+        return b_s, b_s @ x, 2, x + 0.1 * rng.standard_normal(4)
 
     @staticmethod
-    def fits(b_s, y, lengths, c_s):
+    def fits(b_s, y, k, c_s):
         # each support spans all of its B's columns
-        c, held = solver._support_kkt(b_s, y, np.ones((len(b_s), len(lengths)), dtype=bool), lengths, c_s)
+        c, held = solver._support_kkt(b_s, y, np.ones((len(b_s), b_s.shape[2] // k), dtype=bool), k, c_s)
         return [c_i if ok else None for c_i, ok in zip(c, held)]
 
-    def alone(self, b_s, y, lengths, c_s):
-        return self.fits(b_s[None], y[None], lengths, c_s[None])[0]
+    def alone(self, b_s, y, k, c_s):
+        return self.fits(b_s[None], y[None], k, c_s[None])[0]
 
     def test_masked_support_matches_its_columns_alone(self):
-        # blocks 1 and 3 of four (3 of B's 6 columns, against 2 rows):
+        # blocks 1 and 3 of four (4 of B's 8 columns, against 3 rows):
         # Newton's iterates on the masked system equal those on B_S alone
         # but for rounding, and stay zero off S
         rng = np.random.default_rng(3)
-        lengths, support = (1, 2, 2, 1), np.array([False, True, False, True])
-        cols = np.repeat(support, lengths)
-        b, x = rng.standard_normal((2, 6)), np.where(cols, rng.standard_normal(6), 0.0)
-        start = x + 0.1 * rng.standard_normal(6)
-        (c,), (held,) = solver._support_kkt(b[None], (b @ x)[None], support[None], lengths, start[None])
-        alone = self.alone(b[:, cols], b @ x, np.array([2, 1]), start[cols])
+        support = np.array([False, True, False, True])
+        cols = np.repeat(support, 2)
+        b, x = rng.standard_normal((3, 8)), np.where(cols, rng.standard_normal(8), 0.0)
+        start = x + 0.1 * rng.standard_normal(8)
+        (c,), (held,) = solver._support_kkt(b[None], (b @ x)[None], support[None], 2, start[None])
+        alone = self.alone(b[:, cols], b @ x, 2, start[cols])
         assert held and alone is not None and np.all(c[~cols] == 0.0)
         assert np.linalg.norm(c[cols] - alone) <= 1e-12 * np.linalg.norm(alone)
 
     def test_zero_block(self):
-        b_s, y, lengths, _ = self.wide_support()
-        assert self.alone(b_s, y, lengths, np.array([0.0, 1.0, 2.0])) is None
+        b_s, y, k, _ = self.wide_support()
+        assert self.alone(b_s, y, k, np.array([0.0, 0.0, 1.0, 2.0])) is None
 
     def test_singular_system(self):
         # two equal rows of B_S make K singular
-        b_s, _, lengths, c_s = self.wide_support()
-        b_s = np.vstack([b_s[0], b_s[0]])
-        assert self.alone(b_s, b_s @ c_s, lengths, c_s) is None
+        b_s, _, k, c_s = self.wide_support()
+        b_s = np.vstack([b_s[0], b_s[0], b_s[1]])
+        assert self.alone(b_s, b_s @ c_s, k, c_s) is None
 
     def test_non_finite_iterate(self, monkeypatch):
         # unpatched, the iterations converge: only the NaN ends the attempt
-        b_s, y, lengths, c_s = self.wide_support()
-        assert np.linalg.norm(b_s @ self.alone(b_s, y, lengths, c_s) - y) <= 1e-12
+        b_s, y, k, c_s = self.wide_support()
+        assert np.linalg.norm(b_s @ self.alone(b_s, y, k, c_s) - y) <= 1e-12
         real_solve = np.linalg.solve
         calls = []
 
@@ -458,7 +458,7 @@ class TestSupportKKT:
             return np.full_like(out, np.nan) if len(calls) == solver.KKT_ITERS else out
 
         monkeypatch.setattr("fusioncs.solver.np.linalg.solve", solve)
-        assert self.alone(b_s, y, lengths, c_s) is None
+        assert self.alone(b_s, y, k, c_s) is None
         assert len(calls) == solver.KKT_ITERS
 
     def test_stack_matches_each_support_alone_independent(self):
@@ -466,17 +466,16 @@ class TestSupportKKT:
         # singular K sends the stack slice by slice, and every support gets
         # the bits (or the None) of its attempt alone
         rng = np.random.default_rng(2)
-        lengths = np.array([1, 2])
-        b_s = rng.standard_normal((5, 2, 3))
+        b_s = rng.standard_normal((5, 3, 4))
         b_s[3, 1] = b_s[3, 0]
-        x = rng.standard_normal((5, 3))
+        x = rng.standard_normal((5, 4))
         y = np.einsum("ipw,iw->ip", b_s, x)
-        c_s = x + 0.1 * rng.standard_normal((5, 3))
-        c_s[1, 0] = 0.0
-        alone = [self.alone(b, yi, lengths, c) for b, yi, c in zip(b_s, y, c_s)]
+        c_s = x + 0.1 * rng.standard_normal((5, 4))
+        c_s[1, :2] = 0.0
+        alone = [self.alone(b, yi, 2, c) for b, yi, c in zip(b_s, y, c_s)]
         assert [c is None for c in alone] == [False, True, False, True, False]
-        for fits in (self.fits(b_s, y, lengths, c_s),
-                     self.fits(b_s[[0, 2, 4]], y[[0, 2, 4]], lengths, c_s[[0, 2, 4]])):
+        for fits in (self.fits(b_s, y, 2, c_s),
+                     self.fits(b_s[[0, 2, 4]], y[[0, 2, 4]], 2, c_s[[0, 2, 4]])):
             kept = fits if len(fits) == 5 else [fits[0], None, fits[1], None, fits[2]]
             for fit, one in zip(kept, alone):
                 assert (fit is None) == (one is None)
@@ -494,23 +493,22 @@ class TestSupportExits:
         return stack
 
     def test_fit_and_dual_match_lstsq_independent(self):
-        # full-rank supports on ragged blocks, narrower than, as wide as and
+        # full-rank supports on blocks of 2, narrower than, as wide as and
         # wider than B's 6 rows, in one stack: with one refinement step,
         # P^T y is the least-squares fit on S (the minimum-norm one when S
         # is wide) and P r the minimum-norm solution of B_S^T nu = r_S (the
         # least-squares one when S is wide), as lstsq gives them; each row
         # has the bits of its stack of one
         rng = np.random.default_rng(5)
-        lengths = (1, 2, 2, 1, 2, 2, 1, 2)
         supports = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 1], [1, 1, 0, 1, 0, 1, 0, 0],
                              [0, 1, 1, 0, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1]], dtype=bool)
-        mask = np.repeat(supports, lengths, axis=1)
-        assert mask.sum(axis=1).tolist() == [2, 5, 6, 7, 13, 8]
-        b, y, r = rng.standard_normal((6, 6, 13)), rng.standard_normal((6, 6)), rng.standard_normal((6, 13))
+        mask = np.repeat(supports, 2, axis=1)
+        assert mask.sum(axis=1).tolist() == [2, 6, 8, 8, 16, 10]
+        b, y, r = rng.standard_normal((6, 6, 16)), rng.standard_normal((6, 6)), rng.standard_normal((6, 16))
         maps, ok = solver._dual_maps(self.stack(b, y), mask)
         assert ok.all()
         for i, (b_i, y_i, r_i, cols) in enumerate(zip(b, y, r, mask)):
-            fit, nu = np.zeros(13), np.linalg.lstsq(b_i[:, cols].T, r_i[cols], rcond=None)[0]
+            fit, nu = np.zeros(16), np.linalg.lstsq(b_i[:, cols].T, r_i[cols], rcond=None)[0]
             fit[cols] = np.linalg.lstsq(b_i[:, cols], y_i, rcond=None)[0]
             c = maps[i].T @ y_i
             c += maps[i].T @ (y_i - b_i @ c)
@@ -530,9 +528,9 @@ class TestSupportExits:
         single = [full_bits(solve_equality(b, y)) for b, y in cases]
         real_exits, widths = solver._support_exits, []
 
-        def exits(stack, starts, lengths, support, c, nu):
-            widths.append(set((np.repeat(support, lengths, axis=1).sum(axis=1) > stack.b.shape[1]).tolist()))
-            return real_exits(stack, starts, lengths, support, c, nu)
+        def exits(stack, k, support, c, nu):
+            widths.append(set((np.repeat(support, k, axis=1).sum(axis=1) > stack.b.shape[1]).tolist()))
+            return real_exits(stack, k, support, c, nu)
 
         monkeypatch.setattr(solver, "_support_exits", exits)
         sols = solver.solve_many(*zip(*cases), [0.0] * len(cases))
@@ -928,13 +926,12 @@ class TestOracle:
         # lstsq's minimum-norm solution puts nothing on the shared column q
         np.testing.assert_allclose(coeff_vector(rec), [1, 0, 0, 1, 0, 0, 0, 0], atol=1e-10)
 
-    def test_planted_recovery_on_ragged_block_dims(self):
+    def test_planted_recovery_on_every_support(self):
         rng = np.random.default_rng(11)
-        dims = (1, 2, 2, 1)
-        coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
+        coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, 3))) for _ in range(4)))
         b = compose_with_bases(vector_operator(rng.standard_normal((3, 4)), 4), coll)
         for supp in combinations(range(4), 2):
-            coeffs = [rng.standard_normal(k) if j in supp else np.zeros(k) for j, k in enumerate(dims)]
+            coeffs = [rng.standard_normal(3) if j in supp else np.zeros(3) for j in range(4)]
             truth = np.concatenate(coeffs)
             rec, unique = oracle_recover_exhaustive(b, b.matvec(truth), 2)
             assert unique
@@ -949,8 +946,8 @@ class TestOracle:
 
 def oracle_instances():
     """(name, B, y, s) for the oracle's screen: random, repeated-column
-    (rank-deficient), ragged, wide (w >= md) and near-tolerance B, each y
-    also scaled by 1e-3 and 1e3."""
+    (rank-deficient), three-dimensional blocks, wide (w >= md) and
+    near-tolerance B, each y also scaled by 1e-3 and 1e3."""
     rng = np.random.default_rng(40)
     base = []
     for seed in range(3):
@@ -961,11 +958,10 @@ def oracle_instances():
     repeated = TestOracle.dense_blocks(np.column_stack([p, q]), np.column_stack([q, r]),
                                        np.column_stack([p, q]), rng.standard_normal((12, 2)))
     base += [("repeated", repeated, p + r, 2), ("repeated", repeated, p + q, 3)]
-    dims = (1, 2, 2, 1)
-    coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, k))) for k in dims))
-    ragged = compose_with_bases(vector_operator(rng.standard_normal((3, 4)), 4), coll)
-    planted = np.concatenate([np.zeros(1), rng.standard_normal(4), np.zeros(1)])
-    base += [("ragged", ragged, ragged.matvec(planted), 3), ("ragged", ragged, rng.standard_normal(12), 4)]
+    coll = SubspaceCollection(tuple(_orthonormalize(rng.standard_normal((4, 3))) for _ in range(4)))
+    cubes = compose_with_bases(vector_operator(rng.standard_normal((3, 4)), 4), coll)
+    planted = np.concatenate([np.zeros(3), rng.standard_normal(6), np.zeros(3)])
+    base += [("k3", cubes, cubes.matvec(planted), 3), ("k3", cubes, rng.standard_normal(12), 4)]
     wide = compose_with_bases(vector_operator(rng.standard_normal((1, 6)), 4), random_collection(4, 2, 6, seed=5))
     base.append(("wide", wide, rng.standard_normal(4), 3))
     # a fit at half the accept tolerance: y leaves range(B) by 0.5e-8 (1 + ||y||)
@@ -987,7 +983,8 @@ def reference_oracle(b, y, s):
     accept_tol = 1e-8 * (1.0 + ynorm)
     if ynorm <= accept_tol:
         return np.zeros(b.in_dim), True
-    blocks = [np.arange(start, start + dim) for start, dim in zip(b.block_starts, b.block_dims)]
+    k = b.collection.block_dim
+    blocks = [np.arange(j * k, j * k + k) for j in range(b.collection.size)]
     for level in range(1, s + 1):
         fits = []
         for support in combinations(range(b.collection.size), level):
@@ -997,7 +994,7 @@ def reference_oracle(b, y, s):
             if float(np.linalg.norm(m_s @ c_s - y)) <= accept_tol:
                 vec = np.zeros(b.in_dim)
                 vec[cols] = c_s
-                fits.append((solver._norm21_flat(vec, b.block_starts), vec, m_s))
+                fits.append((solver._norm21_flat(vec, k), vec, m_s))
         if fits:
             best = fits[0]
             for fit in fits[1:]:
@@ -1015,30 +1012,30 @@ class TestOracleScreen:
             accept_tol = 1e-8 * (1.0 + ynorm)
             for level in range(1, s + 1):
                 supports = np.array(list(combinations(range(b.collection.size), level)))
-                for _, cols in stacked_columns(b.block_starts, b.block_dims, supports):
-                    screen = solver._screen_residuals(b.matrix, y, cols)
-                    if cols.shape[1] >= b.out_dim:
-                        # y lies in the span of Q's first w >= md columns
-                        assert np.all(screen == 0.0), (name, level)
-                        wide += len(cols)
-                    lstsq = np.array([lstsq_residual(b.matrix[:, c], y) for c in cols])
-                    assert np.all(screen <= lstsq + 1e-10 * (1.0 + ynorm)), (name, level)
-                    # implied by the bound above at the shipped screen factor
-                    accepted = lstsq <= accept_tol
-                    assert np.all(screen[accepted] <= solver._SCREEN_FACTOR * accept_tol), (name, level)
+                cols = support_columns(supports, b.collection.block_dim)
+                screen = solver._screen_residuals(b.matrix, y, cols)
+                if cols.shape[1] >= b.out_dim:
+                    # y lies in the span of Q's first w >= md columns
+                    assert np.all(screen == 0.0), (name, level)
+                    wide += len(cols)
+                lstsq = np.array([lstsq_residual(b.matrix[:, c], y) for c in cols])
+                assert np.all(screen <= lstsq + 1e-10 * (1.0 + ynorm)), (name, level)
+                # implied by the bound above at the shipped screen factor
+                accepted = lstsq <= accept_tol
+                assert np.all(screen[accepted] <= solver._SCREEN_FACTOR * accept_tol), (name, level)
         assert wide > 0
 
     def test_screen_reads_r_of_the_same_qr(self):
         # the raw Householder array holds the R of mode="r", bit for bit
         for name, b, y, s in oracle_instances():
             supports = np.array(list(combinations(range(b.collection.size), s)))
-            for _, cols in stacked_columns(b.block_starts, b.block_dims, supports):
-                w = cols.shape[1]
-                aug = np.concatenate([np.moveaxis(b.matrix[:, cols], 0, 1),
-                                      np.broadcast_to(y[:, None], (len(cols), len(y), 1))], axis=2)
-                r = np.linalg.qr(aug, mode="r")
-                assert np.array_equal(solver._screen_residuals(b.matrix, y, cols),
-                                      np.linalg.norm(r[:, w:, w], axis=1)), name
+            cols = support_columns(supports, b.collection.block_dim)
+            w = cols.shape[1]
+            aug = np.concatenate([np.moveaxis(b.matrix[:, cols], 0, 1),
+                                  np.broadcast_to(y[:, None], (len(cols), len(y), 1))], axis=2)
+            r = np.linalg.qr(aug, mode="r")
+            assert np.array_equal(solver._screen_residuals(b.matrix, y, cols),
+                                  np.linalg.norm(r[:, w:, w], axis=1)), name
 
     def test_oracle_equals_lstsq_enumeration(self):
         outcomes = set()
@@ -1108,14 +1105,13 @@ class TestCertify:
         c = coeff_vector(sol.estimate)
         dense = b.support_matrix(range(coll.size))
         pinv = np.linalg.pinv(dense)
-        blocks = [slice(j0, j0 + k) for j0, k in zip(b.block_starts, b.block_dims)]
+        k = coll.block_dim
+        blocks = [slice(j * k, j * k + k) for j in range(coll.size)]
         norms = [np.linalg.norm(c[blocks[j]]) for j in range(coll.size)]
         j_zero = int(np.argmin(norms))
         rng = np.random.default_rng(7)
         perturbed = c.copy()
-        perturbed[blocks[j_zero]] += 1e-3 * rng.standard_normal(
-            b.block_dims[j_zero]
-        )
+        perturbed[blocks[j_zero]] += 1e-3 * rng.standard_normal(k)
         projected = perturbed - pinv @ (dense @ perturbed - y)
         assert np.linalg.norm(dense @ projected - y) <= 1e-9
         obj_perturbed = float(
