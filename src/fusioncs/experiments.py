@@ -491,7 +491,7 @@ def run_bound_table(config: ExperimentConfig) -> list[dict]:
     return [
         bounds_mod.bound_report(
             s=cell.s, N=cell.N, k=cell.k, d=cell.d, lam=cell.lambda_,
-            epsilon=config.epsilon, beta=beta,
+            alpha=subgaussian_alpha(config.ensemble), epsilon=config.epsilon, beta=beta,
         ).to_dict()
         for _, _, cell in _cells(config, [(s, 0) for s in config.sparsity_grid])
     ]

@@ -7,7 +7,9 @@ Composed with the subspace bases, either operator becomes one dense matrix
 over the coefficient vector (:class:`CoefficientOperator`), which the
 solver, the isometry constants and the oracle all read. Exhaustive support
 enumerations share read-only tables of supports and their columns, built
-on first use (:func:`support_groups`).
+on first use (:func:`support_groups`); beside them, the oracle's unions of
+blocks and each support's union (:func:`support_unions`,
+:func:`union_owners`).
 """
 
 from __future__ import annotations
@@ -262,12 +264,95 @@ def support_groups(supports, k: int, s: int, entries: int):
 
 @lru_cache(maxsize=32)
 def _support_table(n: int, k: int, s: int, entries: int, chunk_entries: int) -> tuple:
-    everything = np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=int,
-                             count=math.comb(n, s) * s).reshape(-1, s)
+    everything = _combinations(n, s)
     cols = support_columns(everything, k)
     everything.flags.writeable = cols.flags.writeable = False
     size = max(1, chunk_entries // entries)
     return tuple((everything[i:i + size], cols[i:i + size]) for i in range(0, len(everything), size))
+
+
+def _combinations(n: int, s: int) -> np.ndarray:
+    """Every s-subset of range(n), one per row, in lexicographic order."""
+    return np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=int,
+                       count=math.comb(n, s) * s).reshape(-1, s)
+
+
+def support_unions(n: int, k: int, s: int, rows: int) -> np.ndarray:
+    """Columns of the unions of blocks that screen every support of up to
+    s of n blocks of k columns in a matrix of ``rows`` rows: a read-only
+    array with one row per union, each of fewer than ``rows`` columns.
+
+    t = (rows - 1) // k blocks is the widest union whose QR of [B_U | y]
+    still has a residual entry. The blocks split into consecutive groups
+    of g = t // s, and the unions are every s-combination of groups in
+    lexicographic order (all groups, when there are at most s), each
+    padded with the lowest-index blocks outside it to the common width of
+    min(s * g, n) blocks, so that one stacked QR screens them all. There
+    are none when g = 0, or when their table would hold more than
+    _TABLE_ENTRIES indices, by the rule of :func:`support_groups`. The
+    array is built on first use and kept for the process (the 32 last
+    used), keyed by n, k, g and s.
+    """
+    g = _group_size(n, k, s, rows)
+    return _support_unions(n, k, g, s) if g else np.empty((0, 0), dtype=int)
+
+
+def union_owners(n: int, k: int, s: int, rows: int, level: int) -> np.ndarray:
+    """For each support of ``AllSupports(n, level)``, in its order, the
+    index of its union in ``support_unions(n, k, s, rows)``: the union of
+    its own groups and the lowest-index other groups, which holds it. A
+    read-only array, built as the unions are; -1 for every support when
+    there are no unions or when the level's support table would stream.
+    """
+    g = _group_size(n, k, s, rows)
+    count = math.comb(n, level)
+    if not g or count * level * (k + 1) > _TABLE_ENTRIES:
+        return np.broadcast_to(np.intp(-1), (count,))
+    return _union_owners(n, g, min(s, -(-n // g)), level)
+
+
+def _group_size(n: int, k: int, s: int, rows: int) -> int:
+    """Blocks per group of :func:`support_unions`, 0 when there are no
+    unions."""
+    g = (rows - 1) // k // s if s else 0
+    if g:
+        groups = -(-n // g)
+        if math.comb(groups, min(s, groups)) * min(s * g, n) * (k + 1) > _TABLE_ENTRIES:
+            return 0
+    return g
+
+
+def _fill(mask: np.ndarray, width: int) -> np.ndarray:
+    """``mask`` with the lowest-index False entries of each row set, up to
+    ``width`` True entries per row."""
+    free = ~mask
+    return mask | (free & (np.cumsum(free, axis=1) <= width - mask.sum(axis=1, keepdims=True)))
+
+
+@lru_cache(maxsize=32)
+def _support_unions(n: int, k: int, g: int, s: int) -> np.ndarray:
+    groups = -(-n // g)
+    combos = _combinations(groups, min(s, groups))
+    inside = (np.arange(n) // g == combos[:, :, None]).any(axis=1)
+    cols = support_columns(np.nonzero(_fill(inside, min(s * g, n)))[1].reshape(len(combos), -1), k)
+    cols.flags.writeable = False
+    return cols
+
+
+@lru_cache(maxsize=32)
+def _union_owners(n: int, g: int, picks: int, level: int) -> np.ndarray:
+    groups = -(-n // g)
+    count = math.comb(n, level)
+    touched = np.zeros((count, groups), dtype=bool)
+    touched[np.arange(count)[:, None], _combinations(n, level) // g] = True
+    picked = np.nonzero(_fill(touched, picks))[1].reshape(count, picks)
+    # lexicographic rank of the picked groups: total - 1 minus the sum of
+    # comb(groups - 1 - picked[:, i], picks - i), every term below total
+    total = math.comb(groups, picks)
+    binom = np.array([[min(math.comb(a, b), total) for b in range(picks + 1)] for a in range(groups)])
+    owners = total - 1 - binom[groups - 1 - picked, picks - np.arange(picks)].sum(axis=1)
+    owners.flags.writeable = False
+    return owners
 
 
 def support_columns(supports, k: int) -> np.ndarray:

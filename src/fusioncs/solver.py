@@ -48,12 +48,17 @@ triple alone bit for bit, whatever else the stack holds;
 :func:`solve_equality`, :func:`solve_noisy` and :func:`certify` work on
 stacks of one.
 
-The exhaustive oracle (:func:`oracle_recover_exhaustive`) reads its
-supports S and their columns from the shared support tables, screens them
-by one stacked QR of [B_S | y] per batch, whose residual |R[w, w]| is read
-straight from the Householder array of ``np.linalg.qr(..., mode="raw")``
-and never exceeds the least-squares residual on S but for rounding, and
-decides each screened support by ``lstsq``.
+The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens y
+twice before it solves. One stacked QR of [B_U | y] over a fixed family
+of unions U of blocks (:func:`fusioncs.measurement.support_unions`)
+clears every union whose residual is far above the accept tolerance, and
+with it every support assigned to it: the distance from y to the span of
+U bounds the distance from y to the span of any S inside U. The supports
+S left, read with their columns from the shared support tables, are
+screened by one stacked QR of [B_S | y] per batch, and each support that
+passes is decided by ``lstsq``. Both screens read the residual |R[w, w]|
+straight from the Householder array of ``np.linalg.qr(..., mode="raw")``,
+and it never exceeds the least-squares residual on S but for rounding.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .frames import SubspaceCollection, coherence
-from .measurement import AllSupports, CoefficientOperator, support_groups
+from .measurement import AllSupports, CoefficientOperator, support_groups, support_unions, union_owners
 from .signals import BlockSignal, coeff_vector, from_coeff_vector
 
 # the oracle's stacked QR residuals screen supports at this multiple of the
@@ -719,11 +724,13 @@ def closed_form_orthogonal(y: np.ndarray, a: np.ndarray, collection: SubspaceCol
 
 
 def _screen_residuals(matrix, y, cols) -> np.ndarray:
-    """||R[w:, w]|| of the QR of [B_S | y] for a stack of supports: at most
-    the least-squares residual min_c ||B_S c - y|| but for rounding (see
-    :func:`oracle_recover_exhaustive`).
+    """||R[w:, w]|| of the QR of [B_S | y] for a stack of column sets S,
+    supports or unions of blocks: the distance from y to a space that
+    contains range(B_S), so at most the least-squares residual
+    min_c ||B_S c - y|| on S or on any support inside S, but for rounding
+    (see :func:`oracle_recover_exhaustive`).
 
-    ``cols`` holds one support's w columns of ``matrix`` per row. R is read
+    ``cols`` holds one set's w columns of ``matrix`` per row. R is read
     from the Householder array h of ``mode="raw"``, whose lower triangle
     holds R^T (the same LAPACK ``geqrf`` as ``mode="r"``, without the
     ``triu`` copy): h[w, w] = R[w, w] when B has more than w rows, nothing
@@ -742,41 +749,63 @@ def oracle_recover_exhaustive(
 ) -> tuple[BlockSignal | None, bool]:
     """Exact sparsest-feasible search by support enumeration.
 
-    Scans supports of size 0, 1, ..., s in lexicographic order and solves a
-    least-squares problem on each; a support is accepted when its residual is
-    at most 1e-8 * (1 + ||y||). The first cardinality level with an accepted
+    Scans supports of size 0, 1, ..., min(s, N) in lexicographic order; a
+    support is accepted when its least-squares residual is at most
+    1e-8 * (1 + ||y||). The first cardinality level with an accepted
     support is the winner; ties within the level break toward the smaller
     block norm sum. ``unique`` is True when exactly one support at that level
     fits and its column matrix has full rank.
 
-    Supports go through in the chunks of the shared support table of
-    their level (:func:`fusioncs.measurement.support_groups`), screened at
-    _SCREEN_FACTOR times the accept tolerance by one stacked Householder
-    QR of [B_S | y] = QR per chunk (:func:`_screen_residuals`). For S of w
-    columns, Q's first w columns span a space that contains range(B_S),
-    whatever the rank of B_S, so ||R[w:, w]|| (|R[w, w]|, or 0 when B has
-    at most w rows) is the distance from y to that space: at most the
-    least-squares residual on S but for rounding, and no fitting support
-    is screened out. R[w, w] is read in place from the raw Householder
-    array, the output of the same LAPACK ``geqrf`` that ``mode="r"``
-    copies out, so the screen has the same bits. Each screened support is
-    solved again by ``lstsq`` on its columns; that solution decides
-    acceptance and gives the estimate.
+    Each support passes up to three tests, in order, and leaves at the
+    first it fails; the first two screen at _SCREEN_FACTOR times the
+    accept tolerance. (1) Its union: before the levels, one stacked QR of
+    [B_U | y] screens the unions U of
+    :func:`fusioncs.measurement.support_unions`, and a support whose union
+    (:func:`fusioncs.measurement.union_owners`) is cleared leaves; a
+    support without a union stays. (2) Its own QR: the supports left go
+    through in the chunks of the shared support table of their level
+    (:func:`fusioncs.measurement.support_groups`), screened by one stacked
+    Householder QR of [B_S | y] = QR per chunk (:func:`_screen_residuals`).
+    (3) ``lstsq`` on its columns, whose residual decides acceptance and
+    whose solution is the estimate.
+
+    For S of w columns, Q's first w columns span a space that contains
+    range(B_S), whatever the rank of B_S, so ||R[w:, w]|| (|R[w, w]|, or 0
+    when B has at most w rows) is the distance from y to that space: at
+    most the least-squares residual on S but for rounding. A union U of
+    w_U columns that holds S has Q's first w_U columns spanning a space
+    that contains range(B_S) too, so |R_U[w_U, w_U]| bounds S's residual
+    the same way, and a rank-deficient union only lowers it. Neither
+    screen rules out a fitting support, so the accepted set, and every
+    output bit, is that of ``lstsq`` on every support. R[w, w] is read in
+    place from the raw Householder array, the output of the same LAPACK
+    ``geqrf`` that ``mode="r"`` copies out, so the screen has the same
+    bits.
     """
     y = _check_y(B, y)
     if s < 0:
         raise InvalidSparsityError(f"s={s} must be nonnegative")
     n = B.collection.size
     k = B.collection.block_dim
-    if math.comb(n, min(s, n)) * max(1, (s * k) ** 3) > 10**9:
+    s = min(s, n)
+    if math.comb(n, s) * max(1, (s * k) ** 3) > 10**9:
         raise TooLargeError("support enumeration would exceed the work guard")
     ynorm = float(np.linalg.norm(y))
     accept_tol = 1e-8 * (1.0 + ynorm)
     if ynorm <= accept_tol:
         return from_coeff_vector(B.collection, np.zeros(B.in_dim)), True
-    for level in range(1, min(s, n) + 1):
+    # kept[u] is False for a cleared union u; kept[-1], for a support
+    # without a union, is True
+    kept = np.append(_screen_residuals(B.matrix, y, support_unions(n, k, s, B.out_dim))
+                     <= _SCREEN_FACTOR * accept_tol, True)
+    for level in range(1, s + 1):
         accepted = []
+        owners, start = union_owners(n, k, s, B.out_dim, level), 0
         for _, chunk_cols in support_groups(AllSupports(n, level), k, level, B.out_dim * (level * k + 1)):
+            stop = start + len(chunk_cols)
+            chunk_cols, start = chunk_cols[kept[owners[start:stop]]], stop
+            if not len(chunk_cols):
+                continue
             fit = _screen_residuals(B.matrix, y, chunk_cols) <= _SCREEN_FACTOR * accept_tol
             for cols in chunk_cols[fit]:
                 m_s = B.matrix[:, cols]

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fusioncs import experiments, solver
+from fusioncs import bounds as bounds_mod, experiments, solver
 
 from fusioncs.errors import ConfigError, SchemaError
 from fusioncs.experiments import (
@@ -477,6 +477,19 @@ class TestBoundTable:
         assert len(rows) == 2
         assert rows[0]["parameters"]["s"] == 1
         assert rows[1]["parameters"]["lambda"] == 0.0
+
+    def test_rows_use_the_ensembles_alpha(self):
+        cfg = ExperimentConfig(experiment="bound_table", family="orthogonal", d=8, k=2, N=4,
+                               sparsity_grid=(2,), measurement_grid=(1,), base_seed=1)
+        for ensemble, alpha, beta in (("gaussian", 1.0, 2), ("bernoulli", 1.0, 1),
+                                      ("uniform_scaled", subgaussian_alpha("uniform_scaled"), 1)):
+            (row,) = run_bound_table(replace(cfg, ensemble=ensemble))
+            assert row == bounds_mod.bound_report(s=2, N=4, k=2, d=8, lam=0.0, alpha=alpha,
+                                                  epsilon=cfg.epsilon, beta=beta).to_dict(), ensemble
+        assert round(row["parameters"]["alpha"], 3) == 0.647
+        # a smaller alpha gives a smaller sufficient count than alpha = 1
+        assert round(row["sufficient_uniform_vector"], 3) == 0.809
+        assert round(row["sufficient_scalar"], 3) == 7.565
 
 
 class TestResultsIO:

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,8 @@ from fusioncs.measurement import (
     scalar_operator,
     subgaussian_alpha,
     support_groups,
+    support_unions,
+    union_owners,
     vector_operator,
 )
 from fusioncs.signals import coeff_vector, from_coeff_vector, random_sparse_signal, to_ambient
@@ -407,6 +409,67 @@ class TestSupportTables:
         assert np.array_equal(np.concatenate([cols for _, cols in got]),
                               [[0, 1, 2, 3], [4, 5, 10, 11], [2, 3, 8, 9]])
         assert got[0][0].flags.writeable
+
+
+class TestSupportUnions:
+    """The exhaustive oracle's unions of blocks and each support's union."""
+
+    @staticmethod
+    def blocks(cols, k):
+        return [set((row[::k] // k).tolist()) for row in cols]
+
+    def test_unions_and_owners_follow_the_group_rule(self):
+        for n, k, s, rows in product(range(1, 9), (1, 2), range(1, 5), range(1, 19)):
+            if s > n:
+                continue
+            cols = support_unions(n, k, s, rows)
+            g = (rows - 1) // k // s
+            groups = -(-n // g) if g else 0
+            combos = list(combinations(range(groups), min(s, groups))) if g else []
+            assert len(cols) == len(combos)
+            assert cols.shape[1] < rows
+            width = min(s * g, n)
+            for union, combo in zip(self.blocks(cols, k), combos):
+                inside = {j for j in range(n) if j // g in combo}
+                assert union == inside | set(sorted(set(range(n)) - inside)[:width - len(inside)])
+            for level in range(1, s + 1):
+                owners = union_owners(n, k, s, rows, level)
+                assert len(owners) == math.comb(n, level)
+                for support, owner in zip(combinations(range(n), level), owners):
+                    if not g:
+                        assert owner == -1
+                        continue
+                    own = sorted({j // g for j in support})
+                    others = [q for q in range(groups) if q not in own]
+                    assert combos[owner] == tuple(sorted(own + others[:len(combos[0]) - len(own)]))
+
+    def test_arrays_read_only_and_shared(self):
+        for array in (support_unions(14, 2, 3, 16), union_owners(14, 2, 3, 16, 2)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert support_unions(14, 2, 3, 16) is support_unions(14, 2, 3, 16)
+        assert union_owners(14, 2, 3, 16, 2) is union_owners(14, 2, 3, 16, 2)
+
+    def test_size_rule_keeps_every_support(self, monkeypatch):
+        # 35 unions of six blocks of two columns: 35 * 6 * 3 indices
+        monkeypatch.setattr(measurement, "_TABLE_ENTRIES", 35 * 6 * 3)
+        assert len(support_unions(14, 2, 3, 16)) == 35
+        assert np.all(union_owners(14, 2, 3, 16, 2) >= 0)
+        # level 3's table (364 supports, 3 * 3 indices each) streams
+        assert np.array_equal(union_owners(14, 2, 3, 16, 3), np.full(364, -1))
+        monkeypatch.setattr(measurement, "_TABLE_ENTRIES", 35 * 6 * 3 - 1)
+        assert support_unions(14, 2, 3, 16).shape == (0, 0)
+        assert np.array_equal(union_owners(14, 2, 3, 16, 1), np.full(14, -1))
+
+
+def test_import_builds_no_union_table():
+    src = str(Path(fusioncs.__file__).resolve().parent.parent)
+    code = ("import fusioncs, fusioncs.cli; from fusioncs import measurement as m; "
+            "print(m._support_unions.cache_info().currsize, m._union_owners.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def _coefficient_operator():

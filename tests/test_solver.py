@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusioncs import solver
+from fusioncs import measurement, solver
 from fusioncs.errors import (
     DimMismatchError,
     InvalidSparsityError,
@@ -38,6 +38,8 @@ from fusioncs.measurement import (
     sample_ensemble,
     scalar_operator,
     support_columns,
+    support_unions,
+    union_owners,
     vector_operator,
 )
 from fusioncs.signals import coeff_vector, norm_21, random_sparse_signal
@@ -937,6 +939,13 @@ class TestOracle:
             assert unique
             assert np.linalg.norm(coeff_vector(rec) - truth) <= 1e-10
 
+    def test_sparsity_above_the_block_count_is_the_block_count_independent(self):
+        b, _, y = planted_instance(random_collection(4, 2, 4, seed=3), 2, 2, seed=4)
+        for rhs in (y, np.random.default_rng(5).standard_normal(b.out_dim)):
+            rec, unique = oracle_recover_exhaustive(b, rhs, 1000)
+            ref, ref_unique = oracle_recover_exhaustive(b, rhs, 4)
+            assert np.array_equal(coeff_vector(rec), coeff_vector(ref)) and unique == ref_unique
+
     def test_guard(self):
         coll = random_collection(4, 2, 40, seed=7)
         b, _, y = planted_instance(coll, 2, 4, seed=8)
@@ -945,9 +954,10 @@ class TestOracle:
 
 
 def oracle_instances():
-    """(name, B, y, s) for the oracle's screen: random, repeated-column
+    """(name, B, y, s) for the oracle's screens: random, repeated-column
     (rank-deficient), three-dimensional blocks, wide (w >= md) and
-    near-tolerance B, each y also scaled by 1e-3 and 1e3."""
+    near-tolerance B, a tall B whose unions are padded, a B with a single
+    union and one with none, each y also scaled by 1e-3 and 1e3."""
     rng = np.random.default_rng(40)
     base = []
     for seed in range(3):
@@ -969,6 +979,21 @@ def oracle_instances():
     g = rng.standard_normal(b.out_dim)
     off = g - b.matrix @ np.linalg.lstsq(b.matrix, g, rcond=None)[0]
     base.append(("near_tol", b, y + off * (0.5e-8 * (1.0 + np.linalg.norm(y)) / np.linalg.norm(off)), 2))
+    # 16 rows, k = 2, s = 2: unions of two of the groups {0, 1, 2}, {3, 4, 5}
+    # and {6}, padded to six blocks; (1, 6) spans two groups, (3, 4) one
+    tall = TestOracle.dense_blocks(*rng.standard_normal((7, 16, 2)))
+    for support in ((1, 6), (3, 4)):
+        planted = np.zeros(14)
+        planted[support_columns(np.array([support]), 2)[0]] = rng.standard_normal(4)
+        base.append(("tall", tall, tall.matvec(planted), 2))
+    base.append(("tall", tall, rng.standard_normal(16), 2))
+    # 12 rows, four blocks of k = 2, s = 2: one union holds every block
+    whole = TestOracle.dense_blocks(*rng.standard_normal((4, 12, 2)))
+    base += [("one_union", whole, rng.standard_normal(12), 2),
+             ("one_union", whole, whole.matvec(np.concatenate([np.zeros(4), rng.standard_normal(4)])), 2)]
+    # 8 rows, k = 2, s = 4: no union of four blocks has a residual entry
+    b, _, y = planted_instance(random_collection(4, 2, 5, seed=8), 2, 2, seed=9)
+    base.append(("no_union", b, y, 4))
     return [(name, b, scale * y, s) for name, b, y, s in base for scale in (1e-3, 1.0, 1e3)]
 
 
@@ -1025,6 +1050,47 @@ class TestOracleScreen:
                 assert np.all(screen[accepted] <= solver._SCREEN_FACTOR * accept_tol), (name, level)
         assert wide > 0
 
+    def test_union_never_above_lstsq_residual_independent(self):
+        covered = 0
+        for name, b, y, s in oracle_instances():
+            n, k = b.collection.size, b.collection.block_dim
+            tol = 1e-10 * (1.0 + float(np.linalg.norm(y)))
+            unions = support_unions(n, k, s, b.out_dim)
+            screen = solver._screen_residuals(b.matrix, y, unions)
+            for level in range(1, s + 1):
+                owners = union_owners(n, k, s, b.out_dim, level)
+                assert np.all((owners >= 0) == (len(unions) > 0)), (name, level)
+                for support, owner in zip(combinations(range(n), level), owners[owners >= 0]):
+                    cols = support_columns(np.array([support]), k)[0]
+                    assert set(cols) <= set(unions[owner]), (name, support)
+                    assert screen[owner] <= lstsq_residual(b.matrix[:, cols], y) + tol, (name, support)
+                    covered += 1
+        assert covered > 0
+
+    def test_unions_clear_most_supports_independent(self, monkeypatch):
+        # criterion-2-style instances: 16 rows, k = 2, s = 3, 469 supports
+        screened = []
+        screen = solver._screen_residuals
+        monkeypatch.setattr(solver, "_screen_residuals",
+                            lambda matrix, y, cols: screened.append(len(cols)) or screen(matrix, y, cols))
+        supports = sum(math.comb(14, level) for level in (1, 2, 3))
+        for seed in range(4):
+            b, truth, y = planted_instance(random_collection(4, 2, 14, seed=seed), 3, 4, seed=seed + 30)
+            screened.clear()
+            rec, unique = oracle_recover_exhaustive(b, y, 3)
+            assert unique and np.linalg.norm(coeff_vector(rec) - truth) <= 1e-9 * np.linalg.norm(truth)
+            assert 0 < sum(screened) <= supports // 3, seed
+
+    def test_streamed_level_keeps_every_support_independent(self, monkeypatch):
+        b, _, y = planted_instance(random_collection(4, 2, 14, seed=0), 3, 4, seed=30)
+        rec, unique = oracle_recover_exhaustive(b, y, 3)
+        # the unions and levels 1 and 2 stay tabled; level 3 streams
+        monkeypatch.setattr(measurement, "_TABLE_ENTRIES", 35 * 6 * 3)
+        assert len(support_unions(14, 2, 3, 16)) == 35
+        assert np.all(union_owners(14, 2, 3, 16, 3) == -1)
+        got, got_unique = oracle_recover_exhaustive(b, y, 3)
+        assert np.array_equal(coeff_vector(got), coeff_vector(rec)) and got_unique == unique
+
     def test_screen_reads_r_of_the_same_qr(self):
         # the raw Householder array holds the R of mode="r", bit for bit
         for name, b, y, s in oracle_instances():
@@ -1037,7 +1103,7 @@ class TestOracleScreen:
             assert np.array_equal(solver._screen_residuals(b.matrix, y, cols),
                                   np.linalg.norm(r[:, w:, w], axis=1)), name
 
-    def test_oracle_equals_lstsq_enumeration(self):
+    def test_oracle_equals_lstsq_enumeration_independent(self):
         outcomes = set()
         for name, b, y, s in oracle_instances():
             est, unique = oracle_recover_exhaustive(b, y, s)
