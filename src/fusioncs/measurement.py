@@ -5,11 +5,10 @@ m' x (d*N) matrix. Vector operators take m linear combinations of the
 ambient blocks, y_i = sum_j A[i, j] x_j, which is the action of A (x) I_d.
 Composed with the subspace bases, either operator becomes one dense matrix
 over the coefficient vector (:class:`CoefficientOperator`), which the
-solver, the isometry constants and the oracle all read. Exhaustive support
-enumerations share read-only tables of supports and their columns, built
-on first use (:func:`support_groups`); beside them, the oracle's unions of
-blocks and each support's union (:func:`support_unions`,
-:func:`union_owners`).
+solver, the isometry constants and the oracle all read. Every exhaustive
+support enumeration walks :func:`support_chunks`, chunks of supports and
+their columns sliced from one read-only table per level or streamed;
+beside it, the oracle's unions of blocks (:func:`support_unions`).
 """
 
 from __future__ import annotations
@@ -217,142 +216,75 @@ class CoefficientOperator:
         return self.matrix[:, support_columns(supports, self.collection.block_dim)[0]]
 
 
-def support_chunks(supports, s: int, entries: int):
-    """(n, s) arrays of the s-supports from an iterable, in order.
+def chunk_size(entries: int) -> int:
+    """Supports per chunk when each stacks ``entries`` matrix entries."""
+    return max(1, _CHUNK_ENTRIES // entries)
 
-    Each chunk holds about _CHUNK_ENTRIES // entries supports (at least
-    one), so stacked matrices of ``entries`` entries per support stay
-    bounded whatever the number of supports.
+
+def support_chunks(n: int, k: int, s: int, entries: int):
+    """(supports, columns) for every s-subset of range(n), in lexicographic
+    order, in chunks of ``chunk_size(entries)`` supports: a (c, s) array
+    of supports and its :func:`support_columns` for blocks of k columns.
+
+    When the level holds at most _TABLE_ENTRIES indices, the chunks are
+    read-only slices of one table built on first use and kept for the
+    process (the 32 last used), keyed by n, k and s; above that, the
+    supports stream from ``itertools.combinations``, with the same values.
     """
-    supports = iter(supports)
-    size = max(1, _CHUNK_ENTRIES // entries)
-    while chunk := list(islice(supports, size)):
-        yield np.array(chunk, dtype=int).reshape(len(chunk), s)
-
-
-class AllSupports:
-    """Every s-subset of range(n), in lexicographic order.
-
-    Iterates as ``itertools.combinations(range(n), s)``; passed to
-    :func:`support_groups`, it lets a shared table stand in for the
-    enumeration.
-    """
-
-    def __init__(self, n: int, s: int):
-        self.n, self.s = n, s
-
-    def __iter__(self):
-        return combinations(range(self.n), self.s)
-
-
-def support_groups(supports, k: int, s: int, entries: int):
-    """(chunk, cols) for each chunk of ``support_chunks(supports, s,
-    entries)``, cols being the chunk's :func:`support_columns` for blocks
-    of k columns.
-
-    When ``supports`` is :class:`AllSupports` and its table holds at most
-    _TABLE_ENTRIES indices, the chunks and columns come from a table built
-    on first use and kept for the process (the 32 last used), keyed by the
-    number of blocks, k, s, ``entries`` and the _CHUNK_ENTRIES in force;
-    its arrays are read-only. Any other enumeration streams, with the same
-    values.
-    """
-    if isinstance(supports, AllSupports) and math.comb(supports.n, s) * s * (k + 1) <= _TABLE_ENTRIES:
-        return _support_table(supports.n, k, s, entries, _CHUNK_ENTRIES)
-    return ((chunk, support_columns(chunk, k)) for chunk in support_chunks(supports, s, entries))
+    size = chunk_size(entries)
+    if math.comb(n, s) * s * (k + 1) <= _TABLE_ENTRIES:
+        supports, cols = _support_table(n, k, s)
+        for i in range(0, len(supports), size):
+            yield supports[i:i + size], cols[i:i + size]
+        return
+    everything = combinations(range(n), s)
+    while chunk := list(islice(everything, size)):
+        chunk = np.array(chunk, dtype=int).reshape(len(chunk), s)
+        yield chunk, support_columns(chunk, k)
 
 
 @lru_cache(maxsize=32)
-def _support_table(n: int, k: int, s: int, entries: int, chunk_entries: int) -> tuple:
-    everything = _combinations(n, s)
-    cols = support_columns(everything, k)
-    everything.flags.writeable = cols.flags.writeable = False
-    size = max(1, chunk_entries // entries)
-    return tuple((everything[i:i + size], cols[i:i + size]) for i in range(0, len(everything), size))
+def _support_table(n: int, k: int, s: int) -> tuple:
+    supports = np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=int,
+                           count=math.comb(n, s) * s).reshape(-1, s)
+    cols = support_columns(supports, k)
+    supports.flags.writeable = cols.flags.writeable = False
+    return supports, cols
 
 
-def _combinations(n: int, s: int) -> np.ndarray:
-    """Every s-subset of range(n), one per row, in lexicographic order."""
-    return np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=int,
-                       count=math.comb(n, s) * s).reshape(-1, s)
-
-
-def support_unions(n: int, k: int, s: int, rows: int) -> np.ndarray:
-    """Columns of the unions of blocks that screen every support of up to
-    s of n blocks of k columns in a matrix of ``rows`` rows: a read-only
-    array with one row per union, each of fewer than ``rows`` columns.
+def support_unions(n: int, k: int, s: int, rows: int) -> tuple:
+    """The unions of blocks that screen the supports of up to s of n blocks
+    of k columns in a matrix of ``rows`` rows: a read-only array of their
+    columns, one union per row, each of fewer than ``rows`` columns, and a
+    read-only (unions, n) mask of their blocks.
 
     t = (rows - 1) // k blocks is the widest union whose QR of [B_U | y]
     still has a residual entry. The blocks split into consecutive groups
     of g = t // s, and the unions are every s-combination of groups in
     lexicographic order (all groups, when there are at most s), each
     padded with the lowest-index blocks outside it to the common width of
-    min(s * g, n) blocks, so that one stacked QR screens them all. There
-    are none when g = 0, or when their table would hold more than
-    _TABLE_ENTRIES indices, by the rule of :func:`support_groups`. The
-    array is built on first use and kept for the process (the 32 last
-    used), keyed by n, k, g and s.
+    min(s * g, n) blocks: one stacked QR screens them all, and every
+    support lies inside one. There are none when g = 0, or when their
+    table would hold more than _TABLE_ENTRIES indices. The arrays are
+    built on first use and kept for the process (the 32 last used).
     """
-    g = _group_size(n, k, s, rows)
-    return _support_unions(n, k, g, s) if g else np.empty((0, 0), dtype=int)
-
-
-def union_owners(n: int, k: int, s: int, rows: int, level: int) -> np.ndarray:
-    """For each support of ``AllSupports(n, level)``, in its order, the
-    index of its union in ``support_unions(n, k, s, rows)``: the union of
-    its own groups and the lowest-index other groups, which holds it. A
-    read-only array, built as the unions are; -1 for every support when
-    there are no unions or when the level's support table would stream.
-    """
-    g = _group_size(n, k, s, rows)
-    count = math.comb(n, level)
-    if not g or count * level * (k + 1) > _TABLE_ENTRIES:
-        return np.broadcast_to(np.intp(-1), (count,))
-    return _union_owners(n, g, min(s, -(-n // g)), level)
-
-
-def _group_size(n: int, k: int, s: int, rows: int) -> int:
-    """Blocks per group of :func:`support_unions`, 0 when there are no
-    unions."""
     g = (rows - 1) // k // s if s else 0
-    if g:
-        groups = -(-n // g)
-        if math.comb(groups, min(s, groups)) * min(s * g, n) * (k + 1) > _TABLE_ENTRIES:
-            return 0
-    return g
-
-
-def _fill(mask: np.ndarray, width: int) -> np.ndarray:
-    """``mask`` with the lowest-index False entries of each row set, up to
-    ``width`` True entries per row."""
-    free = ~mask
-    return mask | (free & (np.cumsum(free, axis=1) <= width - mask.sum(axis=1, keepdims=True)))
+    groups = -(-n // g) if g else 0
+    if g and math.comb(groups, min(s, groups)) * min(s * g, n) * (k + 1) <= _TABLE_ENTRIES:
+        return _support_unions(n, k, g, s)
+    return np.empty((0, 0), dtype=int), np.zeros((0, n), dtype=bool)
 
 
 @lru_cache(maxsize=32)
-def _support_unions(n: int, k: int, g: int, s: int) -> np.ndarray:
+def _support_unions(n: int, k: int, g: int, s: int) -> tuple:
     groups = -(-n // g)
-    combos = _combinations(groups, min(s, groups))
-    inside = (np.arange(n) // g == combos[:, :, None]).any(axis=1)
-    cols = support_columns(np.nonzero(_fill(inside, min(s * g, n)))[1].reshape(len(combos), -1), k)
-    cols.flags.writeable = False
-    return cols
-
-
-@lru_cache(maxsize=32)
-def _union_owners(n: int, g: int, picks: int, level: int) -> np.ndarray:
-    groups = -(-n // g)
-    count = math.comb(n, level)
-    touched = np.zeros((count, groups), dtype=bool)
-    touched[np.arange(count)[:, None], _combinations(n, level) // g] = True
-    picked = np.nonzero(_fill(touched, picks))[1].reshape(count, picks)
-    # lexicographic rank of the picked groups: total - 1 minus the sum of
-    # comb(groups - 1 - picked[:, i], picks - i), every term below total
-    total = math.comb(groups, picks)
-    binom = np.array([[min(math.comb(a, b), total) for b in range(picks + 1)] for a in range(groups)])
-    owners = total - 1 - binom[groups - 1 - picked, picks - np.arange(picks)].sum(axis=1)
-    owners.flags.writeable = False
-    return owners
+    inside = (np.arange(n) // g == _support_table(groups, 1, min(s, groups))[0][:, :, None]).any(axis=1)
+    # pad each union with the lowest-index blocks outside it
+    free = ~inside
+    mask = inside | (free & (np.cumsum(free, axis=1) <= min(s * g, n) - inside.sum(axis=1, keepdims=True)))
+    cols = support_columns(np.nonzero(mask)[1].reshape(len(mask), -1), k)
+    cols.flags.writeable = mask.flags.writeable = False
+    return cols, mask
 
 
 def support_columns(supports, k: int) -> np.ndarray:

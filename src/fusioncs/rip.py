@@ -24,8 +24,9 @@ relative margin of 1e-9 and an absolute one of 1e-12 (far above
 rounding), stays below the running maximum cannot attain it and is
 skipped. Values, worst supports and counts are those of evaluating every
 support. The exhaustive constants read their chunks and Gram columns from
-tables shared by every enumeration of one shape
-(:func:`fusioncs.measurement.support_groups`).
+the one enumeration of every support
+(:func:`fusioncs.measurement.support_chunks`); the sampled constant stacks
+its draws into chunks of the same size.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ import numpy as np
 from .errors import ModeError, TooLargeError
 from .frames import SubspaceCollection
 from .measurement import (
-    AllSupports,
     CoefficientOperator,
+    chunk_size,
     compose_with_bases,
     scalar_operator,
-    support_groups,
+    support_chunks,
+    support_columns,
     vector_operator,
 )
 
@@ -86,14 +88,12 @@ def enumerable(n: int, k: int, s: int) -> bool:
     return math.comb(n, s) <= MAX_SUPPORTS_EXACT and s * k <= MAX_SUPPORT_COLUMNS
 
 
-def _check_guards(n: int, k: int, s: int) -> None:
+def _check_level(n: int, s: int) -> None:
+    """Raise ValueError unless s is an integer in [1, n]."""
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise ValueError(f"s={s!r} must be an integer")
     if not 1 <= s <= n:
         raise ValueError(f"s={s} outside [1, {n}]")
-    if not enumerable(n, k, s):
-        raise TooLargeError(
-            f"{math.comb(n, s)} supports of {s * k} columns "
-            f"exceed the guards of {MAX_SUPPORTS_EXACT} supports and {MAX_SUPPORT_COLUMNS} columns"
-        )
 
 
 def _block_norms(op: CoefficientOperator, gram) -> np.ndarray:
@@ -135,8 +135,9 @@ def _fill_deltas(deltas, gram, cols, picked) -> None:
         deltas[picked] = np.maximum(smax2 - 1.0, 1.0 - smin2)
 
 
-def _max_over_supports(op: CoefficientOperator, supports, s: int):
-    """Largest per-support constant over an iterable of s-supports.
+def _max_over_supports(op: CoefficientOperator, chunks):
+    """Largest per-support constant over chunks of supports, each an (c, s)
+    array of supports with its :func:`support_columns`.
 
     Returns (value, first support attaining it, number of supports). The
     Gram matrix G = B^T B is formed once; finite entries whose products
@@ -155,9 +156,7 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
     reaches the running maximum. A skipped support cannot attain the
     maximum, and eigvalsh of one block does not depend on the rest of its
     batch, so the value and the first support attaining it are those of
-    evaluating every support. The count covers every support. Every
-    support of the blocks (:class:`AllSupports`) reads a shared table of
-    chunks and columns (:func:`support_groups`).
+    evaluating every support. The count covers every support.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # fails once, below
         gram = op.matrix.T @ op.matrix
@@ -165,8 +164,7 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
         raise ValueError("the operator has non-finite entries")
     norms = _block_norms(op, gram)
     value, worst, count = -math.inf, None, 0
-    k = op.collection.block_dim
-    for chunk, cols in support_groups(supports, k, s, (s * k) ** 2):
+    for chunk, cols in chunks:
         bounds = _bounds(norms, chunk)
         deltas = np.full(len(chunk), -math.inf)
         seeds = np.zeros(len(chunk), dtype=bool)
@@ -183,8 +181,13 @@ def _max_over_supports(op: CoefficientOperator, supports, s: int):
 
 def _exact_over_supports(op: CoefficientOperator, s: int) -> RipEstimate:
     n, k = op.collection.size, op.collection.block_dim
-    _check_guards(n, k, s)
-    value, worst, count = _max_over_supports(op, AllSupports(n, s), s)
+    _check_level(n, s)
+    if not enumerable(n, k, s):
+        raise TooLargeError(
+            f"{math.comb(n, s)} supports of {s * k} columns "
+            f"exceed the guards of {MAX_SUPPORTS_EXACT} supports and {MAX_SUPPORT_COLUMNS} columns"
+        )
+    value, worst, count = _max_over_supports(op, support_chunks(n, k, s, (s * k) ** 2))
     return RipEstimate(
         s=s, value=value, mode="exact", supports_evaluated=count, worst_support=worst
     )
@@ -213,20 +216,19 @@ def mc_frip(
     """Sampled lower bound of :func:`exact_frip`.
 
     Draws ``trials`` supports uniformly with replacement and maximizes the
-    per-support constant over the draws.
+    per-support constant over the draws, stacked in draw order into chunks
+    of the exhaustive enumeration's size.
     """
-    n = collection.size
+    n, k = collection.size, collection.block_dim
     if trials < 1:
         raise ValueError("trials must be positive")
-    if not 1 <= s <= n:
-        raise ValueError(f"s={s} outside [1, {n}]")
+    _check_level(n, s)
     b = compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection)
     rng = np.random.default_rng(seed)
-    draws = (
-        tuple(int(j) for j in np.sort(rng.choice(n, size=s, replace=False)))
-        for _ in range(trials)
-    )
-    value, worst, count = _max_over_supports(b, draws, s)
+    draws = np.array([np.sort(rng.choice(n, size=s, replace=False)) for _ in range(trials)])
+    size = chunk_size((s * k) ** 2)
+    value, worst, count = _max_over_supports(b, (
+        (draws[i:i + size], support_columns(draws[i:i + size], k)) for i in range(0, trials, size)))
     return RipEstimate(
         s=s, value=value, mode="monte_carlo", supports_evaluated=count, worst_support=worst
     )

@@ -52,11 +52,12 @@ The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens y
 twice before it solves. One stacked QR of [B_U | y] over a fixed family
 of unions U of blocks (:func:`fusioncs.measurement.support_unions`)
 clears every union whose residual is far above the accept tolerance, and
-with it every support assigned to it: the distance from y to the span of
-U bounds the distance from y to the span of any S inside U. The supports
-S left, read with their columns from the shared support tables, are
-screened by one stacked QR of [B_S | y] per batch, and each support that
-passes is decided by ``lstsq``. Both screens read the residual |R[w, w]|
+with it every support inside any cleared union: the distance from y to
+the span of U bounds the distance from y to the span of any S inside U.
+The supports S left, read with their columns from the one enumeration of
+supports (:func:`fusioncs.measurement.support_chunks`), are screened by
+one stacked QR of [B_S | y] per chunk, and each support that passes is
+decided by ``lstsq``. Both screens read the residual |R[w, w]|
 straight from the Householder array of ``np.linalg.qr(..., mode="raw")``,
 and it never exceeds the least-squares residual on S but for rounding.
 """
@@ -66,6 +67,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,7 +79,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .frames import SubspaceCollection, coherence
-from .measurement import AllSupports, CoefficientOperator, support_groups, support_unions, union_owners
+from .measurement import CoefficientOperator, support_chunks, support_unions
 from .signals import BlockSignal, coeff_vector, from_coeff_vector
 
 # the oracle's stacked QR residuals screen supports at this multiple of the
@@ -758,16 +760,15 @@ def oracle_recover_exhaustive(
 
     Each support passes up to three tests, in order, and leaves at the
     first it fails; the first two screen at _SCREEN_FACTOR times the
-    accept tolerance. (1) Its union: before the levels, one stacked QR of
+    accept tolerance. (1) Its unions: before the levels, one stacked QR of
     [B_U | y] screens the unions U of
-    :func:`fusioncs.measurement.support_unions`, and a support whose union
-    (:func:`fusioncs.measurement.union_owners`) is cleared leaves; a
-    support without a union stays. (2) Its own QR: the supports left go
-    through in the chunks of the shared support table of their level
-    (:func:`fusioncs.measurement.support_groups`), screened by one stacked
-    Householder QR of [B_S | y] = QR per chunk (:func:`_screen_residuals`).
-    (3) ``lstsq`` on its columns, whose residual decides acceptance and
-    whose solution is the estimate.
+    :func:`fusioncs.measurement.support_unions`, and a support that lies
+    inside any cleared union leaves, by one containment test per chunk.
+    (2) Its own QR: the supports left go through in the chunks of their
+    level (:func:`fusioncs.measurement.support_chunks`), screened by one
+    stacked Householder QR of [B_S | y] = QR per chunk
+    (:func:`_screen_residuals`). (3) ``lstsq`` on its columns, whose
+    residual decides acceptance and whose solution is the estimate.
 
     For S of w columns, Q's first w columns span a space that contains
     range(B_S), whatever the rank of B_S, so ||R[w:, w]|| (|R[w, w]|, or 0
@@ -781,29 +782,37 @@ def oracle_recover_exhaustive(
     place from the raw Householder array, the output of the same LAPACK
     ``geqrf`` that ``mode="r"`` copies out, so the screen has the same
     bits.
+
+    Raises InvalidSparsityError unless s is a nonnegative integer, and
+    TooLargeError when the sum over the levels l of comb(N, l) * (l k)^3
+    exceeds 10^9.
     """
     y = _check_y(B, y)
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise InvalidSparsityError(f"s={s!r} must be an integer")
     if s < 0:
         raise InvalidSparsityError(f"s={s} must be nonnegative")
     n = B.collection.size
     k = B.collection.block_dim
     s = min(s, n)
-    if math.comb(n, s) * max(1, (s * k) ** 3) > 10**9:
+    work = accumulate(math.comb(n, level) * (level * k) ** 3 for level in range(1, s + 1))
+    if any(w > 10**9 for w in work):
         raise TooLargeError("support enumeration would exceed the work guard")
     ynorm = float(np.linalg.norm(y))
     accept_tol = 1e-8 * (1.0 + ynorm)
     if ynorm <= accept_tol:
         return from_coeff_vector(B.collection, np.zeros(B.in_dim)), True
-    # kept[u] is False for a cleared union u; kept[-1], for a support
-    # without a union, is True
-    kept = np.append(_screen_residuals(B.matrix, y, support_unions(n, k, s, B.out_dim))
-                     <= _SCREEN_FACTOR * accept_tol, True)
+    union_cols, masks = support_unions(n, k, s, B.out_dim)
+    cleared = masks[_screen_residuals(B.matrix, y, union_cols) > _SCREEN_FACTOR * accept_tol]
+    # row j of words holds one bit per cleared union, set when block j is
+    # in it, so the AND of a support's rows keeps the unions that hold it
+    bits = np.hstack([cleared.T, np.zeros((n, -len(cleared) % 64), dtype=bool)])
+    words = np.packbits(bits, axis=1).view(np.uint64)
     for level in range(1, s + 1):
         accepted = []
-        owners, start = union_owners(n, k, s, B.out_dim, level), 0
-        for _, chunk_cols in support_groups(AllSupports(n, level), k, level, B.out_dim * (level * k + 1)):
-            stop = start + len(chunk_cols)
-            chunk_cols, start = chunk_cols[kept[owners[start:stop]]], stop
+        for chunk, chunk_cols in support_chunks(n, k, level, B.out_dim * (level * k + 1)):
+            # a support inside any cleared union leaves
+            chunk_cols = chunk_cols[~np.bitwise_and.reduce(words[chunk], axis=1).any(axis=1)]
             if not len(chunk_cols):
                 continue
             fit = _screen_residuals(B.matrix, y, chunk_cols) <= _SCREEN_FACTOR * accept_tol
@@ -811,18 +820,15 @@ def oracle_recover_exhaustive(
                 m_s = B.matrix[:, cols]
                 c_s, *_ = np.linalg.lstsq(m_s, y, rcond=None)
                 if float(np.linalg.norm(m_s @ c_s - y)) <= accept_tol:
-                    accepted.append((cols, c_s, m_s))
+                    vec = np.zeros(B.in_dim)
+                    vec[cols] = c_s
+                    accepted.append((_norm21_flat(vec, k), vec, m_s))
         if accepted:
-            best = None
-            best_norm = math.inf
-            for cols, c_s, m_s in accepted:
-                vec = np.zeros(B.in_dim)
-                vec[cols] = c_s
-                n21 = _norm21_flat(vec, k)
-                if n21 < best_norm - 1e-15:
-                    best_norm = n21
-                    best = (vec, m_s)
-            vec, m_s = best
+            best = accepted[0]
+            for candidate in accepted[1:]:
+                if candidate[0] < best[0] - 1e-15:
+                    best = candidate
+            _, vec, m_s = best
             unique = bool(len(accepted) == 1 and np.linalg.matrix_rank(m_s) == m_s.shape[1])
             return from_coeff_vector(B.collection, vec), unique
     return None, False

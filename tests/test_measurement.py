@@ -24,7 +24,6 @@ from fusioncs.frames import (
 )
 from fusioncs import measurement
 from fusioncs.measurement import (
-    AllSupports,
     EnsembleSpec,
     MeasurementOperator,
     add_noise,
@@ -38,9 +37,8 @@ from fusioncs.measurement import (
     sample_ensemble,
     scalar_operator,
     subgaussian_alpha,
-    support_groups,
+    support_chunks,
     support_unions,
-    union_owners,
     vector_operator,
 )
 from fusioncs.signals import coeff_vector, from_coeff_vector, random_sparse_signal, to_ambient
@@ -342,15 +340,17 @@ class TestMatrixSerialization:
 
 class TestSupportTables:
     """Every s-support of n blocks of k columns, as chunks with their
-    columns, from a table shared by the enumerations of one shape."""
+    columns, sliced from one table per level or streamed above its cap."""
 
     @staticmethod
     def streamed(n, k, s, entries):
-        return list(support_groups(combinations(range(n), s), k, s, entries))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measurement, "_TABLE_ENTRIES", 0)
+            return list(support_chunks(n, k, s, entries))
 
     @staticmethod
     def tabled(n, k, s, entries):
-        return support_groups(AllSupports(n, s), k, s, entries)
+        return list(support_chunks(n, k, s, entries))
 
     @staticmethod
     def assert_same(got, expected):
@@ -364,9 +364,10 @@ class TestSupportTables:
         for s in (1, 2, 4, 9):
             for entries in (1, 64, 2**15, 2**20):
                 got = self.tabled(n, k, s, entries)
-                assert isinstance(got, tuple)
                 self.assert_same(got, self.streamed(n, k, s, entries))
-                assert got is self.tabled(n, k, s, entries)
+                size = max(1, measurement._CHUNK_ENTRIES // entries)
+                assert [len(chunk) for chunk, _ in got[:-1]] == [size] * (len(got) - 1)
+                assert np.shares_memory(got[0][0], self.tabled(n, k, s, entries)[0][0])
                 assert np.array_equal(np.concatenate([chunk for chunk, _ in got]),
                                       list(combinations(range(n), s)))
                 # block j is columns j*k, ..., j*k + k - 1, in the support's order
@@ -374,12 +375,15 @@ class TestSupportTables:
                                       [np.hstack([range(j * k, j * k + k) for j in supp])
                                        for supp in combinations(range(n), s)])
 
-    def test_chunk_size_in_force_keys_the_table(self, monkeypatch):
+    def test_chunk_size_takes_effect_without_keying_the_table(self, monkeypatch):
         before = self.tabled(8, 2, 3, 16)
+        misses = measurement._support_table.cache_info().misses
         monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 16 * 5)
         after = self.tabled(8, 2, 3, 16)
         assert [len(chunk) for chunk, _ in after] == [5] * 11 + [1]
         assert len(before) != len(after)
+        assert measurement._support_table.cache_info().misses == misses
+        assert np.shares_memory(before[0][0], after[0][0]) and np.shares_memory(before[0][1], after[0][1])
         self.assert_same(after, self.streamed(8, 2, 3, 16))
 
     def test_table_arrays_read_only(self):
@@ -390,29 +394,20 @@ class TestSupportTables:
                     array[0] = 0
 
     def test_table_above_the_cap_streams(self, monkeypatch):
-        cached = measurement._support_table.cache_info().currsize
+        misses = measurement._support_table.cache_info().misses
         # each support takes s indices and s * k columns
         monkeypatch.setattr(measurement, "_TABLE_ENTRIES", math.comb(7, 3) * (3 + 6) - 1)
         got = self.tabled(7, 2, 3, 10)
-        assert not isinstance(got, tuple)
-        got = list(got)
-        assert measurement._support_table.cache_info().currsize == cached
-        assert got[0][0].flags.writeable
-        self.assert_same(got, self.streamed(7, 2, 3, 10))
+        assert measurement._support_table.cache_info().misses == misses
+        assert got[0][0].flags.writeable and got[0][1].flags.writeable
         monkeypatch.undo()
-        assert isinstance(self.tabled(7, 2, 3, 10), tuple)
-
-    def test_other_enumerations_stream(self):
-        subset = [(0, 1), (2, 5), (1, 4)]
-        got = list(support_groups(iter(subset), 2, 2, 4))
-        assert np.array_equal(np.concatenate([chunk for chunk, _ in got]), subset)
-        assert np.array_equal(np.concatenate([cols for _, cols in got]),
-                              [[0, 1, 2, 3], [4, 5, 10, 11], [2, 3, 8, 9]])
-        assert got[0][0].flags.writeable
+        tabled = self.tabled(7, 2, 3, 10)
+        assert not tabled[0][0].flags.writeable
+        self.assert_same(got, tabled)
 
 
 class TestSupportUnions:
-    """The exhaustive oracle's unions of blocks and each support's union."""
+    """The exhaustive oracle's unions of blocks."""
 
     @staticmethod
     def blocks(cols, k):
@@ -422,51 +417,49 @@ class TestSupportUnions:
         for n, k, s, rows in product(range(1, 9), (1, 2), range(1, 5), range(1, 19)):
             if s > n:
                 continue
-            cols = support_unions(n, k, s, rows)
+            cols, masks = support_unions(n, k, s, rows)
             g = (rows - 1) // k // s
             groups = -(-n // g) if g else 0
             combos = list(combinations(range(groups), min(s, groups))) if g else []
-            assert len(cols) == len(combos)
+            assert len(cols) == len(combos) and masks.shape == (len(combos), n)
             assert cols.shape[1] < rows
             width = min(s * g, n)
-            for union, combo in zip(self.blocks(cols, k), combos):
+            for union, mask, combo in zip(self.blocks(cols, k), masks, combos):
                 inside = {j for j in range(n) if j // g in combo}
                 assert union == inside | set(sorted(set(range(n)) - inside)[:width - len(inside)])
+                assert union == set(np.nonzero(mask)[0].tolist())
+            if not g:
+                continue
+            # each support lies inside its owner: the union of its own
+            # groups and the lowest-index others
             for level in range(1, s + 1):
-                owners = union_owners(n, k, s, rows, level)
-                assert len(owners) == math.comb(n, level)
-                for support, owner in zip(combinations(range(n), level), owners):
-                    if not g:
-                        assert owner == -1
-                        continue
+                for support in combinations(range(n), level):
                     own = sorted({j // g for j in support})
                     others = [q for q in range(groups) if q not in own]
-                    assert combos[owner] == tuple(sorted(own + others[:len(combos[0]) - len(own)]))
+                    owner = combos.index(tuple(sorted(own + others[:len(combos[0]) - len(own)])))
+                    assert masks[owner, list(support)].all()
 
     def test_arrays_read_only_and_shared(self):
-        for array in (support_unions(14, 2, 3, 16), union_owners(14, 2, 3, 16, 2)):
+        for array in support_unions(14, 2, 3, 16):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
         assert support_unions(14, 2, 3, 16) is support_unions(14, 2, 3, 16)
-        assert union_owners(14, 2, 3, 16, 2) is union_owners(14, 2, 3, 16, 2)
 
     def test_size_rule_keeps_every_support(self, monkeypatch):
         # 35 unions of six blocks of two columns: 35 * 6 * 3 indices
         monkeypatch.setattr(measurement, "_TABLE_ENTRIES", 35 * 6 * 3)
-        assert len(support_unions(14, 2, 3, 16)) == 35
-        assert np.all(union_owners(14, 2, 3, 16, 2) >= 0)
-        # level 3's table (364 supports, 3 * 3 indices each) streams
-        assert np.array_equal(union_owners(14, 2, 3, 16, 3), np.full(364, -1))
+        cols, masks = support_unions(14, 2, 3, 16)
+        assert cols.shape == (35, 12) and masks.shape == (35, 14)
         monkeypatch.setattr(measurement, "_TABLE_ENTRIES", 35 * 6 * 3 - 1)
-        assert support_unions(14, 2, 3, 16).shape == (0, 0)
-        assert np.array_equal(union_owners(14, 2, 3, 16, 1), np.full(14, -1))
+        cols, masks = support_unions(14, 2, 3, 16)
+        assert cols.shape == (0, 0) and masks.shape == (0, 14)
 
 
 def test_import_builds_no_union_table():
     src = str(Path(fusioncs.__file__).resolve().parent.parent)
     code = ("import fusioncs, fusioncs.cli; from fusioncs import measurement as m; "
-            "print(m._support_unions.cache_info().currsize, m._union_owners.cache_info().currsize)")
+            "print(m._support_unions.cache_info().currsize, m._support_table.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "0"]

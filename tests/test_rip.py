@@ -23,13 +23,12 @@ def kron_materialize(a, d, scale=1.0):
     return scale * np.kron(a, np.eye(d))
 
 
-def every_support_max(op, supports, s):
+def every_support_max(op, chunks):
     """Reference for rip._max_over_supports: every support through eigvalsh,
     the enumeration as it was before supports were pruned."""
     gram = op.matrix.T @ op.matrix
     value, worst, count = -math.inf, None, 0
-    k = op.collection.block_dim
-    for chunk, cols in measurement.support_groups(supports, k, s, (s * k) ** 2):
+    for chunk, cols in chunks:
         eig = np.linalg.eigvalsh(gram[cols[:, :, None], cols[:, None, :]])
         smax2, smin2 = np.maximum(eig[:, -1], 0.0), np.maximum(eig[:, 0], 0.0)
         deltas = np.maximum(smax2 - 1.0, 1.0 - smin2)
@@ -326,7 +325,8 @@ class TestPruning:
         assert rip._block_norms(b, b.matrix.T @ b.matrix).min() > 1e155
         for s in (2, 3):
             got = exact_frip(a, coll, s)
-            value, worst, count = every_support_max(b, combinations(range(6), s), s)
+            supports = np.array(list(combinations(range(6), s)))
+            value, worst, count = every_support_max(b, [(supports, measurement.support_columns(supports, 2))])
             assert (got.value.hex(), got.worst_support, got.supports_evaluated) == (value.hex(), worst, count)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -389,6 +389,18 @@ INPUT_CHECKS = {
                      ValueError, "s=0 outside [1, 3]"),
     "mc_too_many_blocks": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 4, trials=5, seed=0),
                            ValueError, "s=4 outside [1, 3]"),
+    "exact_float_s": (lambda: exact_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 2.0),
+                      ValueError, "s=2.0 must be an integer"),
+    "exact_bool_s": (lambda: exact_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), True),
+                     ValueError, "s=True must be an integer"),
+    "mc_fractional_s": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 2.5, trials=5, seed=0),
+                        ValueError, "s=2.5 must be an integer"),
+    "mc_bool_s": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), True, trials=5, seed=0),
+                  ValueError, "s=True must be an integer"),
+    "scalar_fractional_s": (lambda: scalar_rip_on_H(np.ones((2, 9)), orthogonal_collection(3, 1, 3), 2.5),
+                            ValueError, "s=2.5 must be an integer"),
+    "classical_float_s": (lambda: classical_rip(np.ones((2, 3)), 2.0), ValueError, "s=2.0 must be an integer"),
+    "classical_bool_s": (lambda: classical_rip(np.ones((2, 3)), True), ValueError, "s=True must be an integer"),
 }
 
 
@@ -398,3 +410,10 @@ def test_input_checks(case):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+def test_numpy_integer_sparsity_accepted():
+    a, coll = np.ones((2, 3)), orthogonal_collection(3, 1, 3)
+    assert exact_frip(a, coll, np.int64(2)) == exact_frip(a, coll, 2)
+    assert mc_frip(a, coll, np.int32(2), trials=5, seed=0) == mc_frip(a, coll, 2, trials=5, seed=0)
+    assert classical_rip(a, np.int64(2)) == classical_rip(a, 2)

@@ -39,7 +39,6 @@ from fusioncs.measurement import (
     scalar_operator,
     support_columns,
     support_unions,
-    union_owners,
     vector_operator,
 )
 from fusioncs.signals import coeff_vector, norm_21, random_sparse_signal
@@ -891,6 +890,16 @@ class TestOracle:
             oracle_recover_exhaustive(b, y, -1)
         assert oracle_recover_exhaustive(b, y, 0) == (None, False)
 
+    @pytest.mark.parametrize("s", [2.0, 2.5, True])
+    def test_non_integer_sparsity_rejected(self, s):
+        b, _, y = planted_instance(random_collection(4, 2, 6, seed=2), 2, 4, seed=3)
+        with pytest.raises(InvalidSparsityError) as err:
+            oracle_recover_exhaustive(b, y, s)
+        assert str(err.value) == f"s={s!r} must be an integer"
+        rec, unique = oracle_recover_exhaustive(b, y, np.int64(2))
+        ref, ref_unique = oracle_recover_exhaustive(b, y, 2)
+        assert np.array_equal(coeff_vector(rec), coeff_vector(ref)) and unique == ref_unique
+
     @staticmethod
     def dense_blocks(*blocks):
         """Operator whose coefficient matrix is the given column blocks."""
@@ -951,6 +960,15 @@ class TestOracle:
         b, _, y = planted_instance(coll, 2, 4, seed=8)
         with pytest.raises(TooLargeError):
             oracle_recover_exhaustive(b, y, 20)
+
+    def test_guard_counts_every_level(self, monkeypatch):
+        # N = 30, k = 1, s = 29: the top level holds 30 supports, but the
+        # levels below it about 10^9 together
+        monkeypatch.setattr(solver, "_screen_residuals", mock.Mock(side_effect=AssertionError("screened")))
+        rng = np.random.default_rng(61)
+        b = self.dense_blocks(*rng.standard_normal((30, 24, 1)))
+        with pytest.raises(TooLargeError):
+            oracle_recover_exhaustive(b, rng.standard_normal(24), 29)
 
 
 def oracle_instances():
@@ -1055,16 +1073,18 @@ class TestOracleScreen:
         for name, b, y, s in oracle_instances():
             n, k = b.collection.size, b.collection.block_dim
             tol = 1e-10 * (1.0 + float(np.linalg.norm(y)))
-            unions = support_unions(n, k, s, b.out_dim)
+            unions, masks = support_unions(n, k, s, b.out_dim)
             screen = solver._screen_residuals(b.matrix, y, unions)
             for level in range(1, s + 1):
-                owners = union_owners(n, k, s, b.out_dim, level)
-                assert np.all((owners >= 0) == (len(unions) > 0)), (name, level)
-                for support, owner in zip(combinations(range(n), level), owners[owners >= 0]):
+                for support in combinations(range(n), level):
                     cols = support_columns(np.array([support]), k)[0]
-                    assert set(cols) <= set(unions[owner]), (name, support)
-                    assert screen[owner] <= lstsq_residual(b.matrix[:, cols], y) + tol, (name, support)
-                    covered += 1
+                    inside = masks[:, list(support)].all(axis=1)
+                    # every support lies inside some union, when there are any
+                    assert inside.any() == (len(unions) > 0), (name, support)
+                    for u in np.nonzero(inside)[0]:
+                        assert set(cols) <= set(unions[u]), (name, support)
+                        assert screen[u] <= lstsq_residual(b.matrix[:, cols], y) + tol, (name, support)
+                        covered += 1
         assert covered > 0
 
     def test_unions_clear_most_supports_independent(self, monkeypatch):
@@ -1081,15 +1101,24 @@ class TestOracleScreen:
             assert unique and np.linalg.norm(coeff_vector(rec) - truth) <= 1e-9 * np.linalg.norm(truth)
             assert 0 < sum(screened) <= supports // 3, seed
 
-    def test_streamed_level_keeps_every_support_independent(self, monkeypatch):
+    def test_streamed_level_is_union_screened_independent(self, monkeypatch):
+        screened = []
+        screen = solver._screen_residuals
+        monkeypatch.setattr(solver, "_screen_residuals",
+                            lambda matrix, y, cols: screened.append(cols.tolist()) or screen(matrix, y, cols))
         b, _, y = planted_instance(random_collection(4, 2, 14, seed=0), 3, 4, seed=30)
         rec, unique = oracle_recover_exhaustive(b, y, 3)
+        tabled = [row for rows in screened for row in rows]
+        screened.clear()
         # the unions and levels 1 and 2 stay tabled; level 3 streams
         monkeypatch.setattr(measurement, "_TABLE_ENTRIES", 35 * 6 * 3)
-        assert len(support_unions(14, 2, 3, 16)) == 35
-        assert np.all(union_owners(14, 2, 3, 16, 3) == -1)
+        assert math.comb(14, 3) * 3 * 3 > measurement._TABLE_ENTRIES
         got, got_unique = oracle_recover_exhaustive(b, y, 3)
         assert np.array_equal(coeff_vector(got), coeff_vector(rec)) and got_unique == unique
+        assert len(screened[0]) == 35  # the first screen is the unions'
+        # the same rows reach the screen, far fewer than the 469 supports
+        assert [row for rows in screened for row in rows] == tabled
+        assert len(tabled) <= 35 + 469 // 3
 
     def test_screen_reads_r_of_the_same_qr(self):
         # the raw Householder array holds the R of mode="r", bit for bit
