@@ -146,6 +146,11 @@ def require_header(doc, names) -> None:
         raise SchemaError("version", f"unsupported version {version!r}")
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def positive_ints(doc, names) -> list[int]:
     """The named fields of doc, each a positive integer; SchemaError
     otherwise. JSON's true and false are not integers here."""

@@ -13,6 +13,14 @@ sweep. Any sub-grid of a configuration therefore reproduces the identical
 trials, and the order in which cells and trials run cannot affect results.
 One collection is fixed per cell; the measurement ensemble is resampled per
 trial.
+
+A recovery sweep sets its trials up in one pass: it hashes every trial seed
+of the sweep at once into the state words ``np.random.default_rng(seed)``
+would give its PCG64 (:func:`_seed_states`), and draws the signals and
+measurement matrices of each cell into stacks from generators seeded with
+those words, bit for bit as the public single-seed calls
+(``random_sparse_signal``, ``sample_ensemble``, ``add_noise``) draw them
+through ``default_rng``.
 """
 
 from __future__ import annotations
@@ -21,23 +29,25 @@ import csv
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import ConfigError, SchemaError, read_json, require_fields, write_json
+from .errors import ConfigError, SchemaError, is_integer, read_json, require_fields, write_json
 from .frames import SubspaceCollection, angle_family, coherence, orthogonal_collection, random_collection
 from .measurement import (
     DISTRIBUTIONS,
     EnsembleSpec,
-    add_noise,
     coefficient_operators,
+    perturb,
     sample_ensemble,
+    sample_ensembles,
     subgaussian_alpha,
 )
 from .rip import enumerable, exact_frip, mc_frip
-from .signals import coeff_vector, random_sparse_signal
+from .signals import coeff_vector, random_sparse_coeffs
 from .solver import MAX_ITERS, solve_many
 
 EXPERIMENTS = ("phase_transition", "noise_robustness", "frip_sweep", "bound_table")
@@ -79,6 +89,75 @@ def derive_seed(base_seed: int, cell_key: int, trial_index: int, stream: int) ->
     """64-bit SplitMix64 fold of the trial coordinates; the published mixing
     function behind every random draw of a sweep."""
     return _fold(base_seed & _MASK64, (cell_key, trial_index, stream))
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed at
+    once: a (len(seeds), 4) uint64 array, the words with which
+    ``np.random.default_rng(seed)`` seeds its PCG64.
+
+    A vectorized uint32 transcription of ``hashmix``, ``mix``,
+    ``SeedSequence.mix_entropy`` and ``SeedSequence.generate_state`` in
+    numpy/random/bit_generator.pyx, for the default pool of four words. A
+    seed in [0, 2**64) is one or two little-endian entropy words; the pool
+    words past them hash zeros, as they do for a one-word seed. Any other
+    seed raises ValueError.
+    """
+    seeds = list(seeds)
+    if not all(is_integer(seed) and 0 <= seed <= _MASK64 for seed in seeds):
+        raise ValueError("seeds must be integers in [0, 2**64)")
+    seeds = np.array(seeds, dtype=np.uint64)
+
+    def hasher(hash_const, mult):
+        # hashmix, and generate_state's word hash, each with its own
+        # running constant
+        def hash_word(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * mult & 0xFFFFFFFF
+            value *= np.uint32(hash_const)
+            return value ^ (value >> 16)
+        return hash_word
+
+    def mix(x, y):
+        result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return result ^ (result >> 16)
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    pool = [hashmix(word) for word in ((seeds & 0xFFFFFFFF).astype(np.uint32),
+                                       (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    generate = hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _state_words():
+    """The seed sequence that seeds a PCG64 with state words hashed in
+    advance by :func:`_seed_states`, through numpy's documented seeding
+    hook: PCG64 asks for ``generate_state(4, np.uint64)`` and gets the
+    words. Made on first use, so that importing the package does not load
+    numpy.random."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _generators(states) -> list:
+    """One generator per row of PCG64 state words."""
+    words_seed = _state_words()
+    return [np.random.Generator(np.random.PCG64(words_seed(words))) for words in states]
 
 
 def _float_bits(x: float) -> int:
@@ -388,7 +467,9 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
     copy without a draw and the ball program is the equality program. The
     eta rows of a trial share its B, signal and noise direction, and every
     (cell, eta, trial) instance of the sweep goes to one :func:`solve_many`
-    call, which stacks the programs of one shape across cells.
+    call, which stacks the programs of one shape across cells. The seeds of
+    every trial and stream are hashed in one :func:`_seed_states` call, and
+    a cell's signals and matrices are drawn into stacks.
     """
     def score(sol, truth):
         rel = float(np.linalg.norm(coeff_vector(sol.estimate) - truth) / np.linalg.norm(truth))
@@ -396,18 +477,25 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
         return converged and rel <= config.success_tol, rel, sol.iterations, not converged
 
     trials = range(config.trials_per_cell)
+    streams = (STREAM_SIGNAL, STREAM_ENSEMBLE, STREAM_NOISE)[:3 if any(etas) else 2]
+    keyed = list(_cells(config, grid))
+    # _splitmix64(prefix ^ stream) is derive_seed(base_seed, key, t, stream)
+    seeds = [_splitmix64(_fold(config.base_seed & _MASK64, (key, t)) ^ stream)
+             for key, _, _ in keyed for t in trials for stream in streams]
+    # (cell, stream, trial, word)
+    states = _seed_states(seeds).reshape(len(keyed), len(trials), len(streams), 4).transpose(0, 2, 1, 3)
     cells, ops, ys = [], [], []
-    for key, coll, cell in _cells(config, grid):
-        # _splitmix64(prefix ^ stream) is derive_seed(base_seed, key, t, stream)
-        prefixes = [_fold(config.base_seed & _MASK64, (key, t)) for t in trials]
-        truths = [coeff_vector(random_sparse_signal(coll, cell.s, _splitmix64(p ^ STREAM_SIGNAL)))
-                  for p in prefixes]
-        a = [sample_ensemble(EnsembleSpec(config.ensemble, cell.m, coll.size, _splitmix64(p ^ STREAM_ENSEMBLE)))
-             for p in prefixes]
-        cell_ops = coefficient_operators("vector", a, scale, coll)
+    for (_, coll, cell), words in zip(keyed, states):
+        signal, ensemble, *noise = map(_generators, words)
+        truths = random_sparse_coeffs(coll, cell.s, signal)
+        cell_ops = coefficient_operators(
+            "vector", sample_ensembles(config.ensemble, cell.m, coll.size, ensemble), scale, coll)
         clean = [b.matrix @ truth for b, truth in zip(cell_ops, truths)]
-        ys += [add_noise(y, eta, _splitmix64(p ^ STREAM_NOISE)) if eta else y
-               for eta in etas for p, y in zip(prefixes, clean)]
+        if noise:
+            directions = sample_ensembles("gaussian", 1, len(clean[0]), *noise)[:, 0]
+            ys += [perturb(y, eta, e) if eta else y for eta in etas for y, e in zip(clean, directions)]
+        else:
+            ys += clean * len(etas)
         ops += cell_ops * len(etas)
         cells.append((cell, truths))
     sols = iter(solve_many(ops, ys, [eta or 0.0 for _ in cells for eta in etas for _ in trials],

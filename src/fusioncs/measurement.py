@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     ZeroColumnError,
     float_list,
+    is_integer,
     positive_ints,
     read_json,
     require_header,
@@ -53,19 +54,30 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise InvalidDimsError(f"need rows, cols >= 1, got {self.rows}x{self.cols}")
+        if not (is_integer(self.rows) and is_integer(self.cols)) or self.rows < 1 or self.cols < 1:
+            raise InvalidDimsError(f"need integer rows, cols >= 1, got {self.rows!r}x{self.cols!r}")
 
 
 def sample_ensemble(spec: EnsembleSpec) -> np.ndarray:
     """Draw the matrix described by ``spec``; deterministic given its seed."""
-    rng = np.random.default_rng(spec.seed)
-    shape = (spec.rows, spec.cols)
-    if spec.distribution == "gaussian":
-        return rng.standard_normal(shape)
-    if spec.distribution == "bernoulli":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=shape)
+    return sample_ensembles(spec.distribution, spec.rows, spec.cols, [np.random.default_rng(spec.seed)])[0]
+
+
+def sample_ensembles(distribution: str, rows: int, cols: int, rngs) -> np.ndarray:
+    """A (len(rngs), rows, cols) stack of matrices of the distribution, one
+    drawn from each generator of ``rngs`` as :func:`sample_ensemble` draws
+    from its seed's, each written in place."""
+    out = np.empty((len(rngs), rows, cols))
+    for rng, mat in zip(rngs, out):
+        if distribution == "gaussian":
+            rng.standard_normal(out=mat)
+        elif distribution == "bernoulli":
+            mat[...] = rng.integers(0, 2, size=mat.shape)
+            mat *= 2.0
+            mat -= 1.0
+        else:
+            mat[...] = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=mat.shape)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -343,10 +355,12 @@ def add_noise(y: np.ndarray, eta: float, seed: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if eta == 0.0:
         return y.copy()
-    rng = np.random.default_rng(seed)
-    e = rng.standard_normal(y.shape[0])
-    e *= eta / np.linalg.norm(e)
-    return y + e
+    return perturb(y, eta, sample_ensembles("gaussian", 1, y.shape[0], [np.random.default_rng(seed)])[0, 0])
+
+
+def perturb(y: np.ndarray, eta: float, e: np.ndarray) -> np.ndarray:
+    """y plus the direction e rescaled to norm eta."""
+    return y + e * (eta / np.linalg.norm(e))
 
 
 def matrix_coherences(a: np.ndarray, collection: SubspaceCollection) -> tuple[float, float]:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeError, TooLargeError
+from .errors import InvalidParamError, ModeError, TooLargeError, is_integer
 from .frames import SubspaceCollection
 from .measurement import (
     CoefficientOperator,
@@ -90,7 +90,7 @@ def enumerable(n: int, k: int, s: int) -> bool:
 
 def _check_level(n: int, s: int) -> None:
     """Raise ValueError unless s is an integer in [1, n]."""
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+    if not is_integer(s):
         raise ValueError(f"s={s!r} must be an integer")
     if not 1 <= s <= n:
         raise ValueError(f"s={s} outside [1, {n}]")
@@ -220,8 +220,8 @@ def mc_frip(
     of the exhaustive enumeration's size.
     """
     n, k = collection.size, collection.block_dim
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not (is_integer(trials) and trials >= 1):
+        raise InvalidParamError(f"trials={trials!r} must be a positive integer")
     _check_level(n, s)
     b = compose_with_bases(vector_operator(a, collection.ambient_dim, scale), collection)
     rng = np.random.default_rng(seed)

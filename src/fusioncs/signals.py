@@ -20,6 +20,7 @@ from .errors import (
     InvalidSparsityError,
     SchemaError,
     float_list,
+    is_integer,
     positive_ints,
     read_json,
     require_header,
@@ -104,21 +105,29 @@ def random_sparse_signal(
     sphere of its subspace; ``gaussian_blocks`` fills it with independent
     standard normal coefficients. Deterministic for a fixed seed.
     """
-    n = collection.size
+    vecs = random_sparse_coeffs(collection, s, [np.random.default_rng(seed)], amplitude_law)
+    return BlockSignal._owning(collection, vecs[0])
+
+
+def random_sparse_coeffs(collection: SubspaceCollection, s: int, rngs,
+                         amplitude_law: str = "unit_norm_blocks") -> np.ndarray:
+    """A (len(rngs), N*k) stack of coefficient vectors, one drawn from each
+    generator of ``rngs`` as :func:`random_sparse_signal` draws from its
+    seed's, each block written in place."""
+    n, k = collection.size, collection.block_dim
+    if not is_integer(s):
+        raise InvalidSparsityError(f"s={s!r} must be an integer")
     if not 1 <= s <= n:
         raise InvalidSparsityError(f"s={s} outside [1, {n}]")
     if amplitude_law not in AMPLITUDE_LAWS:
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
-    rng = np.random.default_rng(seed)
-    support_idx = np.sort(rng.choice(n, size=s, replace=False))
-    k = collection.block_dim
-    vec = np.zeros(n * k)
-    for j in support_idx.tolist():
-        g = rng.standard_normal(k)
-        if amplitude_law == "unit_norm_blocks":
-            g /= math.sqrt(g @ g)  # the value np.linalg.norm gives a 1-D float vector
-        vec[j * k:(j + 1) * k] = g
-    return BlockSignal._owning(collection, vec)
+    out = np.zeros((len(rngs), n, k))
+    for rng, blocks in zip(rngs, out):
+        for j in np.sort(rng.choice(n, size=s, replace=False)).tolist():
+            g = rng.standard_normal(out=blocks[j])
+            if amplitude_law == "unit_norm_blocks":
+                g /= math.sqrt(g @ g)  # the value np.linalg.norm gives a 1-D float vector
+    return out.reshape(len(rngs), n * k)
 
 
 def block_norms(x: BlockSignal) -> np.ndarray:

@@ -77,6 +77,7 @@ from .errors import (
     NotOrthogonalError,
     TooLargeError,
     ZeroCoefficientError,
+    is_integer,
 )
 from .frames import SubspaceCollection, coherence
 from .measurement import CoefficientOperator, support_chunks, support_unions
@@ -788,7 +789,7 @@ def oracle_recover_exhaustive(
     exceeds 10^9.
     """
     y = _check_y(B, y)
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+    if not is_integer(s):
         raise InvalidSparsityError(f"s={s!r} must be an integer")
     if s < 0:
         raise InvalidSparsityError(f"s={s} must be nonnegative")

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from fusioncs.experiments import (
 from fusioncs.frames import coherence, random_collection
 from fusioncs.bounds import sufficient_uniform_vector
 from fusioncs.measurement import (
+    DISTRIBUTIONS,
     EnsembleSpec,
     add_noise,
     compose_with_bases,
@@ -43,6 +48,55 @@ from fusioncs.measurement import (
 )
 from fusioncs.rip import mc_frip
 from fusioncs.signals import coeff_vector, random_sparse_signal
+
+
+def _parity_seeds() -> list[int]:
+    """The edges of one and two entropy words, and 50 seeds on each side
+    of 2**32."""
+    rng = np.random.default_rng(31)
+    below = rng.integers(0, 2**32, size=50, dtype=np.uint64)
+    above = rng.integers(2**32, 2**64 - 1, size=50, dtype=np.uint64, endpoint=True)
+    return [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [int(x) for x in (*below, *above)]
+
+
+def _draws(rng) -> tuple:
+    return (rng.standard_normal(5).tobytes(), rng.choice(9, size=4, replace=False).tolist(),
+            rng.integers(0, 2, size=6).tolist(), rng.uniform(-1.0, 1.0, size=3).tobytes())
+
+
+class TestSeedStates:
+    def test_match_seed_sequence(self):
+        seeds = _parity_seeds()
+        states = experiments._seed_states(seeds)
+        assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+        for seed, words in zip(seeds, states):
+            assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+    def test_generators_draw_as_default_rng(self):
+        seeds = _parity_seeds()
+        for seed, rng in zip(seeds, experiments._generators(experiments._seed_states(seeds))):
+            assert _draws(rng) == _draws(np.random.default_rng(seed))
+
+    def test_empty(self):
+        assert experiments._seed_states([]).shape == (0, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, 2.5, True])
+    def test_rejects_seeds_outside_two_words(self, seed):
+        with pytest.raises(ValueError, match=r"seeds must be integers in \[0, 2\*\*64\)"):
+            experiments._seed_states([0, seed])
+
+
+def test_import_loads_no_more_of_numpy_random_than_numpy_does():
+    # the seed sequence type is made on first use, so importing the package
+    # leaves numpy.random as importing numpy leaves it
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "print('numpy.random' in sys.modules)"
+    alone, package = (
+        subprocess.run([sys.executable, "-c", f"import sys, {modules}; {probe}"], env=env,
+                       capture_output=True, text=True, check=True).stdout
+        for modules in ("numpy", "fusioncs, fusioncs.cli"))
+    assert package == alone
 
 
 REQUIRED_CONFIG_FIELDS = ("experiment", "family", "d", "k", "N", "sparsity_grid", "measurement_grid")
@@ -359,13 +413,14 @@ class TestStackedTrials:
             assert solver.certify(sol, b, y).ok
 
 
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("kind", sorted(STACKED_CONFIGS))
-    def test_cell_setup_matches_per_trial_construction_independent(self, kind, recorded_solves):
-        # a cell's seeds come from one prefix per trial and its operators
-        # from one broadcast: every (B, y) equals the trial's own
-        # derive_seed, random_sparse_signal, compose_with_bases and
-        # add_noise, bit for bit
-        cfg = ExperimentConfig(**STACKED_CONFIGS[kind], trials_per_cell=4)
+    def test_cell_setup_matches_per_trial_construction_independent(self, kind, distribution, recorded_solves):
+        # a sweep's seeds are hashed in one pass and a cell's signals,
+        # matrices and operators drawn and built as stacks: every (B, y)
+        # equals the trial's own derive_seed, random_sparse_signal,
+        # sample_ensemble, compose_with_bases and add_noise, bit for bit
+        cfg = ExperimentConfig(**STACKED_CONFIGS[kind], ensemble=distribution, trials_per_cell=4)
         noise = cfg.experiment == "noise_robustness"
         (run_noise_robustness if noise else run_phase_transition)(cfg)
         expected = []

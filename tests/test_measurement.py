@@ -71,6 +71,26 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             EnsembleSpec("cauchy", 5, 5, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**100])
+    def test_draws_match_default_rng_reference_independent(self, seed):
+        # the matrices and the noise drawn as one default_rng(seed) call
+        # draws them, bit for bit, for every seed default_rng takes
+        expected = {
+            "gaussian": np.random.default_rng(seed).standard_normal((3, 5)),
+            "bernoulli": np.random.default_rng(seed).integers(0, 2, size=(3, 5)).astype(float) * 2.0 - 1.0,
+            "uniform_scaled": np.random.default_rng(seed).uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(3, 5)),
+        }
+        for distribution, mat in expected.items():
+            assert sample_ensemble(EnsembleSpec(distribution, 3, 5, seed)).tobytes() == mat.tobytes()
+        y = np.arange(1.0, 6.0)
+        e = np.random.default_rng(seed).standard_normal(5)
+        e *= 0.25 / np.linalg.norm(e)
+        assert add_noise(y, 0.25, seed).tobytes() == (y + e).tobytes()
+
+    def test_numpy_integer_dims_accepted(self):
+        spec = EnsembleSpec("gaussian", np.int64(2), np.int32(3), seed=0)
+        assert np.array_equal(sample_ensemble(spec), sample_ensemble(EnsembleSpec("gaussian", 2, 3, seed=0)))
+
 
 class TestSubgaussianParameters:
     def test_unit_alpha_cases(self):
@@ -496,6 +516,14 @@ INPUT_CHECKS = {
                           InvalidDimsError, "A must be a matrix"),
     "coherences_columns": (lambda: matrix_coherences(np.ones((2, 2)), orthogonal_collection(4, 1, 3)),
                            DimMismatchError, "A has 2 columns for 3 subspaces"),
+    "spec_fractional_rows": (lambda: EnsembleSpec("gaussian", 2.5, 3, seed=0), InvalidDimsError,
+                             "need integer rows, cols >= 1, got 2.5x3"),
+    "spec_float_cols": (lambda: EnsembleSpec("gaussian", 2, 2.0, seed=0), InvalidDimsError,
+                        "need integer rows, cols >= 1, got 2x2.0"),
+    "spec_bool_rows": (lambda: EnsembleSpec("gaussian", True, 3, seed=0), InvalidDimsError,
+                       "need integer rows, cols >= 1, got Truex3"),
+    "spec_zero_rows": (lambda: EnsembleSpec("gaussian", 0, 3, seed=0), InvalidDimsError,
+                       "need integer rows, cols >= 1, got 0x3"),
     "to_dict_vector": (lambda: matrix_to_dict(np.ones(3)), InvalidDimsError, "only matrices serialize to JSON"),
 }
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fusioncs import measurement, rip
-from fusioncs.errors import DimMismatchError, ModeError, TooLargeError
+from fusioncs.errors import DimMismatchError, InvalidParamError, ModeError, TooLargeError
 from fusioncs.experiments import ExperimentConfig, run_frip_sweep
 from fusioncs.frames import SubspaceCollection, _orthonormalize, orthogonal_collection, random_collection
 from fusioncs.measurement import EnsembleSpec, compose_with_bases, sample_ensemble, vector_operator
@@ -397,6 +397,14 @@ INPUT_CHECKS = {
                         ValueError, "s=2.5 must be an integer"),
     "mc_bool_s": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), True, trials=5, seed=0),
                   ValueError, "s=True must be an integer"),
+    "mc_fractional_trials": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 2, trials=2.5, seed=0),
+                             InvalidParamError, "trials=2.5 must be a positive integer"),
+    "mc_float_trials": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 2, trials=5.0, seed=0),
+                        InvalidParamError, "trials=5.0 must be a positive integer"),
+    "mc_bool_trials": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 2, trials=True, seed=0),
+                       InvalidParamError, "trials=True must be a positive integer"),
+    "mc_no_trials": (lambda: mc_frip(np.ones((2, 3)), orthogonal_collection(3, 1, 3), 2, trials=0, seed=0),
+                     InvalidParamError, "trials=0 must be a positive integer"),
     "scalar_fractional_s": (lambda: scalar_rip_on_H(np.ones((2, 9)), orthogonal_collection(3, 1, 3), 2.5),
                             ValueError, "s=2.5 must be an integer"),
     "classical_float_s": (lambda: classical_rip(np.ones((2, 3)), 2.0), ValueError, "s=2.0 must be an integer"),
@@ -417,3 +425,4 @@ def test_numpy_integer_sparsity_accepted():
     assert exact_frip(a, coll, np.int64(2)) == exact_frip(a, coll, 2)
     assert mc_frip(a, coll, np.int32(2), trials=5, seed=0) == mc_frip(a, coll, 2, trials=5, seed=0)
     assert classical_rip(a, np.int64(2)) == classical_rip(a, 2)
+    assert mc_frip(a, coll, 2, trials=np.int64(5), seed=0) == mc_frip(a, coll, 2, trials=5, seed=0)

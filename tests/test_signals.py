@@ -48,10 +48,11 @@ class TestRandomSparseSignal:
 
     def test_draws_match_per_block_reference_independent(self):
         # the same generator calls in the same order, each unit block
-        # normalized by np.linalg.norm's value, bit for bit
+        # normalized by np.linalg.norm's value, bit for bit, for every seed
+        # default_rng takes
         rng = np.random.default_rng(6)
         coll = SubspaceCollection(tuple(np.linalg.qr(rng.standard_normal((4, 3)))[0] for _ in range(5)))
-        for seed, s in ((1, 1), (2, 3), (3, 5)):
+        for seed, s in ((1, 1), (2, 3), (3, 5), (2**64 - 1, 2), (2**64, 4), (2**100, 3)):
             gen = np.random.default_rng(seed)
             expected = np.zeros((5, 3))
             for j in np.sort(gen.choice(5, size=s, replace=False)).tolist():
@@ -82,6 +83,11 @@ class TestRandomSparseSignal:
             random_sparse_signal(coll, 0, seed=0)
         with pytest.raises(InvalidSparsityError):
             random_sparse_signal(coll, 8, seed=0)
+
+    def test_numpy_integer_sparsity_accepted(self):
+        coll = random_collection(5, 2, 7, seed=0)
+        assert np.array_equal(coeff_vector(random_sparse_signal(coll, np.int64(3), seed=4)),
+                              coeff_vector(random_sparse_signal(coll, 3, seed=4)))
 
 
 class TestNorms:
@@ -295,6 +301,12 @@ INPUT_CHECKS = {
     "unknown_amplitude_law": (lambda: random_sparse_signal(orthogonal_collection(4, 2, 2), 1, seed=0,
                                                            amplitude_law="laplace"),
                               ValueError, "unknown amplitude law 'laplace'"),
+    "float_sparsity": (lambda: random_sparse_signal(orthogonal_collection(4, 2, 2), 2.0, seed=0),
+                       InvalidSparsityError, "s=2.0 must be an integer"),
+    "fractional_sparsity": (lambda: random_sparse_signal(orthogonal_collection(4, 2, 2), 2.5, seed=0),
+                            InvalidSparsityError, "s=2.5 must be an integer"),
+    "bool_sparsity": (lambda: random_sparse_signal(orthogonal_collection(4, 2, 2), True, seed=0),
+                      InvalidSparsityError, "s=True must be an integer"),
     "coeff_vector_length": (lambda: from_coeff_vector(orthogonal_collection(4, 2, 2), np.zeros(3)),
                             DimMismatchError, "expected length 4, got shape (3,)"),
 }
