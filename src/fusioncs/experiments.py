@@ -38,6 +38,7 @@ from . import bounds as bounds_mod
 from .errors import ConfigError, SchemaError, is_integer, read_json, require_fields, write_json
 from .frames import SubspaceCollection, angle_family, coherence, orthogonal_collection, random_collection
 from .measurement import (
+    _ENSEMBLES,
     DISTRIBUTIONS,
     EnsembleSpec,
     coefficient_operators,
@@ -575,7 +576,7 @@ def run_frip_sweep(config: ExperimentConfig) -> list[FripCell]:
 def run_bound_table(config: ExperimentConfig) -> list[dict]:
     """Closed-form bound reports over the family points and sparsity grid."""
     _check_experiment(config, "bound_table")
-    beta = 2 if config.ensemble == "gaussian" else 1
+    beta = _ENSEMBLES[config.ensemble].beta
     return [
         bounds_mod.bound_report(
             s=cell.s, N=cell.N, k=cell.k, d=cell.d, lam=cell.lambda_,

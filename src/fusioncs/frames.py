@@ -27,6 +27,7 @@ from .errors import (
     SingleSubspaceError,
     TooManySubspacesError,
     float_list,
+    is_integer,
     positive_ints,
     read_json,
     require_header,
@@ -150,6 +151,12 @@ def build_collection(bases, label: str = "") -> SubspaceCollection:
     return SubspaceCollection(tuple(_orthonormalize(stack)), label=label)
 
 
+def _integer_dims(**dims) -> None:
+    for name, value in dims.items():
+        if not is_integer(value):
+            raise InvalidDimsError(f"{name}={value!r} must be an integer")
+
+
 def random_collection(d: int, k: int, N: int, seed: int, label: str | None = None) -> SubspaceCollection:
     """Draw N independent uniformly random k-dimensional subspaces of R^d.
 
@@ -157,6 +164,7 @@ def random_collection(d: int, k: int, N: int, seed: int, label: str | None = Non
     makes the span Haar-distributed on the Grassmannian. Deterministic for a
     fixed seed.
     """
+    _integer_dims(d=d, k=k, N=N)
     if k > d:
         raise InvalidDimsError(f"k={k} exceeds ambient dimension d={d}")
     if N < 1 or k < 1:
@@ -170,6 +178,7 @@ def random_collection(d: int, k: int, N: int, seed: int, label: str | None = Non
 
 def orthogonal_collection(d: int, k: int, N: int) -> SubspaceCollection:
     """N mutually orthogonal coordinate-block subspaces; requires N*k <= d."""
+    _integer_dims(d=d, k=k, N=N)
     if k > d or k < 1 or N < 1:
         raise InvalidDimsError(f"invalid dimensions d={d}, k={k}, N={N}")
     if N * k > d:
@@ -193,6 +202,7 @@ def angle_family(k: int, N: int, theta: float) -> SubspaceCollection:
     and F the shared (N+1)-th block. Every cross product U_i^T U_j equals
     sin^2(theta) * I_k, so theta sweeps coherence from 0 to 1.
     """
+    _integer_dims(k=k, N=N)
     if not 0.0 <= theta <= math.pi / 2 + 1e-15:
         raise InvalidAngleError(f"theta={theta} outside [0, pi/2]")
     if N < 1 or k < 1:

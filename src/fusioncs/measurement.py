@@ -1,4 +1,4 @@
-"""Random measurement ensembles and the two measurement operators.
+"""Random measurement ensembles, one table of their constants, and the two operators.
 
 Scalar operators act on the stacked ambient vector through a dense
 m' x (d*N) matrix. Vector operators take m linear combinations of the
@@ -14,6 +14,7 @@ beside it, the oracle's unions of blocks (:func:`support_unions`).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
@@ -35,7 +36,19 @@ from .errors import (
 from .frames import SubspaceCollection, coherence
 from .signals import BlockSignal, to_ambient
 
-DISTRIBUTIONS = ("gaussian", "bernoulli", "uniform_scaled")
+# One row per entry law xi: alpha and psi2 as subgaussian_alpha and psi2_norm
+# define them (bounds.sufficient_uniform_vector carries alpha^4), and beta, the
+# log power of bounds.sufficient_nonuniform_vector. A Gaussian xi has
+# E exp(xi^2 / (2 C^2)) = (1 - 1/C^2)^{-1/2}. For xi uniform on [-a, a],
+# a = sqrt(3), the stored doubles solve alpha^2 = sup_{0<t<a} t^2 / (2 ln(2 / (1 - t/a)))
+# and sqrt(pi/2) (C/a) erfi(a / (sqrt(2) C)) = 2.
+_Ensemble = namedtuple("_Ensemble", "alpha psi2 beta")
+_ENSEMBLES = {
+    "gaussian": _Ensemble(1.0, 2.0 / math.sqrt(3.0), 2),
+    "bernoulli": _Ensemble(1.0, 1.0 / math.sqrt(2.0 * math.log(2.0)), 1),
+    "uniform_scaled": _Ensemble(0.6474576263690153, 0.9463699055361486, 1),
+}
+DISTRIBUTIONS = tuple(_ENSEMBLES)
 OPERATOR_KINDS = ("vector", "scalar")
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # variance one on [-sqrt(3), sqrt(3)]
 _CHUNK_ENTRIES = 2**15  # stacked matrix entries per chunk of supports
@@ -80,51 +93,21 @@ def sample_ensembles(distribution: str, rows: int, cols: int, rngs) -> np.ndarra
     return out
 
 
-@lru_cache(maxsize=None)
+def _ensemble(distribution: str):
+    try:
+        return _ENSEMBLES[distribution]
+    except KeyError:
+        raise ValueError(f"unknown distribution {distribution!r}") from None
+
+
 def subgaussian_alpha(distribution: str) -> float:
-    """Smallest alpha with P(|xi| > t) <= 2 exp(-t^2 / (2 alpha^2)) for all t.
-
-    Gaussian and symmetric Bernoulli entries are 1-subgaussian under this
-    tail convention. For the scaled uniform law the supremum of
-    t^2 / (2 log(2 / P(|xi| > t))) over t is found numerically.
-    """
-    if distribution in ("gaussian", "bernoulli"):
-        return 1.0
-    if distribution != "uniform_scaled":
-        raise ValueError(f"unknown distribution {distribution!r}")
-    from scipy import optimize
-
-    a = _UNIFORM_HALF_WIDTH
-
-    def neg_alpha_sq(t):
-        tail = 1.0 - t / a
-        return -(t * t) / (2.0 * math.log(2.0 / tail))
-
-    res = optimize.minimize_scalar(neg_alpha_sq, bounds=(1e-9, a - 1e-9), method="bounded")
-    return math.sqrt(-res.fun)
+    """Smallest alpha with P(|xi| > t) <= 2 exp(-t^2 / (2 alpha^2)) for all t."""
+    return _ensemble(distribution).alpha
 
 
-@lru_cache(maxsize=None)
 def psi2_norm(distribution: str) -> float:
     """Orlicz psi_2 norm: inf {C > 0 : E exp(xi^2 / (2 C^2)) <= 2}."""
-    if distribution == "gaussian":
-        # E exp(g^2 / 2C^2) = (1 - 1/C^2)^{-1/2} = 2  =>  C = 2/sqrt(3)
-        return 2.0 / math.sqrt(3.0)
-    if distribution == "bernoulli":
-        return 1.0 / math.sqrt(2.0 * math.log(2.0))
-    if distribution != "uniform_scaled":
-        raise ValueError(f"unknown distribution {distribution!r}")
-    from scipy import optimize, special
-
-    a = _UNIFORM_HALF_WIDTH
-
-    def moment_minus_two(c):
-        # E exp(x^2/2c^2) over U[-a, a] in closed form via the imaginary
-        # error function.
-        z = a / (math.sqrt(2.0) * c)
-        return math.sqrt(math.pi / 2.0) * (c / a) * special.erfi(z) - 2.0
-
-    return float(optimize.brentq(moment_minus_two, 0.3, 10.0, xtol=1e-12))
+    return _ensemble(distribution).psi2
 
 
 @dataclass(frozen=True)

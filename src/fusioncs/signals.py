@@ -158,6 +158,8 @@ def best_s_term(x: BlockSignal, s: int) -> tuple[BlockSignal, float]:
     all z with at most s nonzero blocks.
     """
     n = x.num_blocks
+    if not is_integer(s):
+        raise InvalidSparsityError(f"s={s!r} must be an integer")
     if not 0 <= s <= n:
         raise InvalidSparsityError(f"s={s} outside [0, {n}]")
     norms = block_norms(x)

@@ -124,6 +124,14 @@ class TestConstructors:
         assert fb.lower == pytest.approx(1.0, abs=1e-12)
         assert fb.upper == pytest.approx(1.0, abs=1e-12)
 
+    def test_numpy_integer_dims_accepted(self):
+        d, k, n = np.int64(4), np.int32(2), np.int64(3)
+        pairs = [(random_collection(d, k, n, seed=1), random_collection(4, 2, 3, seed=1)),
+                 (orthogonal_collection(np.int64(6), k, n), orthogonal_collection(6, 2, 3)),
+                 (angle_family(k, n, 0.3), angle_family(2, 3, 0.3))]
+        for got, want in pairs:
+            assert all(np.array_equal(u, v) for u, v in zip(got.bases, want.bases, strict=True))
+
     def test_orthogonal_collection_too_many(self):
         with pytest.raises(TooManySubspacesError):
             orthogonal_collection(4, 2, 3)
@@ -402,6 +410,12 @@ INPUT_CHECKS = {
     "orthogonal_k_above_d": (lambda: orthogonal_collection(2, 3, 1), InvalidDimsError,
                              "invalid dimensions d=2, k=3, N=1"),
     "angle_no_subspaces": (lambda: angle_family(2, 0, 0.3), InvalidDimsError, "need N >= 1 and k >= 1"),
+    "random_float_d": (lambda: random_collection(4.0, 2, 3, 1), InvalidDimsError, "d=4.0 must be an integer"),
+    "random_bool_N": (lambda: random_collection(4, 2, True, 1), InvalidDimsError, "N=True must be an integer"),
+    "orthogonal_bool_k": (lambda: orthogonal_collection(6, True, 3), InvalidDimsError, "k=True must be an integer"),
+    "orthogonal_float_N": (lambda: orthogonal_collection(6, 2, 3.0), InvalidDimsError, "N=3.0 must be an integer"),
+    "angle_float_N": (lambda: angle_family(2, 3.0, 0.3), InvalidDimsError, "N=3.0 must be an integer"),
+    "angle_bool_k": (lambda: angle_family(True, 3, 0.3), InvalidDimsError, "k=True must be an integer"),
     "packing_one_subspace": (lambda: packing_diameter(random_collection(3, 1, 1, seed=0)),
                              SingleSubspaceError, "packing diameter needs at least two subspaces"),
     "frame_bounds_nan_weight": (lambda: fusion_frame_bounds(orthogonal_collection(4, 2, 2), [1.0, math.nan]),

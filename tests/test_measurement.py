@@ -107,6 +107,14 @@ class TestSubgaussianParameters:
         shrunk = 0.98 * alpha
         assert np.any(2.0 * np.exp(-(ts**2) / (2 * shrunk**2)) < tails)
 
+    def test_uniform_alpha_is_the_supremum(self):
+        # alpha^2 = sup over 0 < t < a of t^2 / (2 ln(2 / (1 - t/a))), read off a
+        # grid whose spacing, 9e-6, puts the grid's maximum within 1e-10 of it
+        a = math.sqrt(3.0)
+        ts = np.linspace(1e-9, a - 1e-9, 200_001)
+        sup = np.max(ts**2 / (2.0 * np.log(2.0 / (1.0 - ts / a))))
+        assert subgaussian_alpha("uniform_scaled") ** 2 == pytest.approx(sup, rel=1e-9)
+
     def test_psi2_closed_forms(self):
         assert psi2_norm("gaussian") == pytest.approx(2.0 / math.sqrt(3.0))
         assert psi2_norm("bernoulli") == pytest.approx(1.0 / math.sqrt(2.0 * math.log(2.0)))
@@ -119,12 +127,19 @@ class TestSubgaussianParameters:
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    # scipy is imported only inside the uniform_scaled branches above, so the
-    # library and its CLI start without scipy.optimize and scipy.special
+    # every ensemble constant is a tabled number, so neither importing the
+    # library and its CLI nor using every constant, a uniform_scaled bound
+    # table included, loads any part of scipy
     src = str(Path(fusioncs.__file__).resolve().parent.parent)
     code = (
-        "import sys, fusioncs, fusioncs.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+        "import sys, fusioncs, fusioncs.cli\n"
+        "from fusioncs.experiments import ExperimentConfig, run_bound_table\n"
+        "from fusioncs.measurement import DISTRIBUTIONS, psi2_norm, subgaussian_alpha\n"
+        "for dist in DISTRIBUTIONS:\n"
+        "    subgaussian_alpha(dist), psi2_norm(dist)\n"
+        "run_bound_table(ExperimentConfig(experiment='bound_table', family='orthogonal', d=8, k=2, N=4,\n"
+        "                                 sparsity_grid=(2,), measurement_grid=(1,), ensemble='uniform_scaled'))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

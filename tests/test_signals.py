@@ -152,6 +152,11 @@ class TestBestSTerm:
         with pytest.raises(InvalidSparsityError):
             best_s_term(x, 3)
 
+    def test_numpy_integer_s_accepted(self):
+        x = signal_with_block_norms([3.0, 1.0, 2.0])
+        (got, got_sigma), (want, want_sigma) = best_s_term(x, np.int64(2)), best_s_term(x, 2)
+        assert np.array_equal(coeff_vector(got), coeff_vector(want)) and got_sigma == want_sigma
+
     @pytest.mark.parametrize("seed", range(20))
     def test_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -307,6 +312,12 @@ INPUT_CHECKS = {
                             InvalidSparsityError, "s=2.5 must be an integer"),
     "bool_sparsity": (lambda: random_sparse_signal(orthogonal_collection(4, 2, 2), True, seed=0),
                       InvalidSparsityError, "s=True must be an integer"),
+    "best_s_term_fractional": (lambda: best_s_term(signal_with_block_norms([1.0, 2.0]), 1.5),
+                               InvalidSparsityError, "s=1.5 must be an integer"),
+    "best_s_term_float": (lambda: best_s_term(signal_with_block_norms([1.0, 2.0]), 2.0),
+                          InvalidSparsityError, "s=2.0 must be an integer"),
+    "best_s_term_bool": (lambda: best_s_term(signal_with_block_norms([1.0, 2.0]), True),
+                         InvalidSparsityError, "s=True must be an integer"),
     "coeff_vector_length": (lambda: from_coeff_vector(orthogonal_collection(4, 2, 2), np.zeros(3)),
                             DimMismatchError, "expected length 4, got shape (3,)"),
 }
