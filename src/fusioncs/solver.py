@@ -12,12 +12,17 @@ least-squares solves after. An injective B has a single feasible point,
 certified without iterating. Otherwise both programs run as second-order
 cone programs,
 
-    min sum_j t_j   s.t.  ||c_j||_2 <= t_j  (and ||B c - y||_2 <= eta),
+    min sum_j t_j   s.t.  ||c_j||_2 <= t_j  (and ||R c - Q^T y||_2 <= radius),
 
 the equality program over c = c_ls + Z w, by a primal-dual interior-point
 method with Nesterov-Todd scaling and a Mehrotra corrector that keeps every
-iterate strictly feasible. The cone multipliers give the dual vector nu:
-the negated ball multiplier, or the least-squares solution of
+iterate strictly feasible. The ball program runs on a thin QR B = Q R:
+with y_perp the part of y outside the range of Q, ||B c - y||^2 =
+||R c - Q^T y||^2 + ||y_perp||^2, so ||B c - y|| <= eta is the cone
+(radius, Q^T y - R c), radius = sqrt(eta^2 - ||y_perp||^2), of
+min(p, n) + 1 entries for a p x n B. The cone multipliers give the dual
+vector nu: from the ball cone's multiplier (z0, z1), nu = (z0 / radius)
+y_perp - Q z1; for the equality program, the least-squares solution of
 B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
 nu bounds the distance to the optimum by the gap
 ||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
@@ -43,7 +48,7 @@ ends it. Every step of a stack, its support fits, stop tests and
 solutions included, acts on arrays slice by slice, on slices with the
 layout of the 2-D arrays they stack: elementwise arithmetic, ``reduceat``,
 stacked ``matmul`` (a dot as one BLAS dot per row, :func:`_dots`),
-``solve`` and ``eigh``. Each solution therefore equals the solve of its
+``solve``, ``eigh`` and ``qr``. Each solution therefore equals the solve of its
 triple alone bit for bit, whatever else the stack holds;
 :func:`solve_equality`, :func:`solve_noisy` and :func:`certify` work on
 stacks of one.
@@ -65,7 +70,7 @@ and it never exceeds the least-squares residual on S but for rounding.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -91,10 +96,11 @@ _SCREEN_FACTOR = 10.0
 # The stopping rule of both programs, which certify applies again at ten
 # times each tolerance. TOL_PRIMAL is relative to 1 + ||y||, TOL_DUAL to the
 # unit dual ball, and TOL_GAP is absolute at the scale of the objective.
-# MAX_ITERS bounds the Newton steps, which take at most 14 (ball program)
-# and 6 (equality program) on the shipped sweeps, and 12 on 1,500 random
-# equality instances with y scaled by 10^[-3, 3]. KKT_ITERS bounds the
-# Newton iterations of one attempt on a support's optimality system.
+# MAX_ITERS bounds the Newton steps, which take at most 14 (ball program,
+# on criterion 9's sweep) and 6 (equality program) on the shipped sweeps,
+# and 12 on 1,500 random equality instances with y scaled by 10^[-3, 3].
+# KKT_ITERS bounds the Newton iterations of one attempt on a support's
+# optimality system.
 MAX_ITERS = 100
 KKT_ITERS = 4
 TOL_PRIMAL = 1e-9
@@ -160,14 +166,14 @@ def _residuals(b, ys, etas, vecs, nus, k):
     """Per row of a stack: the primal violation max(0, ||B c - y|| - eta),
     max_j ||(B^T nu)_j|| and the duality gap of c against nu as given."""
     violation = np.fmax(0.0, _norms(_mv(b, vecs) - ys) - etas)
-    dual_norm = _block_norms_flat(_mv(np.swapaxes(b, 1, 2), nus), k).max(axis=1)
+    dual_norm = _block_norms_flat(_mv(b.swapaxes(1, 2), nus), k).max(axis=1)
     return violation, dual_norm, _dual_gaps(vecs, nus, ys, etas, k)
 
 
 def _subgradients(vecs, k) -> np.ndarray:
     """c_j / ||c_j|| per block of each row, 0 on a zero block."""
     norms = np.maximum(_block_norms_flat(vecs, k), np.finfo(float).tiny)
-    return vecs / np.repeat(norms, k, axis=-1)
+    return vecs / norms.repeat(k, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +205,7 @@ class _Cones:
         array that reaches BLAS must be: a slice's bits there can depend on
         its strides.
         """
-        return np.repeat(a, self.dims, axis=1)
+        return a.repeat(self.dims, axis=1)
 
     def dot(self, u, v):
         return np.add.reduceat(u * v, self.heads, axis=1)
@@ -229,7 +235,8 @@ class _Cones:
 
         sz_sq is jdot2 of s and z stacked.
         """
-        sn, zn = np.split(np.sqrt(sz_sq), 2, axis=1)
+        root = np.sqrt(sz_sq)
+        sn, zn = root[:, :len(self.heads)], root[:, len(self.heads):]
         sb, zb = s / self.spread(sn), z / self.spread(zn)
         gamma = np.sqrt(0.5 * (1.0 + self.dot(sb, zb)))
         wb = (zb + self.j * sb) / (2.0 * self.spread(gamma)) + self.e
@@ -291,13 +298,13 @@ def _support_kkt(b, y, support, k, c):
     singular K or non-finite result).
     """
     count, p, n = b.shape
-    owner = np.repeat(np.arange(n // k), k)
+    owner = np.arange(n // k).repeat(k)
     same = owner[:, None] == owner[None, :]
-    mask = np.repeat(support, k, axis=1).astype(float)
+    mask = support.repeat(k, axis=1).astype(float)
     diag = np.arange(n)
     kkt = np.zeros((count, n + p, n + p))
     kkt[:, n:, :n] = b * mask[:, None, :]
-    kkt[:, :n, n:] = -np.swapaxes(kkt[:, n:, :n], 1, 2)
+    kkt[:, :n, n:] = -kkt[:, n:, :n].swapaxes(1, 2)
     rhs = np.concatenate([np.zeros((count, n)), y], axis=1)
     c = c * mask
     # a support whose attempt has ended stays in the stack, and its entry
@@ -348,7 +355,8 @@ def _stacked_solve(a, rhs, ok):
 class _Stack:
     """The data of programs of one shape, one row per program: B, y, eta and
     ||y||, and, once given, the factors (V_r^T, L_r) of B^T B = V_r L_r V_r^T
-    and B^T B itself.
+    and B^T B itself, or a ball program's Q of B = Q R, y_perp and the radius
+    of its data cone (:func:`_solve_stack`).
 
     ``np.stack`` keeps the layout of what it stacks, so each slice has the
     layout of a program's own B and V_r^T (both C-contiguous), and every
@@ -370,23 +378,23 @@ class _Stack:
 
     def in_ball(self, nu, k):
         """Each nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
-        norms = _block_norms_flat(_mv(np.swapaxes(self.b, 1, 2), nu), k)
+        norms = _block_norms_flat(_mv(self.b.swapaxes(1, 2), nu), k)
         return nu / np.fmax(1.0, norms.max(axis=1))[:, None]
 
     def gram_pinv(self, v):
-        return _mv(np.swapaxes(self.vt, 1, 2), _mv(self.vt, v) / self.l_r)
+        return _mv(self.vt.swapaxes(1, 2), _mv(self.vt, v) / self.l_r)
 
     # the minimum-norm least-squares solutions of B c = r and B^T nu = g, each
     # with one step of iterative refinement: the factor of B^T B alone loses
     # accuracy with the square of the condition number of B
     def pinv(self, r):
-        bt = np.swapaxes(self.b, 1, 2)
+        bt = self.b.swapaxes(1, 2)
         c = self.gram_pinv(_mv(bt, r))
         return c + self.gram_pinv(_mv(bt, r - _mv(self.b, c)))
 
     def dual_ls(self, g):
         nu = _mv(self.b, self.gram_pinv(g))
-        return nu + _mv(self.b, self.gram_pinv(g - _mv(np.swapaxes(self.b, 1, 2), nu)))
+        return nu + _mv(self.b, self.gram_pinv(g - _mv(self.b.swapaxes(1, 2), nu)))
 
 
 class _Program:
@@ -430,7 +438,7 @@ def _factor(progs: list[_Program]) -> None:
         shapes.setdefault(prog.B.shape, {}).setdefault(id(prog.op), []).append(prog)
     for (_, n), by_op in shapes.items():
         b = np.stack([group[0].B for group in by_op.values()])
-        evals, evecs = np.linalg.eigh(np.swapaxes(b, 1, 2) @ b)
+        evals, evecs = np.linalg.eigh(b.swapaxes(1, 2) @ b)
         keeps = evals > n * np.finfo(float).eps * np.maximum(evals[:, -1:], 0.0)
         for group, w, v, keep in zip(by_op.values(), evals, evecs, keeps):
             l_r, v_r, null = w[keep], v[:, keep], v[:, ~keep]
@@ -458,7 +466,7 @@ def _dual_maps(stack: _Stack, mask):
     rows = np.flatnonzero(wide)
     if rows.size:
         b_d, held = stack.b[rows] * d[rows, None, :], ok[rows]
-        maps[rows] = _stacked_solve(b_d @ np.swapaxes(stack.b[rows], 1, 2), b_d, held)
+        maps[rows] = _stacked_solve(b_d @ stack.b[rows].swapaxes(1, 2), b_d, held)
         ok[rows] = held
     return maps, ok
 
@@ -477,11 +485,11 @@ def _support_exits(stack: _Stack, k, support, c, nu):
     The candidate is taken when it fits y to TOL_PRIMAL and passes the gap
     test, else the step's c and nu are.
     """
-    mask = np.repeat(support, k, axis=1)
-    bt = np.swapaxes(stack.b, 1, 2)
+    mask = support.repeat(k, axis=1)
+    bt = stack.b.swapaxes(1, 2)
     with np.errstate(all="ignore"):
         maps, ok = _dual_maps(stack, mask)
-        lsq = np.swapaxes(maps, 1, 2)
+        lsq = maps.swapaxes(1, 2)
         fit = _mv(lsq, stack.y)
         fit += _mv(lsq, stack.y - _mv(stack.b, fit))
         rows = np.flatnonzero(mask.sum(axis=1) > stack.b.shape[1])
@@ -492,7 +500,7 @@ def _support_exits(stack: _Stack, k, support, c, nu):
         kept = support & (norms > TOL_PRIMAL * norms.max(axis=1, keepdims=True))
         rows = np.flatnonzero((kept != support).any(axis=1))
         if rows.size:
-            mask[rows] = np.repeat(kept[rows], k, axis=1)
+            mask[rows] = kept[rows].repeat(k, axis=1)
             maps[rows], held = _dual_maps(stack.take(rows), mask[rows])
             ok[rows] &= held
         fit *= mask
@@ -514,9 +522,10 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
     every equality program of an injective B, whose probe point is the only
     feasible point. The cone program of each other one is min cost^T x
     s.t. G x + s = h, s in the cone product: min sum_j t_j over x = (w, t),
-    with rows (t_j, c0_j + Z_j w) per block, then (eta, y - B c) for the
-    ball. Each step is a primal-dual Newton step with Nesterov-Todd scaling
-    and a Mehrotra corrector that keeps x strictly feasible and G x + s = h.
+    with rows (t_j, c0_j + Z_j w) per block, then (radius, Q^T y - R c)
+    for the ball, from one stacked thin QR of B. Each step is a primal-dual
+    Newton step with Nesterov-Todd scaling and a Mehrotra corrector that
+    keeps x strictly feasible and G x + s = h.
     A program leaves the stack at the step that certifies it, the step
     rounding stops (a singular Newton matrix, or an iterate off the cone
     interior: "stalled", with the previous step's iterate) or step
@@ -537,15 +546,13 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
             out[i] = sol
 
     c0 = stack.pinv(stack.y)
-    residual = _mv(stack.b, c0) - stack.y
-    dist = _norms(residual)
-    infeasible = dist > stack.eta + 10 * TOL_PRIMAL * (1.0 + stack.ynorm)
+    infeasible = _norms(_mv(stack.b, c0) - stack.y) > stack.eta + 10 * TOL_PRIMAL * (1.0 + stack.ynorm)
     if infeasible.any():
         leave(infeasible, c0[infeasible], np.zeros((int(infeasible.sum()), p)), "infeasible", 0)
         if infeasible.all():
             return out
         keep = ~infeasible
-        live, stack, c0, residual, dist = live[keep], stack.take(keep), c0[keep], residual[keep], dist[keep]
+        live, stack, c0 = live[keep], stack.take(keep), c0[keep]
     # the equality program runs over c0 + Z w, the ball program over c0 + w
     r = n if ball else n - stack.l_r.shape[1]
     if r == 0:
@@ -554,10 +561,25 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         return out
     if ball:  # only the probe reads a ball stack's factor
         stack.vt = stack.l_r = None
+        # the data cone (radius, Q^T y - R c) of the thin QR B = Q R; y_perp is
+        # projected twice, so that Q^T y_perp is rounding of ||y_perp||, not of
+        # ||y||: nu carries y_perp times z0 / radius, which a radius near zero
+        # makes large, and B^T nu must stay at rounding
+        stack.q, rmat = np.linalg.qr(stack.b)
+        qt = stack.q.swapaxes(1, 2)
+        qty = _mv(qt, stack.y)
+        y_perp = stack.y - _mv(stack.q, qty)
+        stack.y_perp = y_perp - _mv(stack.q, _mv(qt, y_perp))
+        perp, slack = _norms(stack.y_perp), qty - _mv(rmat, c0)
+        # the probe must lie strictly inside the ball: an eta within the
+        # infeasibility tolerance of the probe's distance from y, the hypot
+        # of ||y_perp|| and its slack, is widened to admit it
+        eta = np.fmax(stack.eta, np.hypot(perp, _norms(slack)) * (1.0 + 1e-12) + 1e-300)
+        stack.radius = np.sqrt((eta - perp) * (eta + perp))
     else:  # the support fits read B^T B
-        stack.gram = np.swapaxes(stack.b, 1, 2) @ stack.b
-    basis = np.repeat(np.eye(n)[None], len(live), axis=0) if ball else np.stack([progs[i].null for i in live])
-    dims = [k + 1] * nb + ([p + 1] if ball else [])
+        stack.gram = stack.b.swapaxes(1, 2) @ stack.b
+    basis = np.eye(n)[None].repeat(len(live), axis=0) if ball else np.stack([progs[i].null for i in live])
+    dims = [k + 1] * nb + ([rmat.shape[1] + 1] if ball else [])
     cones = _Cones(dims)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
     # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
@@ -569,11 +591,9 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
     G[:, tails, :r] = -basis
     h[:, tails] = c0
     if ball:
-        G[:, n + nb + 1:, :r] = stack.b @ basis
-        # the probe must lie strictly inside the ball: a radius within the
-        # infeasibility tolerance of its distance from y is widened to admit it
-        h[:, n + nb] = np.fmax(stack.eta, dist * (1.0 + 1e-12) + 1e-300)
-        h[:, n + nb + 1:] = -residual
+        G[:, n + nb + 1:, :r] = rmat
+        h[:, n + nb] = stack.radius
+        h[:, n + nb + 1:] = slack
     norms = _block_norms_flat(c0, k)
     t0 = norms + np.fmax(norms.mean(axis=1), np.finfo(float).tiny)[:, None]
     x = np.concatenate([np.zeros((len(live), r)), t0], axis=1)
@@ -588,8 +608,8 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         nt = cones.scaling(s, z, sz_sq)
         lam = cones.scale(nt, s)
         wg = cones.scale(nt, G)
-        wgt = np.swapaxes(wg, 1, 2)
-        rd = _mv(np.swapaxes(G, 1, 2), z) + cost
+        wgt = wg.swapaxes(1, 2)
+        rd = _mv(G.swapaxes(1, 2), z) + cost
         hessian = wgt @ wg
         ok = np.ones(len(x), dtype=bool)
 
@@ -623,14 +643,15 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         c = c0 + _mv(basis, x[:, :r])
         if not ok.all():
             leave(~ok, last_c[~ok], last_nu[~ok], "stalled", it - 1)
-        # the duals of the programs that step on: the ball cone (eta, y - B c)
-        # comes last, and its multiplier is -nu; an equality step's nu is the
+        # the duals of the programs that step on: the ball cone (radius,
+        # Q^T y - R c) comes last, and its multiplier (z0, z1) gives nu =
+        # z0 / radius y_perp - Q z1; an equality step's nu is the
         # least-squares solution of B^T nu = -z1, its support the blocks
         # whose cone head t_j exceeds the slack z0_j - ||z1_j|| of their dual
         # cone (primal-dual complementarity)
         at, xg, zg, cg = (stack, x, z, c) if ok.all() else (stack.take(ok), x[ok], z[ok], c[ok])
         if ball:
-            nus = at.in_ball(-zg[:, -p:], k)
+            nus = at.in_ball(_mv(at.q, -zg[:, n + nb + 1:]) + (zg[:, n + nb] / at.radius)[:, None] * at.y_perp, k)
             vecs, duals, gap = cg, nus, _dual_gaps(cg, nus, at.y, at.eta, k)
         else:
             z1 = np.take(zg, tails, axis=1)
@@ -661,15 +682,18 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     operator (:func:`_factor`). The programs are then stacked once, by
     program, k, shape and rank of B, and each stack is solved from
     the least-squares probe to its last exit (:func:`_solve_stack`).
-    ``max_iters`` must be a positive integer.
+    Each eta must be a real number, not a bool or a string, and
+    ``max_iters`` a positive integer, not a bool.
     """
+    for eta in etas:
+        if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
+            raise ValueError(f"eta must be a real number, got {eta!r}")
     etas = [float(eta) for eta in etas]
     if any(eta < 0 for eta in etas):
         raise ValueError("eta must be nonnegative")
-    try:
-        max_iters = operator.index(max_iters)
-    except TypeError:
-        raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
+    if not is_integer(max_iters):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
+    max_iters = int(max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if not len(ops) == len(ys) == len(etas):

@@ -60,6 +60,13 @@ def planted_instance(coll, s, m, seed, scale=1.0, distribution="gaussian"):
     return b, truth, b.matvec(truth)
 
 
+def dense_operator(matrix, k=2):
+    """The operator whose B is ``matrix``: a scalar operator on subspaces
+    that are each all of R^k."""
+    coll = SubspaceCollection(tuple(np.eye(k) for _ in range(matrix.shape[1] // k)))
+    return compose_with_bases(scalar_operator(matrix), coll)
+
+
 def rel_err(sol, truth):
     est = coeff_vector(sol.estimate)
     return float(np.linalg.norm(est - truth) / np.linalg.norm(truth))
@@ -612,6 +619,59 @@ class TestSolveNoisy:
         sol = solve_noisy(b, y, 1.2 * dist)
         assert sol.status == "converged"
 
+    # The ball program runs on the thin QR B = Q R, through ||B c - y||^2 =
+    # ||R c - Q^T y||^2 + ||y_perp||^2, y_perp the part of y outside the range
+    # of B. The program, its objective and its certificate must not depend
+    # on how B's rows are written.
+
+    def test_rotated_rows_keep_the_objective(self):
+        rng = np.random.default_rng(70)
+        for b, y, eta in ball_instances(3):
+            u, _ = np.linalg.qr(rng.standard_normal((b.out_dim, b.out_dim)))
+            rotated_b = dense_operator(u @ b.matrix)
+            sol, rotated = solve_noisy(b, y, eta), solve_noisy(rotated_b, u @ y, eta)
+            assert sol.status == rotated.status == "converged"
+            assert certify(sol, b, y).ok and certify(rotated, rotated_b, u @ y).ok
+            assert abs(rotated.objective - sol.objective) <= solver.TOL_GAP
+
+    def test_zero_rows_move_into_the_radius(self):
+        # zero rows of B with entries t of y add t to y_perp: the program at
+        # radius hypot(eta, ||t||) is the same program
+        rng = np.random.default_rng(71)
+        for b, y, eta in ball_instances(3):
+            t = 0.1 * rng.standard_normal(5)
+            padded_b = dense_operator(np.vstack([b.matrix, np.zeros((5, b.in_dim))]))
+            padded_y = np.concatenate([y, t])
+            sol = solve_noisy(b, y, eta)
+            padded = solve_noisy(padded_b, padded_y, math.hypot(eta, float(np.linalg.norm(t))))
+            assert padded.status == "converged" and certify(padded, padded_b, padded_y).ok
+            assert abs(padded.objective - sol.objective) <= solver.TOL_GAP
+
+    def test_radius_at_the_distance_from_the_range(self):
+        # eta just below, at and just above rho = ||y_perp||: the reduced
+        # radius sqrt(eta^2 - rho^2) is zero or near it, and the probe must
+        # still lie strictly inside the ball
+        for b, y, _ in ball_instances(3):
+            rho = float(np.linalg.norm(y - b.matrix @ np.linalg.lstsq(b.matrix, y, rcond=None)[0]))
+            for eta in (rho * (1.0 - 1e-12), rho, rho * (1.0 + 1e-14)):
+                sol = solve_noisy(b, y, eta)
+                assert sol.status == "converged" and certify(sol, b, y).ok
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_ill_conditioned_tall_b(self, kappa):
+        # a 24 x 12 B with singular values from 1 to 1 / kappa
+        rng = np.random.default_rng(round(math.log10(kappa)))
+        cases = []
+        for i in range(4):
+            u, _ = np.linalg.qr(rng.standard_normal((24, 12)))
+            v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+            matrix = u @ np.diag(np.geomspace(1.0, 1.0 / kappa, 12)) @ v.T
+            truth = np.zeros(12)
+            truth[[2, 3, 8, 9]] = rng.standard_normal(4)
+            cases.append((dense_operator(matrix), add_noise(matrix @ truth, 1e-3, seed=i), 1e-3))
+        for (b, y, _), sol in zip(cases, solver.solve_many(*zip(*cases))):
+            assert sol.status == "converged" and certify(sol, b, y).ok
+
 
 def bits(sol):
     return (coeff_vector(sol.estimate).tobytes(), sol.dual_vector.tobytes(), sol.status, sol.iterations)
@@ -767,11 +827,25 @@ class TestSolveMany:
     def test_non_integer_max_iters_rejected(self, monkeypatch):
         b, y = repeated_blocks_instance(0, 1)
         monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", lambda a: pytest.fail("factored"))
-        for bad in (2.5, 2.0, "3"):
+        for bad in (2.5, 2.0, "3", True, np.bool_(True)):
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 solver.solve_many([b], [y], [0.0], max_iters=bad)
         monkeypatch.undo()
         assert solver.solve_many([b], [y], [0.0], max_iters=np.int64(50))[0].status == "converged"
+
+    def test_eta_that_is_not_a_real_number_rejected(self, monkeypatch):
+        b, y = repeated_blocks_instance(0, 1)
+        monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", lambda a: pytest.fail("factored"))
+        for bad in ("0.1", True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match="eta must be a real number"):
+                solver.solve_many([b], [y], [bad])
+        with pytest.raises(ValueError, match="eta must be a real number"):
+            solve_noisy(b, y, "0.1")
+        monkeypatch.undo()
+        # Python and numpy reals are accepted
+        eta = 1e-3 * float(np.linalg.norm(y))
+        for good in (eta, np.float64(eta), np.float32(eta), 0, np.int64(0)):
+            assert solver.solve_many([b], [y], [good])[0].status == "converged"
 
     def test_inputs_checked(self):
         b, y = repeated_blocks_instance(0, 1)
