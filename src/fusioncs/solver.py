@@ -5,53 +5,52 @@ Two constrained programs over coefficient vectors c (blocks c_j):
     equality:  min sum_j ||c_j||_2   s.t.  B c = y
     ball:      min sum_j ||c_j||_2   s.t.  ||B c - y||_2 <= eta
 
-Each distinct operator's dense matrix B is factored once, by one
-eigendecomposition of B^T B, which gives the least-squares probe
-(feasibility and a starting point), the null space basis Z of B, and the
-least-squares solves after. An injective B has a single feasible point,
-certified without iterating. Otherwise both programs run as second-order
-cone programs,
+Each distinct operator's dense matrix B is factored once, by one thin SVD
+B = U_r S_r V_r^T (rank r), which gives the least-squares probe
+c0 = V_r S_r^-1 U_r^T y (feasibility and a starting point) and every
+variable the programs run on. Each program is solved on y / ||y|| and
+eta / ||y||, and its estimate rescaled on return. An injective B has a
+single feasible point, certified without iterating. Otherwise both
+programs run as second-order cone programs, by a primal-dual
+interior-point method with Nesterov-Todd scaling and a Mehrotra corrector
+that keeps every iterate strictly feasible:
 
-    min sum_j t_j   s.t.  ||c_j||_2 <= t_j  (and ||R c - Q^T y||_2 <= radius),
+- the equality program in its row-space dual, max <c0, g> over
+  g = V_r a with ||g_j||_2 <= 1, whose start a = 0 is exactly centred. The
+  block cones' multipliers give the estimate, moved onto B c = y, and
+  nu = U_r S_r^-1 a is a dual vector with B^T nu = g;
+- the ball program in its primal form, min sum_j t_j s.t. ||c_j|| <= t_j
+  and ||S_r V_r^T c - U_r^T y||_2 <= radius: with y_perp the part of y
+  outside the range of U_r, ||B c - y||^2 = ||S_r V_r^T c - U_r^T y||^2 +
+  ||y_perp||^2, so radius = sqrt(eta^2 - ||y_perp||^2), and the data cone
+  has r + 1 entries. From its multiplier (z0, z1), nu = (z0 / radius)
+  y_perp - U_r z1.
 
-the equality program over c = c_ls + Z w, by a primal-dual interior-point
-method with Nesterov-Todd scaling and a Mehrotra corrector that keeps every
-iterate strictly feasible. The ball program runs on a thin QR B = Q R:
-with y_perp the part of y outside the range of Q, ||B c - y||^2 =
-||R c - Q^T y||^2 + ||y_perp||^2, so ||B c - y|| <= eta is the cone
-(radius, Q^T y - R c), radius = sqrt(eta^2 - ||y_perp||^2), of
-min(p, n) + 1 entries for a p x n B. The cone multipliers give the dual
-vector nu: from the ball cone's multiplier (z0, z1), nu = (z0 / radius)
-y_perp - Q z1; for the equality program, the least-squares solution of
-B^T nu = -(block cone multipliers). Scaled into max_j ||(B^T nu)_j|| <= 1,
-nu bounds the distance to the optimum by the gap
-||c||_{2,1} - (<y, nu> - eta ||nu||), and the solve stops when that gap is
-at most ``TOL_GAP``, with the iterate the test certified, or after
-``max_iters`` Newton steps (default ``MAX_ITERS``); :func:`certify`
-applies the same tolerances to the same residuals (:func:`_residuals`).
-After each equality step the support S is read off complementarity (block
-j is in it when its cone head t_j exceeds its dual cone's slack z0_j -
-||z1_j||), and S's candidate is returned when it passes the same test
-(:func:`_support_exits`): a masked least-squares fit, or, on a support
-wider than B, Newton's iterate on the support's optimality system, with
+Scaled into max_j ||(B^T nu)_j|| <= 1, nu bounds the distance to the
+optimum by the gap ||c||_{2,1} - (<y, nu> - eta ||nu||). A solve stops
+when the dual feasibility and the gap that :func:`certify` computes
+(:func:`_residuals`), on the program's own y and eta, pass ``TOL_DUAL``
+and ``TOL_GAP`` times ||y||, with the iterate the test certified, or after
+``max_iters`` Newton steps (default ``MAX_ITERS``). An equality program
+that passes makes one support exit attempt (:func:`_support_exits`): the
+least-squares fit on the support that complementarity ranks first, with
 the step's dual projected onto the support's optimality equations through
-one masked system. A wrong support costs one attempt, never a wrong
-answer. A solve whose Newton steps rounding stops early (a singular Newton
+one masked system, returned when it also passes the test. A wrong support
+costs one attempt, never a wrong answer. A solve whose Newton steps rounding stops early (a singular Newton
 matrix, or an iterate off the cone interior) ends as "stalled".
 
 Solves run in stacks, and :func:`solve_many` is their one entry point. It
-factors B^T B by one product and one ``eigh`` per matrix shape over the
-distinct operators (:func:`_factor`) and stacks the programs of one shape
-(program, k, shape and rank of B). Each stack runs from probe to
-exit in :func:`_solve_stack`, and a program leaves it at the step that
-ends it. Every step of a stack, its support fits, stop tests and
-solutions included, acts on arrays slice by slice, on slices with the
-layout of the 2-D arrays they stack: elementwise arithmetic, ``reduceat``,
-stacked ``matmul`` (a dot as one BLAS dot per row, :func:`_dots`),
-``solve``, ``eigh`` and ``qr``. Each solution therefore equals the solve of its
-triple alone bit for bit, whatever else the stack holds;
-:func:`solve_equality`, :func:`solve_noisy` and :func:`certify` work on
-stacks of one.
+factors the distinct operators by one stacked SVD per matrix shape
+(:func:`_factor`) and stacks the programs of one shape (program, k, shape
+and rank of B). Each stack runs from probe to exit in
+:func:`_solve_stack`, and a program leaves it at the step that ends it.
+Every step of a stack, its support fits, stop tests and solutions
+included, acts on arrays slice by slice, on slices with the layout of the
+2-D arrays they stack: elementwise arithmetic, ``reduceat``, stacked
+``matmul`` (a dot as one BLAS dot per row, :func:`_dots`), ``solve`` and
+``svd``. Each solution therefore equals the solve of its triple alone bit
+for bit, whatever else the stack holds; :func:`solve_equality`,
+:func:`solve_noisy` and :func:`certify` work on stacks of one.
 
 The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens y
 twice before it solves. One stacked QR of [B_U | y] over a fixed family
@@ -93,16 +92,16 @@ from .signals import BlockSignal, coeff_vector, from_coeff_vector
 _SCREEN_FACTOR = 10.0
 
 
-# The stopping rule of both programs, which certify applies again at ten
-# times each tolerance. TOL_PRIMAL is relative to 1 + ||y||, TOL_DUAL to the
-# unit dual ball, and TOL_GAP is absolute at the scale of the objective.
-# MAX_ITERS bounds the Newton steps, which take at most 14 (ball program,
-# on criterion 9's sweep) and 6 (equality program) on the shipped sweeps,
-# and 12 on 1,500 random equality instances with y scaled by 10^[-3, 3].
-# KKT_ITERS bounds the Newton iterations of one attempt on a support's
-# optimality system.
+# The stopping rule of both programs, relative to ||y|| (each program runs
+# on y / ||y|| and eta / ||y||): a solve stops when max_j ||(B^T nu)_j|| is
+# at most 1 + TOL_DUAL and its duality gap at most TOL_GAP ||y||, and a
+# support fit must also fit y to TOL_PRIMAL ||y||; certify applies the same
+# rule at ten times each tolerance. MAX_ITERS bounds the Newton steps,
+# which take at most 13 (ball program, on criterion 9's sweep) and 11
+# (equality program, on the phase_mixed benchmark sweep) on the shipped
+# sweeps, and 13 on 1,500 random equality instances with y scaled by
+# 10^[-3, 3].
 MAX_ITERS = 100
-KKT_ITERS = 4
 TOL_PRIMAL = 1e-9
 TOL_DUAL = 1e-9
 TOL_GAP = 1e-7
@@ -113,7 +112,7 @@ class RecoverySolution:
     estimate: BlockSignal
     status: str  # "converged" | "max_iters" | "stalled" (rounding stopped progress) | "infeasible"
     iterations: int  # interior-point Newton steps
-    primal_residual: float  # max(0, ||B c - y|| - eta) / (1 + ||y||)
+    primal_residual: float  # max(0, ||B c - y|| - eta) / ||y||
     dual_residual: float  # max(0, max_j ||(B^T nu)_j|| - 1)
     duality_gap: float
     objective: float
@@ -156,6 +155,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(v, v))
 
 
+def _dual_norms(b, nus, k) -> np.ndarray:
+    """max_j ||(B^T nu)_j|| per row of a stack."""
+    return _block_norms_flat(_mv(b.swapaxes(1, 2), nus), k).max(axis=1)
+
+
 def _dual_gaps(vecs, nus, ys, etas, k) -> np.ndarray:
     """||c||_{2,1} - (<y, nu> - eta ||nu||) per row of a stack, which bounds
     the distance to the optimum when max_j ||(B^T nu)_j|| <= 1."""
@@ -166,8 +170,7 @@ def _residuals(b, ys, etas, vecs, nus, k):
     """Per row of a stack: the primal violation max(0, ||B c - y|| - eta),
     max_j ||(B^T nu)_j|| and the duality gap of c against nu as given."""
     violation = np.fmax(0.0, _norms(_mv(b, vecs) - ys) - etas)
-    dual_norm = _block_norms_flat(_mv(b.swapaxes(1, 2), nus), k).max(axis=1)
-    return violation, dual_norm, _dual_gaps(vecs, nus, ys, etas, k)
+    return violation, _dual_norms(b, nus, k), _dual_gaps(vecs, nus, ys, etas, k)
 
 
 def _subgradients(vecs, k) -> np.ndarray:
@@ -283,50 +286,6 @@ def _check_y(op: CoefficientOperator, y, eta=0.0) -> np.ndarray:
     return y
 
 
-def _support_kkt(b, y, support, k, c):
-    """Newton's method on the optimality system of min sum_j ||c_j|| s.t.
-    B_S c = y from c, for a stack of supports S (``support`` flags each
-    row's blocks, of k coefficients each), each masked to all n coefficients:
-
-        g_j(c) - B_j^T nu = 0 (j in S),   c_j = 0 (j not in S),   B D c = y,
-
-    g_j = c_j / ||c_j||, D the diagonal mask of S's columns. Its Jacobian is
-    K = [[H + I - D, -D B^T], [B D, 0]], H = blockdiag over S of (I - g_j
-    g_j^T) / ||c_j||; as H c = 0, a Newton step from (c, nu) solves
-    K (c', nu') = (-g, y) whatever nu. Returns c after ``KKT_ITERS``
-    iterations, and per row whether the attempt held (no zero block of S,
-    singular K or non-finite result).
-    """
-    count, p, n = b.shape
-    owner = np.arange(n // k).repeat(k)
-    same = owner[:, None] == owner[None, :]
-    mask = support.repeat(k, axis=1).astype(float)
-    diag = np.arange(n)
-    kkt = np.zeros((count, n + p, n + p))
-    kkt[:, n:, :n] = b * mask[:, None, :]
-    kkt[:, :n, n:] = -kkt[:, n:, :n].swapaxes(1, 2)
-    rhs = np.concatenate([np.zeros((count, n)), y], axis=1)
-    c = c * mask
-    # a support whose attempt has ended stays in the stack, and its entry
-    # of ``alive`` is cleared; the slices of a stacked solve are independent
-    alive = np.ones(count, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(KKT_ITERS):
-            norms = _block_norms_flat(c, k)
-            alive &= np.where(support, norms, np.inf).min(axis=1) > 0.0
-            inv = np.where(support, 1.0 / norms, 0.0)[:, owner]
-            g = c * inv
-            # H + I - D = diag(inv + 1 - D) - same * (g inv) g^T
-            hess = kkt[:, :n, :n]
-            hess[...] = 0.0
-            hess[:, diag, diag] = inv + (1.0 - mask)
-            hess -= same * ((g * inv)[:, :, None] * g[:, None, :])
-            rhs[:, :n] = -g
-            sol = _stacked_solve(kkt, rhs, alive)
-            c = sol[:, :n]
-    return c * mask, alive & np.isfinite(sol).all(axis=1)  # a diverging attempt fails here
-
-
 def _mv(a, v):
     """a_i v_i for a stack of matrices and a stack of vectors."""
     return (a @ v[:, :, None])[:, :, 0]
@@ -354,18 +313,17 @@ def _stacked_solve(a, rhs, ok):
 
 class _Stack:
     """The data of programs of one shape, one row per program: B, y, eta and
-    ||y||, and, once given, the factors (V_r^T, L_r) of B^T B = V_r L_r V_r^T
-    and B^T B itself, or a ball program's Q of B = Q R, y_perp and the radius
-    of its data cone (:func:`_solve_stack`).
+    ||y||, and, once given, the factor B = U_r S_r V_r^T of :func:`_factor`
+    as u = U_r, sigma = diag(S_r) and vt = V_r^T, and a ball program's
+    y_perp and the radius of its data cone (:func:`_solve_stack`).
 
     ``np.stack`` keeps the layout of what it stacks, so each slice has the
-    layout of a program's own B and V_r^T (both C-contiguous), and every
+    layout of a program's own B, U_r and V_r^T (all C-contiguous), and every
     vector stack that reaches BLAS is C-contiguous: each product equals the
     2-D product of its slice bit for bit.
     """
 
     def __init__(self, **arrays):
-        self.vt = self.l_r = self.gram = None
         self.__dict__.update(arrays)
 
     @classmethod
@@ -374,31 +332,32 @@ class _Stack:
                    eta=np.array([prog.eta for prog in progs]), ynorm=np.array([prog.ynorm for prog in progs]))
 
     def take(self, rows):
-        return _Stack(**{name: a[rows] for name, a in vars(self).items() if a is not None})
+        return _Stack(**{name: a[rows] for name, a in vars(self).items()})
+
+    def unit(self):
+        """y / ||y|| and eta / ||y||, the data each program is solved on."""
+        return self.y / self.ynorm[:, None], self.eta / self.ynorm
 
     def in_ball(self, nu, k):
         """Each nu scaled into the dual feasible set max_j ||(B^T nu)_j|| <= 1."""
         norms = _block_norms_flat(_mv(self.b.swapaxes(1, 2), nu), k)
         return nu / np.fmax(1.0, norms.max(axis=1))[:, None]
 
-    def gram_pinv(self, v):
-        return _mv(self.vt.swapaxes(1, 2), _mv(self.vt, v) / self.l_r)
-
-    # the minimum-norm least-squares solutions of B c = r and B^T nu = g, each
-    # with one step of iterative refinement: the factor of B^T B alone loses
-    # accuracy with the square of the condition number of B
-    def pinv(self, r):
-        bt = self.b.swapaxes(1, 2)
-        c = self.gram_pinv(_mv(bt, r))
-        return c + self.gram_pinv(_mv(bt, r - _mv(self.b, c)))
-
-    def dual_ls(self, g):
-        nu = _mv(self.b, self.gram_pinv(g))
-        return nu + _mv(self.b, self.gram_pinv(g - _mv(self.b.swapaxes(1, 2), nu)))
+    def certified(self, vecs, nus, k):
+        """Per row, whether the estimate ||y|| vecs (vecs at unit scale) and
+        the dual nus pass the stop test: the residuals certify computes, on
+        the program's own y and eta, with the gap at most TOL_GAP ||y|| and
+        max_j ||(B^T nu)_j|| at most 1 + TOL_DUAL, checked on the rows whose
+        gap passes."""
+        done = _dual_gaps(vecs * self.ynorm[:, None], nus, self.y, self.eta, k) <= TOL_GAP * self.ynorm
+        rows = np.flatnonzero(done)
+        if rows.size:
+            done[rows] = _dual_norms(self.b[rows], nus[rows], k) <= 1.0 + TOL_DUAL
+        return done
 
 
 class _Program:
-    """One solve's data, and its factor of B^T B, shared by every program on
+    """One solve's data, and the factor of its B, shared by every program on
     the same operator (:func:`_factor`)."""
 
     def __init__(self, op: CoefficientOperator, y, eta: float):
@@ -407,201 +366,213 @@ class _Program:
         self.ynorm = float(np.linalg.norm(self.y))
 
 
-def _solutions(progs, stack: _Stack, vecs, nus, status: str, iters: int) -> list[RecoverySolution]:
-    """The solutions of the programs of a stack's rows, from their estimates
-    and duals; the residuals of all come from one :func:`_residuals` call,
-    which :func:`certify` makes for a stack of one."""
+def _solutions(progs, vecs, nus, status: str, iters) -> list[RecoverySolution]:
+    """The solutions of programs of one shape, from their estimates at unit
+    scale, which are rescaled here by ||y||, their duals and their Newton
+    steps (one count, or one per program); the residuals of all come from
+    one :func:`_residuals` call on their stack, which :func:`certify` makes
+    for a stack of one."""
     k = progs[0].op.collection.block_dim
+    stack = _Stack.of(progs)
+    vecs = vecs * stack.ynorm[:, None]
     violation, dual_norm, gap = _residuals(stack.b, stack.y, stack.eta, vecs, nus, k)
     if status == "infeasible":
         dual_norm = gap = np.full(len(progs), math.inf)
-    ends = zip(progs, vecs, nus, (violation / (1.0 + stack.ynorm)).tolist(),
+    # y = 0 only at a zero exit, whose violation is 0
+    ends = zip(progs, vecs, nus, np.broadcast_to(iters, len(progs)).tolist(),
+               (violation / np.fmax(stack.ynorm, np.finfo(float).tiny)).tolist(),
                np.fmax(0.0, dual_norm - 1.0).tolist(), gap.tolist(), _norm21_flat(vecs, k).tolist())
     # nu is copied: it is a row of a stack that must not outlive the solve
-    return [RecoverySolution(from_coeff_vector(prog.op.collection, vec), status, iters, primal, dual, g,
+    return [RecoverySolution(from_coeff_vector(prog.op.collection, vec), status, steps, primal, dual, g,
                              objective, nu.copy(), prog.eta)
-            for prog, vec, nu, primal, dual, g, objective in ends]
+            for prog, vec, nu, steps, primal, dual, g, objective in ends]
 
 
 def _factor(progs: list[_Program]) -> None:
-    """Give each program the factor of its B^T B = V L V^T: the range part
-    (V_r, L_r) and a basis of the null space.
+    """Give each program the factor B = U_r S_r V_r^T of its B.
 
-    There is one eigendecomposition per distinct operator, stacked with
-    one product B^T B over the operators of one matrix shape. An eigenvalue
-    counts as zero at n eps times the largest. V_r and the null basis are
-    column selections of V, whose layout the stacks that later hold them
-    keep (:class:`_Stack`).
+    There is one stacked thin SVD per matrix shape over the distinct
+    operators of that shape. A singular value counts as zero at
+    max(p, n) eps times the largest, as ``np.linalg.matrix_rank`` counts.
+    U_r, S_r and V_r^T are selections of the SVD's arrays, whose layout
+    the stacks that later hold them keep (:class:`_Stack`).
     """
     shapes = {}
     for prog in progs:
         shapes.setdefault(prog.B.shape, {}).setdefault(id(prog.op), []).append(prog)
-    for (_, n), by_op in shapes.items():
-        b = np.stack([group[0].B for group in by_op.values()])
-        evals, evecs = np.linalg.eigh(b.swapaxes(1, 2) @ b)
-        keeps = evals > n * np.finfo(float).eps * np.maximum(evals[:, -1:], 0.0)
-        for group, w, v, keep in zip(by_op.values(), evals, evecs, keeps):
-            l_r, v_r, null = w[keep], v[:, keep], v[:, ~keep]
+    for shape, by_op in shapes.items():
+        u, sigma, vt = np.linalg.svd(np.stack([group[0].B for group in by_op.values()]), full_matrices=False)
+        ranks = np.count_nonzero(sigma > max(shape) * np.finfo(float).eps * sigma[:, :1], axis=1)
+        for group, u_i, sigma_i, vt_i, r in zip(by_op.values(), u, sigma, vt, ranks):
             for prog in group:
-                prog.l_r, prog.v_r, prog.null = l_r, v_r, null
+                prog.u, prog.sigma, prog.vt = u_i[:, :r], sigma_i[:r], vt_i[:r]
 
 
-def _dual_maps(stack: _Stack, mask):
+def _dual_maps(b, mask):
     """Per row, the map P with P r the least-squares, minimum-norm solution
-    of B_S^T nu = r_S, S the columns ``mask`` flags and D their diagonal
-    mask: B M^-1 D, through the masked n x n system M = D B^T B D + (I - D),
-    when S has at most as many columns as B has rows, else (B D B^T)^-1 B D.
-    One stacked solve per width; a singular system clears its row's flag."""
-    count, p, n = stack.b.shape
-    d = mask.astype(float)
-    wide = mask.sum(axis=1) > p
-    ok = np.ones(count, dtype=bool)
-    maps = np.empty((count, p, n))
-    rows = np.flatnonzero(~wide)
-    if rows.size:
-        eye, held = np.eye(n), ok[rows]
-        inv = _stacked_solve(np.where(mask[rows, :, None] & mask[rows, None, :], stack.gram[rows], eye),
-                             np.broadcast_to(eye, (len(rows), n, n)), held)
-        maps[rows], ok[rows] = (stack.b[rows] @ inv) * d[rows, None, :], held
-    rows = np.flatnonzero(wide)
-    if rows.size:
-        b_d, held = stack.b[rows] * d[rows, None, :], ok[rows]
-        maps[rows] = _stacked_solve(b_d @ stack.b[rows].swapaxes(1, 2), b_d, held)
-        ok[rows] = held
-    return maps, ok
+    of B_S^T nu = r_S, S the columns ``mask`` flags (at most as many as B
+    has rows) and D their diagonal mask: B M^-1 D, through the masked n x n
+    system M = D B^T B D + (I - D). One stacked solve; a singular system
+    clears its row's flag."""
+    count, _, n = b.shape
+    eye, ok = np.eye(n), np.ones(count, dtype=bool)
+    inv = _stacked_solve(np.where(mask[:, :, None] & mask[:, None, :], b.swapaxes(1, 2) @ b, eye),
+                         np.broadcast_to(eye, (count, n, n)), ok)
+    return (b @ inv) * mask[:, None, :], ok
 
 
 def _support_exits(stack: _Stack, k, support, c, nu):
-    """The estimate and dual each equality step of a stack tests for its
-    exit, and their gap; ``support`` flags each step's support S.
+    """The estimate and dual that each equality program of a stack leaves
+    with, at the step whose stop test first passes; ``support`` flags
+    the step's support S, c and nu are its iterate.
 
-    S's candidate is its least-squares fit P^T y, P its dual map
-    (:func:`_dual_maps`), with one refinement step, or, when S has more
-    coefficients than B has rows, Newton's iterate on S's optimality
-    system (:func:`_support_kkt`). A block fitted below TOL_PRIMAL times the
+    S, of at most rank(B) coefficients, has the candidate P^T y, its
+    least-squares fit at unit scale, P its dual map (:func:`_dual_maps`),
+    with one refinement step. A block fitted below TOL_PRIMAL times the
     largest is rounding, its subgradient noise, and leaves S. The dual is
     nu + P (g - B^T nu), the step's nu projected onto B_S^T nu = g_S (g the
     candidate's subgradient), refined once and scaled into the dual ball.
-    The candidate is taken when it fits y to TOL_PRIMAL and passes the gap
+    The candidate is taken when it fits y to TOL_PRIMAL and passes the stop
     test, else the step's c and nu are.
     """
     mask = support.repeat(k, axis=1)
     bt = stack.b.swapaxes(1, 2)
     with np.errstate(all="ignore"):
-        maps, ok = _dual_maps(stack, mask)
+        maps, ok = _dual_maps(stack.b, mask)
         lsq = maps.swapaxes(1, 2)
-        fit = _mv(lsq, stack.y)
-        fit += _mv(lsq, stack.y - _mv(stack.b, fit))
-        rows = np.flatnonzero(mask.sum(axis=1) > stack.b.shape[1])
-        if rows.size:
-            fit[rows], fitted = _support_kkt(stack.b[rows], stack.y[rows], support[rows], k, c[rows])
-            ok[rows] &= fitted
+        y, _ = stack.unit()
+        fit = _mv(lsq, y)
+        fit += _mv(lsq, y - _mv(stack.b, fit))
         norms = _block_norms_flat(fit, k)
         kept = support & (norms > TOL_PRIMAL * norms.max(axis=1, keepdims=True))
         rows = np.flatnonzero((kept != support).any(axis=1))
         if rows.size:
             mask[rows] = kept[rows].repeat(k, axis=1)
-            maps[rows], held = _dual_maps(stack.take(rows), mask[rows])
+            maps[rows], held = _dual_maps(stack.b[rows], mask[rows])
             ok[rows] &= held
         fit *= mask
-        ok &= _norms(_mv(stack.b, fit) - stack.y) <= TOL_PRIMAL * (1.0 + stack.ynorm)
+        ok &= _norms(_mv(stack.b, fit) - y) <= TOL_PRIMAL
         r = mask * (_subgradients(fit, k) - _mv(bt, nu))
         step = _mv(maps, r)
         cand = stack.in_ball(nu + step + _mv(maps, r - _mv(bt, step)), k)
-        cand_gap = _dual_gaps(fit, cand, stack.y, stack.eta, k)
-    take = ok & (cand_gap <= TOL_GAP)
-    gap = np.where(take, cand_gap, _dual_gaps(c, nu, stack.y, stack.eta, k))
-    return np.where(take[:, None], fit, c), np.where(take[:, None], cand, nu), gap
+        take = ok & stack.certified(fit, cand, k)
+    return np.where(take[:, None], fit, c), np.where(take[:, None], cand, nu)
 
 
 def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
     """Solve a stack of programs of one shape (program, k, shape and rank of
-    B) from the least-squares probe to the step that ends each.
+    B) at unit scale, from the least-squares probe to the step that ends
+    each.
 
-    The probe c0 = pinv(B) y settles a program whose y is out of reach, and
-    every equality program of an injective B, whose probe point is the only
-    feasible point. The cone program of each other one is min cost^T x
-    s.t. G x + s = h, s in the cone product: min sum_j t_j over x = (w, t),
-    with rows (t_j, c0_j + Z_j w) per block, then (radius, Q^T y - R c)
-    for the ball, from one stacked thin QR of B. Each step is a primal-dual
-    Newton step with Nesterov-Todd scaling and a Mehrotra corrector that
-    keeps x strictly feasible and G x + s = h.
-    A program leaves the stack at the step that certifies it, the step
-    rounding stops (a singular Newton matrix, or an iterate off the cone
-    interior: "stalled", with the previous step's iterate) or step
-    ``max_iters``; the stack is then compacted to the programs that step on.
+    The probe c0 = V_r S_r^-1 U_r^T y settles a program whose y is out of
+    reach, and every equality program of an injective B, whose probe point
+    is the only feasible point. Each other program is a cone program
+    min cost^T x s.t. G x + s = h, s in the cone product, solved by
+    primal-dual Newton steps with Nesterov-Todd scaling and a Mehrotra
+    corrector that keep x strictly feasible and G x + s = h:
+
+    - the equality program in its row-space dual, max <c0, V_r a> s.t.
+      ||(V_r a)_j|| <= 1, over x = a with one cone (1, (V_r a)_j) per block,
+      started at a = 0, where s = z = e. Its iterate is c = -z1 (the block
+      cones' multipliers) moved onto c0 + null(B) by c + V_r V_r^T (c0 - c),
+      and nu = U_r S_r^-1 a, scaled into the dual ball;
+    - the ball program in its primal form, min sum_j t_j over x = (w, t),
+      with cones (t_j, c0_j + w_j) per block and the data cone (radius,
+      U_r^T y - S_r V_r^T c) last.
+
+    A program leaves the stack at the step whose stop test certifies it,
+    at the step rounding stops (a singular Newton matrix, or an iterate off
+    the cone interior: "stalled", with the previous step's iterate) or at
+    step ``max_iters``; the stack is then compacted to the programs that
+    step on. The equality programs that the stop test certified make their
+    support exit attempts (:func:`_support_exits`) together, once the stack
+    is done.
     """
     first = progs[0]
     (p, n), k, ball = first.B.shape, first.op.collection.block_dim, first.eta > 0.0
     nb = n // k
     stack = _Stack.of(progs)
-    stack.vt, stack.l_r = np.stack([prog.v_r.T for prog in progs]), np.stack([prog.l_r for prog in progs])
+    stack.u, stack.sigma, stack.vt = (np.stack([getattr(prog, name) for prog in progs]) for name in ("u", "sigma", "vt"))
     out = [None] * len(progs)
     live = np.arange(len(progs))
 
     def leave(rows, vecs, nus, status, iters):
-        # the programs of the live rows flagged by ``rows`` end here
-        ended = live[rows].tolist()
-        for i, sol in zip(ended, _solutions([progs[i] for i in ended], stack.take(rows), vecs, nus, status, iters)):
+        # the programs ``rows`` (indices into progs) end here
+        for i, sol in zip(rows.tolist(), _solutions([progs[i] for i in rows], vecs, nus, status, iters)):
             out[i] = sol
 
-    c0 = stack.pinv(stack.y)
-    infeasible = _norms(_mv(stack.b, c0) - stack.y) > stack.eta + 10 * TOL_PRIMAL * (1.0 + stack.ynorm)
+    y, eta = stack.unit()
+    c0 = _mv(stack.vt.swapaxes(1, 2), _mv(stack.u.swapaxes(1, 2), y) / stack.sigma)
+    infeasible = _norms(_mv(stack.b, c0) - y) > eta + 10 * TOL_PRIMAL
     if infeasible.any():
-        leave(infeasible, c0[infeasible], np.zeros((int(infeasible.sum()), p)), "infeasible", 0)
+        leave(live[infeasible], c0[infeasible], np.zeros((int(infeasible.sum()), p)), "infeasible", 0)
         if infeasible.all():
             return out
         keep = ~infeasible
-        live, stack, c0 = live[keep], stack.take(keep), c0[keep]
-    # the equality program runs over c0 + Z w, the ball program over c0 + w
-    r = n if ball else n - stack.l_r.shape[1]
-    if r == 0:
-        nus = stack.in_ball(stack.dual_ls(_subgradients(c0, k)), k)
-        leave(np.ones(len(live), dtype=bool), c0, nus, "converged", 0)
+        live, stack, c0, y, eta = live[keep], stack.take(keep), c0[keep], y[keep], eta[keep]
+    rank = stack.sigma.shape[1]
+    if not ball and rank == n:
+        # the least-squares nu of B^T nu = g, g the probe's subgradient
+        nus = _mv(stack.u, _mv(stack.vt, _subgradients(c0, k)) / stack.sigma)
+        leave(live, c0, stack.in_ball(nus, k), "converged", 0)
         return out
-    if ball:  # only the probe reads a ball stack's factor
-        stack.vt = stack.l_r = None
-        # the data cone (radius, Q^T y - R c) of the thin QR B = Q R; y_perp is
-        # projected twice, so that Q^T y_perp is rounding of ||y_perp||, not of
-        # ||y||: nu carries y_perp times z0 / radius, which a radius near zero
-        # makes large, and B^T nu must stay at rounding
-        stack.q, rmat = np.linalg.qr(stack.b)
-        qt = stack.q.swapaxes(1, 2)
-        qty = _mv(qt, stack.y)
-        y_perp = stack.y - _mv(stack.q, qty)
-        stack.y_perp = y_perp - _mv(stack.q, _mv(qt, y_perp))
-        perp, slack = _norms(stack.y_perp), qty - _mv(rmat, c0)
-        # the probe must lie strictly inside the ball: an eta within the
-        # infeasibility tolerance of the probe's distance from y, the hypot
-        # of ||y_perp|| and its slack, is widened to admit it
-        eta = np.fmax(stack.eta, np.hypot(perp, _norms(slack)) * (1.0 + 1e-12) + 1e-300)
-        stack.radius = np.sqrt((eta - perp) * (eta + perp))
-    else:  # the support fits read B^T B
-        stack.gram = stack.b.swapaxes(1, 2) @ stack.b
-    basis = np.eye(n)[None].repeat(len(live), axis=0) if ball else np.stack([progs[i].null for i in live])
-    dims = [k + 1] * nb + ([rmat.shape[1] + 1] if ball else [])
+    count = len(live)
+    # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
+    dims = [k + 1] * nb + ([rank + 1] if ball else [])
     cones = _Cones(dims)
     degree = len(cones.heads)  # of the barrier: one per second-order cone
-    # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
     heads = cones.heads[:nb]
     tails = np.delete(np.arange(n + nb), heads)
-    G = np.zeros((len(live), sum(dims), r + nb))
-    h = np.zeros(G.shape[:2])
-    G[:, heads, r + np.arange(nb)] = -1.0
-    G[:, tails, :r] = -basis
-    h[:, tails] = c0
     if ball:
-        G[:, n + nb + 1:, :r] = rmat
+        # the data cone (radius, U_r^T y - S_r V_r^T c), as ||B c - y||^2 =
+        # ||S_r V_r^T c - U_r^T y||^2 + ||y_perp||^2; y_perp is projected
+        # twice, so that U_r^T y_perp is rounding of ||y_perp||, not of
+        # ||y||: nu carries y_perp times z0 / radius, which a radius near
+        # zero makes large, and B^T nu must stay at rounding
+        ut = stack.u.swapaxes(1, 2)
+        uty = _mv(ut, y)
+        y_perp = y - _mv(stack.u, uty)
+        stack.y_perp = y_perp - _mv(stack.u, _mv(ut, y_perp))
+        perp = _norms(stack.y_perp)
+        # the start is the probe without its components along singular
+        # values below sqrt(eps) sigma_1, smallest first, as far as its
+        # distance from y stays within sqrt((eta^2 + ||y_perp||^2) / 2):
+        # inside the ball, and not up to 1 / sigma_min from the optimum
+        # along directions that noise fills
+        drop = np.cumsum((uty * uty)[:, ::-1], axis=1)[:, ::-1]
+        kept = (stack.sigma > np.sqrt(np.finfo(float).eps) * stack.sigma[:, :1]) | (
+            drop > 0.5 * (eta * eta - perp * perp)[:, None])
+        c0 = _mv(stack.vt.swapaxes(1, 2), np.where(kept, uty / stack.sigma, 0.0))
+        rmat = stack.sigma[:, :, None] * stack.vt
+        slack = uty - _mv(rmat, c0)
+        # the start must lie strictly inside the ball: an eta within the
+        # infeasibility tolerance of the start's distance from y, the hypot
+        # of ||y_perp|| and its slack, is widened to admit it
+        eta = np.fmax(eta, np.hypot(perp, _norms(slack)) * (1.0 + 1e-12) + 1e-300)
+        stack.radius = np.sqrt((eta - perp) * (eta + perp))
+        G = np.zeros((count, sum(dims), n + nb))
+        G[:, heads, n + np.arange(nb)] = -1.0
+        G[:, tails, np.arange(n)] = -1.0
+        G[:, n + nb + 1:, :n] = rmat
+        h = np.zeros(G.shape[:2])
+        h[:, tails] = c0
         h[:, n + nb] = stack.radius
         h[:, n + nb + 1:] = slack
-    norms = _block_norms_flat(c0, k)
-    t0 = norms + np.fmax(norms.mean(axis=1), np.finfo(float).tiny)[:, None]
-    x = np.concatenate([np.zeros((len(live), r)), t0], axis=1)
-    # the estimate and dual of each program's last Newton step
-    last_c, last_nu = c0, np.zeros((len(live), p))
-    cost = np.concatenate([np.zeros(r), np.ones(nb)])
+        cost = np.concatenate([np.zeros((count, n)), np.ones((count, nb))], axis=1)
+        norms = _block_norms_flat(c0, k)
+        x = np.concatenate([np.zeros((count, n)), norms + np.fmax(norms.mean(axis=1), np.finfo(float).tiny)[:, None]],
+                           axis=1)
+    else:
+        G = np.zeros((count, n + nb, rank))
+        G[:, tails] = -stack.vt.swapaxes(1, 2)
+        h = np.tile(cones.e, (count, 1))
+        cost = -_mv(stack.vt, c0)
+        x = np.zeros((count, rank))
+    # the estimate and dual of each program's last Newton step, and the
+    # equality programs that passed the stop test, with their iterates
+    last_c, last_nu, passed = c0, np.zeros((count, p)), []
     s = h - _mv(G, x)
-    z = np.tile(cones.e, (len(x), 1))
+    z = np.tile(cones.e, (count, 1))
     sz = np.concatenate([s, z], axis=1)
     sz_sq = cones.jdot2(sz, sz)
     for it in range(1, max_iters + 1):
@@ -640,36 +611,44 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         sz_sq = cones.jdot2(sz, sz)
         # rounding may have carried an iterate to the boundary
         ok &= np.all(sz[:, cones.heads2] > 0.0, axis=1) & np.all(sz_sq > 0.0, axis=1)
-        c = c0 + _mv(basis, x[:, :r])
         if not ok.all():
-            leave(~ok, last_c[~ok], last_nu[~ok], "stalled", it - 1)
-        # the duals of the programs that step on: the ball cone (radius,
-        # Q^T y - R c) comes last, and its multiplier (z0, z1) gives nu =
-        # z0 / radius y_perp - Q z1; an equality step's nu is the
-        # least-squares solution of B^T nu = -z1, its support the blocks
-        # whose cone head t_j exceeds the slack z0_j - ||z1_j|| of their dual
-        # cone (primal-dual complementarity)
-        at, xg, zg, cg = (stack, x, z, c) if ok.all() else (stack.take(ok), x[ok], z[ok], c[ok])
+            leave(live[~ok], last_c[~ok], last_nu[~ok], "stalled", it - 1)
+        at, c0g, xg, sg, zg = (stack, c0, x, s, z) if ok.all() else (stack.take(ok), c0[ok], x[ok], s[ok], z[ok])
         if ball:
-            nus = at.in_ball(_mv(at.q, -zg[:, n + nb + 1:]) + (zg[:, n + nb] / at.radius)[:, None] * at.y_perp, k)
-            vecs, duals, gap = cg, nus, _dual_gaps(cg, nus, at.y, at.eta, k)
+            # the ball cone's multiplier (z0, z1) gives nu = z0 / radius y_perp - U_r z1
+            cg = c0g + xg[:, :n]
+            nus = at.in_ball(_mv(at.u, -zg[:, n + nb + 1:]) + (zg[:, n + nb] / at.radius)[:, None] * at.y_perp, k)
         else:
-            z1 = np.take(zg, tails, axis=1)
-            nus = at.in_ball(at.dual_ls(-z1), k)
-            support = xg[:, r:] > zg[:, heads] - _block_norms_flat(z1, k)
-            vecs, duals, gap = _support_exits(at, k, support, cg, nus)
-        done = gap <= TOL_GAP
+            cg = -np.take(zg, tails, axis=1)
+            cg += _mv(at.vt.swapaxes(1, 2), _mv(at.vt, c0g - cg))
+            nus = at.in_ball(_mv(at.u, xg / at.sigma), k)
+        done = at.certified(cg, nus, k)
+        if done.any() and ball:
+            leave(live[ok][done], cg[done], nus[done], "converged", it)
+        elif done.any():
+            passed.append((live[ok][done], sg[done], zg[done], cg[done], nus[done], np.full(int(done.sum()), it)))
         keep = ok.copy()
         keep[ok] = ~done
-        if done.any():
-            leave(ok & ~keep, vecs[done], duals[done], "converged", it)
         last_c, last_nu = cg[~done], nus[~done]
         if not keep.all():
-            live, c0, basis, G, x, s, z, sz_sq = (a[keep] for a in (live, c0, basis, G, x, s, z, sz_sq))
+            live, c0, G, cost, x, s, z, sz_sq = (a[keep] for a in (live, c0, G, cost, x, s, z, sz_sq))
             stack = stack.take(keep)
         if len(live) == 0:
-            return out
-    leave(np.ones(len(live), dtype=bool), last_c, last_nu, "max_iters", max_iters)
+            break
+    else:
+        leave(live, last_c, last_nu, "max_iters", max_iters)
+    if passed:
+        # the equality programs that passed the stop test make their support
+        # exit attempts in one call. The support: the rank // k blocks whose
+        # cone slack s0_j - ||s1_j|| is smallest against their dual cone head
+        # z0_j, as complementarity pairs a small slack with a large z0_j. It
+        # is wider than the blocks whose z0_j exceeds their slack, which miss
+        # a block of the optimum whose z0_j is below sqrt(mu)
+        rows, s_done, z_done, c, nu, iters = (np.concatenate(a) for a in zip(*passed))
+        ratio = (s_done[:, heads] - _block_norms_flat(np.take(s_done, tails, axis=1), k)) / z_done[:, heads]
+        support = np.zeros(ratio.shape, dtype=bool)
+        np.put_along_axis(support, np.argsort(ratio, axis=1)[:, :rank // k], True, axis=1)
+        leave(rows, *_support_exits(_Stack.of([progs[i] for i in rows]), k, support, c, nu), "converged", iters)
     return out
 
 
@@ -678,7 +657,7 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     (B, y, eta) triple: one :class:`RecoverySolution` per input, each equal bit
     for bit to the solution of its triple alone.
 
-    After the zero exits (||y|| <= eta), B^T B is factored once per distinct
+    After the zero exits (||y|| <= eta), B is factored once per distinct
     operator (:func:`_factor`). The programs are then stacked once, by
     program, k, shape and rank of B, and each stack is solved from
     the least-squares probe to its last exit (:func:`_solve_stack`).
@@ -702,14 +681,14 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     # stack's programs and factors are not kept; zero is feasible and has
     # minimal objective
     out = [_Program(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
-    out = [_solutions([prog], _Stack.of([prog]), np.zeros((1, prog.op.in_dim)), np.zeros((1, len(prog.y))),
-                      "converged", 0)[0] if prog.ynorm <= prog.eta else prog for prog in out]
+    out = [_solutions([prog], np.zeros((1, prog.op.in_dim)), np.zeros((1, len(prog.y))), "converged", 0)[0]
+           if prog.ynorm <= prog.eta else prog for prog in out]
     rest = [i for i, prog in enumerate(out) if isinstance(prog, _Program)]
     _factor([out[i] for i in rest])
     stacks = {}
     for i in rest:
         prog = out[i]
-        stacks.setdefault((prog.eta > 0.0, prog.op.collection.block_dim, prog.B.shape, len(prog.l_r)), []).append(i)
+        stacks.setdefault((prog.eta > 0.0, prog.op.collection.block_dim, prog.B.shape, len(prog.sigma)), []).append(i)
     for rows in stacks.values():
         for i, sol in zip(rows, _solve_stack([out[i] for i in rows], max_iters)):
             out[i] = sol
@@ -741,6 +720,8 @@ def closed_form_orthogonal(y: np.ndarray, a: np.ndarray, collection: SubspaceCol
         raise ValueError(
             f"expected y of length {collection.ambient_dim}, got {y.shape}"
         )
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(a))):
+        raise ValueError("y and a must be finite")
     if collection.size >= 2 and coherence(collection).lambda_ > 1e-10:
         raise NotOrthogonalError("collection is not mutually orthogonal")
     zero = np.nonzero(a == 0.0)[0]
@@ -880,7 +861,7 @@ def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -
 
     Uses the residuals the solver reports (:func:`_residuals`) and flags a
     check when it is violated by more than ten times the solver's tolerance
-    (``TOL_PRIMAL``, ``TOL_DUAL``, ``TOL_GAP``). Like the solves and the
+    (``TOL_PRIMAL`` and ``TOL_GAP`` times ||y||, ``TOL_DUAL``). Like the solves and the
     oracle, raises ``ValueError`` unless y is a finite vector of B's output
     length.
     """
@@ -895,7 +876,7 @@ def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -
         primal_violation=violation,
         dual_feasibility=dual_feas,
         duality_gap=gap,
-        primal_ok=violation <= 10.0 * TOL_PRIMAL * (1.0 + ynorm),
+        primal_ok=violation <= 10.0 * TOL_PRIMAL * ynorm,
         dual_ok=dual_feas <= 1.0 + 10.0 * TOL_DUAL,
-        gap_ok=gap <= 10.0 * TOL_GAP,
+        gap_ok=gap <= 10.0 * TOL_GAP * ynorm,
     )

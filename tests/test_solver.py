@@ -27,6 +27,7 @@ from fusioncs.frames import (
     SubspaceCollection,
     _orthonormalize,
     angle_family,
+    build_collection,
     orthogonal_collection,
     random_collection,
 )
@@ -97,9 +98,9 @@ def assert_support_dual(b, sol):
     assert np.all(off <= 1.0 + solver.TOL_DUAL)
 
 
-def kkt_gives_up(b, y, support, k, c):
-    """A support system that gives up on every support of its stack."""
-    return c, np.zeros(len(b), dtype=bool)
+def exit_gives_up(stack, k, support, c, nu):
+    """A support exit that gives up on every program of its stack."""
+    return c, nu
 
 
 class TestSolveEquality:
@@ -212,13 +213,12 @@ class TestSolveEquality:
             solve_equality(b, y, max_iters=0)
 
     def test_complementarity_support_certified_in_two_steps(self):
-        # the support read off t_j > z0_j - ||z1_j|| passes the certificate
-        # within two Newton steps
+        # the support read off complementarity at the step whose gap test
+        # first passes gives the certified estimate
         coll = random_collection(4, 2, 8, seed=2)
         b, truth, y = planted_instance(coll, 2, 3, seed=3)
         sol = solve_equality(b, y)
         assert sol.status == "converged"
-        assert sol.iterations <= 2
         assert certify(sol, b, y).ok
         assert rel_err(sol, truth) <= 1e-10
 
@@ -246,30 +246,32 @@ class TestSolveEquality:
             assert 0 < np.count_nonzero(cols) <= b.out_dim
             assert_support_dual(b, sol)
 
-    def test_wide_support_exits_through_its_optimality_system(self, monkeypatch):
-        # the optimal support has 6 coefficients against B's 4 rows, so its
-        # least-squares fit is the minimum-norm one and never certifies;
-        # Newton's method on the support's optimality system does
+    def test_wide_support_ends_on_the_dual_iterate(self, monkeypatch):
+        # the optimal support has 6 coefficients against B's 4 rows, so no
+        # least-squares fit on B's columns certifies: the solve ends on the
+        # iterate that passed the gap test, c = -z1 moved onto B c = y, and
+        # a strictly feasible nu
         b, _, y = planted_instance(random_collection(4, 2, 8, seed=0), 2, 1, seed=30)
+        real_exits, iterates = solver._support_exits, []
+
+        def exits(stack, k, support, c, nu):
+            iterates.append(c[0].copy())
+            return real_exits(stack, k, support, c, nu)
+
+        monkeypatch.setattr(solver, "_support_exits", exits)
         sol = solve_equality(b, y)
-        assert sol.status == "converged"
-        assert certify(sol, b, y).ok
-        assert np.count_nonzero(coeff_vector(sol.estimate)) > b.out_dim
-        assert_support_dual(b, sol)
-        monkeypatch.setattr(solver, "_support_kkt", kkt_gives_up)
-        gap_exit = solve_equality(b, y)
-        assert gap_exit.status == "converged"
-        assert sol.iterations < gap_exit.iterations
-        assert abs(sol.objective - gap_exit.objective) <= 10 * solver.TOL_GAP
+        assert sol.status == "converged" and certify(sol, b, y).ok
+        (c,) = iterates
+        norms = solver._block_norms_flat(c, 2)
+        assert np.count_nonzero(norms > 1e-6 * norms.max()) * 2 > b.out_dim
+        assert np.array_equal(coeff_vector(sol.estimate), c * np.linalg.norm(y))
+        assert sol.primal_residual <= 1e-14 and sol.dual_residual == 0.0
 
     def test_stalled_status(self, monkeypatch):
-        # a singular matrix from the third solve on (the first step's
-        # support fit, then the second step's predictor) ends the steps
-        # early: that is not max_iters. The instance never reaches the
-        # support system, whose solves would count too
+        # a singular matrix from the third solve on (the second step's
+        # predictor) ends the steps early: that is not max_iters
         coll = random_collection(4, 2, 8, seed=2)
         b, truth, y = planted_instance(coll, 2, 3, seed=3)
-        monkeypatch.setattr(solver, "_support_kkt", lambda *args: pytest.fail("support system reached"))
         real_solve = np.linalg.solve
         calls = []
 
@@ -370,25 +372,25 @@ def random_instance(seed, dims, d, rows, s, kind, scale):
 )
 @settings(max_examples=80, deadline=None)
 def test_support_system_never_adds_steps(seed, dims, d, rows, s, kind, log_scale):
-    # the support exit against the same solve ending only by the
-    # interior-point gap (or a support no wider than B)
+    # the least-squares fit on the support, attempted once at the step whose
+    # gap test passes, against the same solve ending only by that test
     b, y = random_instance(seed, dims, d, rows, s, kind, 10.0**log_scale)
     sol = solve_equality(b, y)
-    with mock.patch.object(solver, "_support_kkt", kkt_gives_up):
+    with mock.patch.object(solver, "_support_exits", exit_gives_up):
         gap_exit = solve_equality(b, y)
     assert gap_exit.status == "converged"
     assert sol.status == "converged"
     assert certify(sol, b, y).ok
-    assert sol.iterations <= gap_exit.iterations
-    assert abs(sol.objective - gap_exit.objective) <= 10 * solver.TOL_GAP
+    assert sol.iterations == gap_exit.iterations
+    assert abs(sol.objective - gap_exit.objective) <= 10 * solver.TOL_GAP * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("kind", ["vector", "scalar"])
 def test_gap_exit_returns_the_certified_iterate(monkeypatch, kind):
-    # with every step's support emptied, no support fit passes, and every
-    # equality solve that steps ends on the interior-point gap test: its
-    # estimate is the Newton iterate that test certified, feasible to
-    # TOL_PRIMAL as it stands
+    # with the support emptied, no support fit passes, and every equality
+    # solve that steps ends on the interior-point gap test: its estimate is
+    # the Newton iterate that test certified, rescaled by ||y|| and
+    # feasible to TOL_PRIMAL as it stands
     real_exits = solver._support_exits
     iterates = []
 
@@ -403,117 +405,114 @@ def test_gap_exit_returns_the_certified_iterate(monkeypatch, kind):
         iterates.clear()
         sol = solve_equality(b, y)
         assert sol.status == "converged" and sol.iterations > 0
-        assert len(iterates) == sol.iterations
-        assert np.array_equal(coeff_vector(sol.estimate), iterates[-1])
+        assert len(iterates) == 1
+        assert np.array_equal(coeff_vector(sol.estimate), iterates[-1] * np.linalg.norm(y))
         assert certify(sol, b, y).ok
         assert sol.primal_residual <= solver.TOL_PRIMAL
 
 
 class TestSupportKKT:
-    """The give-up returns of Newton's method on a support's optimality
-    system, alone and in a stack."""
-
-    def wide_support(self):
-        # 4 coefficients in two blocks of 2 against 3 rows, started near a
-        # point from which the iterations converge
-        rng = np.random.default_rng(1)
-        b_s, x = rng.standard_normal((3, 4)), rng.standard_normal(4)
-        return b_s, b_s @ x, 2, x + 0.1 * rng.standard_normal(4)
+    """The support exit's solve of a support's optimality system, B_S c = y
+    by least squares and B_S^T nu = g_S by projection, and its give-up
+    returns, alone and in a stack. The exit starts from c = 0 and nu = 0,
+    which it returns when it gives up."""
 
     @staticmethod
-    def fits(b_s, y, k, c_s):
-        # each support spans all of its B's columns
-        c, held = solver._support_kkt(b_s, y, np.ones((len(b_s), b_s.shape[2] // k), dtype=bool), k, c_s)
-        return [c_i if ok else None for c_i, ok in zip(c, held)]
+    def exits(b, y, support, k=2):
+        stack = solver._Stack(b=b, y=y, eta=np.zeros(len(b)), ynorm=solver._norms(y))
+        fit, nu = solver._support_exits(stack, k, support, np.zeros((len(b), b.shape[2])), np.zeros(y.shape))
+        return [(c * norm, n) if c.any() else None for c, n, norm in zip(fit, nu, stack.ynorm)]
 
-    def alone(self, b_s, y, k, c_s):
-        return self.fits(b_s[None], y[None], k, c_s[None])[0]
+    def alone(self, b, y, support):
+        return self.exits(b[None], y[None], np.array(support)[None])[0]
+
+    @staticmethod
+    def orthonormal(seed, rows=8, cols=8):
+        # B with orthonormal columns: the dual projection of a support's
+        # subgradient leaves every other block of B^T nu at zero
+        return np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, cols)))[0]
 
     def test_masked_support_matches_its_columns_alone(self):
-        # blocks 1 and 3 of four (4 of B's 8 columns, against 3 rows):
-        # Newton's iterates on the masked system equal those on B_S alone
-        # but for rounding, and stay zero off S
-        rng = np.random.default_rng(3)
-        support = np.array([False, True, False, True])
-        cols = np.repeat(support, 2)
-        b, x = rng.standard_normal((3, 8)), np.where(cols, rng.standard_normal(8), 0.0)
-        start = x + 0.1 * rng.standard_normal(8)
-        (c,), (held,) = solver._support_kkt(b[None], (b @ x)[None], support[None], 2, start[None])
-        alone = self.alone(b[:, cols], b @ x, 2, start[cols])
-        assert held and alone is not None and np.all(c[~cols] == 0.0)
+        # blocks 1 and 3 of four: the masked fit equals lstsq on B_S alone
+        # but for rounding and is zero off S, and B_S^T nu = g_S
+        b = self.orthonormal(3)
+        cols = np.repeat([False, True, False, True], 2)
+        x = np.where(cols, np.random.default_rng(4).standard_normal(8), 0.0)
+        c, nu = self.alone(b, b @ x, [False, True, False, True])
+        alone = np.linalg.lstsq(b[:, cols], b @ x, rcond=None)[0]
+        assert np.all(c[~cols] == 0.0)
         assert np.linalg.norm(c[cols] - alone) <= 1e-12 * np.linalg.norm(alone)
+        np.testing.assert_allclose((b.T @ nu)[cols], solver._subgradients(c, 2)[cols], rtol=0, atol=1e-12)
 
     def test_zero_block(self):
-        b_s, y, k, _ = self.wide_support()
-        assert self.alone(b_s, y, k, np.array([0.0, 0.0, 1.0, 2.0])) is None
+        # y uses block 1 alone: block 3's fit is rounding, leaves S, and the
+        # dual is projected on block 1 only
+        b = self.orthonormal(5)
+        x = np.zeros(8)
+        x[2:4] = [1.0, -2.0]
+        c, nu = self.alone(b, b @ x, [False, True, False, True])
+        assert np.all(c[6:] == 0.0) and np.linalg.norm(c - x) <= 1e-12
+        assert np.linalg.norm(b[:, 6:].T @ nu) <= 1e-12
 
     def test_singular_system(self):
-        # two equal rows of B_S make K singular
-        b_s, _, k, c_s = self.wide_support()
-        b_s = np.vstack([b_s[0], b_s[0], b_s[1]])
-        assert self.alone(b_s, b_s @ c_s, k, c_s) is None
+        # two equal blocks of B_S make the masked system singular
+        b = self.orthonormal(6)
+        b[:, 2:4] = b[:, :2]
+        assert self.alone(b, b[:, :2] @ [1.0, 1.0], [True, True, False, False]) is None
 
     def test_non_finite_iterate(self, monkeypatch):
-        # unpatched, the iterations converge: only the NaN ends the attempt
-        b_s, y, k, c_s = self.wide_support()
-        assert np.linalg.norm(b_s @ self.alone(b_s, y, k, c_s) - y) <= 1e-12
+        # unpatched, the fit is taken: only the NaN ends the attempt
+        b = self.orthonormal(7)
+        y = b[:, :2] @ [1.0, 1.0]
+        assert self.alone(b, y, [True, False, False, False]) is not None
         real_solve = np.linalg.solve
         calls = []
 
         def solve(a, rhs):
             calls.append(None)
-            out = real_solve(a, rhs)
-            return np.full_like(out, np.nan) if len(calls) == solver.KKT_ITERS else out
+            return np.full_like(real_solve(a, rhs), np.nan)
 
         monkeypatch.setattr("fusioncs.solver.np.linalg.solve", solve)
-        assert self.alone(b_s, y, k, c_s) is None
-        assert len(calls) == solver.KKT_ITERS
+        assert self.alone(b, y, [True, False, False, False]) is None
+        assert calls
 
     def test_stack_matches_each_support_alone_independent(self):
-        # converging supports with a zero-block and a singular one: the
-        # singular K sends the stack slice by slice, and every support gets
-        # the bits (or the None) of its attempt alone
-        rng = np.random.default_rng(2)
-        b_s = rng.standard_normal((5, 3, 4))
-        b_s[3, 1] = b_s[3, 0]
-        x = rng.standard_normal((5, 4))
-        y = np.einsum("ipw,iw->ip", b_s, x)
-        c_s = x + 0.1 * rng.standard_normal((5, 4))
-        c_s[1, :2] = 0.0
-        alone = [self.alone(b, yi, 2, c) for b, yi, c in zip(b_s, y, c_s)]
-        assert [c is None for c in alone] == [False, True, False, True, False]
-        for fits in (self.fits(b_s, y, 2, c_s),
-                     self.fits(b_s[[0, 2, 4]], y[[0, 2, 4]], 2, c_s[[0, 2, 4]])):
-            kept = fits if len(fits) == 5 else [fits[0], None, fits[1], None, fits[2]]
-            for fit, one in zip(kept, alone):
+        # taken fits, a singular masked system, which sends the stack slice
+        # by slice, and a fit that misses y, in one stack: every support
+        # gets the bits (or the None) of its attempt alone
+        b = np.stack([self.orthonormal(seed) for seed in range(5)])
+        b[3, :, 2:4] = b[3, :, :2]
+        support = np.array([[True, False, True, False]] * 5)
+        support[3] = [True, True, False, False]
+        x = np.random.default_rng(8).standard_normal((5, 8)) * np.repeat(support, 2, axis=1)
+        y = np.einsum("ipw,iw->ip", b, x)
+        y[4] += b[4, :, 2]  # y leaves the span of block 0 and 2
+        alone = [self.alone(*args) for args in zip(b, y, support)]
+        assert [fit is None for fit in alone] == [False, False, False, True, True]
+        for rows in (range(5), [0, 2, 3]):
+            rows = list(rows)
+            for fit, one in zip(self.exits(b[rows], y[rows], support[rows]), [alone[i] for i in rows]):
                 assert (fit is None) == (one is None)
-                assert fit is None or fit.tobytes() == one.tobytes()
+                assert fit is None or (fit[0].tobytes(), fit[1].tobytes()) == (one[0].tobytes(), one[1].tobytes())
 
 
 class TestSupportExits:
-    """The masked support fits of an equality step's exit, against lstsq on
-    each support, and the stacks that mix support widths."""
-
-    @staticmethod
-    def stack(b, y):
-        stack = solver._Stack(b=b, y=y, eta=np.zeros(len(b)), ynorm=solver._norms(y))
-        stack.gram = np.swapaxes(b, 1, 2) @ b
-        return stack
+    """The masked support fits of an equality program's exit, against lstsq
+    on each support, and the stacks that mix support widths."""
 
     def test_fit_and_dual_match_lstsq_independent(self):
-        # full-rank supports on blocks of 2, narrower than, as wide as and
-        # wider than B's 6 rows, in one stack: with one refinement step,
-        # P^T y is the least-squares fit on S (the minimum-norm one when S
-        # is wide) and P r the minimum-norm solution of B_S^T nu = r_S (the
-        # least-squares one when S is wide), as lstsq gives them; each row
-        # has the bits of its stack of one
+        # full-rank supports on blocks of 2, narrower than and as wide as
+        # B's 6 rows, in one stack: with one refinement step, P^T y is the
+        # least-squares fit on S and P r the minimum-norm solution of
+        # B_S^T nu = r_S, as lstsq gives them; each row has the bits of its
+        # stack of one
         rng = np.random.default_rng(5)
-        supports = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 1], [1, 1, 0, 1, 0, 1, 0, 0],
-                             [0, 1, 1, 0, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1]], dtype=bool)
+        supports = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 1], [1, 1, 0, 1, 0, 0, 0, 0],
+                             [0, 0, 1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 1, 0, 1, 0, 0]], dtype=bool)
         mask = np.repeat(supports, 2, axis=1)
-        assert mask.sum(axis=1).tolist() == [2, 6, 8, 8, 16, 10]
+        assert mask.sum(axis=1).tolist() == [2, 6, 6, 6, 4, 4]
         b, y, r = rng.standard_normal((6, 6, 16)), rng.standard_normal((6, 6)), rng.standard_normal((6, 16))
-        maps, ok = solver._dual_maps(self.stack(b, y), mask)
+        maps, ok = solver._dual_maps(b, mask)
         assert ok.all()
         for i, (b_i, y_i, r_i, cols) in enumerate(zip(b, y, r, mask)):
             fit, nu = np.zeros(16), np.linalg.lstsq(b_i[:, cols].T, r_i[cols], rcond=None)[0]
@@ -524,26 +523,28 @@ class TestSupportExits:
             step += maps[i] @ (r_i - b_i.T @ step)
             assert np.linalg.norm(c - fit) <= 1e-12 * np.linalg.norm(fit)
             assert np.linalg.norm(step - nu) <= 1e-12 * np.linalg.norm(nu)
-            alone, _ = solver._dual_maps(self.stack(b[i:i + 1], y[i:i + 1]), mask[i:i + 1])
+            alone, _ = solver._dual_maps(b[i:i + 1], mask[i:i + 1])
             assert alone.tobytes() == maps[i:i + 1].tobytes()
 
     def test_mixed_width_stack_matches_solves_alone_independent(self, monkeypatch):
-        # B is 4 x 16 (m = 1): a one-block support is narrower than B, a
-        # three-block one wider, and one step of the stack holds both; each
-        # solution equals its solve alone bit for bit
+        # B is 4 x 16 (m = 1): a one-block optimum is narrower than B, and
+        # its fit is taken, a three-block one wider, and its iterate kept,
+        # and one exit of the stack holds both; each solution equals its
+        # solve alone bit for bit
         coll = random_collection(4, 2, 8, seed=0)
         cases = [planted_instance(coll, s, 1, seed=40 + 3 * i + s)[::2] for i in range(4) for s in (1, 2, 3)]
         single = [full_bits(solve_equality(b, y)) for b, y in cases]
-        real_exits, widths = solver._support_exits, []
+        real_exits, taken = solver._support_exits, []
 
         def exits(stack, k, support, c, nu):
-            widths.append(set((np.repeat(support, k, axis=1).sum(axis=1) > stack.b.shape[1]).tolist()))
-            return real_exits(stack, k, support, c, nu)
+            fit, dual = real_exits(stack, k, support, c, nu)
+            taken.append(set((fit != c).any(axis=1).tolist()))
+            return fit, dual
 
         monkeypatch.setattr(solver, "_support_exits", exits)
         sols = solver.solve_many(*zip(*cases), [0.0] * len(cases))
         assert [full_bits(sol) for sol in sols] == single
-        assert {False, True} in widths
+        assert {False, True} in taken
         for (b, y), sol in zip(cases, sols):
             assert sol.status == "converged" and certify(sol, b, y).ok
 
@@ -619,9 +620,9 @@ class TestSolveNoisy:
         sol = solve_noisy(b, y, 1.2 * dist)
         assert sol.status == "converged"
 
-    # The ball program runs on the thin QR B = Q R, through ||B c - y||^2 =
-    # ||R c - Q^T y||^2 + ||y_perp||^2, y_perp the part of y outside the range
-    # of B. The program, its objective and its certificate must not depend
+    # The ball program runs on the thin SVD B = U_r S_r V_r^T, through
+    # ||B c - y||^2 = ||S_r V_r^T c - U_r^T y||^2 + ||y_perp||^2, y_perp the
+    # part of y outside the range of B. The program, its objective and its certificate must not depend
     # on how B's rows are written.
 
     def test_rotated_rows_keep_the_objective(self):
@@ -768,11 +769,11 @@ class TestSolveMany:
 
     def test_shared_factors_and_stacked_support_systems_independent(self, monkeypatch):
         # one operator shared by four eta rows, a rank-deficient B among
-        # full-rank Bs of its shape, equality and ball programs, and wide
-        # supports whose support systems share a column count: each
+        # full-rank Bs of its shape, equality and ball programs, and
+        # equality programs that reach their support exits together: each
         # solution equals its solve alone bit for bit, each distinct
-        # operator is factored once, by one eigh per matrix shape, and the
-        # support systems run in stacks
+        # operator is factored once, by one SVD per matrix shape, and the
+        # support exits run in stacks
         coll = random_collection(4, 2, 8, seed=0)
         wide = [planted_instance(coll, 2, 1, seed=30 + i)[::2] for i in range(4)]
         cases = [(b, y, 0.0) for b, y in wide]
@@ -783,24 +784,24 @@ class TestSolveMany:
                 b, y = repeated_blocks_instance(seed, repeats)
                 cases += [(b, y, 0.0), (b, y, 1e-3 * float(np.linalg.norm(y)))]
         single = [full_bits(solve_noisy(*case)) for case in cases]
-        real_eigh, real_kkt = np.linalg.eigh, solver._support_kkt
-        eighs, kkt_rows = [], []
+        real_svd, real_exits = np.linalg.svd, solver._support_exits
+        svds, exit_rows = [], []
 
-        def eigh(a):
-            eighs.append(a.shape)
-            return real_eigh(a)
+        def svd(a, **kwargs):
+            svds.append(a.shape)
+            return real_svd(a, **kwargs)
 
-        def kkt(b_s, *args):
-            kkt_rows.append(len(b_s))
-            return real_kkt(b_s, *args)
+        def exits(stack, *args):
+            exit_rows.append(len(stack.b))
+            return real_exits(stack, *args)
 
-        monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", eigh)
-        monkeypatch.setattr(solver, "_support_kkt", kkt)
+        monkeypatch.setattr("fusioncs.solver.np.linalg.svd", svd)
+        monkeypatch.setattr(solver, "_support_exits", exits)
         sols = solver.solve_many(*zip(*cases))
         assert [full_bits(sol) for sol in sols] == single
         assert {sol.status for sol in sols} == {"converged"}
-        assert eighs == [(4, 16, 16), (4, 16, 16)]
-        assert max(kkt_rows) >= 2
+        assert svds == [(4, 4, 16), (4, 16, 16)]
+        assert max(exit_rows) >= 2
 
     def test_probe_exits_leave_their_stack_independent(self):
         # on criterion 9's injective 48 x 12 shape, one call holds ball
@@ -826,7 +827,7 @@ class TestSolveMany:
 
     def test_non_integer_max_iters_rejected(self, monkeypatch):
         b, y = repeated_blocks_instance(0, 1)
-        monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", lambda a: pytest.fail("factored"))
+        monkeypatch.setattr("fusioncs.solver.np.linalg.svd", lambda a, **kwargs: pytest.fail("factored"))
         for bad in (2.5, 2.0, "3", True, np.bool_(True)):
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 solver.solve_many([b], [y], [0.0], max_iters=bad)
@@ -835,7 +836,7 @@ class TestSolveMany:
 
     def test_eta_that_is_not_a_real_number_rejected(self, monkeypatch):
         b, y = repeated_blocks_instance(0, 1)
-        monkeypatch.setattr("fusioncs.solver.np.linalg.eigh", lambda a: pytest.fail("factored"))
+        monkeypatch.setattr("fusioncs.solver.np.linalg.svd", lambda a, **kwargs: pytest.fail("factored"))
         for bad in ("0.1", True, False, np.bool_(True)):
             with pytest.raises(ValueError, match="eta must be a real number"):
                 solver.solve_many([b], [y], [bad])
@@ -928,6 +929,14 @@ class TestClosedFormOrthogonal:
         coll = angle_family(2, 3, 0.5)
         with pytest.raises(NotOrthogonalError):
             closed_form_orthogonal(np.zeros(coll.ambient_dim), np.ones(3), coll)
+
+    @pytest.mark.parametrize("y, a", [
+        ([1.0, math.nan, 0.0, 0.0], [1.0, 2.0]),
+        ([1.0, 0.0, 0.0, 0.0], [math.inf, 2.0]),
+    ])
+    def test_non_finite_input_rejected(self, y, a):
+        with pytest.raises(ValueError, match="must be finite"):
+            closed_form_orthogonal(np.array(y), a, orthogonal_collection(4, 2, 2))
 
 
 class TestOracle:
@@ -1313,3 +1322,111 @@ class TestMuFRecoveryCap:
             assert sol.status == "converged"
             assert rel_err(sol, truth) <= 1e-6
         assert tested >= 25
+
+
+def l1_reference(matrix, y):
+    """min ||c||_1 s.t. B c = y, for y in the range of B, with no solver.
+
+    The program is a linear program, so some optimum is a basic solution:
+    c_S = B_S^-1 y on r columns S, once B is reduced to r = rank(B) rows
+    spanning its row space. Every r-subset is solved, by one stacked solve
+    per chunk of :func:`fusioncs.measurement.support_chunks`; a singular
+    B_S is skipped, and so is one whose solve does not fit y.
+    """
+    u, sigma, _ = np.linalg.svd(matrix, full_matrices=False)
+    r = int(np.sum(sigma > max(matrix.shape) * np.finfo(float).eps * sigma[0]))
+    b, rhs = u[:, :r].T @ matrix, u[:, :r].T @ y
+    best = math.inf
+    for _, cols in measurement.support_chunks(matrix.shape[1], 1, r, r * r):
+        sub = np.moveaxis(b[:, cols], 0, 1)
+        try:
+            sols = np.linalg.solve(sub, np.broadcast_to(rhs[:, None], (len(sub), r, 1)))[:, :, 0]
+        except np.linalg.LinAlgError:
+            sols = np.full((len(sub), r), np.nan)
+            for i, a in enumerate(sub):
+                try:
+                    sols[i] = np.linalg.solve(a, rhs)
+                except np.linalg.LinAlgError:
+                    pass
+        fits = np.linalg.norm((sub @ sols[:, :, None])[:, :, 0] - rhs, axis=1) <= 1e-9 * np.linalg.norm(rhs)
+        if fits.any():
+            best = min(best, float(np.abs(sols[fits]).sum(axis=1).min()))
+    return best
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 10),
+    extra=st.integers(1, 6),
+    deficit=st.integers(0, 2),
+    s=st.integers(1, 16),
+    log_alpha=st.floats(-6.0, 6.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_k1_objective_matches_exact_reference(seed, p, extra, deficit, s, log_alpha):
+    # k = 1: the equality program is a linear program, and enumerating the
+    # basic solutions gives its exact optimum at any scale of y; a B of
+    # rank p - deficit has rows that repeat combinations of the others
+    rng = np.random.default_rng(seed)
+    n = min(16, p + extra)
+    rank = max(1, p - deficit)
+    matrix = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
+    b = compose_with_bases(scalar_operator(matrix), build_collection([np.ones((1, 1))] * n))
+    truth = np.zeros(n)
+    truth[rng.choice(n, size=min(s, n), replace=False)] = rng.standard_normal(min(s, n))
+    y = 10.0**log_alpha * (matrix @ truth)
+    ref = l1_reference(matrix, y)
+    sol = solve_equality(b, y)
+    if sol.status == "converged":
+        assert abs(sol.objective - ref) <= 1e-9 * ref, (sol.objective, ref)
+
+
+@pytest.mark.parametrize("kappa", [1e6, 1e7, 1e8, 1e10, 1e12])
+def test_ill_conditioned_wide_b(kappa):
+    # a 10 x 16 B with singular values from 1 to 1 / kappa and y = B x for a
+    # 2-sparse x: y is in the range of B, so no solve is infeasible, and
+    # the factor's rank is numpy's
+    rng = np.random.default_rng(round(math.log10(kappa)) + 40)
+    coll = build_collection([np.eye(2)] * 8)
+    cases = []
+    for _ in range(40):
+        u, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        v, _ = np.linalg.qr(rng.standard_normal((16, 10)))
+        matrix = u @ np.diag(np.geomspace(1.0, 1.0 / kappa, 10)) @ v.T
+        truth = np.zeros(16)
+        truth[support_columns(np.sort(rng.choice(8, size=2, replace=False))[None], 2)[0]] = rng.standard_normal(4)
+        b = compose_with_bases(scalar_operator(matrix), coll)
+        cases.append((b, matrix @ truth, 0.0))
+    for b, _, _ in cases:
+        prog = solver._Program(b, np.zeros(b.out_dim), 0.0)
+        solver._factor([prog])
+        assert len(prog.sigma) == np.linalg.matrix_rank(b.matrix)
+    sols = solver.solve_many(*zip(*cases))
+    assert not any(sol.status == "infeasible" for sol in sols)
+    for (b, y, _), sol in zip(cases, sols):
+        if sol.status == "converged" or kappa <= 1e8:
+            assert sol.status == "converged" and certify(sol, b, y).ok
+
+
+def scale_instance(seed):
+    """An s = 2 instance on random d=4, k=2, N=8 subspaces through an
+    unscaled 3 x 8 Gaussian vector operator: B is 12 x 16."""
+    coll = random_collection(4, 2, 8, seed=5000 + seed)
+    a = np.random.default_rng(9000 + seed).standard_normal((3, 8))
+    b = compose_with_bases(vector_operator(a, 4), coll)
+    return b, b.matvec(coeff_vector(random_sparse_signal(coll, 2, seed=7000 + seed)))
+
+
+@given(seed=st.integers(0, 10**6), log_alpha=st.floats(-6.0, 6.0), ball=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_objective_scales_with_y_and_eta(seed, log_alpha, ball):
+    # solve(B, alpha y, alpha eta) is alpha times solve(B, y, eta): it
+    # converges, passes certify, and its objective is alpha times the
+    # unit-scale one to ten times the gap tolerance
+    b, y = scale_instance(seed)
+    eta = 0.05 * float(np.linalg.norm(y)) if ball else 0.0
+    alpha = 10.0**log_alpha
+    base, scaled = solve_noisy(b, y, eta), solve_noisy(b, alpha * y, alpha * eta)
+    assert base.status == scaled.status == "converged"
+    assert certify(scaled, b, alpha * y).ok
+    assert abs(scaled.objective - alpha * base.objective) <= 10 * solver.TOL_GAP * alpha * base.objective
