@@ -19,6 +19,7 @@ from .errors import (
     InvalidParamError,
     NegativeInputError,
     RegimeViolationWarning,
+    is_integer,
 )
 
 #: exact forms behind the rounded constants 0.46 and 0.18
@@ -85,15 +86,15 @@ def sufficient_nonuniform_vector(
 
 def lambda_lower_bound(d: int, k: int, N: int) -> float:
     """Packing floor sqrt(max(0, (kN - d)/(dN - d))) on a collection's coherence."""
-    if k < 1 or d < k or N < 2:
-        raise InvalidDimsError(f"need 1 <= k <= d and N >= 2, got d={d}, k={k}, N={N}")
+    if not (is_integer(d) and is_integer(k) and is_integer(N)) or k < 1 or d < k or N < 2:
+        raise InvalidDimsError(f"need integers 1 <= k <= d and N >= 2, got d={d}, k={k}, N={N}")
     return math.sqrt(max(0.0, (k * N - d) / (d * N - d)))
 
 
 def equiisoclinic_cap(d: int, k: int) -> int:
     """Largest possible number of pairwise equi-isoclinic k-subspaces of R^d."""
-    if k < 1 or d < k:
-        raise InvalidDimsError(f"need 1 <= k <= d, got d={d}, k={k}")
+    if not (is_integer(d) and is_integer(k)) or k < 1 or d < k:
+        raise InvalidDimsError(f"need integers 1 <= k <= d, got d={d}, k={k}")
     return d * (d + 1) // 2 - k * (k + 1) // 2 + 1
 
 
@@ -108,14 +109,14 @@ def mu_f_sparsity_cap(mu_f: float) -> float:
 
 def necessary_vector_measurements(s: int, N: int, k: int, d: int) -> float:
     """Scalar lower bound spread over blocks of size d: necessary/d."""
-    if d < 1:
-        raise InvalidDimsError("d must be positive")
+    if not is_integer(d) or d < 1:
+        raise InvalidDimsError(f"d must be positive and an integer, got d={d}")
     return necessary_scalar_measurements(s, N, k) / d
 
 
 def _check_common(s: int, N: int, k: int):
-    if s < 1 or N < 1 or k < 1:
-        raise InvalidParamError("s, N, k must be positive")
+    if not all(is_integer(v) and v >= 1 for v in (s, N, k)):
+        raise InvalidParamError(f"s, N, k must be positive integers, got s={s}, N={N}, k={k}")
 
 
 def _check_lambda(lam: float):

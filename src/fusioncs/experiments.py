@@ -480,9 +480,7 @@ def _run_recovery(config: ExperimentConfig, grid, etas, scale: float) -> list[Ce
     trials = range(config.trials_per_cell)
     streams = (STREAM_SIGNAL, STREAM_ENSEMBLE, STREAM_NOISE)[:3 if any(etas) else 2]
     keyed = list(_cells(config, grid))
-    # _splitmix64(prefix ^ stream) is derive_seed(base_seed, key, t, stream)
-    seeds = [_splitmix64(_fold(config.base_seed & _MASK64, (key, t)) ^ stream)
-             for key, _, _ in keyed for t in trials for stream in streams]
+    seeds = [derive_seed(config.base_seed, key, t, stream) for key, _, _ in keyed for t in trials for stream in streams]
     # (cell, stream, trial, word)
     states = _seed_states(seeds).reshape(len(keyed), len(trials), len(streams), 4).transpose(0, 2, 1, 3)
     cells, ops, ys = [], [], []

@@ -229,8 +229,8 @@ def _pair_singular_values(collection: SubspaceCollection, i: int, j: int) -> np.
 def _check_pair(collection: SubspaceCollection, i: int, j: int):
     n = collection.size
     for idx in (i, j):
-        if not 0 <= idx < n:
-            raise IndexOutOfRangeError(f"index {idx} outside [0, {n})")
+        if not is_integer(idx) or not 0 <= idx < n:
+            raise IndexOutOfRangeError(f"index {idx} is not an integer in [0, {n})")
     if i == j:
         raise SameIndexError(f"need two distinct subspaces, got ({i}, {j})")
 

@@ -360,6 +360,8 @@ def matrix_coherences(a: np.ndarray, collection: SubspaceCollection) -> tuple[fl
         raise DimMismatchError(
             f"A has {a.shape[1]} columns for {collection.size} subspaces"
         )
+    if not np.all(np.isfinite(a)):
+        raise ValueError("A has non-finite entries")
     norms = np.linalg.norm(a, axis=0)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:

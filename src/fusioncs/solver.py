@@ -27,30 +27,35 @@ that keeps every iterate strictly feasible:
   y_perp - U_r z1.
 
 Scaled into max_j ||(B^T nu)_j|| <= 1, nu bounds the distance to the
-optimum by the gap ||c||_{2,1} - (<y, nu> - eta ||nu||). A solve stops
-when the dual feasibility and the gap that :func:`certify` computes
-(:func:`_residuals`), on the program's own y and eta, pass ``TOL_DUAL``
-and ``TOL_GAP`` times ||y||, with the iterate the test certified, or after
-``max_iters`` Newton steps (default ``MAX_ITERS``). An equality program
-that passes makes one support exit attempt (:func:`_support_exits`): the
-least-squares fit on the support that complementarity ranks first, with
-the step's dual projected onto the support's optimality equations through
-one masked system, returned when it also passes the test. A wrong support
-costs one attempt, never a wrong answer. A solve whose Newton steps rounding stops early (a singular Newton
-matrix, or an iterate off the cone interior) ends as "stalled".
+optimum by the gap ||c||_{2,1} - (<y, nu> - eta ||nu||). One rule accepts
+every point, on the program's own y and eta (:func:`_checks` of
+:func:`_residuals`): the primal violation max(0, ||B c - y|| - eta) at most
+f ``TOL_PRIMAL`` ||y||, max_j ||(B^T nu)_j|| at most 1 + f ``TOL_DUAL`` and
+the gap at most f ``TOL_GAP`` ||y||, with f = 1 for the stop test and
+f = 10 for :func:`certify`. A solve stops at the first Newton iterate that
+passes, or after ``max_iters`` steps (default ``MAX_ITERS``); a probe that
+fails the primal check is infeasible, since no iterate can pass it. An
+equality program that passes makes one support exit attempt
+(:func:`_support_exits`): the least-squares fit on the support that
+complementarity ranks first, with the step's dual projected onto the
+support's optimality equations through one masked system, returned when
+it passes the same test. A wrong support costs one attempt, never a wrong
+answer. A solve whose Newton steps rounding stops early (a singular
+Newton matrix, or an iterate off the cone interior) ends as "stalled".
 
 Solves run in stacks, and :func:`solve_many` is their one entry point. It
 factors the distinct operators by one stacked SVD per matrix shape
-(:func:`_factor`) and stacks the programs of one shape (program, k, shape
-and rank of B). Each stack runs from probe to exit in
-:func:`_solve_stack`, and a program leaves it at the step that ends it.
-Every step of a stack, its support fits, stop tests and solutions
-included, acts on arrays slice by slice, on slices with the layout of the
-2-D arrays they stack: elementwise arithmetic, ``reduceat``, stacked
-``matmul`` (a dot as one BLAS dot per row, :func:`_dots`), ``solve`` and
-``svd``. Each solution therefore equals the solve of its triple alone bit
-for bit, whatever else the stack holds; :func:`solve_equality`,
-:func:`solve_noisy` and :func:`certify` work on stacks of one.
+(:func:`_factor`) and builds one :class:`_Stack` per program, k, shape
+and rank of B straight from the SVD's arrays. Each stack runs from probe
+to exit in :func:`_solve_stack`, and a program leaves it at the step that
+ends it. Every step of a stack, its support fits, stop tests and
+solutions included, acts on arrays slice by slice, on slices with the
+layout of the 2-D arrays they stack: elementwise arithmetic, ``reduceat``,
+stacked ``matmul`` (a dot as one BLAS dot per row, :func:`_dots`),
+``solve`` and ``svd``. Each solution therefore equals the solve of its
+triple alone bit for bit, whatever else the stack holds;
+:func:`solve_equality`, :func:`solve_noisy` and :func:`certify` work on
+stacks of one.
 
 The exhaustive oracle (:func:`oracle_recover_exhaustive`) screens y
 twice before it solves. One stacked QR of [B_U | y] over a fixed family
@@ -92,13 +97,12 @@ from .signals import BlockSignal, coeff_vector, from_coeff_vector
 _SCREEN_FACTOR = 10.0
 
 
-# The stopping rule of both programs, relative to ||y|| (each program runs
-# on y / ||y|| and eta / ||y||): a solve stops when max_j ||(B^T nu)_j|| is
-# at most 1 + TOL_DUAL and its duality gap at most TOL_GAP ||y||, and a
-# support fit must also fit y to TOL_PRIMAL ||y||; certify applies the same
-# rule at ten times each tolerance. MAX_ITERS bounds the Newton steps,
-# which take at most 13 (ball program, on criterion 9's sweep) and 11
-# (equality program, on the phase_mixed benchmark sweep) on the shipped
+# The tolerances of the one acceptance rule (:func:`_checks`), relative to
+# ||y|| (each program runs on y / ||y|| and eta / ||y||): a Newton iterate or
+# support fit stops its solve when it passes them as they stand, and
+# certify applies them at ten times each. MAX_ITERS bounds the Newton
+# steps, which take at most 13 (ball program, on criterion 9's sweep) and
+# 11 (equality program, on the phase_mixed benchmark sweep) on the shipped
 # sweeps, and 13 on 1,500 random equality instances with y scaled by
 # 10^[-3, 3].
 MAX_ITERS = 100
@@ -155,22 +159,21 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(v, v))
 
 
-def _dual_norms(b, nus, k) -> np.ndarray:
-    """max_j ||(B^T nu)_j|| per row of a stack."""
-    return _block_norms_flat(_mv(b.swapaxes(1, 2), nus), k).max(axis=1)
-
-
-def _dual_gaps(vecs, nus, ys, etas, k) -> np.ndarray:
-    """||c||_{2,1} - (<y, nu> - eta ||nu||) per row of a stack, which bounds
-    the distance to the optimum when max_j ||(B^T nu)_j|| <= 1."""
-    return _norm21_flat(vecs, k) - (_dots(ys, nus) - etas * _norms(nus))
-
-
 def _residuals(b, ys, etas, vecs, nus, k):
     """Per row of a stack: the primal violation max(0, ||B c - y|| - eta),
-    max_j ||(B^T nu)_j|| and the duality gap of c against nu as given."""
+    max_j ||(B^T nu)_j|| and the duality gap ||c||_{2,1} - (<y, nu> - eta
+    ||nu||) of c against nu as given, which bounds the distance to the
+    optimum when max_j ||(B^T nu)_j|| <= 1."""
     violation = np.fmax(0.0, _norms(_mv(b, vecs) - ys) - etas)
-    return violation, _dual_norms(b, nus, k), _dual_gaps(vecs, nus, ys, etas, k)
+    dual_norm = _block_norms_flat(_mv(b.swapaxes(1, 2), nus), k).max(axis=1)
+    return violation, dual_norm, _norm21_flat(vecs, k) - (_dots(ys, nus) - etas * _norms(nus))
+
+
+def _checks(violation, dual_norm, gap, ynorm, factor=1.0):
+    """The primal, dual and gap checks of :func:`_residuals`: the stop test
+    at factor 1, :func:`certify` at factor 10."""
+    return (violation <= factor * TOL_PRIMAL * ynorm, dual_norm <= 1.0 + factor * TOL_DUAL,
+            gap <= factor * TOL_GAP * ynorm)
 
 
 def _subgradients(vecs, k) -> np.ndarray:
@@ -312,24 +315,24 @@ def _stacked_solve(a, rhs, ok):
 
 
 class _Stack:
-    """The data of programs of one shape, one row per program: B, y, eta and
-    ||y||, and, once given, the factor B = U_r S_r V_r^T of :func:`_factor`
-    as u = U_r, sigma = diag(S_r) and vt = V_r^T, and a ball program's
-    y_perp and the radius of its data cone (:func:`_solve_stack`).
+    """The data of programs of one shape, one row per program: B, y, eta,
+    ||y||, the factor B = U_r S_r V_r^T of :func:`_factor` as u = U_r,
+    sigma = diag(S_r) and vt = V_r^T, and idx, the program's position among
+    the inputs of :func:`solve_many`; a ball stack adds y_perp and the
+    radius of its data cone (:func:`_solve_stack`).
 
-    ``np.stack`` keeps the layout of what it stacks, so each slice has the
-    layout of a program's own B, U_r and V_r^T (all C-contiguous), and every
-    vector stack that reaches BLAS is C-contiguous: each product equals the
-    2-D product of its slice bit for bit.
+    ``np.stack`` and ``np.concatenate`` keep the layout of what they stack,
+    so each slice has the layout of a program's own B, U_r and V_r^T (all
+    C-contiguous), and every vector stack that reaches BLAS is C-contiguous:
+    each product equals the 2-D product of its slice bit for bit.
     """
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
     @classmethod
-    def of(cls, progs):
-        return cls(b=np.stack([prog.B for prog in progs]), y=np.stack([prog.y for prog in progs]),
-                   eta=np.array([prog.eta for prog in progs]), ynorm=np.array([prog.ynorm for prog in progs]))
+    def join(cls, stacks):
+        return cls(**{name: np.concatenate([vars(s)[name] for s in stacks]) for name in vars(stacks[0])})
 
     def take(self, rows):
         return _Stack(**{name: a[rows] for name, a in vars(self).items()})
@@ -343,69 +346,45 @@ class _Stack:
         norms = _block_norms_flat(_mv(self.b.swapaxes(1, 2), nu), k)
         return nu / np.fmax(1.0, norms.max(axis=1))[:, None]
 
-    def certified(self, vecs, nus, k):
+    def stops(self, vecs, nus, k):
         """Per row, whether the estimate ||y|| vecs (vecs at unit scale) and
-        the dual nus pass the stop test: the residuals certify computes, on
-        the program's own y and eta, with the gap at most TOL_GAP ||y|| and
-        max_j ||(B^T nu)_j|| at most 1 + TOL_DUAL, checked on the rows whose
-        gap passes."""
-        done = _dual_gaps(vecs * self.ynorm[:, None], nus, self.y, self.eta, k) <= TOL_GAP * self.ynorm
-        rows = np.flatnonzero(done)
-        if rows.size:
-            done[rows] = _dual_norms(self.b[rows], nus[rows], k) <= 1.0 + TOL_DUAL
-        return done
+        the dual nus pass every check of the stop test (:func:`_checks`) on
+        the program's own y and eta."""
+        primal, dual, gap = _checks(*_residuals(self.b, self.y, self.eta, vecs * self.ynorm[:, None], nus, k),
+                                    self.ynorm)
+        return primal & dual & gap
 
 
-class _Program:
-    """One solve's data, and the factor of its B, shared by every program on
-    the same operator (:func:`_factor`)."""
-
-    def __init__(self, op: CoefficientOperator, y, eta: float):
-        self.op, self.B, self.eta = op, op.matrix, eta
-        self.y = _check_y(op, y, eta)
-        self.ynorm = float(np.linalg.norm(self.y))
-
-
-def _solutions(progs, vecs, nus, status: str, iters) -> list[RecoverySolution]:
-    """The solutions of programs of one shape, from their estimates at unit
-    scale, which are rescaled here by ||y||, their duals and their Newton
+def _solutions(stack: _Stack, ops, k, vecs, nus, status: str, iters) -> list:
+    """(idx, solution) for each program of a stack, from its estimate at
+    unit scale, which is rescaled here by ||y||, its dual and its Newton
     steps (one count, or one per program); the residuals of all come from
-    one :func:`_residuals` call on their stack, which :func:`certify` makes
-    for a stack of one."""
-    k = progs[0].op.collection.block_dim
-    stack = _Stack.of(progs)
+    one :func:`_residuals` call, which :func:`certify` makes for a stack of
+    one."""
     vecs = vecs * stack.ynorm[:, None]
     violation, dual_norm, gap = _residuals(stack.b, stack.y, stack.eta, vecs, nus, k)
     if status == "infeasible":
-        dual_norm = gap = np.full(len(progs), math.inf)
+        dual_norm = gap = np.full(len(vecs), math.inf)
     # y = 0 only at a zero exit, whose violation is 0
-    ends = zip(progs, vecs, nus, np.broadcast_to(iters, len(progs)).tolist(),
+    ends = zip(stack.idx.tolist(), vecs, nus, np.broadcast_to(iters, len(vecs)).tolist(),
                (violation / np.fmax(stack.ynorm, np.finfo(float).tiny)).tolist(),
-               np.fmax(0.0, dual_norm - 1.0).tolist(), gap.tolist(), _norm21_flat(vecs, k).tolist())
+               np.fmax(0.0, dual_norm - 1.0).tolist(), gap.tolist(), _norm21_flat(vecs, k).tolist(),
+               stack.eta.tolist())
     # nu is copied: it is a row of a stack that must not outlive the solve
-    return [RecoverySolution(from_coeff_vector(prog.op.collection, vec), status, steps, primal, dual, g,
-                             objective, nu.copy(), prog.eta)
-            for prog, vec, nu, steps, primal, dual, g, objective in ends]
+    return [(i, RecoverySolution(from_coeff_vector(ops[i].collection, vec), status, steps, primal, dual, g,
+                                 objective, nu.copy(), eta))
+            for i, vec, nu, steps, primal, dual, g, objective, eta in ends]
 
 
-def _factor(progs: list[_Program]) -> None:
-    """Give each program the factor B = U_r S_r V_r^T of its B.
-
-    There is one stacked thin SVD per matrix shape over the distinct
-    operators of that shape. A singular value counts as zero at
+def _factor(mats):
+    """(u, sigma, vt, ranks): one stacked thin SVD of a stack of matrices of
+    one shape, and the rank of each, a singular value counting as zero at
     max(p, n) eps times the largest, as ``np.linalg.matrix_rank`` counts.
-    U_r, S_r and V_r^T are selections of the SVD's arrays, whose layout
-    the stacks that later hold them keep (:class:`_Stack`).
-    """
-    shapes = {}
-    for prog in progs:
-        shapes.setdefault(prog.B.shape, {}).setdefault(id(prog.op), []).append(prog)
-    for shape, by_op in shapes.items():
-        u, sigma, vt = np.linalg.svd(np.stack([group[0].B for group in by_op.values()]), full_matrices=False)
-        ranks = np.count_nonzero(sigma > max(shape) * np.finfo(float).eps * sigma[:, :1], axis=1)
-        for group, u_i, sigma_i, vt_i, r in zip(by_op.values(), u, sigma, vt, ranks):
-            for prog in group:
-                prog.u, prog.sigma, prog.vt = u_i[:, :r], sigma_i[:r], vt_i[:r]
+    A matrix's factor B = U_r S_r V_r^T is U_r = u[:, :r], S_r = sigma[:r]
+    and V_r^T = vt[:r], whose layout the stacks that hold them keep
+    (:class:`_Stack`)."""
+    u, sigma, vt = np.linalg.svd(mats, full_matrices=False)
+    return u, sigma, vt, np.count_nonzero(sigma > max(mats.shape[1:]) * np.finfo(float).eps * sigma[:, :1], axis=1)
 
 
 def _dual_maps(b, mask):
@@ -432,8 +411,8 @@ def _support_exits(stack: _Stack, k, support, c, nu):
     largest is rounding, its subgradient noise, and leaves S. The dual is
     nu + P (g - B^T nu), the step's nu projected onto B_S^T nu = g_S (g the
     candidate's subgradient), refined once and scaled into the dual ball.
-    The candidate is taken when it fits y to TOL_PRIMAL and passes the stop
-    test, else the step's c and nu are.
+    The candidate is taken when it passes the stop test, primal check
+    included, else the step's c and nu are.
     """
     mask = support.repeat(k, axis=1)
     bt = stack.b.swapaxes(1, 2)
@@ -451,18 +430,17 @@ def _support_exits(stack: _Stack, k, support, c, nu):
             maps[rows], held = _dual_maps(stack.b[rows], mask[rows])
             ok[rows] &= held
         fit *= mask
-        ok &= _norms(_mv(stack.b, fit) - y) <= TOL_PRIMAL
         r = mask * (_subgradients(fit, k) - _mv(bt, nu))
         step = _mv(maps, r)
         cand = stack.in_ball(nu + step + _mv(maps, r - _mv(bt, step)), k)
-        take = ok & stack.certified(fit, cand, k)
+        take = ok & stack.stops(fit, cand, k)
     return np.where(take[:, None], fit, c), np.where(take[:, None], cand, nu)
 
 
-def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution]:
+def _solve_stack(stack: _Stack, ops, ball: bool, k: int, max_iters: int) -> list:
     """Solve a stack of programs of one shape (program, k, shape and rank of
     B) at unit scale, from the least-squares probe to the step that ends
-    each.
+    each, and return (idx, solution) for each.
 
     The probe c0 = V_r S_r^-1 U_r^T y settles a program whose y is out of
     reach, and every equality program of an injective B, whose probe point
@@ -480,43 +458,37 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
       with cones (t_j, c0_j + w_j) per block and the data cone (radius,
       U_r^T y - S_r V_r^T c) last.
 
-    A program leaves the stack at the step whose stop test certifies it,
-    at the step rounding stops (a singular Newton matrix, or an iterate off
-    the cone interior: "stalled", with the previous step's iterate) or at
-    step ``max_iters``; the stack is then compacted to the programs that
-    step on. The equality programs that the stop test certified make their
-    support exit attempts (:func:`_support_exits`) together, once the stack
-    is done.
+    Every step ends with one stop test (:meth:`_Stack.stops`), the rule
+    :func:`certify` applies at ten times each tolerance. A program leaves
+    at the step whose iterate passes it, at the step rounding stops (a
+    singular Newton matrix, or an iterate off the cone interior: "stalled",
+    with the previous step's iterate) or at step ``max_iters``, solved from
+    ``stack.take`` of its rows; the stack is then compacted to the programs
+    that step on. The equality programs that passed keep their stack rows
+    for one support exit call (:func:`_support_exits`) once the stack is
+    done.
     """
-    first = progs[0]
-    (p, n), k, ball = first.B.shape, first.op.collection.block_dim, first.eta > 0.0
+    p, n = stack.b.shape[1:]
     nb = n // k
-    stack = _Stack.of(progs)
-    stack.u, stack.sigma, stack.vt = (np.stack([getattr(prog, name) for prog in progs]) for name in ("u", "sigma", "vt"))
-    out = [None] * len(progs)
-    live = np.arange(len(progs))
-
-    def leave(rows, vecs, nus, status, iters):
-        # the programs ``rows`` (indices into progs) end here
-        for i, sol in zip(rows.tolist(), _solutions([progs[i] for i in rows], vecs, nus, status, iters)):
-            out[i] = sol
-
+    out = []
     y, eta = stack.unit()
     c0 = _mv(stack.vt.swapaxes(1, 2), _mv(stack.u.swapaxes(1, 2), y) / stack.sigma)
-    infeasible = _norms(_mv(stack.b, c0) - y) > eta + 10 * TOL_PRIMAL
+    # the probe is the point nearest y: when it fails the stop test's primal
+    # check, so does every iterate
+    infeasible = _norms(_mv(stack.b, c0) - y) > eta + TOL_PRIMAL
     if infeasible.any():
-        leave(live[infeasible], c0[infeasible], np.zeros((int(infeasible.sum()), p)), "infeasible", 0)
+        out += _solutions(stack.take(infeasible), ops, k, c0[infeasible], np.zeros((int(infeasible.sum()), p)),
+                          "infeasible", 0)
         if infeasible.all():
             return out
         keep = ~infeasible
-        live, stack, c0, y, eta = live[keep], stack.take(keep), c0[keep], y[keep], eta[keep]
+        stack, c0, y, eta = stack.take(keep), c0[keep], y[keep], eta[keep]
     rank = stack.sigma.shape[1]
     if not ball and rank == n:
         # the least-squares nu of B^T nu = g, g the probe's subgradient
         nus = _mv(stack.u, _mv(stack.vt, _subgradients(c0, k)) / stack.sigma)
-        leave(live, c0, stack.in_ball(nus, k), "converged", 0)
-        return out
-    count = len(live)
+        return out + _solutions(stack, ops, k, c0, stack.in_ball(nus, k), "converged", 0)
+    count = len(c0)
     # where the blocks' cones (t_j, c_j) hold t_j and c_j in a cone vector
     dims = [k + 1] * nb + ([rank + 1] if ball else [])
     cones = _Cones(dims)
@@ -612,7 +584,7 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         # rounding may have carried an iterate to the boundary
         ok &= np.all(sz[:, cones.heads2] > 0.0, axis=1) & np.all(sz_sq > 0.0, axis=1)
         if not ok.all():
-            leave(live[~ok], last_c[~ok], last_nu[~ok], "stalled", it - 1)
+            out += _solutions(stack.take(~ok), ops, k, last_c[~ok], last_nu[~ok], "stalled", it - 1)
         at, c0g, xg, sg, zg = (stack, c0, x, s, z) if ok.all() else (stack.take(ok), c0[ok], x[ok], s[ok], z[ok])
         if ball:
             # the ball cone's multiplier (z0, z1) gives nu = z0 / radius y_perp - U_r z1
@@ -622,21 +594,21 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
             cg = -np.take(zg, tails, axis=1)
             cg += _mv(at.vt.swapaxes(1, 2), _mv(at.vt, c0g - cg))
             nus = at.in_ball(_mv(at.u, xg / at.sigma), k)
-        done = at.certified(cg, nus, k)
+        done = at.stops(cg, nus, k)
         if done.any() and ball:
-            leave(live[ok][done], cg[done], nus[done], "converged", it)
+            out += _solutions(at.take(done), ops, k, cg[done], nus[done], "converged", it)
         elif done.any():
-            passed.append((live[ok][done], sg[done], zg[done], cg[done], nus[done], np.full(int(done.sum()), it)))
+            passed.append((at.take(done), sg[done], zg[done], cg[done], nus[done], np.full(int(done.sum()), it)))
         keep = ok.copy()
         keep[ok] = ~done
         last_c, last_nu = cg[~done], nus[~done]
         if not keep.all():
-            live, c0, G, cost, x, s, z, sz_sq = (a[keep] for a in (live, c0, G, cost, x, s, z, sz_sq))
+            c0, G, cost, x, s, z, sz_sq = (a[keep] for a in (c0, G, cost, x, s, z, sz_sq))
             stack = stack.take(keep)
-        if len(live) == 0:
+        if len(c0) == 0:
             break
     else:
-        leave(live, last_c, last_nu, "max_iters", max_iters)
+        out += _solutions(stack, ops, k, last_c, last_nu, "max_iters", max_iters)
     if passed:
         # the equality programs that passed the stop test make their support
         # exit attempts in one call. The support: the rank // k blocks whose
@@ -644,11 +616,13 @@ def _solve_stack(progs: list[_Program], max_iters: int) -> list[RecoverySolution
         # z0_j, as complementarity pairs a small slack with a large z0_j. It
         # is wider than the blocks whose z0_j exceeds their slack, which miss
         # a block of the optimum whose z0_j is below sqrt(mu)
-        rows, s_done, z_done, c, nu, iters = (np.concatenate(a) for a in zip(*passed))
+        parts, *rest = zip(*passed)
+        s_done, z_done, c, nu, iters = map(np.concatenate, rest)
         ratio = (s_done[:, heads] - _block_norms_flat(np.take(s_done, tails, axis=1), k)) / z_done[:, heads]
         support = np.zeros(ratio.shape, dtype=bool)
         np.put_along_axis(support, np.argsort(ratio, axis=1)[:, :rank // k], True, axis=1)
-        leave(rows, *_support_exits(_Stack.of([progs[i] for i in rows]), k, support, c, nu), "converged", iters)
+        done = _Stack.join(parts)
+        out += _solutions(done, ops, k, *_support_exits(done, k, support, c, nu), "converged", iters)
     return out
 
 
@@ -657,10 +631,11 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
     (B, y, eta) triple: one :class:`RecoverySolution` per input, each equal bit
     for bit to the solution of its triple alone.
 
-    After the zero exits (||y|| <= eta), B is factored once per distinct
-    operator (:func:`_factor`). The programs are then stacked once, by
-    program, k, shape and rank of B, and each stack is solved from
-    the least-squares probe to its last exit (:func:`_solve_stack`).
+    After the checks and the zero exits (||y|| <= eta), the distinct
+    operators of each matrix shape are factored by one stacked SVD
+    (:func:`_factor`). The programs are then stacked once, by program, k,
+    shape and rank of B, and each stack is solved from the least-squares
+    probe to its last exit (:func:`_solve_stack`).
     Each eta must be a real number, not a bool or a string, and
     ``max_iters`` a positive integer, not a bool.
     """
@@ -677,20 +652,34 @@ def solve_many(ops, ys, etas, *, max_iters: int = MAX_ITERS) -> list[RecoverySol
         raise ValueError("max_iters must be positive")
     if not len(ops) == len(ys) == len(etas):
         raise ValueError("expected as many operators, y and eta")
-    # each entry is a program until its solution replaces it, so a solved
-    # stack's programs and factors are not kept; zero is feasible and has
-    # minimal objective
-    out = [_Program(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
-    out = [_solutions([prog], np.zeros((1, prog.op.in_dim)), np.zeros((1, len(prog.y))), "converged", 0)[0]
-           if prog.ynorm <= prog.eta else prog for prog in out]
-    rest = [i for i, prog in enumerate(out) if isinstance(prog, _Program)]
-    _factor([out[i] for i in rest])
+    ys = [_check_y(op, y, eta) for op, y, eta in zip(ops, ys, etas)]
+    ynorms = [float(np.linalg.norm(y)) for y in ys]
+    out = [None] * len(ops)
+    # zero is feasible and has minimal objective when ||y|| <= eta; every
+    # other program is grouped by its operator within its matrix shape
+    shapes = {}
+    for i, (op, y, eta, ynorm) in enumerate(zip(ops, ys, etas, ynorms)):
+        if ynorm <= eta:
+            one = _Stack(b=op.matrix[None], y=y[None], eta=np.array([eta]), ynorm=np.array([ynorm]), idx=np.array([i]))
+            ((_, out[i]),) = _solutions(one, ops, op.collection.block_dim, np.zeros((1, op.in_dim)),
+                                        np.zeros((1, len(y))), "converged", 0)
+        else:
+            shapes.setdefault(op.matrix.shape, {}).setdefault(id(op), []).append(i)
+    factors = {}
+    for by_op in shapes.values():
+        mats = np.stack([ops[group[0]].matrix for group in by_op.values()])
+        for group, u, sigma, vt, r in zip(by_op.values(), *_factor(mats)):
+            factors.update(dict.fromkeys(group, (u[:, :r], sigma[:r], vt[:r])))
     stacks = {}
-    for i in rest:
-        prog = out[i]
-        stacks.setdefault((prog.eta > 0.0, prog.op.collection.block_dim, prog.B.shape, len(prog.sigma)), []).append(i)
-    for rows in stacks.values():
-        for i, sol in zip(rows, _solve_stack([out[i] for i in rows], max_iters)):
+    for i in sorted(factors):
+        op = ops[i]
+        stacks.setdefault((etas[i] > 0.0, op.collection.block_dim, op.matrix.shape, len(factors[i][1])), []).append(i)
+    for (ball, k, *_), rows in stacks.items():
+        u, sigma, vt = (np.stack(part) for part in zip(*(factors[i] for i in rows)))
+        stack = _Stack(b=np.stack([ops[i].matrix for i in rows]), y=np.stack([ys[i] for i in rows]),
+                       eta=np.array([etas[i] for i in rows]), ynorm=np.array([ynorms[i] for i in rows]),
+                       u=u, sigma=sigma, vt=vt, idx=np.array(rows))
+        for i, sol in _solve_stack(stack, ops, ball, k, max_iters):
             out[i] = sol
     return out
 
@@ -859,9 +848,9 @@ class CertificateReport:
 def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -> CertificateReport:
     """Recompute feasibility, dual feasibility, and the gap from scratch.
 
-    Uses the residuals the solver reports (:func:`_residuals`) and flags a
-    check when it is violated by more than ten times the solver's tolerance
-    (``TOL_PRIMAL`` and ``TOL_GAP`` times ||y||, ``TOL_DUAL``). Like the solves and the
+    Uses the residuals the solver reports (:func:`_residuals`) and the stop
+    test's rule (:func:`_checks`) at ten times each tolerance: ``TOL_PRIMAL``
+    and ``TOL_GAP`` times ||y||, and ``TOL_DUAL``. Like the solves and the
     oracle, raises ``ValueError`` unless y is a finite vector of B's output
     length.
     """
@@ -871,12 +860,5 @@ def certify(solution: RecoverySolution, B: CoefficientOperator, y: np.ndarray) -
         raise DimMismatchError(f"a solution with {vec.size} coefficients and {nu.size} duals does not fit B")
     violation, dual_feas, gap = (float(v[0]) for v in _residuals(
         B.matrix[None], y[None], np.array([solution.eta]), vec[None], nu[None], B.collection.block_dim))
-    ynorm = float(np.linalg.norm(y))
-    return CertificateReport(
-        primal_violation=violation,
-        dual_feasibility=dual_feas,
-        duality_gap=gap,
-        primal_ok=violation <= 10.0 * TOL_PRIMAL * ynorm,
-        dual_ok=dual_feas <= 1.0 + 10.0 * TOL_DUAL,
-        gap_ok=gap <= 10.0 * TOL_GAP * ynorm,
-    )
+    return CertificateReport(violation, dual_feas, gap,
+                             *_checks(violation, dual_feas, gap, float(np.linalg.norm(y)), factor=10.0))

@@ -188,6 +188,21 @@ GUARDS = {
                                     InvalidParamError, "alpha must be positive and finite"),
     "sufficient_uniform_alpha_nan": (sufficient_uniform_vector, (1, 8, 1, 0.5, math.nan, 0.01),
                                      InvalidParamError, "alpha must be positive and finite"),
+    # dimensions and counts are integers: NaN, a float or a bool is not one
+    "necessary_s_nan": (necessary_scalar_measurements, (math.nan, 10, 2), InvalidParamError,
+                        "s, N, k must be positive"),
+    "necessary_k_bool": (necessary_scalar_measurements, (1, 8, True), InvalidParamError, "s, N, k must be positive"),
+    "sufficient_uniform_s_nan": (sufficient_uniform_vector, (math.nan, 10, 2, 0.5, 1.0, 0.01),
+                                 InvalidParamError, "s, N, k must be positive"),
+    "sufficient_scalar_N_float": (sufficient_scalar_measurements, (1, 8.5, 1, 1.0, 0.4, 0.01),
+                                  InvalidParamError, "s, N, k must be positive"),
+    "lambda_floor_N_nan": (lambda_lower_bound, (4, 2, math.nan), InvalidDimsError, "1 <= k <= d and N >= 2"),
+    "lambda_floor_d_float": (lambda_lower_bound, (4.0, 2, 8), InvalidDimsError, "1 <= k <= d and N >= 2"),
+    "equiisoclinic_d_nan": (equiisoclinic_cap, (math.nan, 2), InvalidDimsError, "1 <= k <= d"),
+    "equiisoclinic_k_bool": (equiisoclinic_cap, (4, True), InvalidDimsError, "1 <= k <= d"),
+    "necessary_vector_d_nan": (necessary_vector_measurements, (1, 8, 1, math.nan), InvalidDimsError,
+                               "d must be positive"),
+    "bound_report_d_nan": (bound_report, (1, 8, 1, math.nan, 0.5), InvalidDimsError, "d must be positive"),
     "mu_f_cap_nan": (mu_f_sparsity_cap, (math.nan,), NegativeInputError, "mu_f must be nonnegative and finite"),
     "mu_f_cap_inf": (mu_f_sparsity_cap, (math.inf,), NegativeInputError, "mu_f must be nonnegative and finite"),
 }

@@ -241,6 +241,11 @@ class TestPairwiseGeometry:
             principal_angles(coll, 1, 1)
         with pytest.raises(IndexOutOfRangeError):
             principal_angles(coll, 0, 3)
+        # an index is an integer: a float or a bool is not one
+        with pytest.raises(IndexOutOfRangeError):
+            principal_angles(coll, 0, 2.0)
+        with pytest.raises(IndexOutOfRangeError):
+            spectral_distance(coll, True, 2)
 
     def test_spectral_distance_extremes(self):
         u = random_collection(5, 2, 1, seed=2).bases[0]

@@ -531,6 +531,12 @@ INPUT_CHECKS = {
                           InvalidDimsError, "A must be a matrix"),
     "coherences_columns": (lambda: matrix_coherences(np.ones((2, 2)), orthogonal_collection(4, 1, 3)),
                            DimMismatchError, "A has 2 columns for 3 subspaces"),
+    "coherences_nan": (lambda: matrix_coherences(np.array([[1.0, math.nan], [0.0, 1.0]]),
+                                                 orthogonal_collection(4, 1, 2)),
+                       ValueError, "A has non-finite entries"),
+    "coherences_inf": (lambda: matrix_coherences(np.array([[1.0, 0.0], [math.inf, 1.0]]),
+                                                 orthogonal_collection(4, 1, 2)),
+                       ValueError, "A has non-finite entries"),
     "spec_fractional_rows": (lambda: EnsembleSpec("gaussian", 2.5, 3, seed=0), InvalidDimsError,
                              "need integer rows, cols >= 1, got 2.5x3"),
     "spec_float_cols": (lambda: EnsembleSpec("gaussian", 2, 2.0, seed=0), InvalidDimsError,

@@ -658,6 +658,18 @@ class TestSolveNoisy:
                 sol = solve_noisy(b, y, eta)
                 assert sol.status == "converged" and certify(sol, b, y).ok
 
+    def test_infeasible_exactly_when_no_iterate_can_stop(self):
+        # the probe, the point nearest y, decides infeasibility by the stop
+        # test's own primal check: eta a few TOL_PRIMAL ||y|| below rho is
+        # infeasible at once, and eta within TOL_PRIMAL ||y|| of rho converges
+        for b, y, _ in ball_instances(3):
+            ynorm = float(np.linalg.norm(y))
+            rho = float(np.linalg.norm(y - b.matrix @ np.linalg.lstsq(b.matrix, y, rcond=None)[0]))
+            sol = solve_noisy(b, y, rho - 5 * solver.TOL_PRIMAL * ynorm)
+            assert (sol.status, sol.iterations) == ("infeasible", 0)
+            sol = solve_noisy(b, y, rho - 0.5 * solver.TOL_PRIMAL * ynorm)
+            assert sol.status == "converged" and certify(sol, b, y).ok
+
     @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
     def test_ill_conditioned_tall_b(self, kappa):
         # a 24 x 12 B with singular values from 1 to 1 / kappa
@@ -1398,9 +1410,7 @@ def test_ill_conditioned_wide_b(kappa):
         b = compose_with_bases(scalar_operator(matrix), coll)
         cases.append((b, matrix @ truth, 0.0))
     for b, _, _ in cases:
-        prog = solver._Program(b, np.zeros(b.out_dim), 0.0)
-        solver._factor([prog])
-        assert len(prog.sigma) == np.linalg.matrix_rank(b.matrix)
+        assert solver._factor(b.matrix[None])[3][0] == np.linalg.matrix_rank(b.matrix)
     sols = solver.solve_many(*zip(*cases))
     assert not any(sol.status == "infeasible" for sol in sols)
     for (b, y, _), sol in zip(cases, sols):
